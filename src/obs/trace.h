@@ -23,8 +23,8 @@
 //
 // Stages mirror the serve path: queue wait and session acquire in
 // serve::Frontend / QueryExecutor, then either one opaque search span
-// (unsharded index) or route + per-shard search + merge spans
-// (shard::ShardedIndex).
+// (unsharded index) or route + per-shard search + merge spans (the
+// shard::FanOut engine behind both sharded indexes).
 
 #ifndef GASS_OBS_TRACE_H_
 #define GASS_OBS_TRACE_H_

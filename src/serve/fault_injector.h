@@ -128,19 +128,13 @@ class FaultInjector {
   /// Fail shard `shard`'s sub-search on replica `replica` for admission id
   /// `id`? Pure; the shard layer acts by throwing inside its fan-out
   /// worker and counts the injection via CountShardFailure(). A plan with
-  /// replica = -1 matches every replica.
+  /// replica = -1 matches every replica, and `replica` = -1 asks whether
+  /// the plan would fault ANY replica of the shard.
   bool ShouldFailShardSearch(std::uint64_t id, std::uint32_t shard,
                              std::int32_t replica) const {
     const ShardFaultPlan* p = FindShardPlan(shard);
     return p != nullptr && Fires(p->fail_period, id) &&
-           (p->replica < 0 || p->replica == replica);
-  }
-
-  /// Replica-oblivious form: fires if the plan would fault ANY replica of
-  /// the shard (kept for unreplicated callers and tests).
-  bool ShouldFailShardSearch(std::uint64_t id, std::uint32_t shard) const {
-    const ShardFaultPlan* p = FindShardPlan(shard);
-    return p != nullptr && Fires(p->fail_period, id);
+           (p->replica < 0 || replica < 0 || p->replica == replica);
   }
 
   /// Injected sub-search delay for (id, shard, attempt); 0 = none.

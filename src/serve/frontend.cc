@@ -300,20 +300,22 @@ void Frontend::WorkerLoop() {
       query_params.deadline =
           task.deadline.unlimited() ? nullptr : &task.deadline;
       query_params.trace = task.trace;
-      session_timer.Stop();
-
-      const std::size_t spans_before =
-          task.trace != nullptr ? task.trace->size() : 0;
-      obs::StageTimer search_timer(task.trace, obs::Stage::kSearch);
       // Live mode: hold the updater's search lock shared for the duration
       // of the query (in-memory applies take it exclusive, briefly) and
-      // filter its tombstones at result emission.
+      // filter its tombstones at result emission. Taken inside the session
+      // span, so a wait behind an apply stays traced even when the index
+      // records its own breakdown and the search span is cancelled.
       std::shared_lock<std::shared_mutex> live_guard;
       if (updater_ != nullptr) {
         live_guard = std::shared_lock<std::shared_mutex>(
             updater_->search_mutex());
         query_params.tombstones = &updater_->tombstones();
       }
+      session_timer.Stop();
+
+      const std::size_t spans_before =
+          task.trace != nullptr ? task.trace->size() : 0;
+      obs::StageTimer search_timer(task.trace, obs::Stage::kSearch);
       SearchResponse response(
           index_.Search(task.query, query_params, lease.get()));
       if (live_guard.owns_lock()) live_guard.unlock();

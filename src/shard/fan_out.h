@@ -1,0 +1,147 @@
+// FanOut: the one query fan-out engine behind both sharded indexes
+// (shard::ShardedIndex and shard::LiveShardedIndex). Each index supplies
+// a replica-search callback and its per-shard id tables; the engine owns
+// everything else: the fan-out pool, the sub-search context freelist, the
+// per-shard probe counters, and the per-(shard, replica) breakers.
+//
+// A query runs in three steps:
+//
+//   route    Rank every centroid against the query (ties toward the lower
+//            shard id), draw one query seed from the caller's RNG, and
+//            walk the ranking until nprobe shards are selected. Each shard
+//            starts at a health-chosen replica (PickReplica); a breaker
+//            skip falls through to its other replicas, and a shard whose
+//            every replica skips is routed around — the next-nearest
+//            centroid substitutes. A shard with an empty id table holds no
+//            rows: it takes its rank but is never probed.
+//   execute  One attempt per selected shard, each failing over in-query to
+//            the next routable replica. Without hedging the caller
+//            searches the nearest shard itself while the pool runs the
+//            rest. With hedging every probe runs on the pool, and once
+//            hedge_fraction of the remaining budget elapses, one backup
+//            per outstanding shard starts on the next routable replica;
+//            the first attempt to finish resolves the shard. An absent or
+//            refusing pool runs attempts inline. With a deadline set the
+//            coordinator stops waiting at the deadline; abandoned
+//            stragglers finish harmlessly against heap-shared state.
+//   merge    Map local ids through each shard's id table, drop tombstones,
+//            sort by (distance, id) and cut to k — except that a single
+//            completed probe passes through in its own order (with K=1
+//            that makes ShardedIndex bit-identical to the unsharded index)
+//            — then set the stats and the partial/expired flags (see
+//            docs/SHARDING.md "Failure semantics").
+//
+// Every attempt reports its own outcome to the breaker of the replica it
+// ran on, so a hedge race never strands a half-open probe. The probe at
+// selection position i always searches with RNG seed query_seed ^
+// mix * (i + 1), whichever thread, replica, or attempt runs it, so serial,
+// pooled, and hedged fan-out return identical answers.
+//
+// Thread-safety: Search may run concurrently from many threads. The
+// setters are not safe against concurrent searches; SetThreads and
+// SetBreakerOptions drain abandoned stragglers first.
+
+#ifndef GASS_SHARD_FAN_OUT_H_
+#define GASS_SHARD_FAN_OUT_H_
+
+#include <atomic>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <vector>
+
+#include "core/dataset.h"
+#include "core/rng.h"
+#include "core/thread_pool.h"
+#include "methods/graph_index.h"
+#include "shard/shard_health.h"
+
+namespace gass::serve {
+class FaultInjector;
+}  // namespace gass::serve
+
+namespace gass::shard {
+
+class FanOut {
+ public:
+  /// Searches replica `r` of shard `s`; throws on failure. Runs on the
+  /// caller thread or a pool worker, possibly after the query returned (an
+  /// abandoned straggler), so it may touch only state that outlives the
+  /// engine.
+  using ReplicaSearch = std::function<methods::SearchResult(
+      std::uint32_t s, std::uint32_t r, const float* query,
+      const methods::SearchParams& params, methods::SearchContext* ctx)>;
+  /// Shard `s`'s id table: element `local` is that row's global id.
+  using IdTable =
+      std::function<const std::vector<core::VectorId>&(std::uint32_t s)>;
+
+  /// `num_replicas` and `max_shard_size` (which sizes the pooled
+  /// sub-search contexts) are >= 1; `threads` = 0 runs every attempt
+  /// inline on the caller thread.
+  FanOut(std::size_t num_shards, std::size_t num_replicas,
+         std::size_t max_shard_size, const ShardBreakerOptions& breaker,
+         std::size_t threads, ReplicaSearch search, IdTable ids);
+
+  FanOut(const FanOut&) = delete;
+  FanOut& operator=(const FanOut&) = delete;
+
+  /// Routes, executes, and merges one query. `rng` supplies the single
+  /// query-seed draw; `hedge_fraction` > 0 enables hedging when a pool and
+  /// a deadline exist; `faults` (nullable) drives injected shard faults.
+  methods::SearchResult Search(const float* query,
+                               const core::Dataset& centroids,
+                               std::size_t nprobe,
+                               const methods::SearchParams& params,
+                               core::Rng* rng, double hedge_fraction,
+                               serve::FaultInjector* faults) const;
+
+  /// Re-sizes the fan-out pool (0 = inline), draining stragglers.
+  void SetThreads(std::size_t threads);
+  /// Replaces the breaker table (resetting all breaker state).
+  void SetBreakerOptions(const ShardBreakerOptions& breaker);
+
+  /// The per-(shard, replica) breakers; thread-safe, so recovery paths
+  /// (reload, rebuild, quarantine) drive them through a const engine.
+  ShardHealthTable& health() const { return *health_; }
+  /// Sub-search attempts dispatched to shard `s` (relaxed).
+  std::uint64_t probe_count(std::size_t s) const {
+    return probe_counts_[s].load(std::memory_order_relaxed);
+  }
+
+ private:
+  struct Attempt;
+  struct Slot;
+  struct State;
+
+  /// Runs attempt `attempt` (0 = primary, 1 = backup) of slot `idx` on the
+  /// pool, or inline when there is no pool or it refuses the task.
+  void Launch(const std::shared_ptr<State>& state, std::size_t idx,
+              int attempt) const;
+  /// One attempt with replica failover; the first attempt to finish
+  /// resolves its slot via a winner CAS.
+  void RunAttempt(State& state, std::size_t idx, int attempt) const;
+  /// The next replica after `from` in ring order that is not yet tried and
+  /// that the breakers will route; num_replicas_ when there is none.
+  std::uint32_t NextRoutable(std::uint32_t s, std::uint32_t from,
+                             std::vector<bool>* tried) const;
+  std::unique_ptr<methods::SearchContext> AcquireContext() const;
+  void ReleaseContext(std::unique_ptr<methods::SearchContext> ctx) const;
+
+  std::size_t num_shards_;
+  std::size_t num_replicas_;
+  std::size_t max_shard_size_;
+  ReplicaSearch search_;
+  IdTable ids_;
+  std::unique_ptr<ShardHealthTable> health_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> probe_counts_;
+  mutable std::mutex ctx_mutex_;
+  mutable std::vector<std::unique_ptr<methods::SearchContext>> ctx_pool_;
+  /// Declared last, so it is destroyed first: the pool's shutdown drains
+  /// abandoned stragglers while everything they touch is still alive.
+  std::unique_ptr<core::ThreadPool> pool_;
+};
+
+}  // namespace gass::shard
+
+#endif  // GASS_SHARD_FAN_OUT_H_

@@ -27,7 +27,8 @@ void EncodeOptions(io::Encoder* enc, const LiveShardedOptions& options) {
 
 LiveShardedIndex::LiveShardedIndex(const LiveShardedOptions& options)
     : options_(options),
-      num_replicas_(options.replicas == 0 ? 1 : options.replicas) {
+      num_replicas_(options.replicas == 0 ? 1 : options.replicas),
+      serial_rng_(options.seed) {
   GASS_CHECK_MSG(options.num_shards >= 1, "need at least one shard");
 }
 
@@ -91,6 +92,7 @@ methods::BuildStats LiveShardedIndex::Build(const core::Dataset& data) {
   }
   next_id_ = base_n_;
   data_ = &data;
+  StartFanOut();
 
   stats.index_bytes = IndexBytes();
   stats.elapsed_seconds = timer.Seconds();
@@ -116,91 +118,53 @@ std::size_t LiveShardedIndex::IndexBytes() const {
   return total;
 }
 
-methods::SearchContext LiveShardedIndex::MakeSearchContext(
-    std::uint64_t seed) const {
+std::size_t LiveShardedIndex::MaxArena() const {
   std::size_t max_arena = 1;
   for (const auto& shard : shards_) {
     max_arena = std::max(max_arena, shard->arena.size());
   }
-  return methods::SearchContext(max_arena, seed);
+  return max_arena;
+}
+
+void LiveShardedIndex::StartFanOut() {
+  serial_rng_ = core::Rng(options_.seed);
+  fan_out_ = std::make_unique<FanOut>(
+      shards_.size(), num_replicas_, MaxArena(), ShardBreakerOptions(),
+      /*threads=*/0,
+      [this](std::uint32_t s, std::uint32_t r, const float* query,
+             const methods::SearchParams& params,
+             methods::SearchContext* ctx) {
+        return shards_[s]->replicas[r]->Search(query, params, ctx);
+      },
+      [this](std::uint32_t s) -> const std::vector<core::VectorId>& {
+        return shards_[s]->global_ids;
+      });
+}
+
+methods::SearchContext LiveShardedIndex::MakeSearchContext(
+    std::uint64_t seed) const {
+  return methods::SearchContext(MaxArena(), seed);
 }
 
 methods::SearchResult LiveShardedIndex::Search(
     const float* query, const methods::SearchParams& params) {
-  if (serial_ctx_ == nullptr) {
-    serial_ctx_ = std::make_unique<methods::SearchContext>(
-        MakeSearchContext(options_.seed));
-  }
-  return Search(query, params, serial_ctx_.get());
+  return SearchImpl(query, params, &serial_rng_);
 }
 
 methods::SearchResult LiveShardedIndex::Search(
     const float* query, const methods::SearchParams& params,
     methods::SearchContext* ctx) const {
-  core::Timer timer;
-  methods::SearchResult merged;
-  merged.degrade_step = params.degrade_step;
-  const std::size_t k_shards = shards_.size();
+  return SearchImpl(query, params, &ctx->rng);
+}
 
-  // Rank centroids by distance to the query (one computation each).
-  std::vector<std::pair<float, std::uint32_t>> ranked(k_shards);
-  for (std::size_t s = 0; s < k_shards; ++s) {
-    ranked[s] = {core::L2Sq(query, centroids_.Row(
-                                       static_cast<core::VectorId>(s)),
-                            dim_),
-                 static_cast<std::uint32_t>(s)};
-  }
-  std::sort(ranked.begin(), ranked.end());
+methods::SearchResult LiveShardedIndex::SearchImpl(
+    const float* query, const methods::SearchParams& params,
+    core::Rng* rng) const {
+  const std::size_t k = shards_.size();
   const std::size_t nprobe =
-      options_.nprobe == 0 ? k_shards : std::min(options_.nprobe, k_shards);
-
-  // Sub-searches run on shard-LOCAL ids: global-keyed tombstones and the
-  // caller's trace must not leak into them (same contract as
-  // shard::ShardedIndex).
-  methods::SearchParams sub_params = params;
-  sub_params.trace = nullptr;
-  sub_params.tombstones = nullptr;
-
-  const core::TombstoneSet* tombstones = params.tombstones;
-  const bool filter = tombstones != nullptr && !tombstones->empty();
-  std::vector<core::Neighbor> all;
-  bool expired = false;
-  // Replica rotation keyed on the admission id: deterministic (replayed
-  // workloads probe the same replicas), spreads load across the
-  // bit-identical copies, and consumes no RNG draws, so R = 1 results are
-  // byte-for-byte what the unreplicated index returned.
-  const std::size_t rep =
-      num_replicas_ == 1
-          ? 0
-          : static_cast<std::size_t>(params.admission_id % num_replicas_);
-  for (std::size_t r = 0; r < nprobe; ++r) {
-    const std::uint32_t s = ranked[r].second;
-    const Shard& shard = *shards_[s];
-    const methods::HnswIndex& replica = *shard.replicas[rep];
-    if (replica.inserted_count() == 0) continue;
-    methods::SearchResult sub = replica.Search(query, sub_params, ctx);
-    merged.stats.distance_computations += sub.stats.distance_computations;
-    merged.stats.hops += sub.stats.hops;
-    merged.stats.prefetches += sub.stats.prefetches;
-    if (sub.stats.deadline_expiries > 0) expired = true;
-    for (const core::Neighbor& nb : sub.neighbors) {
-      const core::VectorId gid = shard.global_ids[nb.id];
-      if (filter && tombstones->Contains(gid)) continue;
-      all.emplace_back(gid, nb.distance);
-    }
-    ++merged.stats.shards_probed;
-  }
-  // Neighbor's operator< is (distance, id): cross-shard ties resolve to
-  // the lower global id, independent of probe order.
-  std::sort(all.begin(), all.end());
-  if (all.size() > params.k) all.resize(params.k);
-  merged.neighbors = std::move(all);
-
-  merged.stats.distance_computations += k_shards;  // Centroid ranking.
-  merged.expired = expired;
-  merged.stats.deadline_expiries = expired ? 1 : 0;
-  merged.stats.elapsed_seconds = timer.Seconds();
-  return merged;
+      options_.nprobe == 0 ? k : std::min(options_.nprobe, k);
+  return fan_out_->Search(query, centroids_, nprobe, params, rng,
+                          /*hedge_fraction=*/0.0, /*faults=*/nullptr);
 }
 
 std::uint32_t LiveShardedIndex::RouteInsert(const float* vec) const {
@@ -426,7 +390,7 @@ core::Status LiveShardedIndex::LoadSections(const io::SnapshotReader& reader) {
   owner_ = std::move(owner);
   next_id_ = next_id;
   data_ = base_;
-  serial_ctx_.reset();
+  StartFanOut();
   return core::Status::Ok();
 }
 

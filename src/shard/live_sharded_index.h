@@ -8,12 +8,12 @@
 // RouteDelete = owning shard) is logged in that shard's log and per-stream
 // replay order is sufficient for recovery.
 //
-// Searches rank the shard centroids against the query, probe the top
-// `nprobe` shards' indexes serially, map shard-local results to global
-// ids, and merge — the same routing/merge shape as shard::ShardedIndex,
-// minus its serving armor (breakers, hedging, fan-out pools): this class
-// is the *mutable* data plane, and layering it under shard::ShardedIndex's
-// fault machinery is future work, not silently half-done here.
+// Searches run through shard::FanOut, the same route/execute/merge engine
+// as shard::ShardedIndex, configured with no fan-out pool, no hedging, and
+// default breakers: probes run serially on the caller thread, each shard's
+// replica is chosen by health (PickReplica), a failing sub-search becomes
+// per-shard status (`partial`) instead of an error, and traced queries get
+// route / shard_search / merge spans. A shard with no rows is not probed.
 //
 // Implements both methods::GraphIndex (the searchable face handed to
 // serve::Frontend) and serve::LiveIndex (the update face handed to
@@ -26,8 +26,10 @@
 #include <vector>
 
 #include "core/dataset.h"
+#include "core/rng.h"
 #include "methods/hnsw_index.h"
 #include "serve/live_index.h"
+#include "shard/fan_out.h"
 #include "shard/partitioner.h"
 
 namespace gass::shard {
@@ -52,6 +54,9 @@ struct LiveShardedOptions {
 class LiveShardedIndex : public methods::GraphIndex, public serve::LiveIndex {
  public:
   explicit LiveShardedIndex(const LiveShardedOptions& options);
+  /// The fan-out engine's callbacks hold `this`.
+  LiveShardedIndex(const LiveShardedIndex&) = delete;
+  LiveShardedIndex& operator=(const LiveShardedIndex&) = delete;
 
   /// An unbuilt shell for checkpoint loading; LoadSections() restores the
   /// shards with base rows re-materialized from `base` (which must be the
@@ -118,6 +123,14 @@ class LiveShardedIndex : public methods::GraphIndex, public serve::LiveIndex {
  private:
   static constexpr std::uint32_t kNoOwner = ~std::uint32_t{0};
 
+  /// Largest shard arena (>= 1): the id range any sub-search spans.
+  std::size_t MaxArena() const;
+  /// (Re)creates the fan-out engine over the current shards.
+  void StartFanOut();
+  methods::SearchResult SearchImpl(const float* query,
+                                   const methods::SearchParams& params,
+                                   core::Rng* rng) const;
+
   struct Shard {
     Shard(const methods::HnswParams& params, std::size_t num_replicas) {
       replicas.reserve(num_replicas);
@@ -147,8 +160,10 @@ class LiveShardedIndex : public methods::GraphIndex, public serve::LiveIndex {
   /// owner_[id] = shard owning global id (kNoOwner = not yet inserted).
   std::vector<std::uint32_t> owner_;
   std::size_t next_id_ = 0;
-  /// Lazily created context backing the serial two-argument Search.
-  std::unique_ptr<methods::SearchContext> serial_ctx_;
+  /// RNG backing the serial two-argument Search.
+  core::Rng serial_rng_;
+  /// Routing, serial fan-out, merge, and the per-replica breakers.
+  std::unique_ptr<FanOut> fan_out_;
 };
 
 }  // namespace gass::shard

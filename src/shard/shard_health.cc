@@ -17,10 +17,6 @@ const char* BreakerStateName(BreakerState state) {
 }
 
 ShardHealthTable::ShardHealthTable(std::size_t num_shards,
-                                   const ShardBreakerOptions& options)
-    : ShardHealthTable(num_shards, 1, options) {}
-
-ShardHealthTable::ShardHealthTable(std::size_t num_shards,
                                    std::size_t num_replicas,
                                    const ShardBreakerOptions& options)
     : options_(options),

@@ -79,10 +79,8 @@ enum class ShardRoute : std::uint8_t {
 /// machine.
 class ShardHealthTable {
  public:
-  /// Unreplicated table: one slot per shard (replication factor 1).
-  ShardHealthTable(std::size_t num_shards, const ShardBreakerOptions& options);
-  /// Replicated table: num_shards * num_replicas slots (num_replicas is
-  /// clamped to a minimum of 1).
+  /// num_shards * num_replicas slots (num_replicas is clamped to a minimum
+  /// of 1; the single-index case is num_replicas = 1).
   ShardHealthTable(std::size_t num_shards, std::size_t num_replicas,
                    const ShardBreakerOptions& options);
 
@@ -96,8 +94,9 @@ class ShardHealthTable {
   ShardRoute RouteDecision(std::size_t s) { return RouteDecision(s, 0); }
 
   /// Outcome of one sub-search attempt against replica `r` of shard `s`
-  /// (primary, failover, hedge, or half-open probe — the first attempt to
-  /// resolve the slot reports). Returns true when this call tripped the
+  /// (primary, failover, hedge, or half-open probe — every attempt reports
+  /// the replica it ran on; a repeated success on a closed slot is a
+  /// no-op). Returns true when this call tripped the
   /// breaker closed → open, so the caller can kick off recovery exactly
   /// once per trip.
   bool OnResult(std::size_t s, std::size_t r, bool ok);

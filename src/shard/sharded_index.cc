@@ -4,20 +4,16 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <stdexcept>
 #include <utility>
 
-#include "core/distance.h"
 #include "core/macros.h"
 #include "core/stats.h"
+#include "core/thread_pool.h"
 #include "io/hash.h"
-#include "obs/trace.h"
 #include "io/serialize.h"
 #include "io/snapshot.h"
 #include "methods/factory.h"
@@ -25,56 +21,6 @@
 #include "serve/fault_injector.h"
 
 namespace gass::shard {
-
-/// One sub-search attempt's outcome within the hedged fan-out.
-struct HedgeAttempt {
-  methods::SearchResult result;
-  /// Offsets from HedgeState::timer, for the coordinator's trace spans.
-  double start = 0.0;
-  double duration = 0.0;
-  bool failed = false;
-  /// Deadline already expired when the attempt started; nothing ran.
-  bool skipped = false;
-  /// Replica failovers this attempt performed, and the replica that
-  /// finally resolved it (for the winner's breaker report).
-  std::size_t failovers = 0;
-  std::uint32_t final_replica = 0;
-};
-
-/// One selected shard of a hedged fan-out: up to two attempts (primary and
-/// hedged backup), resolved by whichever finishes its winner CAS first.
-struct HedgeSlot {
-  std::uint32_t shard = 0;
-  /// Replica the routing stage chose; the backup attempt starts from the
-  /// next replica in the ring so the hedge races different hardware state
-  /// when R > 1.
-  std::uint32_t replica = 0;
-  bool probe_granted = false;
-  HedgeAttempt attempts[2];
-  /// Index of the attempt that resolved the slot (-1 = still outstanding).
-  /// The release CAS publishes that attempt's fields to the coordinator.
-  std::atomic<int> winner{-1};
-  std::atomic<bool> hedged{false};
-};
-
-/// Heap-shared state of one hedged fan-out, kept alive by shared_ptr so an
-/// abandoned straggler — a sub-search the query stopped waiting for at its
-/// deadline — can finish harmlessly on the pool after the caller's stack
-/// frame (query vector, deadline, result slots) is long gone. Everything a
-/// straggler touches lives here or is an immutable/thread-safe index
-/// member.
-struct HedgeState {
-  std::vector<float> query;          // Own copy; the caller's may vanish.
-  core::Deadline deadline;           // Own copy, referenced by sub_params.
-  methods::SearchParams sub_params;  // trace nulled, deadline = &deadline.
-  std::uint64_t query_seed = 0;
-  std::vector<HedgeSlot> slots;
-  core::Timer timer;                 // Attempt-offset origin.
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::size_t unresolved = 0;        // Guarded by mutex.
-};
 
 namespace {
 
@@ -120,7 +66,7 @@ bool IsShardedSnapshotMethod(const std::string& method) {
 }
 
 ShardedIndex::ShardedIndex(const ShardedIndexOptions& options)
-    : options_(options) {
+    : options_(options), serial_rng_(options.seed) {
   GASS_CHECK_MSG(IsKnownMethod(options_.method),
                  "unknown sub-index method '%s'", options_.method.c_str());
   GASS_CHECK_MSG(options_.partitioner.num_shards >= 1,
@@ -128,13 +74,10 @@ ShardedIndex::ShardedIndex(const ShardedIndexOptions& options)
 }
 
 ShardedIndex::~ShardedIndex() {
-  // Ordering matters: background reloads touch shards_/health_, and
-  // abandoned hedge stragglers on the fan-out pool touch the context pool,
-  // probe counters, and breakers — all of which are destroyed before
-  // fanout_pool_ (declaration order). Drain both worlds explicitly while
-  // every member is still alive.
+  // Background reloads and abandoned fan-out stragglers both touch shards_
+  // and the breakers: drain them while every member is still alive.
   WaitForReloads();
-  if (fanout_pool_ != nullptr) fanout_pool_->Shutdown();
+  fan_out_.reset();
 }
 
 std::string ShardedIndex::Name() const {
@@ -255,28 +198,22 @@ void ShardedIndex::FinishInit(const core::Dataset& data) {
   WaitForReloads();
   data_ = &data;
   num_replicas_ = options_.replicas == 0 ? 1 : options_.replicas;
-  max_shard_size_ = 1;
+  std::size_t max_shard_size = 1;
   for (const core::Dataset& d : shard_data_) {
-    max_shard_size_ = std::max(max_shard_size_, d.size());
+    max_shard_size = std::max(max_shard_size, d.size());
   }
-  {
-    std::unique_lock<std::mutex> lock(ctx_mutex_);
-    ctx_pool_.clear();
-  }
-  fanout_pool_.reset();
-  if (options_.fanout_threads > 0) {
-    fanout_pool_ =
-        std::make_unique<core::ThreadPool>(options_.fanout_threads);
-  }
-  serial_ctx_ = std::make_unique<methods::SearchContext>(max_shard_size_,
-                                                         options_.seed);
-  probe_counts_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    probe_counts_[s].store(0, std::memory_order_relaxed);
-  }
-  health_ = std::make_unique<ShardHealthTable>(shards_.size(), num_replicas_,
-                                               options_.breaker);
+  serial_rng_ = core::Rng(options_.seed);
+  fan_out_ = std::make_unique<FanOut>(
+      shards_.size(), num_replicas_, max_shard_size, options_.breaker,
+      options_.fanout_threads,
+      [this](std::uint32_t s, std::uint32_t r, const float* query,
+             const methods::SearchParams& params,
+             methods::SearchContext* ctx) {
+        return shards_[s].Search(r, query, params, ctx);
+      },
+      [this](std::uint32_t s) -> const std::vector<core::VectorId>& {
+        return partitioning_.shard_ids[s];
+      });
   {
     std::lock_guard<std::mutex> lock(reload_mutex_);
     reload_inflight_.assign(shards_.size(), 0);
@@ -285,23 +222,17 @@ void ShardedIndex::FinishInit(const core::Dataset& data) {
 
 void ShardedIndex::SetBreakerOptions(const ShardBreakerOptions& breaker) {
   options_.breaker = breaker;
-  if (!shards_.empty()) {
-    health_ = std::make_unique<ShardHealthTable>(shards_.size(),
-                                                 num_replicas_, breaker);
-  }
+  if (fan_out_ != nullptr) fan_out_->SetBreakerOptions(breaker);
 }
 
 const ShardHealthTable& ShardedIndex::health() const {
-  GASS_CHECK_MSG(health_ != nullptr, "health() before Build");
-  return *health_;
+  GASS_CHECK_MSG(fan_out_ != nullptr, "health() before Build");
+  return fan_out_->health();
 }
 
 void ShardedIndex::SetFanoutThreads(std::size_t threads) {
   options_.fanout_threads = threads;
-  fanout_pool_.reset();
-  if (threads > 0) {
-    fanout_pool_ = std::make_unique<core::ThreadPool>(threads);
-  }
+  if (fan_out_ != nullptr) fan_out_->SetThreads(threads);
 }
 
 std::size_t ShardedIndex::EffectiveNprobe() const {
@@ -329,7 +260,7 @@ std::size_t ShardedIndex::shard_size(std::size_t s) const {
 
 std::uint64_t ShardedIndex::probe_count(std::size_t s) const {
   GASS_CHECK(s < shards_.size());
-  return probe_counts_[s].load(std::memory_order_relaxed);
+  return fan_out_->probe_count(s);
 }
 
 const core::Graph& ShardedIndex::graph() const {
@@ -350,44 +281,27 @@ std::size_t ShardedIndex::IndexBytes() const {
   return total;
 }
 
-std::unique_ptr<methods::SearchContext> ShardedIndex::AcquireContext() const {
-  {
-    std::unique_lock<std::mutex> lock(ctx_mutex_);
-    if (!ctx_pool_.empty()) {
-      std::unique_ptr<methods::SearchContext> ctx =
-          std::move(ctx_pool_.back());
-      ctx_pool_.pop_back();
-      return ctx;
-    }
-  }
-  // Sized for the largest shard: VisitedTable is epoch-stamped, so one
-  // table serves any smaller shard without clearing.
-  return std::make_unique<methods::SearchContext>(max_shard_size_,
-                                                  /*seed=*/0);
-}
-
-void ShardedIndex::ReleaseContext(
-    std::unique_ptr<methods::SearchContext> ctx) const {
-  std::unique_lock<std::mutex> lock(ctx_mutex_);
-  ctx_pool_.push_back(std::move(ctx));
-}
-
 methods::SearchResult ShardedIndex::Search(
     const float* query, const methods::SearchParams& params) {
-  GASS_CHECK_MSG(!shards_.empty(), "Search before Build");
-  return SearchImpl(query, params, &serial_ctx_->rng);
+  return SearchImpl(query, params, &serial_rng_);
 }
 
 methods::SearchResult ShardedIndex::Search(const float* query,
                                            const methods::SearchParams& params,
                                            methods::SearchContext* ctx) const {
-  GASS_CHECK_MSG(!shards_.empty(), "Search before Build");
   return SearchImpl(query, params, &ctx->rng);
+}
+
+methods::SearchResult ShardedIndex::SearchImpl(
+    const float* query, const methods::SearchParams& params,
+    core::Rng* rng) const {
+  GASS_CHECK_MSG(fan_out_ != nullptr, "Search before Build");
+  return fan_out_->Search(query, partitioning_.centroids, EffectiveNprobe(),
+                          params, rng, options_.hedge_fraction, faults_);
 }
 
 serve::SearchResponse ShardedIndex::Search(
     const serve::SearchRequest& request) const {
-  GASS_CHECK_MSG(!shards_.empty(), "Search before Build");
   // Standalone requests have no admission counter; auto resolves to 0.
   const std::uint64_t id = request.admission_id == serve::kAutoAdmissionId
                                ? 0
@@ -416,512 +330,6 @@ serve::SearchResponse ShardedIndex::Search(
     response.trace = request.trace;
   }
   return response;
-}
-
-namespace {
-
-// Per-probe disposition after fan-out (indexes the `state` array below).
-enum : std::uint8_t {
-  kProbeNotRun = 0,  // Deadline expired before the probe started/resolved.
-  kProbeOk = 1,      // Completed; its result merges.
-  kProbeFailed = 2,  // Sub-search failed (real or injected fault).
-};
-
-}  // namespace
-
-methods::SearchResult ShardedIndex::SearchImpl(
-    const float* query, const methods::SearchParams& params,
-    core::Rng* rng) const {
-  core::Timer timer;
-  obs::QueryTrace* trace = params.trace;
-  const std::size_t k_shards = shards_.size();
-  const std::size_t nprobe = EffectiveNprobe();
-  const std::size_t dim = data_->dim();
-
-  // Route span: centroid ranking + shard selection.
-  obs::StageTimer route_timer(trace, obs::Stage::kRoute);
-
-  // Route: rank every shard by centroid distance. Ties break toward the
-  // lower shard id (pair comparison), keeping routing deterministic.
-  std::vector<std::pair<float, std::uint32_t>> ranked(k_shards);
-  for (std::size_t s = 0; s < k_shards; ++s) {
-    ranked[s] = {core::L2Sq(query,
-                            partitioning_.centroids.Row(
-                                static_cast<core::VectorId>(s)),
-                            dim),
-                 static_cast<std::uint32_t>(s)};
-  }
-  std::sort(ranked.begin(), ranked.end());
-
-  // One RNG draw per query, fanned into per-probe streams by selection
-  // position, so parallel, caller-thread, and hedged fan-out all see
-  // identical sub-search seeds (a hedged backup replays its primary's
-  // stream and returns the same answers, modulo deadline truncation).
-  // Drawn before shard selection — it also keys the deterministic replica
-  // choice below; routing itself never consumes the RNG, so the draw
-  // order does not change any R = 1 result.
-  const std::uint64_t query_seed = rng->Next();
-
-  // Walk the ranked list and select up to nprobe shards. For each shard a
-  // replica is chosen by health-aware power-of-two selection (R = 1: the
-  // one replica, exactly the historic path); a breaker-skip on the chosen
-  // replica falls through to the shard's remaining replicas, and only a
-  // shard whose every replica skips is routed around (the query
-  // substitutes the next-nearest centroid instead of failing). With every
-  // breaker closed this selects exactly the first nprobe ranks,
-  // preserving the historic routing bit-for-bit.
-  struct Selected {
-    std::uint32_t shard;
-    std::uint32_t replica;
-    bool probe_granted;
-  };
-  std::vector<Selected> selected;
-  selected.reserve(nprobe);
-  std::size_t breaker_skips = 0;
-  for (std::size_t i = 0; i < k_shards && selected.size() < nprobe; ++i) {
-    const std::uint32_t s = ranked[i].second;
-    const std::uint32_t start_r = static_cast<std::uint32_t>(
-        PickReplica(query_seed, s, num_replicas_, *health_));
-    bool routed = false;
-    for (std::size_t hop = 0; hop < num_replicas_ && !routed; ++hop) {
-      const std::uint32_t r =
-          static_cast<std::uint32_t>((start_r + hop) % num_replicas_);
-      switch (health_->RouteDecision(s, r)) {
-        case ShardRoute::kSearch:
-          selected.push_back({s, r, false});
-          routed = true;
-          break;
-        case ShardRoute::kProbe:
-          selected.push_back({s, r, true});
-          routed = true;
-          break;
-        case ShardRoute::kSkip:
-          break;
-      }
-    }
-    if (!routed) ++breaker_skips;
-  }
-  const std::size_t n_sel = selected.size();
-
-  {
-    core::SearchStats route_stats;
-    route_stats.distance_computations = k_shards;  // One per centroid.
-    route_timer.SetStats(route_stats);
-    route_timer.Stop();
-  }
-
-  std::vector<methods::SearchResult> sub(n_sel);
-  std::vector<std::uint8_t> state(n_sel, kProbeNotRun);
-  // Per-probe replica-failover counts (each probe writes only its slot).
-  std::vector<std::size_t> failovers(n_sel, 0);
-  std::size_t hedges_launched = 0;
-  std::size_t hedge_wins = 0;
-
-  // Sub-searches never see the trace: their costs and time are reported
-  // as one kShardSearch span per probe, and a trace-aware sub-index would
-  // otherwise record a nested, double-counted breakdown. Tombstones are
-  // keyed by GLOBAL id, so sub-searches (which speak local ids) must not
-  // see them either — deletions are filtered at the merge below.
-  methods::SearchParams sub_params = params;
-  sub_params.trace = nullptr;
-  sub_params.tombstones = nullptr;
-
-  const bool hedged = options_.hedge_fraction > 0.0 &&
-                      fanout_pool_ != nullptr && params.deadline != nullptr &&
-                      !params.deadline->unlimited() && n_sel > 0;
-
-  if (hedged) {
-    // Hedged fan-out: every probe runs on the pool; the caller thread
-    // coordinates. After hedge_fraction of the remaining budget elapses
-    // with shards still outstanding, one backup attempt per outstanding
-    // shard launches; the first attempt to finish resolves its shard. At
-    // the deadline the coordinator stops waiting — stragglers keep the
-    // heap-shared HedgeState alive and finish harmlessly later.
-    auto hstate = std::make_shared<HedgeState>();
-    hstate->query.assign(query, query + dim);
-    hstate->deadline = *params.deadline;
-    hstate->sub_params = sub_params;
-    hstate->sub_params.deadline = &hstate->deadline;
-    hstate->query_seed = query_seed;
-    hstate->slots = std::vector<HedgeSlot>(n_sel);
-    hstate->unresolved = n_sel;
-    for (std::size_t idx = 0; idx < n_sel; ++idx) {
-      hstate->slots[idx].shard = selected[idx].shard;
-      hstate->slots[idx].replica = selected[idx].replica;
-      hstate->slots[idx].probe_granted = selected[idx].probe_granted;
-    }
-    const std::uint64_t fanout_begin_ns =
-        trace != nullptr ? trace->ElapsedNs() : 0;
-    hstate->timer.Reset();
-    for (std::size_t idx = 0; idx < n_sel; ++idx) {
-      const bool accepted = fanout_pool_->Submit(
-          [this, hstate, idx] { RunHedgedAttempt(hstate, idx, 0); });
-      if (!accepted) RunHedgedAttempt(hstate, idx, 0);
-    }
-
-    const double remaining = hstate->deadline.RemainingSeconds();
-    const double hedge_delay =
-        options_.hedge_fraction * (remaining > 0.0 ? remaining : 0.0);
-    std::unique_lock<std::mutex> lock(hstate->mutex);
-    const bool all_done = hstate->cv.wait_for(
-        lock, std::chrono::duration<double>(hedge_delay),
-        [&] { return hstate->unresolved == 0; });
-    if (!all_done) {
-      lock.unlock();
-      const std::uint64_t hedge_begin_ns =
-          trace != nullptr ? trace->ElapsedNs() : 0;
-      for (std::size_t idx = 0; idx < n_sel; ++idx) {
-        HedgeSlot& slot = hstate->slots[idx];
-        if (slot.winner.load(std::memory_order_acquire) != -1) continue;
-        // A backup the deadline has already killed would only report
-        // `skipped`: don't launch it, and don't count it into
-        // shards_hedged — the invariant hedge_wins <= shards_hedged must
-        // hold even under pathological deadlines.
-        if (hstate->deadline.IsExpired()) break;
-        slot.hedged.store(true, std::memory_order_relaxed);
-        ++hedges_launched;
-        const bool accepted = fanout_pool_->Submit(
-            [this, hstate, idx] { RunHedgedAttempt(hstate, idx, 1); });
-        if (!accepted) RunHedgedAttempt(hstate, idx, 1);
-      }
-      lock.lock();
-      while (hstate->unresolved > 0) {
-        const double rem = hstate->deadline.RemainingSeconds();
-        if (rem <= 0.0) break;  // Abandon stragglers at the deadline.
-        hstate->cv.wait_for(lock, std::chrono::duration<double>(rem),
-                            [&] { return hstate->unresolved == 0; });
-        if (hstate->unresolved == 0) break;
-      }
-      if (trace != nullptr) {
-        obs::TraceSpan hedge_span;
-        hedge_span.stage = obs::Stage::kHedge;
-        hedge_span.start_ns = hedge_begin_ns;
-        hedge_span.duration_ns = trace->ElapsedNs() - hedge_begin_ns;
-        trace->AddSpan(hedge_span);
-      }
-    }
-    lock.unlock();
-
-    // Harvest resolved slots. An unresolved slot (winner still -1) was
-    // abandoned at the deadline: it stays kProbeNotRun and its eventual
-    // completion touches only HedgeState + thread-safe index members.
-    for (std::size_t idx = 0; idx < n_sel; ++idx) {
-      HedgeSlot& slot = hstate->slots[idx];
-      const int w = slot.winner.load(std::memory_order_acquire);
-      if (w < 0) continue;
-      HedgeAttempt& att = slot.attempts[w];
-      failovers[idx] = att.failovers;
-      if (slot.hedged.load(std::memory_order_relaxed) && w == 1 &&
-          !att.skipped && !att.failed) {
-        ++hedge_wins;
-      }
-      if (att.skipped) {
-        state[idx] = kProbeNotRun;
-      } else if (att.failed) {
-        state[idx] = kProbeFailed;
-      } else {
-        state[idx] = kProbeOk;
-        sub[idx] = std::move(att.result);
-        if (trace != nullptr) {
-          obs::TraceSpan span;
-          span.stage = obs::Stage::kShardSearch;
-          span.shard = static_cast<std::int32_t>(slot.shard);
-          span.start_ns =
-              fanout_begin_ns +
-              static_cast<std::uint64_t>(att.start * 1e9);
-          span.duration_ns = static_cast<std::uint64_t>(att.duration * 1e9);
-          span.distance_computations = sub[idx].stats.distance_computations;
-          span.hops = sub[idx].stats.hops;
-          span.prefetches = sub[idx].stats.prefetches;
-          trace->AddSpan(span);
-        }
-      }
-    }
-  } else {
-    auto run_probe = [&](std::size_t idx) {
-      const std::uint32_t s = selected[idx].shard;
-      // Deadline poll between probes: once the budget is gone, remaining
-      // shards are skipped entirely — the merged answer stays whatever
-      // the completed probes produced (all valid ids), never garbage.
-      if (params.deadline != nullptr && params.deadline->IsExpired()) {
-        if (selected[idx].probe_granted) {
-          health_->OnProbeAbandoned(s, selected[idx].replica);
-        }
-        return;
-      }
-      obs::StageTimer probe_timer(trace, obs::Stage::kShardSearch,
-                                  static_cast<std::int32_t>(s));
-      ProbeOutcome outcome;
-      SearchShardReplicas(s, selected[idx].replica, query, sub_params,
-                          query_seed ^ (kSeedMix * (idx + 1)),
-                          params.deadline, /*attempt=*/0,
-                          /*report_final=*/true, trace, &outcome);
-      failovers[idx] = outcome.failovers;
-      if (!outcome.ok) {
-        // A failing shard costs the query that shard's contribution, never
-        // the query: the failure becomes per-shard status (kProbeFailed →
-        // shards_failed/partial) and already fed the breakers.
-        probe_timer.Cancel();
-        state[idx] = kProbeFailed;
-      } else {
-        sub[idx] = std::move(outcome.result);
-        probe_timer.SetStats(sub[idx].stats);
-        state[idx] = kProbeOk;
-      }
-    };
-
-    if (fanout_pool_ != nullptr && n_sel > 1) {
-      // Per-query completion latch: the internal pool is shared by every
-      // concurrent query, so ThreadPool::Wait() (a global barrier) would
-      // serialize them; count down only this query's probes instead.
-      std::mutex done_mutex;
-      std::condition_variable done_cv;
-      std::size_t remaining = n_sel - 1;
-      auto finish_one = [&] {
-        std::unique_lock<std::mutex> lock(done_mutex);
-        if (--remaining == 0) done_cv.notify_one();
-      };
-      for (std::size_t idx = 1; idx < n_sel; ++idx) {
-        const bool accepted = fanout_pool_->Submit([&, idx] {
-          run_probe(idx);  // Never throws: failures become kProbeFailed.
-          finish_one();
-        });
-        if (!accepted) {
-          run_probe(idx);
-          finish_one();
-        }
-      }
-      run_probe(0);  // The caller searches the nearest shard itself.
-      std::unique_lock<std::mutex> lock(done_mutex);
-      done_cv.wait(lock, [&] { return remaining == 0; });
-    } else {
-      for (std::size_t idx = 0; idx < n_sel; ++idx) run_probe(idx);
-    }
-  }
-
-  // Merge span: per-shard stat aggregation + global-id top-k merge.
-  obs::StageTimer merge_timer(trace, obs::Stage::kMerge);
-
-  methods::SearchResult merged;
-  merged.degrade_step = params.degrade_step;
-  std::size_t probed = 0;
-  std::size_t failed_probes = 0;
-  std::size_t deadline_missed = 0;
-  bool sub_expired = false;
-  for (std::size_t idx = 0; idx < n_sel; ++idx) {
-    switch (state[idx]) {
-      case kProbeOk:
-        ++probed;
-        merged.stats.distance_computations +=
-            sub[idx].stats.distance_computations;
-        merged.stats.hops += sub[idx].stats.hops;
-        merged.stats.prefetches += sub[idx].stats.prefetches;
-        if (sub[idx].stats.deadline_expiries > 0) sub_expired = true;
-        break;
-      case kProbeFailed:
-        ++failed_probes;
-        break;
-      default:
-        ++deadline_missed;
-        break;
-    }
-  }
-  merged.stats.distance_computations += k_shards;  // Centroid routing.
-  merged.stats.shards_probed = probed;
-  merged.stats.shards_failed = failed_probes + breaker_skips;
-  merged.stats.shards_hedged = hedges_launched;
-  merged.stats.hedge_wins = hedge_wins;
-  for (const std::size_t f : failovers) merged.stats.replica_failovers += f;
-
-  // Merge local results into global ids. A single completed probe passes
-  // its list through untouched (order, ties, distances) — with K=1 this is
-  // what makes the facade bit-identical to the unsharded index. Tombstones
-  // (global ids; see SearchParams::tombstones) are filtered here, after
-  // the local→global mapping, since sub-searches ran without them.
-  const core::TombstoneSet* tombstones = params.tombstones;
-  const bool filter = tombstones != nullptr && !tombstones->empty();
-  if (probed == 1) {
-    for (std::size_t idx = 0; idx < n_sel; ++idx) {
-      if (state[idx] != kProbeOk) continue;
-      const std::uint32_t s = selected[idx].shard;
-      merged.neighbors = std::move(sub[idx].neighbors);
-      for (core::Neighbor& nb : merged.neighbors) {
-        nb.id = partitioning_.shard_ids[s][nb.id];
-      }
-      if (filter) {
-        merged.neighbors.erase(
-            std::remove_if(merged.neighbors.begin(), merged.neighbors.end(),
-                           [&](const core::Neighbor& nb) {
-                             return tombstones->Contains(nb.id);
-                           }),
-            merged.neighbors.end());
-      }
-      break;
-    }
-  } else if (probed > 1) {
-    std::vector<core::Neighbor> all;
-    for (std::size_t idx = 0; idx < n_sel; ++idx) {
-      if (state[idx] != kProbeOk) continue;
-      const std::uint32_t s = selected[idx].shard;
-      for (const core::Neighbor& nb : sub[idx].neighbors) {
-        const core::VectorId gid = partitioning_.shard_ids[s][nb.id];
-        if (filter && tombstones->Contains(gid)) continue;
-        all.emplace_back(gid, nb.distance);
-      }
-    }
-    // Neighbor's operator< is (distance, id) — cross-shard ties resolve to
-    // the lower global id, independent of probe completion order.
-    std::sort(all.begin(), all.end());
-    if (all.size() > params.k) all.resize(params.k);
-    merged.neighbors = std::move(all);
-  }
-
-  merge_timer.Stop();
-
-  // Two independent flags (see docs/SHARDING.md "Failure semantics"):
-  // `expired` is deadline-caused — a sub-search truncated, a probe never
-  // started, or a hedged straggler was abandoned at the deadline; one
-  // query reports at most one expiry regardless of fan-out width.
-  // `partial` is fault-caused — a sub-search failed or an open breaker
-  // skipped a shard the routing wanted.
-  merged.expired = sub_expired || deadline_missed > 0;
-  merged.partial = failed_probes + breaker_skips > 0;
-  merged.stats.deadline_expiries = merged.expired ? 1 : 0;
-  merged.stats.elapsed_seconds = timer.Seconds();
-  return merged;
-}
-
-void ShardedIndex::SearchShardReplicas(
-    std::uint32_t s, std::uint32_t first_replica, const float* query,
-    const methods::SearchParams& sub_params, std::uint64_t attempt_seed,
-    const core::Deadline* deadline, std::uint32_t attempt, bool report_final,
-    obs::QueryTrace* trace, ProbeOutcome* out) const {
-  // Failover walk: try the routed replica; every failure feeds its breaker
-  // immediately, then the next untried replica of the same shard that the
-  // breakers will route retries under the SAME deadline. Replicas are
-  // bit-identical and every retry reseeds from attempt_seed, so a failover
-  // changes availability, never answers.
-  std::vector<bool> tried(num_replicas_, false);
-  std::uint32_t r = first_replica;
-  for (;;) {
-    tried[r] = true;
-    bool failed = false;
-    if (faults_ != nullptr) {
-      faults_->OnShardSearch(sub_params.admission_id, s, attempt);
-    }
-    try {
-      if (faults_ != nullptr &&
-          faults_->ShouldFailShardSearch(sub_params.admission_id, s,
-                                         static_cast<std::int32_t>(r))) {
-        faults_->CountShardFailure();
-        // Thrown (not returned) so injected failures walk the exact
-        // exception-to-status path a real sub-search failure takes.
-        throw std::runtime_error("injected shard fault");
-      }
-      std::unique_ptr<methods::SearchContext> sctx = AcquireContext();
-      sctx->rng = core::Rng(attempt_seed);
-      out->result = shards_[s].Search(r, query, sub_params, sctx.get());
-      ReleaseContext(std::move(sctx));
-    } catch (...) {
-      failed = true;
-    }
-    probe_counts_[s].fetch_add(1, std::memory_order_relaxed);
-    if (!failed) {
-      out->ok = true;
-      out->replica = r;
-      // Hedged attempts defer the success report to the winner CAS so a
-      // losing attempt cannot double-close a breaker.
-      if (report_final) health_->OnResult(s, r, true);
-      return;
-    }
-    health_->OnResult(s, r, false);
-    if (deadline != nullptr && deadline->IsExpired()) {
-      out->replica = r;
-      return;  // No budget left to retry elsewhere.
-    }
-    // Next untried replica the breakers will route, in ring order from the
-    // failed one. A candidate that skips is marked tried (its breaker said
-    // no — asking again within the same probe would grant spurious probes).
-    bool found = false;
-    std::uint32_t next = 0;
-    for (std::uint32_t step = 1; step < num_replicas_ && !found; ++step) {
-      const std::uint32_t cand =
-          static_cast<std::uint32_t>((r + step) % num_replicas_);
-      if (tried[cand]) continue;
-      if (health_->RouteDecision(s, cand) != ShardRoute::kSkip) {
-        next = cand;
-        found = true;
-      } else {
-        tried[cand] = true;
-      }
-    }
-    if (!found) {
-      out->replica = r;
-      return;  // Every replica failed or is breaker-skipped: shard fails.
-    }
-    ++out->failovers;
-    if (trace != nullptr) {
-      obs::TraceSpan span;
-      span.stage = obs::Stage::kReplicaFailover;
-      span.shard = static_cast<std::int32_t>(s);
-      span.start_ns = trace->ElapsedNs();
-      trace->AddSpan(span);
-    }
-    r = next;
-  }
-}
-
-void ShardedIndex::RunHedgedAttempt(const std::shared_ptr<HedgeState>& state,
-                                    std::size_t idx, int attempt) const {
-  HedgeSlot& slot = state->slots[idx];
-  HedgeAttempt& att = slot.attempts[attempt];
-  att.start = state->timer.Seconds();
-  if (state->deadline.IsExpired()) {
-    att.skipped = true;
-  } else {
-    // The backup starts from the next replica in the ring, so with R > 1 a
-    // hedge races different replica state instead of piling a second
-    // attempt onto the same possibly-struggling replica. Seeded by
-    // selection position, independent of attempt and replica: replicas are
-    // bit-identical, so whichever attempt wins returns the same answers
-    // (modulo deadline truncation).
-    const std::uint32_t first_r =
-        attempt == 0 ? slot.replica
-                     : static_cast<std::uint32_t>((slot.replica + 1) %
-                                                  num_replicas_);
-    ProbeOutcome outcome;
-    SearchShardReplicas(slot.shard, first_r, state->query.data(),
-                        state->sub_params,
-                        state->query_seed ^ (kSeedMix * (idx + 1)),
-                        &state->deadline, static_cast<std::uint32_t>(attempt),
-                        /*report_final=*/false, /*trace=*/nullptr, &outcome);
-    att.failed = !outcome.ok;
-    att.failovers = outcome.failovers;
-    att.final_replica = outcome.replica;
-    if (outcome.ok) att.result = std::move(outcome.result);
-  }
-  att.duration = state->timer.Seconds() - att.start;
-  // First attempt to finish resolves the shard; the release CAS publishes
-  // this attempt's fields to the coordinator. The loser's outcome is
-  // discarded (it computed the same answers anyway — same seed).
-  int expected = -1;
-  if (!slot.winner.compare_exchange_strong(expected, attempt,
-                                           std::memory_order_acq_rel)) {
-    return;
-  }
-  // Only the winner reports terminal success/abandonment: failed hops
-  // already fed their breakers inside SearchShardReplicas, and a success
-  // must close its breaker exactly once.
-  if (att.skipped) {
-    if (slot.probe_granted) {
-      health_->OnProbeAbandoned(slot.shard, slot.replica);
-    }
-  } else if (!att.failed) {
-    health_->OnResult(slot.shard, att.final_replica, true);
-  }
-  std::lock_guard<std::mutex> lock(state->mutex);
-  --state->unresolved;
-  state->cv.notify_all();
 }
 
 core::Status ShardedIndex::ReloadShard(std::size_t s) {
@@ -954,7 +362,7 @@ core::Status ShardedIndex::ReloadShard(std::size_t s) {
     // Re-enter rotation through the half-open path: the next routing
     // decision probes this replica, and only a passing probe closes the
     // breaker (generation bump included).
-    health_->OnReloaded(s, r);
+    fan_out_->health().OnReloaded(s, r);
   }
   return core::Status::Ok();
 }
@@ -988,7 +396,7 @@ core::Status ShardedIndex::RebuildReplica(std::size_t s, std::size_t r) {
     for (std::size_t cand = 0; cand < num_replicas_; ++cand) {
       if (cand == r) continue;
       if (peer == num_replicas_) peer = cand;
-      if (health_->state(s, cand) == BreakerState::kClosed) {
+      if (fan_out_->health().state(s, cand) == BreakerState::kClosed) {
         peer = cand;
         break;
       }
@@ -1008,7 +416,7 @@ core::Status ShardedIndex::RebuildReplica(std::size_t s, std::size_t r) {
   shards_[s].SwapIn(r, std::move(fresh));
   // Rebuilt but not yet trusted: generation bump + forced half-open probe;
   // only a passing probe re-closes the breaker.
-  health_->OnReloaded(s, r);
+  fan_out_->health().OnReloaded(s, r);
   return core::Status::Ok();
 }
 
@@ -1031,7 +439,7 @@ ScrubReport ShardedIndex::ScrubReplicas(bool rebuild) {
       // (routing stops using the replica immediately), then restore it
       // online while the healthy replicas keep serving.
       ++report.divergent;
-      health_->Quarantine(s, r);
+      fan_out_->health().Quarantine(s, r);
       ++report.quarantined;
       if (rebuild) {
         if (RebuildReplica(s, r).ok()) {
@@ -1133,10 +541,7 @@ core::Status ShardedIndex::LoadSnapshot(const std::string& path,
     shard_build_seconds_.clear();
     partitioning_ = Partitioning();
     data_ = nullptr;
-    fanout_pool_.reset();
-    serial_ctx_.reset();
-    probe_counts_.reset();
-    health_.reset();
+    fan_out_.reset();
     snapshot_path_.clear();
   }
   return status;
@@ -1300,12 +705,6 @@ core::Status ShardedIndex::LoadSnapshotImpl(const std::string& path,
   // them online later.
   snapshot_path_ = path;
   return core::Status::Ok();
-}
-
-core::Status LoadShardedIndex(const std::string& path,
-                              const core::Dataset& data, std::uint64_t seed,
-                              std::unique_ptr<ShardedIndex>* out) {
-  return LoadShardedIndex(path, data, seed, 1, out);
 }
 
 core::Status LoadShardedIndex(const std::string& path,

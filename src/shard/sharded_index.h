@@ -6,7 +6,8 @@
 // keeps one routing centroid per shard. Search routes each query to the
 // `nprobe` nearest centroids, fans a beam search out to those shards
 // (parallel on an internal pool, or on the caller thread), and merges the
-// per-shard top-k into one global result carrying correct global VectorIds.
+// per-shard top-k into one global result carrying correct global VectorIds;
+// shard::FanOut (shard/fan_out.h) runs all three steps.
 //
 // Why shard: graph builds are superlinear in n, so K builds of n/K rows
 // each — run concurrently — cut build wall-clock by far more than K-way
@@ -19,7 +20,8 @@
 // Thread-safety matches the library contract: Build once, then the const
 // three-argument Search may run concurrently from many threads
 // (SupportsConcurrentSearch() is true); per-query scratch for sub-searches
-// comes from an internal context freelist sized to the largest shard.
+// comes from the fan-out engine's context freelist, sized to the largest
+// shard.
 //
 // Persistence: SaveSnapshot writes a checksummed manifest snapshot at
 // `path` (partitioner state, assignment, centroids, per-shard file
@@ -31,17 +33,16 @@
 #ifndef GASS_SHARD_SHARDED_INDEX_H_
 #define GASS_SHARD_SHARDED_INDEX_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/thread_pool.h"
+#include "core/rng.h"
 #include "methods/graph_index.h"
 #include "serve/request.h"
+#include "shard/fan_out.h"
 #include "shard/partitioner.h"
 #include "shard/replica_set.h"
 #include "shard/shard_health.h"
@@ -52,8 +53,6 @@ class FaultInjector;  // serve/fault_injector.h; the header only carries a
 }  // namespace gass::serve
 
 namespace gass::shard {
-
-struct HedgeState;  // Heap-shared fan-out state (sharded_index.cc).
 
 struct ShardedIndexOptions {
   /// Factory name of the per-shard method (lowercase, e.g. "hnsw").
@@ -89,9 +88,10 @@ struct ShardedIndexOptions {
   /// Hedged fan-out: after this fraction of the query's remaining deadline
   /// budget elapses with shards still outstanding, launch one backup
   /// sub-search per outstanding shard on the fanout pool and take the
-  /// first result per shard. 0 (default) disables hedging and keeps the
-  /// classic fan-out path (bit-identical to previous behavior). Requires a
-  /// deadline and fanout_threads > 0 to take effect.
+  /// first result per shard. 0 (default) disables hedging: the backup
+  /// delay is infinite and the caller searches the nearest shard itself.
+  /// Hedging changes timing, not answers (up to deadline truncation).
+  /// Requires a deadline and fanout_threads > 0 to take effect.
   double hedge_fraction = 0.0;
 };
 
@@ -252,51 +252,16 @@ class ShardedIndex : public methods::GraphIndex {
   static std::string ShardPath(const std::string& path, std::size_t s);
 
  private:
-  /// Outcome of one shard probe after replica failover (see
-  /// SearchShardReplicas).
-  struct ProbeOutcome {
-    bool ok = false;
-    /// Replica that resolved the probe (the last one attempted).
-    std::uint32_t replica = 0;
-    /// Failed attempts retried on a peer replica.
-    std::size_t failovers = 0;
-    methods::SearchResult result;
-  };
-
   methods::SearchResult SearchImpl(const float* query,
                                    const methods::SearchParams& params,
                                    core::Rng* rng) const;
-  /// One shard sub-search with replica failover: attempts `first_replica`,
-  /// and on failure retries the next routable replica of the same shard
-  /// while the deadline allows, feeding every failed attempt to that
-  /// replica's breaker. The final success is reported to the breaker only
-  /// when `report_final` (the hedged path reports it from the winner
-  /// instead, so racing attempts cannot double-report).
-  void SearchShardReplicas(std::uint32_t s, std::uint32_t first_replica,
-                           const float* query,
-                           const methods::SearchParams& sub_params,
-                           std::uint64_t attempt_seed,
-                           const core::Deadline* deadline,
-                           std::uint32_t attempt, bool report_final,
-                           obs::QueryTrace* trace, ProbeOutcome* out) const;
-  /// One sub-search attempt of the hedged fan-out (attempt 0 = primary,
-  /// 1 = backup, racing a different replica when R > 1); runs on the
-  /// fanout pool, resolves its slot via a winner CAS, and touches only
-  /// `state` plus immutable/thread-safe members so an abandoned straggler
-  /// stays harmless after its query returns.
-  void RunHedgedAttempt(const std::shared_ptr<HedgeState>& state,
-                        std::size_t idx, int attempt) const;
   /// LoadSnapshot body; the wrapper resets this index to the unbuilt state
   /// when any step fails, so a rejected snapshot never leaves a
   /// half-loaded, searchable index behind.
   core::Status LoadSnapshotImpl(const std::string& path,
                                 const core::Dataset& data);
-  /// Pops a pooled sub-search context (sized for the largest shard) or
-  /// creates one.
-  std::unique_ptr<methods::SearchContext> AcquireContext() const;
-  void ReleaseContext(std::unique_ptr<methods::SearchContext> ctx) const;
-  /// Common post-partition state setup (context sizing, fan-out pool,
-  /// probe counters).
+  /// Common post-partition state setup (the fan-out engine, the serial
+  /// RNG, reload bookkeeping).
   void FinishInit(const core::Dataset& data);
 
   ShardedIndexOptions options_;
@@ -308,24 +273,11 @@ class ShardedIndex : public methods::GraphIndex {
   std::vector<ReplicaSet> shards_;
   /// options_.replicas clamped to >= 1 (resolved by FinishInit).
   std::size_t num_replicas_ = 1;
-  std::size_t max_shard_size_ = 0;
   double partition_seconds_ = 0.0;
   std::vector<double> shard_build_seconds_;
 
-  std::unique_ptr<core::ThreadPool> fanout_pool_;
-  /// Serial-path context backing the two-argument Search.
-  std::unique_ptr<methods::SearchContext> serial_ctx_;
-
-  mutable std::mutex ctx_mutex_;
-  mutable std::vector<std::unique_ptr<methods::SearchContext>> ctx_pool_;
-
-  /// One relaxed counter per shard (array: std::atomic is not movable).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> probe_counts_;
-
-  /// Per-(shard, replica) circuit breakers (constructed by FinishInit).
-  /// Replica pointer swaps are guarded inside each ReplicaSet (per-replica
-  /// reader/writer locks).
-  std::unique_ptr<ShardHealthTable> health_;
+  /// RNG backing the two-argument Search.
+  core::Rng serial_rng_;
   /// Optional shard-level fault injector (not owned; see SetFaultInjector).
   serve::FaultInjector* faults_ = nullptr;
   /// Manifest path for per-shard recovery reloads ("" = none recorded).
@@ -334,19 +286,20 @@ class ShardedIndex : public methods::GraphIndex {
   std::mutex reload_mutex_;
   std::vector<std::thread> reload_threads_;     // Guarded by reload_mutex_.
   std::vector<std::uint8_t> reload_inflight_;   // Guarded by reload_mutex_.
+
+  /// Routing, fan-out, merge, and the per-(shard, replica) breakers
+  /// (constructed by FinishInit). Its callbacks reach shards_ and
+  /// partitioning_, so the destructor drains its stragglers first.
+  std::unique_ptr<FanOut> fan_out_;
 };
 
 /// Opens the sharded manifest at `path`, reconstructs a ShardedIndex with
 /// the method and partitioner recorded in it (plus the given base `seed`,
 /// verified against the stored params fingerprint), and loads every shard.
 /// The counterpart of methods::LoadAnyIndex for sharded snapshots.
-core::Status LoadShardedIndex(const std::string& path,
-                              const core::Dataset& data, std::uint64_t seed,
-                              std::unique_ptr<ShardedIndex>* out);
-
-/// As above, but attaches `replicas` copies of each shard to the loaded
-/// snapshot (replication is a serving knob, not a snapshot property: every
-/// replica loads from the same per-shard file). `replicas == 0` means 1.
+/// `replicas` copies of each shard are attached (replication is a serving
+/// knob, not a snapshot property: every replica loads from the same
+/// per-shard file); `replicas == 0` means 1.
 core::Status LoadShardedIndex(const std::string& path,
                               const core::Dataset& data, std::uint64_t seed,
                               std::size_t replicas,

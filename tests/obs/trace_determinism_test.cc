@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/deadline.h"
 #include "methods/factory.h"
 #include "methods/search_params.h"
 #include "obs/trace.h"
 #include "serve/executor.h"
 #include "serve/request.h"
+#include "shard/live_sharded_index.h"
 #include "shard/sharded_index.h"
 #include "synth/generators.h"
 #include "synth/workloads.h"
@@ -99,6 +101,29 @@ TEST(TraceDeterminismTest, ExecutorRunsProduceIdenticalTraces) {
   EXPECT_TRUE(any_work);
 }
 
+// The sharded breakdown: route + one span per probed shard + merge —
+// never the opaque whole-search span.
+void ExpectShardedBreakdown(const QueryTrace& trace, std::size_t probes) {
+  std::size_t shard_spans = 0;
+  bool has_route = false, has_merge = false, has_search = false;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    switch (trace.span(i).stage) {
+      case Stage::kRoute: has_route = true; break;
+      case Stage::kMerge: has_merge = true; break;
+      case Stage::kShardSearch: ++shard_spans; break;
+      case Stage::kSearch: has_search = true; break;
+      default: break;
+    }
+  }
+  EXPECT_TRUE(has_route);
+  EXPECT_TRUE(has_merge);
+  EXPECT_FALSE(has_search);
+  EXPECT_EQ(shard_spans, probes);
+}
+
+// Both sharded indexes run one fan-out engine, so every mode traces the
+// same breakdown: caller-thread fan-out, pooled + hedged fan-out under a
+// generous deadline (the backup delay never elapses), and the live index.
 TEST(TraceDeterminismTest, ShardedRequestSearchTracesAreStable) {
   synth::HoldOutSplit split = synth::SplitHoldOut(
       synth::MakeDatasetProxy("deep", 1200, 42), 8, 42 ^ 0x5ULL);
@@ -107,41 +132,55 @@ TEST(TraceDeterminismTest, ShardedRequestSearchTracesAreStable) {
   options.seed = 42;
   options.partitioner.num_shards = 3;
   options.partitioner.kind = shard::PartitionerKind::kKMeans;
-  shard::ShardedIndex index(options);
-  index.Build(split.base);
 
+  for (const bool hedged : {false, true}) {
+    options.fanout_threads = hedged ? 2 : 0;
+    options.hedge_fraction = hedged ? 0.5 : 0.0;
+    shard::ShardedIndex index(options);
+    index.Build(split.base);
+    for (std::uint64_t id = 0; id < split.queries.size(); ++id) {
+      QueryTrace first, second;
+      for (QueryTrace* trace : {&first, &second}) {
+        serve::SearchRequest request;
+        request.query = split.queries.Row(static_cast<core::VectorId>(id));
+        request.dim = split.queries.dim();
+        request.params = methods::MakeSearchParams(5, 32, 8);
+        request.admission_id = id;
+        request.trace = trace;
+        if (hedged) {
+          request.deadline = core::Deadline::After(10.0);
+          request.has_deadline = true;
+        }
+        const serve::SearchResponse response = index.Search(request);
+        EXPECT_EQ(response.admission_id, id);
+      }
+      const TraceKey a = KeyOf(first), b = KeyOf(second);
+      EXPECT_EQ(a.spans, b.spans)
+          << (hedged ? "hedged " : "") << "query " << id << " diverged";
+      ExpectShardedBreakdown(first, index.EffectiveNprobe());
+    }
+  }
+
+  shard::LiveShardedOptions live_options;
+  live_options.num_shards = 3;
+  shard::LiveShardedIndex live(live_options);
+  live.Build(split.base);
   for (std::uint64_t id = 0; id < split.queries.size(); ++id) {
     QueryTrace first, second;
     for (QueryTrace* trace : {&first, &second}) {
-      serve::SearchRequest request;
-      request.query = split.queries.Row(static_cast<core::VectorId>(id));
-      request.dim = split.queries.dim();
-      request.params = methods::MakeSearchParams(5, 32, 8);
-      request.admission_id = id;
-      request.trace = trace;
-      const serve::SearchResponse response = index.Search(request);
-      EXPECT_EQ(response.admission_id, id);
+      methods::SearchParams params = methods::MakeSearchParams(5, 32, 8);
+      params.admission_id = id;
+      params.trace = trace;
+      methods::SearchContext ctx = live.MakeSearchContext(id);
+      trace->Begin(id);
+      const methods::SearchResult result = live.Search(
+          split.queries.Row(static_cast<core::VectorId>(id)), params, &ctx);
+      trace->Finish();
+      EXPECT_EQ(result.stats.shards_probed, live_options.num_shards);
     }
     const TraceKey a = KeyOf(first), b = KeyOf(second);
-    EXPECT_EQ(a.spans, b.spans) << "query " << id << " diverged";
-
-    // The sharded breakdown records route + one span per probed shard +
-    // merge — never the opaque whole-search span.
-    std::size_t probes = 0;
-    bool has_route = false, has_merge = false, has_search = false;
-    for (std::size_t i = 0; i < first.size(); ++i) {
-      switch (first.span(i).stage) {
-        case Stage::kRoute: has_route = true; break;
-        case Stage::kMerge: has_merge = true; break;
-        case Stage::kShardSearch: ++probes; break;
-        case Stage::kSearch: has_search = true; break;
-        default: break;
-      }
-    }
-    EXPECT_TRUE(has_route);
-    EXPECT_TRUE(has_merge);
-    EXPECT_FALSE(has_search);
-    EXPECT_EQ(probes, index.EffectiveNprobe());
+    EXPECT_EQ(a.spans, b.spans) << "live query " << id << " diverged";
+    ExpectShardedBreakdown(first, live_options.num_shards);
   }
 }
 

@@ -14,7 +14,9 @@
 //     snapshot), and the replica re-enters rotation through a forced
 //     half-open probe;
 //   - replication is a serving knob: a snapshot written without replicas
-//     loads under any R.
+//     loads under any R;
+//   - hedging respects the breakers: a backup never searches an open
+//     replica, and a hedge race never strands a half-open probe.
 
 #include <unistd.h>
 
@@ -24,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "core/deadline.h"
 #include "core/graph.h"
 #include "serve/executor.h"
 #include "serve/fault_injector.h"
@@ -67,15 +70,30 @@ methods::SearchParams MakeParams() {
 /// Request-based search: the per-query RNG (and with it the replica
 /// selection key) derives from (seed, admission id), so distinct ids
 /// exercise distinct replica choices — unlike a fresh fixed-seed context.
+/// A positive `deadline_seconds` gives the query a deadline.
 serve::SearchResponse SearchId(const ShardedIndex& index, const float* query,
-                               std::uint64_t id) {
+                               std::uint64_t id,
+                               double deadline_seconds = 0.0) {
   serve::SearchRequest request;
   request.query = query;
   request.dim = kDim;
   request.params = MakeParams();
   request.params.admission_id = id;
   request.admission_id = id;
+  if (deadline_seconds > 0.0) {
+    request.deadline = core::Deadline::After(deadline_seconds);
+    request.has_deadline = true;
+  }
   return index.Search(request);
+}
+
+/// Hedged serving options over one shard with two replicas: a backup
+/// launches 10% into a query's deadline budget.
+ShardedIndexOptions HedgedOptions() {
+  ShardedIndexOptions options = MakeOptions(1, 2, /*breaker_threshold=*/1);
+  options.fanout_threads = 4;
+  options.hedge_fraction = 0.1;
+  return options;
 }
 
 /// Flips one neighbor id of replica (s, r)'s base graph in place — the
@@ -314,6 +332,82 @@ TEST(ReplicaFailoverTest, ExecutorBatchMasksAPermanentReplicaFault) {
   EXPECT_GE(executor.metrics().replica_failovers_total(), 1u);
 }
 
+// A hedged backup starts on the next replica the breakers will route, so an
+// open (quarantined, possibly divergent) replica never answers a query:
+// with the only peer open, the backup falls back to the primary's replica.
+TEST(ReplicaFailoverTest, HedgedBackupNeverSearchesAnOpenReplica) {
+  const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
+  // Replica 1 fails every query. The second plan adds a slow primary
+  // attempt, so the query hedges. Injectors before the index: the slow
+  // primary outlives its query.
+  serve::FaultPlan plan;
+  serve::ShardFaultPlan fault;
+  fault.shard = 0;
+  fault.replica = 1;
+  fault.fail_period = 1;
+  plan.shard_faults.push_back(fault);
+  serve::FaultInjector trip(plan);
+  plan.shard_faults[0].slow_period = 1;
+  plan.shard_faults[0].slow_seconds = 0.3;
+  plan.shard_faults[0].slow_attempts = 1;
+  serve::FaultInjector slow(plan);
+
+  ShardedIndex index(HedgedOptions());
+  index.Build(data);
+  index.SetFaultInjector(&trip);
+  for (std::uint64_t id = 0;
+       id < 16 && index.health().state(0, 1) != BreakerState::kOpen; ++id) {
+    SearchId(index, data.Row(0), id);
+  }
+  ASSERT_EQ(index.health().state(0, 1), BreakerState::kOpen);
+
+  index.SetFaultInjector(&slow);
+  const auto response = SearchId(index, data.Row(0), 100, /*deadline=*/1.0);
+  EXPECT_EQ(response.shards_hedged, 1u);
+  EXPECT_FALSE(response.partial);
+  EXPECT_EQ(response.replica_failovers, 0u);
+  EXPECT_EQ(slow.injected_shard_failures(), 0u);
+  EXPECT_EQ(index.health().state(0, 1), BreakerState::kOpen);
+}
+
+// A hedge race never strands a half-open probe: the primary takes a
+// rebuilt replica's forced probe and is slow, the backup wins on the peer,
+// and the primary's later success still closes the probed replica's
+// breaker — every attempt reports to the breaker it ran on.
+TEST(ReplicaFailoverTest, HedgeWinOnAPeerDoesNotStrandTheProbe) {
+  const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
+  serve::FaultPlan plan;
+  serve::ShardFaultPlan fault;
+  fault.shard = 0;
+  fault.slow_period = 1;
+  fault.slow_seconds = 0.4;
+  fault.slow_attempts = 1;  // Only the primary attempt is slow.
+  plan.shard_faults.push_back(fault);
+  serve::FaultInjector slow(plan);  // Outlives the slow primary.
+
+  ShardedIndex index(HedgedOptions());
+  index.Build(data);
+  CorruptReplica(index, 0, 1);
+  ASSERT_EQ(index.ScrubReplicas(/*rebuild=*/true).rebuilt, 1u);
+  ASSERT_TRUE(index.health().probe_pending(0, 1));
+
+  index.SetFaultInjector(&slow);
+  const auto hedged = SearchId(index, data.Row(0), 0, /*deadline=*/1.0);
+  EXPECT_FALSE(hedged.partial);
+  EXPECT_EQ(hedged.shards_hedged, 1u);
+  EXPECT_EQ(hedged.stats.hedge_wins, 1u);
+
+  index.SetFaultInjector(nullptr);
+  index.SetFanoutThreads(0);  // Drains the slow primary.
+  for (std::uint64_t id = 1; id <= 100; ++id) {
+    SearchId(index, data.Row(id % kN), id);
+  }
+  EXPECT_EQ(index.health().state(0, 1), BreakerState::kClosed);
+  EXPECT_GE(index.health().recoveries(), 1u);
+  const std::string summary = index.health().Summary();
+  EXPECT_NE(summary.find("0 half-open"), std::string::npos) << summary;
+}
+
 // The full anti-entropy lifecycle: a bit-flip diverges one replica, the
 // scrubber quarantines and rebuilds it online (peer copy — no snapshot is
 // recorded), and the forced half-open probe re-admits it into rotation.
@@ -415,7 +509,7 @@ TEST(ReplicaSnapshotTest, SnapshotLoadsUnderAnyReplicationFactor) {
   ASSERT_TRUE(built.SaveSnapshot(path).ok());
 
   std::unique_ptr<ShardedIndex> single;
-  ASSERT_TRUE(LoadShardedIndex(path, data, kSeed, &single).ok());
+  ASSERT_TRUE(LoadShardedIndex(path, data, kSeed, 1, &single).ok());
   ASSERT_EQ(single->num_replicas(), 1u);
 
   std::unique_ptr<ShardedIndex> replicated;

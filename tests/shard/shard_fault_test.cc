@@ -14,7 +14,8 @@
 //     the shard quarantined;
 //   - a hedged backup resolves a slow shard inside the deadline; when both
 //     attempts are slow the coordinator abandons the shard at the deadline
-//     (expired, not partial);
+//     (expired, not partial); hedged queries trace replica failovers like
+//     unhedged ones;
 //   - through serve::QueryExecutor, a permanently failing shard yields
 //     zero query-level errors, one partial per query, and recall degraded
 //     by roughly the lost shard's share.
@@ -30,8 +31,10 @@
 #include "core/deadline.h"
 #include "eval/ground_truth.h"
 #include "eval/recall.h"
+#include "obs/trace.h"
 #include "serve/executor.h"
 #include "serve/fault_injector.h"
+#include "serve/request.h"
 #include "shard/sharded_index.h"
 
 namespace gass::shard {
@@ -408,6 +411,45 @@ TEST(ShardFaultTest, HedgesAbandonedBeforeLaunchAreNotCounted) {
   EXPECT_EQ(result.stats.shards_hedged, 0u);
   EXPECT_EQ(result.stats.hedge_wins, 0u);
   EXPECT_EQ(result.stats.shards_failed, 0u);
+}
+
+// Hedged queries record replica_failover spans like unhedged ones: each
+// attempt runs its own failover walk, and the coordinator traces the
+// resolving attempt's failovers when it merges.
+TEST(ShardFaultTest, HedgedQueriesTraceReplicaFailovers) {
+  const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
+  auto options = MakeOptions(4);
+  options.replicas = 2;
+  options.fanout_threads = 4;
+  options.hedge_fraction = 0.5;
+  // Shard 2 fails on every replica: one failover, then the shard fails.
+  serve::FaultInjector faults(FailShardPlan(2));
+  ShardedIndex sharded(options);
+  sharded.Build(data);
+  sharded.SetFaultInjector(&faults);
+
+  obs::QueryTrace trace;
+  serve::SearchRequest request;
+  request.query = data.Row(0);
+  request.dim = kDim;
+  request.params = MakeParams();
+  request.admission_id = 0;
+  request.deadline = core::Deadline::After(10.0);
+  request.has_deadline = true;
+  request.trace = &trace;
+  const serve::SearchResponse response = sharded.Search(request);
+  EXPECT_TRUE(response.partial);
+  EXPECT_EQ(response.shards_failed, 1u);
+  EXPECT_EQ(response.replica_failovers, 1u);
+  EXPECT_EQ(faults.injected_shard_failures(), 2u);
+
+  std::size_t failover_spans = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (trace.span(i).stage != obs::Stage::kReplicaFailover) continue;
+    ++failover_spans;
+    EXPECT_EQ(trace.span(i).shard, 2);
+  }
+  EXPECT_EQ(failover_spans, 1u);
 }
 
 // The headline acceptance: with 1 of 8 shards permanently failing, a whole

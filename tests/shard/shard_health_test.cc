@@ -35,7 +35,7 @@ ShardBreakerOptions MakeOptions(std::uint32_t threshold,
 }
 
 TEST(ShardHealthTest, StartsClosedAndRoutesNormally) {
-  ShardHealthTable health(4, MakeOptions(3, 16));
+  ShardHealthTable health(4, 1, MakeOptions(3, 16));
   EXPECT_TRUE(health.enabled());
   EXPECT_EQ(health.num_shards(), 4u);
   for (std::size_t s = 0; s < 4; ++s) {
@@ -47,7 +47,7 @@ TEST(ShardHealthTest, StartsClosedAndRoutesNormally) {
 }
 
 TEST(ShardHealthTest, ConsecutiveFailuresTripExactlyAtThreshold) {
-  ShardHealthTable health(2, MakeOptions(3, 16));
+  ShardHealthTable health(2, 1, MakeOptions(3, 16));
   EXPECT_FALSE(health.OnResult(0, false));
   EXPECT_FALSE(health.OnResult(0, false));
   EXPECT_EQ(health.state(0), BreakerState::kClosed);
@@ -63,7 +63,7 @@ TEST(ShardHealthTest, ConsecutiveFailuresTripExactlyAtThreshold) {
 }
 
 TEST(ShardHealthTest, SuccessResetsTheFailureStreak) {
-  ShardHealthTable health(1, MakeOptions(3, 16));
+  ShardHealthTable health(1, 1, MakeOptions(3, 16));
   health.OnResult(0, false);
   health.OnResult(0, false);
   health.OnResult(0, true);  // Streak broken.
@@ -74,7 +74,7 @@ TEST(ShardHealthTest, SuccessResetsTheFailureStreak) {
 }
 
 TEST(ShardHealthTest, OpenBreakerSkipsAndProbesEveryNthDecision) {
-  ShardHealthTable health(1, MakeOptions(1, 4));
+  ShardHealthTable health(1, 1, MakeOptions(1, 4));
   EXPECT_TRUE(health.OnResult(0, false));  // Threshold 1: trips immediately.
   // Decisions 1..3 skip; decision 4 is granted the half-open probe.
   for (int i = 0; i < 3; ++i) {
@@ -91,7 +91,7 @@ TEST(ShardHealthTest, OpenBreakerSkipsAndProbesEveryNthDecision) {
 }
 
 TEST(ShardHealthTest, PassingProbeClosesTheBreaker) {
-  ShardHealthTable health(1, MakeOptions(1, 1));
+  ShardHealthTable health(1, 1, MakeOptions(1, 1));
   health.OnResult(0, false);
   ASSERT_EQ(health.RouteDecision(0), ShardRoute::kProbe);
   EXPECT_FALSE(health.OnResult(0, true));
@@ -101,7 +101,7 @@ TEST(ShardHealthTest, PassingProbeClosesTheBreaker) {
 }
 
 TEST(ShardHealthTest, FailingProbeReopensAndRestartsTheCountdown) {
-  ShardHealthTable health(1, MakeOptions(1, 4));
+  ShardHealthTable health(1, 1, MakeOptions(1, 4));
   health.OnResult(0, false);
   for (int i = 0; i < 3; ++i) health.RouteDecision(0);
   ASSERT_EQ(health.RouteDecision(0), ShardRoute::kProbe);
@@ -117,7 +117,7 @@ TEST(ShardHealthTest, FailingProbeReopensAndRestartsTheCountdown) {
 }
 
 TEST(ShardHealthTest, AbandonedProbeReleasesHalfOpenWithoutAFailure) {
-  ShardHealthTable health(1, MakeOptions(1, 1));
+  ShardHealthTable health(1, 1, MakeOptions(1, 1));
   health.OnResult(0, false);
   ASSERT_EQ(health.RouteDecision(0), ShardRoute::kProbe);
   health.OnProbeAbandoned(0);
@@ -132,7 +132,7 @@ TEST(ShardHealthTest, AbandonedProbeReleasesHalfOpenWithoutAFailure) {
 }
 
 TEST(ShardHealthTest, ReloadForcesAProbeWithoutClosing) {
-  ShardHealthTable health(1, MakeOptions(1, 1000000));
+  ShardHealthTable health(1, 1, MakeOptions(1, 1000000));
   health.OnResult(0, false);
   EXPECT_EQ(health.generation(0), 0u);
   health.OnReloaded(0);
@@ -148,7 +148,7 @@ TEST(ShardHealthTest, ReloadForcesAProbeWithoutClosing) {
 }
 
 TEST(ShardHealthTest, ThresholdZeroDisablesTheBreaker) {
-  ShardHealthTable health(2, MakeOptions(0, 16));
+  ShardHealthTable health(2, 1, MakeOptions(0, 16));
   EXPECT_FALSE(health.enabled());
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(health.OnResult(0, false));
   EXPECT_EQ(health.state(0), BreakerState::kClosed);
@@ -157,7 +157,7 @@ TEST(ShardHealthTest, ThresholdZeroDisablesTheBreaker) {
 }
 
 TEST(ShardHealthTest, SummaryCountsStatesAndTransitions) {
-  ShardHealthTable health(3, MakeOptions(1, 1));
+  ShardHealthTable health(3, 1, MakeOptions(1, 1));
   health.OnResult(1, false);
   const std::string summary = health.Summary();
   EXPECT_NE(summary.find("2/3 closed"), std::string::npos) << summary;
@@ -250,6 +250,9 @@ TEST(ShardHealthTest, StateNames) {
 
 // --- serve::FaultInjector shard-fault plan ---
 
+/// Asks whether a plan would fault any replica of the shard.
+constexpr std::int32_t kAnyReplica = -1;
+
 serve::FaultPlan OneShardPlan(std::uint32_t shard, std::uint64_t fail_period,
                               std::uint64_t slow_period = 0,
                               std::uint64_t reload_corrupt_times = 0) {
@@ -267,12 +270,12 @@ serve::FaultPlan OneShardPlan(std::uint32_t shard, std::uint64_t fail_period,
 TEST(ShardFaultPlanTest, FailPeriodKeysOnAdmissionIdAndShard) {
   serve::FaultInjector faults(OneShardPlan(2, 3));
   // Only shard 2 is planned; every 3rd admission id fires.
-  EXPECT_TRUE(faults.ShouldFailShardSearch(0, 2));
-  EXPECT_FALSE(faults.ShouldFailShardSearch(1, 2));
-  EXPECT_FALSE(faults.ShouldFailShardSearch(2, 2));
-  EXPECT_TRUE(faults.ShouldFailShardSearch(3, 2));
-  EXPECT_FALSE(faults.ShouldFailShardSearch(0, 1));
-  EXPECT_FALSE(faults.ShouldFailShardSearch(3, 0));
+  EXPECT_TRUE(faults.ShouldFailShardSearch(0, 2, kAnyReplica));
+  EXPECT_FALSE(faults.ShouldFailShardSearch(1, 2, kAnyReplica));
+  EXPECT_FALSE(faults.ShouldFailShardSearch(2, 2, kAnyReplica));
+  EXPECT_TRUE(faults.ShouldFailShardSearch(3, 2, kAnyReplica));
+  EXPECT_FALSE(faults.ShouldFailShardSearch(0, 1, kAnyReplica));
+  EXPECT_FALSE(faults.ShouldFailShardSearch(3, 0, kAnyReplica));
   faults.CountShardFailure();
   EXPECT_EQ(faults.injected_shard_failures(), 1u);
 }
@@ -309,8 +312,8 @@ TEST(ShardFaultPlanTest, ReplicaTargetedFailHitsOnlyThatReplica) {
   EXPECT_FALSE(faults.ShouldFailShardSearch(0, 1, /*replica=*/0));
   EXPECT_FALSE(faults.ShouldFailShardSearch(1, 1, /*replica=*/1));  // Period.
   EXPECT_FALSE(faults.ShouldFailShardSearch(0, 0, /*replica=*/1));  // Shard.
-  // ...while the replica-oblivious form fires if ANY replica would fault.
-  EXPECT_TRUE(faults.ShouldFailShardSearch(0, 1));
+  // ...while asking about any replica fires if one replica would fault.
+  EXPECT_TRUE(faults.ShouldFailShardSearch(0, 1, kAnyReplica));
 
   // The default plan (replica = -1) matches every replica: the whole
   // shard is sick.
@@ -321,7 +324,7 @@ TEST(ShardFaultPlanTest, ReplicaTargetedFailHitsOnlyThatReplica) {
 
 TEST(ShardFaultPlanTest, EmptyPlanInjectsNothing) {
   serve::FaultInjector faults;
-  EXPECT_FALSE(faults.ShouldFailShardSearch(0, 0));
+  EXPECT_FALSE(faults.ShouldFailShardSearch(0, 0, kAnyReplica));
   EXPECT_EQ(faults.ShardSearchDelaySeconds(0, 0, 0), 0.0);
   EXPECT_FALSE(faults.OnShardReload(0));
 }

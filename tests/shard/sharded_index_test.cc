@@ -4,7 +4,8 @@
 //   - nprobe=K equals a brute-force merge of every shard's own top-k;
 //   - a deadline expiring mid-fan-out yields SearchResult::expired with
 //     only valid, correctly-priced ids — never garbage;
-//   - parallel fan-out returns exactly what caller-thread fan-out returns;
+//   - parallel and hedged fan-out return exactly what caller-thread
+//     fan-out returns, work counters included;
 //   - probe counters and EffectiveNprobe clamping.
 
 #include "shard/sharded_index.h"
@@ -240,24 +241,37 @@ TEST(ShardedIndexTest, ParallelFanoutMatchesCallerThreadFanout) {
   // vamana consumes the context RNG for stochastic seed selection, so this
   // also proves the per-probe RNG streams are identical across fan-out
   // modes (one query_seed draw, fanned by rank).
+  // The hedged variant runs every probe on the pool under a generous
+  // deadline (its backup delay, 5 s, never elapses).
   auto serial_options = MakeOptions("vamana", 4, PartitionerKind::kKMeans);
   auto parallel_options = serial_options;
   parallel_options.fanout_threads = 3;
+  auto hedged_options = parallel_options;
+  hedged_options.hedge_fraction = 0.5;
 
   ShardedIndex serial(serial_options);
   serial.Build(data);
   ShardedIndex parallel(parallel_options);
   parallel.Build(data);
+  ShardedIndex hedged(hedged_options);
+  hedged.Build(data);
 
   const methods::SearchParams params = MakeParams();
   for (VectorId q = 0; q < queries.size(); ++q) {
     methods::SearchContext sctx = serial.MakeSearchContext(7);
-    methods::SearchContext pctx = parallel.MakeSearchContext(7);
     const auto a = static_cast<const ShardedIndex&>(serial).Search(
         queries.Row(q), params, &sctx);
-    const auto b = static_cast<const ShardedIndex&>(parallel).Search(
-        queries.Row(q), params, &pctx);
-    ExpectSameNeighbors(a, b);
+    for (const ShardedIndex* index : {&parallel, &hedged}) {
+      const core::Deadline deadline = core::Deadline::After(10.0);
+      methods::SearchParams index_params = params;
+      if (index == &hedged) index_params.deadline = &deadline;
+      methods::SearchContext ctx = index->MakeSearchContext(7);
+      const auto b = index->Search(queries.Row(q), index_params, &ctx);
+      ExpectSameNeighbors(a, b);
+      EXPECT_EQ(a.stats.distance_computations, b.stats.distance_computations);
+      EXPECT_EQ(a.stats.hops, b.stats.hops);
+      EXPECT_EQ(b.stats.shards_hedged, 0u);
+    }
   }
 }
 

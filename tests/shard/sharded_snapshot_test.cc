@@ -187,7 +187,7 @@ TEST_F(ShardedSnapshotTest, LoadShardedIndexReconstructsFromManifest) {
   // The free loader learns method + partitioner from the manifest itself;
   // only the seed comes from the caller (verified via the fingerprint).
   std::unique_ptr<ShardedIndex> loaded;
-  ASSERT_TRUE(LoadShardedIndex(path_, data_, kSeed, &loaded).ok());
+  ASSERT_TRUE(LoadShardedIndex(path_, data_, kSeed, 1, &loaded).ok());
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->num_shards(), kShards);
   EXPECT_EQ(loaded->options().method, "hnsw");
@@ -202,7 +202,7 @@ TEST_F(ShardedSnapshotTest, LoadShardedIndexReconstructsFromManifest) {
 
   // A wrong caller seed changes the fingerprint and must be rejected.
   std::unique_ptr<ShardedIndex> wrong;
-  const core::Status status = LoadShardedIndex(path_, data_, kSeed + 1, &wrong);
+  const core::Status status = LoadShardedIndex(path_, data_, kSeed + 1, 1, &wrong);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("fingerprint"), std::string::npos);
 }
