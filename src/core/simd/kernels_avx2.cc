@@ -112,33 +112,45 @@ float Avx2Norm(const float* a, std::size_t dim) {
   return std::sqrt(Avx2Dot(a, a, dim));
 }
 
+namespace {
+
+// kRows rows at once: query loads are shared, each row keeps its own
+// accumulator pair in the canonical order (bit-identical to Avx2L2Sq).
+template <std::size_t kRows>
+inline void L2SqRows(const float* query, const float* const* rows,
+                     std::size_t dim, float* out) {
+  __m256 lo[kRows];
+  __m256 hi[kRows];
+  for (std::size_t j = 0; j < kRows; ++j) {
+    lo[j] = _mm256_setzero_ps();
+    hi[j] = _mm256_setzero_ps();
+  }
+  std::size_t i = 0;
+  for (; i + 16 <= dim; i += 16) {
+    const __m256 q_lo = _mm256_loadu_ps(query + i);
+    const __m256 q_hi = _mm256_loadu_ps(query + i + 8);
+    for (std::size_t j = 0; j < kRows; ++j) {
+      const __m256 d0 = _mm256_sub_ps(q_lo, _mm256_loadu_ps(rows[j] + i));
+      const __m256 d1 = _mm256_sub_ps(q_hi, _mm256_loadu_ps(rows[j] + i + 8));
+      lo[j] = _mm256_add_ps(lo[j], _mm256_mul_ps(d0, d0));
+      hi[j] = _mm256_add_ps(hi[j], _mm256_mul_ps(d1, d1));
+    }
+  }
+  for (std::size_t j = 0; j < kRows; ++j) {
+    TailL2(&lo[j], &hi[j], query + i, rows[j] + i, dim - i);
+    out[j] = Reduce16(lo[j], hi[j]);
+  }
+}
+
+}  // namespace
+
 void Avx2L2SqBatch(const float* query, const float* const* rows, std::size_t n,
                    std::size_t dim, float* out) {
   std::size_t r = 0;
-  // Rows in pairs: query loads are shared, each row keeps its own
-  // accumulator pair in the canonical order (bit-identical to Avx2L2Sq).
-  for (; r + 2 <= n; r += 2) {
-    const float* b0 = rows[r];
-    const float* b1 = rows[r + 1];
-    __m256 a0_lo = _mm256_setzero_ps(), a0_hi = _mm256_setzero_ps();
-    __m256 a1_lo = _mm256_setzero_ps(), a1_hi = _mm256_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 16 <= dim; i += 16) {
-      const __m256 q_lo = _mm256_loadu_ps(query + i);
-      const __m256 q_hi = _mm256_loadu_ps(query + i + 8);
-      const __m256 d0 = _mm256_sub_ps(q_lo, _mm256_loadu_ps(b0 + i));
-      const __m256 d1 = _mm256_sub_ps(q_hi, _mm256_loadu_ps(b0 + i + 8));
-      const __m256 e0 = _mm256_sub_ps(q_lo, _mm256_loadu_ps(b1 + i));
-      const __m256 e1 = _mm256_sub_ps(q_hi, _mm256_loadu_ps(b1 + i + 8));
-      a0_lo = _mm256_add_ps(a0_lo, _mm256_mul_ps(d0, d0));
-      a0_hi = _mm256_add_ps(a0_hi, _mm256_mul_ps(d1, d1));
-      a1_lo = _mm256_add_ps(a1_lo, _mm256_mul_ps(e0, e0));
-      a1_hi = _mm256_add_ps(a1_hi, _mm256_mul_ps(e1, e1));
-    }
-    TailL2(&a0_lo, &a0_hi, query + i, b0 + i, dim - i);
-    TailL2(&a1_lo, &a1_hi, query + i, b1 + i, dim - i);
-    out[r] = Reduce16(a0_lo, a0_hi);
-    out[r + 1] = Reduce16(a1_lo, a1_hi);
+  for (; r + 4 <= n; r += 4) L2SqRows<4>(query, rows + r, dim, out + r);
+  if (r + 2 <= n) {
+    L2SqRows<2>(query, rows + r, dim, out + r);
+    r += 2;
   }
   if (r < n) out[r] = Avx2L2Sq(query, rows[r], dim);
 }

@@ -77,35 +77,47 @@ float Avx512Norm(const float* a, std::size_t dim) {
   return std::sqrt(Avx512Dot(a, a, dim));
 }
 
+namespace {
+
+// kRows rows at once: query loads are shared, each row keeps its own
+// canonical accumulator (bit-identical to Avx512L2Sq). The fixed-size
+// loops over rows unroll completely, keeping every accumulator in a
+// register.
+template <std::size_t kRows>
+inline void L2SqRows(const float* query, const float* const* rows,
+                     std::size_t dim, float* out) {
+  __m512 acc[kRows];
+  for (std::size_t j = 0; j < kRows; ++j) acc[j] = _mm512_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 16 <= dim; i += 16) {
+    const __m512 q = _mm512_loadu_ps(query + i);
+    for (std::size_t j = 0; j < kRows; ++j) {
+      const __m512 d = _mm512_sub_ps(q, _mm512_loadu_ps(rows[j] + i));
+      acc[j] = _mm512_add_ps(acc[j], _mm512_mul_ps(d, d));
+    }
+  }
+  const std::size_t rem = dim - i;
+  if (rem > 0) {
+    const __mmask16 mask = static_cast<__mmask16>((1u << rem) - 1u);
+    const __m512 q = _mm512_maskz_loadu_ps(mask, query + i);
+    for (std::size_t j = 0; j < kRows; ++j) {
+      const __m512 d =
+          _mm512_sub_ps(q, _mm512_maskz_loadu_ps(mask, rows[j] + i));
+      acc[j] = _mm512_mask_add_ps(acc[j], mask, acc[j], _mm512_mul_ps(d, d));
+    }
+  }
+  for (std::size_t j = 0; j < kRows; ++j) out[j] = Reduce16(acc[j]);
+}
+
+}  // namespace
+
 void Avx512L2SqBatch(const float* query, const float* const* rows,
                      std::size_t n, std::size_t dim, float* out) {
   std::size_t r = 0;
-  // Rows in pairs: query loads are shared, each row keeps its own canonical
-  // accumulator (bit-identical to Avx512L2Sq).
-  for (; r + 2 <= n; r += 2) {
-    const float* b0 = rows[r];
-    const float* b1 = rows[r + 1];
-    __m512 acc0 = _mm512_setzero_ps();
-    __m512 acc1 = _mm512_setzero_ps();
-    std::size_t i = 0;
-    for (; i + 16 <= dim; i += 16) {
-      const __m512 q = _mm512_loadu_ps(query + i);
-      const __m512 d0 = _mm512_sub_ps(q, _mm512_loadu_ps(b0 + i));
-      const __m512 d1 = _mm512_sub_ps(q, _mm512_loadu_ps(b1 + i));
-      acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(d0, d0));
-      acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(d1, d1));
-    }
-    const std::size_t rem = dim - i;
-    if (rem > 0) {
-      const __mmask16 mask = static_cast<__mmask16>((1u << rem) - 1u);
-      const __m512 q = _mm512_maskz_loadu_ps(mask, query + i);
-      const __m512 d0 = _mm512_sub_ps(q, _mm512_maskz_loadu_ps(mask, b0 + i));
-      const __m512 d1 = _mm512_sub_ps(q, _mm512_maskz_loadu_ps(mask, b1 + i));
-      acc0 = _mm512_mask_add_ps(acc0, mask, acc0, _mm512_mul_ps(d0, d0));
-      acc1 = _mm512_mask_add_ps(acc1, mask, acc1, _mm512_mul_ps(d1, d1));
-    }
-    out[r] = Reduce16(acc0);
-    out[r + 1] = Reduce16(acc1);
+  for (; r + 4 <= n; r += 4) L2SqRows<4>(query, rows + r, dim, out + r);
+  if (r + 2 <= n) {
+    L2SqRows<2>(query, rows + r, dim, out + r);
+    r += 2;
   }
   if (r < n) out[r] = Avx512L2Sq(query, rows[r], dim);
 }

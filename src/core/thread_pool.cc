@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/spin_wait.h"
+
 namespace gass::core {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -18,6 +20,7 @@ void ThreadPool::Shutdown() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     shutting_down_ = true;
+    work_ready_.store(true, std::memory_order_release);
     if (joined_) return;
     joined_ = true;
   }
@@ -33,6 +36,7 @@ bool ThreadPool::Submit(std::function<void()> task) {
     // notify because shutting_down_ flips under the same mutex.
     if (shutting_down_) return false;
     tasks_.push(std::move(task));
+    work_ready_.store(true, std::memory_order_release);
     ++in_flight_;
   }
   task_available_.notify_one();
@@ -54,12 +58,16 @@ void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      task_available_.wait(
-          lock, [this] { return shutting_down_ || !tasks_.empty(); });
+      std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
+      SpinThenPark(
+          lock, task_available_,
+          [this] { return work_ready_.load(std::memory_order_acquire); },
+          [this] { return shutting_down_ || !tasks_.empty(); });
       if (tasks_.empty()) return;  // Only reachable when shutting down.
       task = std::move(tasks_.front());
       tasks_.pop();
+      work_ready_.store(shutting_down_ || !tasks_.empty(),
+                        std::memory_order_release);
     }
     try {
       task();

@@ -2,9 +2,13 @@
 //
 // The surveyed methods all build multithreaded indexes; builders in this
 // library use ParallelFor over node ranges, and the serving layer
-// (serve::QueryExecutor) dispatches query batches through Submit. On a
-// single-core machine the pool degrades to serial execution with no thread
-// overhead.
+// (serve::QueryExecutor, shard::FanOut) dispatches work through Submit.
+// ParallelFor with one thread (or one item) runs inline with no thread
+// overhead. ThreadPool always hands a submitted task to one of its
+// workers, on any number of cores; an idle worker waits spin-then-park
+// (core/spin_wait.h): it spins for up to kSpinBudget after its last task
+// so the next one starts without a futex wake-up, then sleeps on a
+// condition variable. On a single-core machine it parks at once.
 
 #ifndef GASS_CORE_THREAD_POOL_H_
 #define GASS_CORE_THREAD_POOL_H_
@@ -68,6 +72,9 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_available_;
+  /// Lock-free mirror of the workers' wait predicate (shutting down or a
+  /// task queued), written under mutex_ for their spin phase.
+  std::atomic<bool> work_ready_{false};
   std::condition_variable all_done_;
   std::size_t in_flight_ = 0;
   std::exception_ptr first_exception_;  // Guarded by mutex_.

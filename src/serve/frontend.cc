@@ -4,10 +4,27 @@
 
 #include "core/macros.h"
 #include "core/rng.h"
+#include "core/spin_wait.h"
 #include "core/thread_pool.h"
 #include "methods/search_params.h"
 
 namespace gass::serve {
+
+namespace {
+
+/// The client side of a hand-off: spins on the ticket for the spin budget,
+/// then blocks in get() as before.
+SearchResponse SpinThenGet(Frontend::Ticket ticket) {
+  core::SpinUntil(
+      [&ticket] {
+        return ticket.wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready;
+      },
+      std::chrono::steady_clock::now() + core::SpinBudget());
+  return ticket.get();
+}
+
+}  // namespace
 
 Frontend::Frontend(const methods::GraphIndex& index,
                    const FrontendOptions& options, FaultInjector* faults)
@@ -47,6 +64,7 @@ Frontend::~Frontend() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
+    work_ready_.store(true, std::memory_order_release);
   }
   work_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
@@ -181,6 +199,7 @@ Frontend::Ticket Frontend::Submit(const SearchRequest& request) {
       return ticket;
     }
     queue_.push_back(std::move(task));
+    work_ready_.store(true, std::memory_order_release);
     metrics_.RecordQueueDepth(queue_.size());
   }
   work_cv_.notify_one();
@@ -222,6 +241,7 @@ Frontend::UpdateTicket Frontend::SubmitUpdate(Task task) {
       return ticket;
     }
     queue_.push_back(std::move(task));
+    work_ready_.store(true, std::memory_order_release);
     metrics_.RecordQueueDepth(queue_.size());
   }
   work_cv_.notify_one();
@@ -229,12 +249,12 @@ Frontend::UpdateTicket Frontend::SubmitUpdate(Task task) {
 }
 
 SearchResponse Frontend::Search(const SearchRequest& request) {
-  return Submit(request).get();
+  return SpinThenGet(Submit(request));
 }
 
 methods::SearchResult Frontend::Search(const float* query, std::size_t dim,
                                        const methods::SearchParams& params) {
-  return Submit(query, dim, params).get();
+  return SpinThenGet(Submit(query, dim, params));
 }
 
 void Frontend::WorkerLoop() {
@@ -242,12 +262,17 @@ void Frontend::WorkerLoop() {
     Task task;
     std::size_t depth_after_pop = 0;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
+      core::SpinThenPark(
+          lock, work_cv_,
+          [this] { return work_ready_.load(std::memory_order_acquire); },
+          [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and all accepted work done.
       task = std::move(queue_.front());
       queue_.pop_front();
       depth_after_pop = queue_.size();
+      work_ready_.store(stop_ || depth_after_pop > 0,
+                        std::memory_order_release);
       ++in_service_;
     }
 

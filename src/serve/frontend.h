@@ -27,6 +27,7 @@
 #ifndef GASS_SERVE_FRONTEND_H_
 #define GASS_SERVE_FRONTEND_H_
 
+#include <atomic>
 #include <cstdint>
 #include <condition_variable>
 #include <deque>
@@ -133,7 +134,9 @@ class Frontend {
                 const methods::SearchParams& params,
                 const core::Deadline& deadline);
 
-  /// Blocking convenience: Submit + wait.
+  /// Blocking convenience: Submit + wait. The wait spins for up to
+  /// core::kSpinBudget on the ticket before it blocks (core/spin_wait.h),
+  /// so a short query's answer is picked up without a futex wake-up.
   SearchResponse Search(const SearchRequest& request);
   methods::SearchResult Search(const float* query, std::size_t dim,
                                const methods::SearchParams& params);
@@ -233,6 +236,9 @@ class Frontend {
   std::deque<Task> queue_;
   std::size_t in_service_ = 0;  // Dequeued, promise not yet fulfilled.
   bool stop_ = false;
+  /// Lock-free mirror of work_cv_'s predicate (stopping or queue
+  /// non-empty), written under mutex_ for the workers' spin phase.
+  std::atomic<bool> work_ready_{false};
 
   std::atomic<std::uint64_t> submitted_{0};
   std::vector<std::thread> workers_;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/distance.h"
+#include "core/spin_wait.h"
 #include "core/stats.h"
 #include "obs/trace.h"
 #include "serve/fault_injector.h"
@@ -58,7 +60,8 @@ struct FanOut::State {
 
   std::mutex mutex;
   std::condition_variable cv;
-  std::size_t unresolved = 0;  // Guarded by mutex.
+  /// Written under mutex; atomic so the coordinator can spin on it.
+  std::atomic<std::size_t> unresolved{0};
 };
 
 FanOut::FanOut(std::size_t num_shards, std::size_t num_replicas,
@@ -195,14 +198,28 @@ methods::SearchResult FanOut::Search(const float* query,
   std::uint64_t hedge_begin_ns = 0;
   bool hedge_fired = false;
   {
-    std::unique_lock<std::mutex> lock(state->mutex);
-    const auto resolved = [&] { return state->unresolved == 0; };
-    // No hedging is an infinite backup delay: this wait never happens.
+    using Clock = std::chrono::steady_clock;
+    const auto resolved = [&] {
+      return state->unresolved.load(std::memory_order_acquire) == 0;
+    };
+    // No hedging is an infinite backup delay: the hedge wait never happens.
+    const Clock::time_point wait_begin = Clock::now();
+    const double remaining = state->deadline.RemainingSeconds();
+    const double delay = hedge ? hedge_fraction * std::max(0.0, remaining)
+                               : std::numeric_limits<double>::infinity();
+    // Spin-then-park: spin for the budget first, but never past the hedge
+    // delay or the deadline, so neither fires late.
+    const double spin = std::min(
+        {std::chrono::duration<double>(core::SpinBudget()).count(), delay,
+         remaining});
+    const auto after = [&](double seconds) {
+      return wait_begin + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(seconds));
+    };
+    std::unique_lock<std::mutex> lock(state->mutex, std::defer_lock);
+    core::SpinThenLock(lock, resolved, after(std::max(0.0, spin)));
     if (hedge) {
-      const double delay =
-          hedge_fraction * std::max(0.0, state->deadline.RemainingSeconds());
-      hedge_fired = !state->cv.wait_for(
-          lock, std::chrono::duration<double>(delay), resolved);
+      hedge_fired = !state->cv.wait_until(lock, after(delay), resolved);
     }
     if (hedge_fired) {
       lock.unlock();
@@ -394,7 +411,7 @@ void FanOut::RunAttempt(State& state, std::size_t idx, int attempt) const {
     return;  // The other attempt resolved the slot (same seed, same answer).
   }
   std::lock_guard<std::mutex> lock(state.mutex);
-  --state.unresolved;
+  state.unresolved.fetch_sub(1, std::memory_order_release);
   state.cv.notify_all();
 }
 

@@ -117,28 +117,33 @@ TEST(SimdKernelsTest, AllLevelsBitIdenticalToScalar) {
 }
 
 TEST(SimdKernelsTest, BatchMatchesLoopBitwise) {
-  constexpr std::size_t kRows = 37;  // Exercises the odd-row fallback.
+  // Batch sizes 1-9 walk every mix of the 4-, 2- and 1-row blocks; 32 is
+  // beam search's gather size and 37 adds an odd tail after many blocks.
+  constexpr std::size_t kMaxRows = 37;
   for (SimdLevel level : SupportedSimdLevels()) {
     const DistanceKernels& k = KernelsFor(level);
     for (std::size_t dim : {1u, 7u, 16u, 33u, 96u, 128u, 130u}) {
       const std::vector<float> query = RandomVector(dim, dim);
       std::vector<std::vector<float>> storage;
       std::vector<const float*> rows;
-      for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t r = 0; r < kMaxRows; ++r) {
         storage.push_back(RandomVector(dim, 1000 + r));
         rows.push_back(storage.back().data());
       }
-      std::vector<float> batch_l2(kRows), batch_dot(kRows);
-      k.l2sq_batch(query.data(), rows.data(), kRows, dim, batch_l2.data());
-      k.dot_batch(query.data(), rows.data(), kRows, dim, batch_dot.data());
-      for (std::size_t r = 0; r < kRows; ++r) {
-        EXPECT_TRUE(
-            BitEqual(batch_l2[r], k.l2sq(query.data(), rows[r], dim)))
-            << SimdLevelName(level) << " l2sq_batch dim=" << dim
-            << " row=" << r;
-        EXPECT_TRUE(BitEqual(batch_dot[r], k.dot(query.data(), rows[r], dim)))
-            << SimdLevelName(level) << " dot_batch dim=" << dim
-            << " row=" << r;
+      for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 32u, 37u}) {
+        std::vector<float> batch_l2(n), batch_dot(n);
+        k.l2sq_batch(query.data(), rows.data(), n, dim, batch_l2.data());
+        k.dot_batch(query.data(), rows.data(), n, dim, batch_dot.data());
+        for (std::size_t r = 0; r < n; ++r) {
+          EXPECT_TRUE(
+              BitEqual(batch_l2[r], k.l2sq(query.data(), rows[r], dim)))
+              << SimdLevelName(level) << " l2sq_batch dim=" << dim
+              << " n=" << n << " row=" << r;
+          EXPECT_TRUE(
+              BitEqual(batch_dot[r], k.dot(query.data(), rows[r], dim)))
+              << SimdLevelName(level) << " dot_batch dim=" << dim
+              << " n=" << n << " row=" << r;
+        }
       }
     }
   }
