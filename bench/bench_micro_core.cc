@@ -148,6 +148,25 @@ void BM_CandidatePoolInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_CandidatePoolInsert)->Arg(16)->Arg(128)->Arg(1024);
 
+// The same stream into the beam-search frontier (branch-free rank plus one
+// memmove per array).
+void BM_BeamPoolInsert(benchmark::State& state) {
+  const std::size_t capacity = static_cast<std::size_t>(state.range(0));
+  core::Rng rng(capacity);
+  std::vector<core::Neighbor> stream;
+  for (int i = 0; i < 4096; ++i) {
+    stream.emplace_back(static_cast<core::VectorId>(i),
+                        rng.UniformFloat(0, 1));
+  }
+  for (auto _ : state) {
+    core::BeamPool pool(capacity, stream.size());
+    for (const core::Neighbor& nb : stream) pool.Insert(nb.id, nb.distance);
+    benchmark::DoNotOptimize(pool.size());
+  }
+  state.SetItemsProcessed(state.iterations() * stream.size());
+}
+BENCHMARK(BM_BeamPoolInsert)->Arg(16)->Arg(128)->Arg(1024);
+
 void BM_VisitedEpoch(benchmark::State& state) {
   core::VisitedTable table(100000);
   for (auto _ : state) {

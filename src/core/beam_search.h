@@ -1,10 +1,10 @@
 // Beam search (Algorithm 1 of the paper): the single query-answering routine
 // shared by every graph-based method.
 //
-// The search warms a sorted fixed-capacity candidate pool of width L with the
-// seed nodes, then repeatedly expands the closest unexplored candidate,
-// inserting its unvisited out-neighbors, until every candidate in the pool is
-// explored. The best k candidates are returned.
+// The search warms a sorted fixed-capacity candidate pool of width L
+// (BeamPool) with the seed nodes, then repeatedly expands the closest
+// unexplored candidate, inserting its unvisited out-neighbors, until every
+// candidate in the pool is explored. The best k candidates are returned.
 
 #ifndef GASS_CORE_BEAM_SEARCH_H_
 #define GASS_CORE_BEAM_SEARCH_H_
@@ -33,15 +33,14 @@ namespace internal {
 /// explored set (and therefore distance_computations/hops) bit-identical
 /// to a tombstone-free search. The null/empty path is the exact pre-delete
 /// code path.
-inline std::vector<Neighbor> EmitTopK(const CandidatePool& pool,
-                                      std::size_t k,
+inline std::vector<Neighbor> EmitTopK(const BeamPool& pool, std::size_t k,
                                       const TombstoneSet* tombstones) {
   if (tombstones == nullptr || tombstones->empty()) return pool.TopK(k);
   std::vector<Neighbor> out;
   out.reserve(k);
   for (std::size_t i = 0; i < pool.size() && out.size() < k; ++i) {
-    if (tombstones->Contains(pool[i].id)) continue;
-    out.push_back(pool[i]);
+    if (tombstones->Contains(pool.id(i))) continue;
+    out.emplace_back(pool.id(i), pool.distance(i));
   }
   return out;
 }
@@ -58,8 +57,44 @@ inline void ExpandNeighbors(const FlatGraph& graph, VectorId v,
   *out = graph.Neighbors(v, degree);
 }
 
+/// Prefetches the first cache line of v's adjacency list. Beam search
+/// calls it for the next frontier candidate before gathering the current
+/// one's neighbors, so the list's cache miss overlaps the current hop.
+template <typename GraphT>
+void PrefetchNeighbors(const GraphT& graph, VectorId v) {
+  const VectorId* list = nullptr;
+  std::size_t degree = 0;
+  ExpandNeighbors(graph, v, &list, &degree);
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(list);
+#else
+  (void)list;
+#endif
+}
+
 /// Neighbors evaluated per batched kernel call during expansion.
 inline constexpr std::size_t kExpandBatch = DistanceComputer::kBatchChunk;
+
+/// Claims the next (up to kExpandBatch) unvisited ids of neighbors[*i,
+/// degree) into `chunk`, advancing *i past every id it examined, then
+/// prefetches the claimed rows. The visited test is branch-free: each id is
+/// written to the chunk and only a first visit keeps it there.
+inline std::size_t GatherUnvisited(const VectorId* neighbors,
+                                   std::size_t degree, std::size_t* i,
+                                   VisitedTable* visited,
+                                   const DistanceComputer& dc,
+                                   VectorId* chunk) {
+  std::size_t m = 0;
+  std::size_t next = *i;
+  for (; next < degree && m < kExpandBatch; ++next) {
+    const VectorId u = neighbors[next];
+    chunk[m] = u;
+    m += visited->TryVisit(u);
+  }
+  *i = next;
+  for (std::size_t j = 0; j < m; ++j) dc.Prefetch(chunk[j]);
+  return m;
+}
 
 }  // namespace internal
 
@@ -91,13 +126,13 @@ std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
                                  const Deadline* deadline = nullptr,
                                  const TombstoneSet* tombstones = nullptr) {
   const std::size_t width = beam_width < k ? k : beam_width;
-  CandidatePool pool(width);
+  BeamPool pool(width, visited->size());
   pool.SetPruneBound(prune_bound);
   visited->NewEpoch();
 
   for (VectorId seed : seeds) {
     if (!visited->TryVisit(seed)) continue;
-    pool.Insert(Neighbor(seed, dc.ToQuery(query, seed)));
+    pool.Insert(seed, dc.ToQuery(query, seed));
   }
 
   std::uint64_t hops = 0;
@@ -108,37 +143,34 @@ std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
       if (stats != nullptr) stats->deadline_expiries += 1;
       break;
     }
-    const std::size_t next = pool.FirstUnexplored();
-    if (next == pool.size()) break;
-    const VectorId v = pool[next].id;
-    pool.MarkExplored(next);
+    if (!pool.HasUnexplored()) break;
+    const VectorId v = pool.ExploreNext();
     ++hops;
 
-    // Prefetch-then-batch expansion: gather the unvisited out-neighbors
-    // (prefetching each row as it is claimed), evaluate the chunk with one
-    // batched kernel call, then filter/insert sequentially. The evaluated
-    // set, distance values, count, and insert order are all identical to the
-    // one-at-a-time loop — only the memory/compute overlap changes.
+    // Gather-then-batch expansion: claim the next chunk of unvisited
+    // out-neighbors (prefetching their rows), evaluate it with one batched
+    // kernel call, then filter/insert sequentially. The evaluated set,
+    // distance values, count, and insert order are all identical to the
+    // one-at-a-time loop — only the memory/compute overlap changes, as it
+    // does for the prefetch of the next candidate's adjacency list.
     const VectorId* neighbors = nullptr;
     std::size_t degree = 0;
     internal::ExpandNeighbors(graph, v, &neighbors, &degree);
+    if (pool.HasUnexplored()) {
+      internal::PrefetchNeighbors(graph, pool.PeekNext());
+    }
     VectorId chunk[internal::kExpandBatch];
     float dist[internal::kExpandBatch];
     std::size_t i = 0;
     while (i < degree) {
-      std::size_t m = 0;
-      for (; i < degree && m < internal::kExpandBatch; ++i) {
-        const VectorId u = neighbors[i];
-        if (!visited->TryVisit(u)) continue;
-        dc.Prefetch(u);
-        chunk[m++] = u;
-      }
+      const std::size_t m =
+          internal::GatherUnvisited(neighbors, degree, &i, visited, dc, chunk);
       if (m == 0) continue;
       prefetched += m;
       dc.ToQueryBatch(query, chunk, m, dist);
       for (std::size_t j = 0; j < m; ++j) {
         if (dist[j] >= pool.WorstDistance()) continue;
-        pool.Insert(Neighbor(chunk[j], dist[j]));
+        pool.Insert(chunk[j], dist[j]);
       }
     }
   }
@@ -163,7 +195,7 @@ std::vector<Neighbor> BeamSearchCollect(const GraphT& graph,
                                         std::vector<Neighbor>* evaluated,
                                         SearchStats* stats = nullptr) {
   const std::size_t width = beam_width < k ? k : beam_width;
-  CandidatePool pool(width);
+  BeamPool pool(width, visited->size());
   visited->NewEpoch();
   evaluated->clear();
 
@@ -171,41 +203,36 @@ std::vector<Neighbor> BeamSearchCollect(const GraphT& graph,
     if (!visited->TryVisit(seed)) continue;
     const float d = dc.ToQuery(query, seed);
     evaluated->push_back(Neighbor(seed, d));
-    pool.Insert(Neighbor(seed, d));
+    pool.Insert(seed, d);
   }
 
   std::uint64_t hops = 0;
   std::uint64_t prefetched = 0;
-  for (;;) {
-    const std::size_t next = pool.FirstUnexplored();
-    if (next == pool.size()) break;
-    const VectorId v = pool[next].id;
-    pool.MarkExplored(next);
+  while (pool.HasUnexplored()) {
+    const VectorId v = pool.ExploreNext();
     ++hops;
 
-    // Same prefetch-then-batch expansion as BeamSearch; `evaluated` is
+    // Same gather-then-batch expansion as BeamSearch; `evaluated` is
     // appended in chunk order, which equals the original visit order.
     const VectorId* neighbors = nullptr;
     std::size_t degree = 0;
     internal::ExpandNeighbors(graph, v, &neighbors, &degree);
+    if (pool.HasUnexplored()) {
+      internal::PrefetchNeighbors(graph, pool.PeekNext());
+    }
     VectorId chunk[internal::kExpandBatch];
     float dist[internal::kExpandBatch];
     std::size_t i = 0;
     while (i < degree) {
-      std::size_t m = 0;
-      for (; i < degree && m < internal::kExpandBatch; ++i) {
-        const VectorId u = neighbors[i];
-        if (!visited->TryVisit(u)) continue;
-        dc.Prefetch(u);
-        chunk[m++] = u;
-      }
+      const std::size_t m =
+          internal::GatherUnvisited(neighbors, degree, &i, visited, dc, chunk);
       if (m == 0) continue;
       prefetched += m;
       dc.ToQueryBatch(query, chunk, m, dist);
       for (std::size_t j = 0; j < m; ++j) {
         evaluated->push_back(Neighbor(chunk[j], dist[j]));
         if (dist[j] >= pool.WorstDistance()) continue;
-        pool.Insert(Neighbor(chunk[j], dist[j]));
+        pool.Insert(chunk[j], dist[j]);
       }
     }
   }

@@ -42,10 +42,12 @@ class VisitedTable {
   void MarkVisited(VectorId id) { stamps_[id] = epoch_; }
 
   /// Marks visited; returns true if this was the first visit this epoch.
+  /// Branch-free (the stamp is written either way), so gather loops can
+  /// write every id and advance only on a first visit.
   bool TryVisit(VectorId id) {
-    if (stamps_[id] == epoch_) return false;
+    const bool first = stamps_[id] != epoch_;
     stamps_[id] = epoch_;
-    return true;
+    return first;
   }
 
   std::size_t size() const { return stamps_.size(); }

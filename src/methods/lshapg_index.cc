@@ -66,13 +66,13 @@ SearchResult LshApgIndex::SearchRouted(const float* query,
   // Beam search with probabilistic routing: each unvisited neighbor's
   // projected distance gates the exact evaluation.
   const std::size_t width = EffectiveBeamWidth(params);
-  core::CandidatePool pool(width);
+  core::BeamPool pool(width, visited->size());
   visited->NewEpoch();
   const std::vector<float> query_projection = lsh_->ProjectQuery(query);
 
   for (VectorId seed : seeds) {
     if (!visited->TryVisit(seed)) continue;
-    pool.Insert(Neighbor(seed, dc.ToQuery(query, seed)));
+    pool.Insert(seed, dc.ToQuery(query, seed));
   }
   std::uint64_t hops = 0;
   for (;;) {
@@ -81,10 +81,8 @@ SearchResult LshApgIndex::SearchRouted(const float* query,
       result.stats.deadline_expiries += 1;
       break;
     }
-    const std::size_t next = pool.FirstUnexplored();
-    if (next == pool.size()) break;
-    const VectorId v = pool[next].id;
-    pool.MarkExplored(next);
+    if (!pool.HasUnexplored()) break;
+    const VectorId v = pool.ExploreNext();
     ++hops;
     ++result.stats.hops;
     for (VectorId u : graph_.Neighbors(v)) {
@@ -99,7 +97,7 @@ SearchResult LshApgIndex::SearchRouted(const float* query,
       }
       const float d = dc.ToQuery(query, u);
       if (d >= pool.WorstDistance()) continue;
-      pool.Insert(Neighbor(u, d));
+      pool.Insert(u, d);
     }
   }
   result.neighbors = pool.TopK(params.k);

@@ -1,6 +1,7 @@
 #include "core/beam_search.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -168,41 +169,108 @@ TEST(BeamSearchTest, PruneBoundCutsCostWithoutChangingBetterAnswers) {
   EXPECT_LE(dc_bound.count(), dc_free.count());
 }
 
-// The pre-batching expansion loop, kept as an executable reference: one
-// TryVisit / ToQuery / filter / Insert per neighbor. The batched search must
-// reproduce its neighbor IDs, bitwise distances, evaluation order, and
-// distance count exactly.
-std::vector<Neighbor> ReferenceBeamSearch(const Graph& graph,
-                                          DistanceComputer& dc,
-                                          const float* query,
-                                          const std::vector<VectorId>& seeds,
-                                          std::size_t k,
-                                          std::size_t beam_width,
-                                          VisitedTable* visited,
-                                          std::vector<Neighbor>* evaluated) {
+// The per-neighbor expansion loop over a record-array frontier, kept as an
+// executable reference: one visited test / ToQuery / filter / insert per
+// neighbor, a sorted std::vector<Neighbor> pool with a parallel explored
+// array, and a full rescan for the closest unexplored candidate. It shares
+// no frontier or visited-set code with BeamSearch, which must reproduce its
+// neighbor IDs, bitwise distances, evaluation order, distance count and
+// hops exactly.
+struct ReferenceRun {
+  std::vector<Neighbor> found;
+  std::vector<Neighbor> evaluated;
+  std::uint64_t hops = 0;
+};
+
+std::vector<VectorId> ReferenceNeighbors(const Graph& graph, VectorId v) {
+  return graph.Neighbors(v);
+}
+
+std::vector<VectorId> ReferenceNeighbors(const FlatGraph& graph, VectorId v) {
+  std::size_t degree = 0;
+  const VectorId* list = graph.Neighbors(v, &degree);
+  return std::vector<VectorId>(list, list + degree);
+}
+
+template <typename GraphT>
+ReferenceRun ReferenceBeamSearch(const GraphT& graph, DistanceComputer& dc,
+                                 const float* query,
+                                 const std::vector<VectorId>& seeds,
+                                 std::size_t k, std::size_t beam_width,
+                                 float prune_bound = 3.402823466e38f,
+                                 const TombstoneSet* tombstones = nullptr) {
+  constexpr float kInf = 3.402823466e38f;
   const std::size_t width = beam_width < k ? k : beam_width;
-  CandidatePool pool(width);
-  visited->NewEpoch();
+  std::vector<Neighbor> pool;  // Ascending distance.
+  std::vector<bool> explored;  // explored[i] belongs to pool[i].
+  std::vector<bool> visited(graph.size(), false);
+  ReferenceRun run;
+
+  const auto worst = [&] {
+    if (pool.size() < width) return kInf;
+    return std::min(pool.back().distance, prune_bound);
+  };
+  const auto insert = [&](const Neighbor& nb) {
+    if (pool.size() == width && nb.distance >= worst()) return;
+    const std::size_t pos = static_cast<std::size_t>(
+        std::lower_bound(pool.begin(), pool.end(), nb.distance,
+                         [](const Neighbor& a, float d) {
+                           return a.distance < d;
+                         }) -
+        pool.begin());
+    for (std::size_t p = pos;
+         p < pool.size() && pool[p].distance == nb.distance; ++p) {
+      if (pool[p].id == nb.id) return;
+    }
+    pool.insert(pool.begin() + static_cast<std::ptrdiff_t>(pos), nb);
+    explored.insert(explored.begin() + static_cast<std::ptrdiff_t>(pos),
+                    false);
+    if (pool.size() > width) {
+      pool.pop_back();
+      explored.pop_back();
+    }
+  };
+  const auto evaluate = [&](VectorId u) {
+    const Neighbor nb(u, dc.ToQuery(query, u));
+    run.evaluated.push_back(nb);
+    return nb;
+  };
+
   for (VectorId seed : seeds) {
-    if (!visited->TryVisit(seed)) continue;
-    const float d = dc.ToQuery(query, seed);
-    if (evaluated != nullptr) evaluated->push_back(Neighbor(seed, d));
-    pool.Insert(Neighbor(seed, d));
+    if (visited[seed]) continue;
+    visited[seed] = true;
+    insert(evaluate(seed));
   }
   for (;;) {
-    const std::size_t next = pool.FirstUnexplored();
+    std::size_t next = 0;
+    while (next < pool.size() && explored[next]) ++next;
     if (next == pool.size()) break;
-    const VectorId v = pool[next].id;
-    pool.MarkExplored(next);
-    for (const VectorId u : graph.Neighbors(v)) {
-      if (!visited->TryVisit(u)) continue;
-      const float d = dc.ToQuery(query, u);
-      if (evaluated != nullptr) evaluated->push_back(Neighbor(u, d));
-      if (d >= pool.WorstDistance()) continue;
-      pool.Insert(Neighbor(u, d));
+    explored[next] = true;
+    ++run.hops;
+    for (const VectorId u : ReferenceNeighbors(graph, pool[next].id)) {
+      if (visited[u]) continue;
+      visited[u] = true;
+      const Neighbor nb = evaluate(u);
+      if (nb.distance >= worst()) continue;
+      insert(nb);
     }
   }
-  return pool.TopK(k);
+  for (const Neighbor& nb : pool) {
+    if (run.found.size() == k) break;
+    if (tombstones != nullptr && tombstones->Contains(nb.id)) continue;
+    run.found.push_back(nb);
+  }
+  return run;
+}
+
+void ExpectSameNeighbors(const std::vector<Neighbor>& actual,
+                         const std::vector<Neighbor>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].id, expected[i].id) << "position " << i;
+    EXPECT_EQ(actual[i].distance, expected[i].distance)  // Bitwise.
+        << "position " << i;
+  }
 }
 
 TEST(BeamSearchTest, BatchedExpansionMatchesPerNeighborReference) {
@@ -210,22 +278,19 @@ TEST(BeamSearchTest, BatchedExpansionMatchesPerNeighborReference) {
   VisitedTable visited(fixture.data.size());
   for (const std::size_t beam : {4u, 16u, 64u}) {
     for (VectorId q = 0; q < 20; ++q) {
+      SCOPED_TRACE(::testing::Message() << "beam=" << beam << " q=" << q);
       DistanceComputer dc_batched(fixture.data);
       DistanceComputer dc_ref(fixture.data);
+      SearchStats stats;
       const auto batched = BeamSearch(fixture.graph, dc_batched,
                                       fixture.data.Row(q), {0, 7}, 10, beam,
-                                      &visited);
-      const auto reference =
+                                      &visited, &stats);
+      const ReferenceRun reference =
           ReferenceBeamSearch(fixture.graph, dc_ref, fixture.data.Row(q),
-                              {0, 7}, 10, beam, &visited, nullptr);
-      ASSERT_EQ(batched.size(), reference.size()) << "beam=" << beam
-                                                  << " q=" << q;
-      for (std::size_t i = 0; i < batched.size(); ++i) {
-        EXPECT_EQ(batched[i].id, reference[i].id);
-        EXPECT_EQ(batched[i].distance, reference[i].distance);  // Bitwise.
-      }
-      EXPECT_EQ(dc_batched.count(), dc_ref.count()) << "beam=" << beam
-                                                    << " q=" << q;
+                              {0, 7}, 10, beam);
+      ExpectSameNeighbors(batched, reference.found);
+      EXPECT_EQ(dc_batched.count(), dc_ref.count());
+      EXPECT_EQ(stats.hops, reference.hops);
     }
   }
 }
@@ -237,27 +302,120 @@ TEST(BeamSearchCollectTest, BatchedCollectMatchesPerNeighborReference) {
     DistanceComputer dc_batched(fixture.data);
     DistanceComputer dc_ref(fixture.data);
     std::vector<Neighbor> eval_batched;
-    std::vector<Neighbor> eval_ref;
     const auto batched =
         BeamSearchCollect(fixture.graph, dc_batched, fixture.data.Row(q), {0},
                           10, 32, &visited, &eval_batched);
-    const auto reference =
-        ReferenceBeamSearch(fixture.graph, dc_ref, fixture.data.Row(q), {0},
-                            10, 32, &visited, &eval_ref);
-    ASSERT_EQ(batched.size(), reference.size());
-    for (std::size_t i = 0; i < batched.size(); ++i) {
-      EXPECT_EQ(batched[i].id, reference[i].id);
-      EXPECT_EQ(batched[i].distance, reference[i].distance);
-    }
+    const ReferenceRun reference = ReferenceBeamSearch(
+        fixture.graph, dc_ref, fixture.data.Row(q), {0}, 10, 32);
+    ExpectSameNeighbors(batched, reference.found);
     // The evaluation trace — ids, distances, and order — must be identical.
-    ASSERT_EQ(eval_batched.size(), eval_ref.size());
-    for (std::size_t i = 0; i < eval_batched.size(); ++i) {
-      EXPECT_EQ(eval_batched[i].id, eval_ref[i].id);
-      EXPECT_EQ(eval_batched[i].distance, eval_ref[i].distance);
-    }
+    ExpectSameNeighbors(eval_batched, reference.evaluated);
     EXPECT_EQ(dc_batched.count(), dc_ref.count());
     EXPECT_EQ(eval_batched.size(), dc_batched.count());
   }
+}
+
+// Tie-heavy differential test. Every row appears three times and the
+// coordinates are small integers, so exact distance ties — between
+// duplicates, and between distinct rows at the same integer distance — are
+// everywhere: insert positions inside equal-distance runs, duplicate-id
+// rejection, evictions at the worst distance and a prune bound equal to a
+// live distance all occur. The adjacency mixes random short and long lists
+// (longer than one gather chunk) so expansions span several chunks.
+struct TieFixture {
+  Dataset data;
+  Graph graph;
+  FlatGraph flat;
+  TombstoneSet tombstones;
+
+  TieFixture() {
+    constexpr std::size_t kDistinct = 200;
+    constexpr std::size_t kCopies = 3;
+    constexpr std::size_t kDim = 4;
+    const std::size_t n = kDistinct * kCopies;
+    Rng rng(20250901);
+    data = Dataset(n, kDim);
+    for (VectorId r = 0; r < kDistinct; ++r) {
+      float row[kDim];
+      for (float& x : row) x = static_cast<float>(rng.UniformInt(4));
+      for (std::size_t c = 0; c < kCopies; ++c) {
+        const VectorId id = static_cast<VectorId>(c * kDistinct + r);
+        std::copy(row, row + kDim, data.MutableRow(id));
+      }
+    }
+    graph = Graph(n);
+    for (VectorId v = 0; v < n; ++v) {
+      const std::size_t degree = 2 + rng.UniformInt(v % 5 == 0 ? 70 : 12);
+      for (std::size_t e = 0; e < degree; ++e) {
+        graph.AddEdge(v, static_cast<VectorId>(rng.UniformInt(n)));
+      }
+    }
+    flat = FlatGraph::FromGraph(graph);
+    for (VectorId v = 0; v < n; v += 7) tombstones.Insert(v);
+  }
+};
+
+template <typename GraphT>
+void ExpectTieHeavyMatch(const TieFixture& f, const GraphT& graph) {
+  VisitedTable visited(f.data.size());
+  const std::vector<std::vector<VectorId>> seed_sets = {{0}, {5, 5, 405, 9}};
+  for (const std::size_t beam : {1u, 10u, 64u, 96u, 512u}) {
+    const std::size_t k = std::min<std::size_t>(beam, 10);
+    for (VectorId q = 0; q < 24; ++q) {
+      // Rows (zero-distance ties with their copies) and, from q = 12 on,
+      // integer points that may be absent from the data.
+      float point[4];
+      for (std::size_t d = 0; d < 4; ++d) {
+        point[d] = static_cast<float>((q * 7 + d * 3) % 5);
+      }
+      const float* query = q < 12 ? f.data.Row(q * 37) : point;
+      const auto& seeds = seed_sets[q % 2];
+      for (const float bound : {3.402823466e38f, 2.0f}) {
+        for (const TombstoneSet* tomb :
+             {static_cast<const TombstoneSet*>(nullptr), &f.tombstones}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "beam=" << beam << " q=" << q << " bound=" << bound
+                       << " tombstones=" << (tomb != nullptr));
+          DistanceComputer dc(f.data);
+          DistanceComputer dc_ref(f.data);
+          SearchStats stats;
+          const auto found = BeamSearch(graph, dc, query, seeds, k, beam,
+                                        &visited, &stats, bound, nullptr,
+                                        tomb);
+          const ReferenceRun reference =
+              ReferenceBeamSearch(graph, dc_ref, query, seeds, k, beam,
+                                  bound, tomb);
+          ExpectSameNeighbors(found, reference.found);
+          EXPECT_EQ(dc.count(), dc_ref.count());
+          EXPECT_EQ(stats.hops, reference.hops);
+        }
+      }
+      SCOPED_TRACE(::testing::Message() << "collect beam=" << beam
+                                        << " q=" << q);
+      DistanceComputer dc(f.data);
+      DistanceComputer dc_ref(f.data);
+      SearchStats stats;
+      std::vector<Neighbor> evaluated;
+      const auto found = BeamSearchCollect(graph, dc, query, seeds, k, beam,
+                                           &visited, &evaluated, &stats);
+      const ReferenceRun reference =
+          ReferenceBeamSearch(graph, dc_ref, query, seeds, k, beam);
+      ExpectSameNeighbors(found, reference.found);
+      ExpectSameNeighbors(evaluated, reference.evaluated);
+      EXPECT_EQ(dc.count(), dc_ref.count());
+      EXPECT_EQ(stats.hops, reference.hops);
+    }
+  }
+}
+
+TEST(BeamSearchTest, TieHeavyMatchesReferenceOnAdjacencyGraph) {
+  const TieFixture fixture;
+  ExpectTieHeavyMatch(fixture, fixture.graph);
+}
+
+TEST(BeamSearchTest, TieHeavyMatchesReferenceOnFlatGraph) {
+  const TieFixture fixture;
+  ExpectTieHeavyMatch(fixture, fixture.flat);
 }
 
 TEST(BeamSearchTest, SingletonGraph) {
