@@ -32,10 +32,10 @@
 //   --seed=N         default 42
 //
 // The replica-overhead table (at the largest K) quantifies what N-way
-// replication costs: build time and footprint scale ~linearly with R
-// (every replica is an independent construction of the same graph), while
-// recall is bit-identical by construction — replicas share the factory and
-// the derived seed, so they ARE the same graph. See docs/SHARDING.md
+// replication costs: footprint scales ~linearly with R, build time barely
+// moves (each shard is built once and copied to its other replicas through
+// an in-memory snapshot image), and recall is bit-identical by
+// construction — the replicas ARE the same graph. See docs/SHARDING.md
 // "Replication".
 
 #include <algorithm>
@@ -283,10 +283,10 @@ void RunMethod(const std::string& method, const core::Dataset& base,
   }
 
   // Replica overhead at the largest K: R bit-identical replicas per shard
-  // multiply build cost and footprint by ~R, and buy replica failover /
-  // anti-entropy instead of recall — which must come out IDENTICAL to R=1
-  // (replicas share the factory and the derived per-shard seed, so every
-  // replica is the same graph).
+  // multiply the footprint by ~R (the build by far less: replicas are
+  // copies), and buy replica failover / anti-entropy instead of recall —
+  // which must come out IDENTICAL to R=1 (every replica is a copy of the
+  // same build).
   if (widest.num_shards() > 1 && options.max_replicas > 1) {
     widest.SetNprobe(0);
     std::printf("-- replica overhead at K=%zu (nprobe = K) --\n",

@@ -45,26 +45,13 @@ inline std::vector<Neighbor> EmitTopK(const BeamPool& pool, std::size_t k,
   return out;
 }
 
-inline void ExpandNeighbors(const Graph& graph, VectorId v,
-                            const VectorId** out, std::size_t* degree) {
-  const auto& list = graph.Neighbors(v);
-  *out = list.data();
-  *degree = list.size();
-}
-
-inline void ExpandNeighbors(const FlatGraph& graph, VectorId v,
-                            const VectorId** out, std::size_t* degree) {
-  *out = graph.Neighbors(v, degree);
-}
-
 /// Prefetches the first cache line of v's adjacency list. Beam search
 /// calls it for the next frontier candidate before gathering the current
 /// one's neighbors, so the list's cache miss overlaps the current hop.
 template <typename GraphT>
 void PrefetchNeighbors(const GraphT& graph, VectorId v) {
-  const VectorId* list = nullptr;
   std::size_t degree = 0;
-  ExpandNeighbors(graph, v, &list, &degree);
+  const VectorId* list = graph.Neighbors(v, &degree);
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(list);
 #else
@@ -98,7 +85,10 @@ inline std::size_t GatherUnvisited(const VectorId* neighbors,
 
 }  // namespace internal
 
-/// Runs Algorithm 1 over `graph` (Graph or FlatGraph).
+/// Runs Algorithm 1 over `graph`: any type whose
+/// `const VectorId* Neighbors(VectorId v, std::size_t* degree) const`
+/// returns v's out-neighbors (Graph, FlatGraph, one layer of HNSW's
+/// adjacency arena).
 ///
 /// `seeds` warm the candidate pool (the first seed acts as the entry node —
 /// it is simply the first candidate expanded, since the pool is sorted by
@@ -153,9 +143,8 @@ std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
     // distance values, count, and insert order are all identical to the
     // one-at-a-time loop — only the memory/compute overlap changes, as it
     // does for the prefetch of the next candidate's adjacency list.
-    const VectorId* neighbors = nullptr;
     std::size_t degree = 0;
-    internal::ExpandNeighbors(graph, v, &neighbors, &degree);
+    const VectorId* neighbors = graph.Neighbors(v, &degree);
     if (pool.HasUnexplored()) {
       internal::PrefetchNeighbors(graph, pool.PeekNext());
     }
@@ -214,9 +203,8 @@ std::vector<Neighbor> BeamSearchCollect(const GraphT& graph,
 
     // Same gather-then-batch expansion as BeamSearch; `evaluated` is
     // appended in chunk order, which equals the original visit order.
-    const VectorId* neighbors = nullptr;
     std::size_t degree = 0;
-    internal::ExpandNeighbors(graph, v, &neighbors, &degree);
+    const VectorId* neighbors = graph.Neighbors(v, &degree);
     if (pool.HasUnexplored()) {
       internal::PrefetchNeighbors(graph, pool.PeekNext());
     }

@@ -33,6 +33,13 @@ class Graph {
     GASS_DCHECK(v < adjacency_.size());
     return adjacency_[v];
   }
+  /// Pointer to v's neighbor ids; degree returned via out-parameter. The
+  /// form core::BeamSearch expands every graph layout through.
+  const VectorId* Neighbors(VectorId v, std::size_t* degree) const {
+    GASS_DCHECK(v < adjacency_.size());
+    *degree = adjacency_[v].size();
+    return adjacency_[v].data();
+  }
   std::vector<VectorId>& MutableNeighbors(VectorId v) {
     GASS_DCHECK(v < adjacency_.size());
     return adjacency_[v];

@@ -72,18 +72,8 @@ core::Status SnapshotWriter::AddSection(const std::string& name,
   return core::Status::Ok();
 }
 
-core::Status SnapshotWriter::WriteTo(const std::string& path) const {
-  if (method_.size() > kMaxMethodName) {
-    return core::Status::InvalidArgument("method name too long: " + method_);
-  }
-
-  const std::string tmp = path + ".tmp";
-  File file;
-  file.f = std::fopen(tmp.c_str(), "wb");
-  if (file.f == nullptr) {
-    return core::Status::IoError("cannot create " + tmp);
-  }
-
+bool SnapshotWriter::Emit(
+    const std::function<bool(const void*, std::size_t)>& write) const {
   std::uint8_t header[kFileHeaderBytes] = {};
   PutU64(header, 0, kSnapshotMagic);
   PutU32(header, 8, kSnapshotFormatVersion);
@@ -95,9 +85,7 @@ core::Status SnapshotWriter::WriteTo(const std::string& path) const {
   PutU64(header, 80, sections_.size());
   PutU64(header, kFileHeaderChecksumOffset,
          Hash64(header, kFileHeaderChecksumOffset));
-  if (std::fwrite(header, 1, kFileHeaderBytes, file.f) != kFileHeaderBytes) {
-    return core::Status::IoError("short write to " + tmp);
-  }
+  if (!write(header, kFileHeaderBytes)) return false;
 
   std::uint64_t offset = kFileHeaderBytes;
   for (std::size_t i = 0; i < sections_.size(); ++i) {
@@ -113,23 +101,53 @@ core::Status SnapshotWriter::WriteTo(const std::string& path) const {
     PutU64(sh, 88, i);
     PutU64(sh, kSectionHeaderChecksumOffset,
            Hash64(sh, kSectionHeaderChecksumOffset));
-    if (std::fwrite(sh, 1, kSectionHeaderBytes, file.f) !=
-        kSectionHeaderBytes) {
-      return core::Status::IoError("short write to " + tmp);
-    }
+    if (!write(sh, kSectionHeaderBytes)) return false;
     if (!section.payload.empty() &&
-        std::fwrite(section.payload.data(), 1, section.payload.size(),
-                    file.f) != section.payload.size()) {
-      return core::Status::IoError("short write to " + tmp);
+        !write(section.payload.data(), section.payload.size())) {
+      return false;
     }
     offset += kSectionHeaderBytes + section.payload.size();
     const std::uint64_t padded = AlignUp(offset);
     static const std::uint8_t zeros[kSectionAlignment] = {};
-    if (padded != offset &&
-        std::fwrite(zeros, 1, padded - offset, file.f) != padded - offset) {
-      return core::Status::IoError("short write to " + tmp);
-    }
+    if (padded != offset && !write(zeros, padded - offset)) return false;
     offset = padded;
+  }
+  return true;
+}
+
+core::Status SnapshotWriter::ToBytes(std::vector<std::uint8_t>* out) const {
+  if (method_.size() > kMaxMethodName) {
+    return core::Status::InvalidArgument("method name too long: " + method_);
+  }
+  std::size_t total = kFileHeaderBytes;
+  for (const Section& section : sections_) {
+    total = AlignUp(total + kSectionHeaderBytes + section.payload.size());
+  }
+  out->clear();
+  out->reserve(total);
+  Emit([out](const void* data, std::size_t len) {
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
+    out->insert(out->end(), bytes, bytes + len);
+    return true;
+  });
+  return core::Status::Ok();
+}
+
+core::Status SnapshotWriter::WriteTo(const std::string& path) const {
+  if (method_.size() > kMaxMethodName) {
+    return core::Status::InvalidArgument("method name too long: " + method_);
+  }
+
+  const std::string tmp = path + ".tmp";
+  File file;
+  file.f = std::fopen(tmp.c_str(), "wb");
+  if (file.f == nullptr) {
+    return core::Status::IoError("cannot create " + tmp);
+  }
+  if (!Emit([&file](const void* data, std::size_t len) {
+        return std::fwrite(data, 1, len, file.f) == len;
+      })) {
+    return core::Status::IoError("short write to " + tmp);
   }
 
   // Flush user-space buffers, then the kernel's, before the rename makes
@@ -162,15 +180,46 @@ core::Status SnapshotReader::Open(const std::string& path,
   if (file_size_long < 0) {
     return core::Status::IoError("cannot stat " + path);
   }
-  const std::uint64_t file_size = static_cast<std::uint64_t>(file_size_long);
-  std::rewind(file.f);
+  SnapshotReader reader;
+  reader.path_ = path;
+  GASS_RETURN_IF_ERROR(ParseLayout(
+      [&file](std::uint64_t offset, void* dst, std::size_t len) {
+        return std::fseek(file.f, static_cast<long>(offset), SEEK_SET) == 0 &&
+               std::fread(dst, 1, len, file.f) == len;
+      },
+      static_cast<std::uint64_t>(file_size_long), &reader));
+  *out = std::move(reader);
+  return core::Status::Ok();
+}
 
+core::Status SnapshotReader::OpenBytes(
+    std::shared_ptr<const std::vector<std::uint8_t>> bytes, std::string label,
+    SnapshotReader* out) {
+  SnapshotReader reader;
+  reader.path_ = std::move(label);
+  const std::vector<std::uint8_t>& image = *bytes;
+  GASS_RETURN_IF_ERROR(ParseLayout(
+      [&image](std::uint64_t offset, void* dst, std::size_t len) {
+        if (offset > image.size() || len > image.size() - offset) return false;
+        if (len > 0) std::memcpy(dst, image.data() + offset, len);
+        return true;
+      },
+      image.size(), &reader));
+  reader.bytes_ = std::move(bytes);
+  *out = std::move(reader);
+  return core::Status::Ok();
+}
+
+core::Status SnapshotReader::ParseLayout(const ReadAt& read,
+                                         std::uint64_t file_size,
+                                         SnapshotReader* reader) {
+  const std::string& path = reader->path_;
   if (file_size < kFileHeaderBytes) {
     return core::Status::Corruption(path +
                                     ": file shorter than snapshot header");
   }
   std::uint8_t header[kFileHeaderBytes];
-  if (std::fread(header, 1, kFileHeaderBytes, file.f) != kFileHeaderBytes) {
+  if (!read(0, header, kFileHeaderBytes)) {
     return core::Status::IoError("cannot read header of " + path);
   }
   if (GetU64(header, 0) != kSnapshotMagic) {
@@ -194,14 +243,12 @@ core::Status SnapshotReader::Open(const std::string& path,
                                     " out of range");
   }
 
-  SnapshotReader reader;
-  reader.path_ = path;
-  reader.method_.assign(
+  reader->method_.assign(
       reinterpret_cast<const char*>(header + kFileMethodNameOffset),
       method_len);
-  reader.params_fingerprint_ = GetU64(header, 56);
-  reader.data_n_ = GetU64(header, 64);
-  reader.data_dim_ = GetU64(header, 72);
+  reader->params_fingerprint_ = GetU64(header, 56);
+  reader->data_n_ = GetU64(header, 64);
+  reader->data_dim_ = GetU64(header, 72);
   const std::uint64_t section_count = GetU64(header, 80);
   if (section_count > kMaxSections) {
     return core::Status::Corruption(path + ": section count " +
@@ -210,7 +257,7 @@ core::Status SnapshotReader::Open(const std::string& path,
   }
 
   std::uint64_t offset = kFileHeaderBytes;
-  reader.sections_.reserve(section_count);
+  reader->sections_.reserve(section_count);
   for (std::uint64_t i = 0; i < section_count; ++i) {
     const std::string ordinal = "section " + std::to_string(i);
     if (offset + kSectionHeaderBytes > file_size) {
@@ -218,9 +265,7 @@ core::Status SnapshotReader::Open(const std::string& path,
           path + ": " + ordinal + ": file truncated inside section header");
     }
     std::uint8_t sh[kSectionHeaderBytes];
-    if (std::fseek(file.f, static_cast<long>(offset), SEEK_SET) != 0 ||
-        std::fread(sh, 1, kSectionHeaderBytes, file.f) !=
-            kSectionHeaderBytes) {
+    if (!read(offset, sh, kSectionHeaderBytes)) {
       return core::Status::IoError(path + ": cannot read " + ordinal +
                                    " header");
     }
@@ -253,14 +298,14 @@ core::Status SnapshotReader::Open(const std::string& path,
       return core::Status::Corruption(path + ": section '" + info.name +
                                       "': payload extends past end of file");
     }
-    for (const SectionInfo& prior : reader.sections_) {
+    for (const SectionInfo& prior : reader->sections_) {
       if (prior.name == info.name) {
         return core::Status::Corruption(path + ": duplicate section '" +
                                         info.name + "'");
       }
     }
     offset = AlignUp(info.payload_offset + info.payload_bytes);
-    reader.sections_.push_back(std::move(info));
+    reader->sections_.push_back(std::move(info));
   }
   if (offset != AlignUp(file_size) || file_size < offset - kSectionAlignment ||
       file_size > offset) {
@@ -270,8 +315,6 @@ core::Status SnapshotReader::Open(const std::string& path,
     return core::Status::Corruption(path +
                                     ": file size does not match section table");
   }
-
-  *out = std::move(reader);
   return core::Status::Ok();
 }
 
@@ -295,19 +338,27 @@ core::Status SnapshotReader::ReadSection(const std::string& name,
     return core::Status::Corruption(path_ + ": missing section '" + name +
                                     "'");
   }
-  File file;
-  file.f = std::fopen(path_.c_str(), "rb");
-  if (file.f == nullptr) {
-    return core::Status::IoError("cannot open " + path_);
-  }
   out->resize(info->payload_bytes);
-  if (std::fseek(file.f, static_cast<long>(info->payload_offset), SEEK_SET) !=
-          0 ||
-      (info->payload_bytes > 0 &&
-       std::fread(out->data(), 1, info->payload_bytes, file.f) !=
-           info->payload_bytes)) {
-    return core::Status::IoError(path_ + ": cannot read section '" + name +
-                                 "'");
+  if (bytes_ != nullptr) {
+    // Bounds were validated against the image when it was opened.
+    if (info->payload_bytes > 0) {
+      std::memcpy(out->data(), bytes_->data() + info->payload_offset,
+                  info->payload_bytes);
+    }
+  } else {
+    File file;
+    file.f = std::fopen(path_.c_str(), "rb");
+    if (file.f == nullptr) {
+      return core::Status::IoError("cannot open " + path_);
+    }
+    if (std::fseek(file.f, static_cast<long>(info->payload_offset),
+                   SEEK_SET) != 0 ||
+        (info->payload_bytes > 0 &&
+         std::fread(out->data(), 1, info->payload_bytes, file.f) !=
+             info->payload_bytes)) {
+      return core::Status::IoError(path_ + ": cannot read section '" + name +
+                                   "'");
+    }
   }
   if (Hash64(out->data(), out->size()) != info->payload_checksum) {
     return core::Status::Corruption(path_ + ": section '" + name +

@@ -23,11 +23,20 @@
 // Crash safety on write: the snapshot is written to "<path>.tmp", fsynced,
 // and atomically renamed over <path>, so a crash mid-save leaves either
 // the old snapshot or none — never a torn file at <path>.
+//
+// In-memory copies: SnapshotWriter::ToBytes produces the exact file image
+// and SnapshotReader::OpenBytes opens an image, with the same validation
+// as a file. Together they are the one way an index is copied (replica
+// builds, rebuilds from a peer, attaching replicas to a snapshot already
+// read): every copy passes the checksum and bounds checks a load does,
+// and none touches the filesystem.
 
 #ifndef GASS_IO_SNAPSHOT_H_
 #define GASS_IO_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -82,6 +91,9 @@ class SnapshotWriter {
   /// Writes "<path>.tmp", fsyncs, renames onto `path`.
   core::Status WriteTo(const std::string& path) const;
 
+  /// The bytes WriteTo would write, in memory (see OpenBytes).
+  core::Status ToBytes(std::vector<std::uint8_t>* out) const;
+
   std::size_t section_count() const { return sections_.size(); }
 
  private:
@@ -89,6 +101,9 @@ class SnapshotWriter {
     std::string name;
     std::vector<std::uint8_t> payload;
   };
+
+  /// Streams the image through `write`; false when a write came up short.
+  bool Emit(const std::function<bool(const void*, std::size_t)>& write) const;
 
   std::string method_;
   std::uint64_t params_fingerprint_;
@@ -115,6 +130,16 @@ class SnapshotReader {
   /// section-table bounds, duplicate names, trailing bytes.
   static core::Status Open(const std::string& path, SnapshotReader* out);
 
+  /// Opens an in-memory image (SnapshotWriter::ToBytes, or a snapshot
+  /// file's bytes already read) with the same validation as Open. Sections
+  /// are then served from `bytes`, which the reader (and its copies)
+  /// share; `label` names the image in error messages.
+  static core::Status OpenBytes(
+      std::shared_ptr<const std::vector<std::uint8_t>> bytes,
+      std::string label, SnapshotReader* out);
+
+  /// The file path, or an in-memory image's label.
+  const std::string& path() const { return path_; }
   const std::string& method() const { return method_; }
   std::uint64_t params_fingerprint() const { return params_fingerprint_; }
   std::uint64_t data_n() const { return data_n_; }
@@ -131,7 +156,17 @@ class SnapshotReader {
                            Decoder* dec) const;
 
  private:
-  std::string path_;
+  /// Reads `len` bytes at `offset` of the image; false on a short read.
+  using ReadAt = std::function<bool(std::uint64_t, void*, std::size_t)>;
+
+  /// Validates the header and section table of an image of `size` bytes
+  /// and fills `reader`'s layout; `reader->path_` labels the errors.
+  static core::Status ParseLayout(const ReadAt& read, std::uint64_t size,
+                                  SnapshotReader* reader);
+
+  std::string path_;  ///< File path, or the label of an in-memory image.
+  /// The image for OpenBytes readers; null when sections come from path_.
+  std::shared_ptr<const std::vector<std::uint8_t>> bytes_;
   std::string method_;
   std::uint64_t params_fingerprint_ = 0;
   std::uint64_t data_n_ = 0;

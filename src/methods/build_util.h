@@ -34,6 +34,19 @@ inline void AppendScored(core::DistanceComputer& dc, core::VectorId v,
   }
 }
 
+/// Re-prunes the candidate list [ids, ids + count) of vertex `u` with
+/// `prune`: scored (AppendScored), sorted by distance, then diversified.
+inline std::vector<core::Neighbor> RePrune(
+    core::DistanceComputer& dc, core::VectorId u, const core::VectorId* ids,
+    std::size_t count, const diversify::Params& prune,
+    diversify::PruneStats* stats = nullptr) {
+  std::vector<core::Neighbor> candidates;
+  candidates.reserve(count);
+  AppendScored(dc, u, ids, count, &candidates);
+  std::sort(candidates.begin(), candidates.end());
+  return diversify::Diversify(dc, u, candidates, prune, stats);
+}
+
 /// Installs `kept` as v's neighbor list and adds the reverse edge to each
 /// kept neighbor; a reverse list that overflows `prune.max_degree` is
 /// re-pruned with the same ND strategy (the standard II/Vamana overflow
@@ -52,12 +65,8 @@ inline void InstallBidirectional(core::DistanceComputer& dc,
     if (std::find(back.begin(), back.end(), v) != back.end()) continue;
     back.push_back(v);
     if (back.size() > prune.max_degree) {
-      std::vector<core::Neighbor> candidates;
-      candidates.reserve(back.size());
-      AppendScored(dc, nb.id, back.data(), back.size(), &candidates);
-      std::sort(candidates.begin(), candidates.end());
       const std::vector<core::Neighbor> re_kept =
-          diversify::Diversify(dc, nb.id, candidates, prune, stats);
+          RePrune(dc, nb.id, back.data(), back.size(), prune, stats);
       back.clear();
       for (const core::Neighbor& b : re_kept) back.push_back(b.id);
     }

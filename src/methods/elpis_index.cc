@@ -134,10 +134,9 @@ SearchResult ElpisIndex::Search(const float* query,
   return result;
 }
 
-const core::Graph& ElpisIndex::graph() const {
+core::Graph ElpisIndex::graph() const {
   GASS_CHECK_MSG(false, "ELPIS has no single base graph");
-  static const core::Graph kEmpty;
-  return kEmpty;
+  return core::Graph();
 }
 
 std::size_t ElpisIndex::IndexBytes() const {

@@ -47,7 +47,7 @@ class ElpisIndex : public GraphIndex {
 
   /// ELPIS has no single base graph.
   bool HasBaseGraph() const override { return false; }
-  const core::Graph& graph() const override;
+  core::Graph graph() const override;
   std::size_t IndexBytes() const override;
 
   std::size_t num_leaves() const { return leaves_.size(); }

@@ -154,7 +154,7 @@ core::Status LoadAnyIndex(const std::string& path, const core::Dataset& data,
   for (const std::string& name : AllMethodNames()) {
     std::unique_ptr<GraphIndex> candidate = CreateIndex(name, seed);
     if (candidate->Name() != reader.method()) continue;
-    GASS_RETURN_IF_ERROR(LoadIndex(candidate.get(), data, path));
+    GASS_RETURN_IF_ERROR(LoadIndexFrom(candidate.get(), data, reader));
     *out = std::move(candidate);
     return core::Status::Ok();
   }

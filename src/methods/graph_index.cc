@@ -137,24 +137,7 @@ core::Status GraphIndex::LoadSnapshot(const std::string& path,
                                       const core::Dataset& data) {
   io::SnapshotReader reader;
   GASS_RETURN_IF_ERROR(io::SnapshotReader::Open(path, &reader));
-  if (reader.method() != Name()) {
-    return core::Status::InvalidArgument(path + ": snapshot holds a " +
-                                         reader.method() +
-                                         " index, cannot load into " + Name());
-  }
-  if (reader.params_fingerprint() != ParamsFingerprint()) {
-    return core::Status::InvalidArgument(
-        path + ": snapshot was built with different " + Name() +
-        " parameters (fingerprint mismatch)");
-  }
-  if (reader.data_n() != data.size() || reader.data_dim() != data.dim()) {
-    return core::Status::InvalidArgument(
-        path + ": snapshot was built over a " +
-        std::to_string(reader.data_n()) + "x" +
-        std::to_string(reader.data_dim()) + " dataset, got " +
-        std::to_string(data.size()) + "x" + std::to_string(data.dim()));
-  }
-  return LoadSections(reader, "", data);
+  return LoadIndexFrom(this, data, reader);
 }
 
 core::Status SaveIndex(const GraphIndex& index, const std::string& path) {
@@ -164,6 +147,50 @@ core::Status SaveIndex(const GraphIndex& index, const std::string& path) {
 core::Status LoadIndex(GraphIndex* index, const core::Dataset& data,
                        const std::string& path) {
   return index->LoadSnapshot(path, data);
+}
+
+core::Status SerializeIndex(const GraphIndex& index,
+                            std::vector<std::uint8_t>* out) {
+  if (index.data() == nullptr) {
+    return core::Status::InvalidArgument("cannot serialize an unbuilt " +
+                                         index.Name() + " index");
+  }
+  io::SnapshotWriter writer(index.Name(), index.ParamsFingerprint(),
+                            index.data()->size(), index.data()->dim());
+  GASS_RETURN_IF_ERROR(index.SaveSections(&writer, ""));
+  return writer.ToBytes(out);
+}
+
+core::Status SnapshotImage(const GraphIndex& index, io::SnapshotReader* out) {
+  std::vector<std::uint8_t> bytes;
+  GASS_RETURN_IF_ERROR(SerializeIndex(index, &bytes));
+  return io::SnapshotReader::OpenBytes(
+      std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes)),
+      "in-memory " + index.Name() + " image", out);
+}
+
+core::Status LoadIndexFrom(GraphIndex* index, const core::Dataset& data,
+                           const io::SnapshotReader& reader) {
+  const std::string& path = reader.path();
+  if (reader.method() != index->Name()) {
+    return core::Status::InvalidArgument(path + ": snapshot holds a " +
+                                         reader.method() +
+                                         " index, cannot load into " +
+                                         index->Name());
+  }
+  if (reader.params_fingerprint() != index->ParamsFingerprint()) {
+    return core::Status::InvalidArgument(
+        path + ": snapshot was built with different " + index->Name() +
+        " parameters (fingerprint mismatch)");
+  }
+  if (reader.data_n() != data.size() || reader.data_dim() != data.dim()) {
+    return core::Status::InvalidArgument(
+        path + ": snapshot was built over a " +
+        std::to_string(reader.data_n()) + "x" +
+        std::to_string(reader.data_dim()) + " dataset, got " +
+        std::to_string(data.size()) + "x" + std::to_string(data.dim()));
+  }
+  return index->LoadSections(reader, "", data);
 }
 
 }  // namespace gass::methods

@@ -180,9 +180,11 @@ class GraphIndex {
   /// arena) can widen the visited table.
   virtual SearchContext MakeSearchContext(std::uint64_t seed) const;
 
-  /// The searchable base graph (for inspection, flat re-layout, and tests).
+  /// A copy of the searchable base graph as adjacency lists, for tools,
+  /// tests, flat re-layout and LSH-APG's build. HNSW materializes it from
+  /// its arena, so no search, build, copy or digest path calls this.
   /// Indexes with no single base graph (ELPIS) abort; check HasBaseGraph().
-  virtual const core::Graph& graph() const = 0;
+  virtual core::Graph graph() const = 0;
   virtual bool HasBaseGraph() const { return true; }
 
   /// Final index footprint in bytes (graph + auxiliary seed structures),
@@ -242,6 +244,23 @@ core::Status SaveIndex(const GraphIndex& index, const std::string& path);
 core::Status LoadIndex(GraphIndex* index, const core::Dataset& data,
                        const std::string& path);
 
+/// The single-file snapshot image of a built index (header +
+/// SaveSections), in memory. With io::SnapshotReader::OpenBytes and
+/// LoadIndexFrom this is how indexes are copied and digested: nothing
+/// touches the filesystem, and every copy passes the checks a load does.
+core::Status SerializeIndex(const GraphIndex& index,
+                            std::vector<std::uint8_t>* out);
+
+/// SerializeIndex's image, opened in memory (io::SnapshotReader::OpenBytes):
+/// the source LoadIndexFrom attaches copies of `index` from.
+core::Status SnapshotImage(const GraphIndex& index, io::SnapshotReader* out);
+
+/// LoadIndex's checks (method name, params fingerprint, dataset shape) and
+/// restore, from an already opened snapshot — a file or an in-memory
+/// image. One reader can attach any number of indexes.
+core::Status LoadIndexFrom(GraphIndex* index, const core::Dataset& data,
+                           const io::SnapshotReader& reader);
+
 /// Common implementation: a single base graph searched with Algorithm 1,
 /// seeded by a pluggable SS strategy. Subclasses implement BuildGraph() and
 /// install a seed selector.
@@ -252,7 +271,7 @@ class SingleGraphIndex : public GraphIndex {
                       SearchContext* ctx) const override;
   bool SupportsConcurrentSearch() const override { return true; }
 
-  const core::Graph& graph() const override { return graph_; }
+  core::Graph graph() const override { return graph_; }
   std::size_t IndexBytes() const override;
 
   /// Replaces the query-time seed selector (used by the SS experiments).

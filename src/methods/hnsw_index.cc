@@ -13,9 +13,43 @@
 namespace gass::methods {
 
 using core::DistanceComputer;
-using core::Graph;
 using core::Neighbor;
 using core::VectorId;
+
+namespace {
+
+/// Installs `kept` as v's list on `layer` and links each kept neighbor back
+/// to v. A back list whose slot is full is re-pruned over [its list..., v]:
+/// the candidates, order and distance count of InstallBidirectional's
+/// append-then-prune.
+void InstallLinks(DistanceComputer& dc, HnswGraph* graph, std::size_t layer,
+                  VectorId v, const std::vector<Neighbor>& kept,
+                  const diversify::Params& prune) {
+  std::uint32_t* forward = graph->MutableSlot(layer, v);
+  forward[0] = static_cast<std::uint32_t>(kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) forward[1 + i] = kept[i].id;
+
+  std::vector<VectorId> overflow;
+  for (const Neighbor& nb : kept) {
+    std::uint32_t* back = graph->MutableSlot(layer, nb.id);
+    const std::uint32_t degree = back[0];
+    VectorId* ids = back + 1;
+    if (std::find(ids, ids + degree, v) != ids + degree) continue;
+    if (degree < prune.max_degree) {
+      ids[degree] = v;
+      back[0] = degree + 1;
+      continue;
+    }
+    overflow.assign(ids, ids + degree);
+    overflow.push_back(v);
+    const std::vector<Neighbor> re_kept =
+        RePrune(dc, nb.id, overflow.data(), overflow.size(), prune);
+    back[0] = static_cast<std::uint32_t>(re_kept.size());
+    for (std::size_t i = 0; i < re_kept.size(); ++i) ids[i] = re_kept[i].id;
+  }
+}
+
+}  // namespace
 
 core::VectorId HnswIndex::DescendToLayer(DistanceComputer& dc,
                                          const float* query,
@@ -23,17 +57,15 @@ core::VectorId HnswIndex::DescendToLayer(DistanceComputer& dc,
                                          std::size_t target) const {
   VectorId current = entry_;
   float current_dist = dc.ToQuery(query, current);
-  for (std::size_t l = from_layer; l-- > target;) {
-    if (l >= layers_.size()) continue;
+  for (std::size_t layer = from_layer; layer > target; --layer) {
     bool improved = true;
     while (improved) {
       improved = false;
       // Prefetch-then-batch over the full neighbor list of the node we
       // started this sweep from; the sequential scan below makes the greedy
       // step (and the distance count) identical to the one-at-a-time loop.
-      const auto& list = layers_[l].Neighbors(current);
-      const VectorId* ids = list.data();
-      const std::size_t degree = list.size();
+      std::size_t degree = 0;
+      const VectorId* ids = graph_.Neighbors(layer, current, &degree);
       constexpr std::size_t kChunk = DistanceComputer::kBatchChunk;
       float dist[kChunk];
       for (std::size_t i = 0; i < degree; i += kChunk) {
@@ -56,19 +88,19 @@ core::VectorId HnswIndex::DescendToLayer(DistanceComputer& dc,
 void HnswIndex::InsertNode(DistanceComputer& dc, VectorId v) {
   const core::Dataset& data = *data_;
 
-  // Draw the node's maximum layer per Eq. 1.
+  // Draw the node's maximum layer per Eq. 1; its upper-layer slots are
+  // appended to the arena now, before any view of the arena is taken.
   const double denom =
       std::log(std::max(2.0, static_cast<double>(params_.m) / 2.0));
   double xi = level_rng_->UniformDouble();
   if (xi < 1e-12) xi = 1e-12;
   const auto node_level =
       static_cast<std::uint32_t>(-std::log(xi) / denom);
-  level_[v] = node_level;
+  graph_.AddLevels(v, node_level);
 
   if (inserted_ == 0) {
     entry_ = v;
     entry_level_ = node_level;
-    while (layers_.size() < node_level) layers_.emplace_back(data.size());
     ++inserted_;
     return;
   }
@@ -83,21 +115,21 @@ void HnswIndex::InsertNode(DistanceComputer& dc, VectorId v) {
                                     std::min<std::size_t>(entry_level_,
                                                           node_level));
 
-  // Grow the layer stack if this node's level exceeds the current top.
-  while (layers_.size() < node_level) layers_.emplace_back(data.size());
-
   for (std::uint32_t l = std::min(node_level, entry_level_) + 1; l-- > 0;) {
-    Graph& layer_graph = l == 0 ? base_ : layers_[l - 1];
     const diversify::Params& prune = l == 0 ? base_prune : upper_prune;
-    std::vector<Neighbor> candidates = core::BeamSearch(
-        layer_graph, dc, data.Row(v), {current}, params_.ef_construction,
-        params_.ef_construction, visited_.get());
+    std::vector<Neighbor> candidates =
+        l == 0 ? core::BeamSearch(graph_.base(), dc, data.Row(v), {current},
+                                  params_.ef_construction,
+                                  params_.ef_construction, visited_.get())
+               : core::BeamSearch(graph_.upper(l), dc, data.Row(v), {current},
+                                  params_.ef_construction,
+                                  params_.ef_construction, visited_.get());
     std::vector<Neighbor> kept =
         diversify::Diversify(dc, v, candidates, prune);
     // The forward list at any layer is bounded by M (heuristic selects at
     // most M); reverse lists may grow to the layer cap before re-pruning.
     if (kept.size() > params_.m) kept.resize(params_.m);
-    InstallBidirectional(dc, &layer_graph, v, kept, prune);
+    InstallLinks(dc, &graph_, l, v, kept, prune);
     if (!candidates.empty()) current = candidates.front().id;
   }
 
@@ -120,9 +152,7 @@ BuildStats HnswIndex::BuildPrefix(const core::Dataset& data,
   core::Timer timer;
   DistanceComputer dc(data);
 
-  base_ = Graph(data.size());
-  layers_.clear();
-  level_.assign(data.size(), 0);
+  graph_.Reset(data.size(), params_.m);
   visited_ = std::make_unique<core::VisitedTable>(data.size());
   level_rng_ = std::make_unique<core::Rng>(params_.seed);
   inserted_ = 0;
@@ -174,17 +204,19 @@ SearchResult HnswIndex::SearchWith(const float* query,
 
   // SN seed selection: descend to layer 1's best node; it and its layer-1
   // neighborhood seed the base-layer beam search.
-  const VectorId node = DescendToLayer(dc, query, layers_.size(), 0);
+  const VectorId node = DescendToLayer(dc, query, graph_.num_layers(), 0);
   std::vector<VectorId> seeds{node};
-  if (!layers_.empty()) {
-    for (VectorId u : layers_[0].Neighbors(node)) {
-      if (seeds.size() >= params.num_seeds) break;
-      seeds.push_back(u);
+  if (graph_.num_layers() > 0) {
+    std::size_t degree = 0;
+    const VectorId* ids = graph_.Neighbors(1, node, &degree);
+    for (std::size_t i = 0; i < degree && seeds.size() < params.num_seeds;
+         ++i) {
+      seeds.push_back(ids[i]);
     }
   }
 
   result.neighbors =
-      core::BeamSearch(base_, dc, query, seeds, params.k, EffectiveBeamWidth(params),
+      core::BeamSearch(graph_.base(), dc, query, seeds, params.k, EffectiveBeamWidth(params),
                        visited, &result.stats, params.prune_bound,
                        params.deadline, params.tombstones);
   result.stats.distance_computations = dc.count();
@@ -213,16 +245,18 @@ core::Status HnswIndex::SaveSections(io::SnapshotWriter* writer,
   meta.U32(entry_);
   meta.U32(entry_level_);
   meta.U64(inserted_);
-  meta.U64(layers_.size());
-  meta.VecU32(level_);
+  meta.U64(graph_.num_layers());
+  meta.VecU32(graph_.levels());
   GASS_RETURN_IF_ERROR(writer->AddSection(prefix + "meta", std::move(meta)));
 
   io::Encoder base;
-  io::EncodeGraph(base_, &base);
+  graph_.EncodeLayer(0, &base);
   GASS_RETURN_IF_ERROR(writer->AddSection(prefix + "base", std::move(base)));
 
   io::Encoder layers;
-  for (const Graph& layer : layers_) io::EncodeGraph(layer, &layers);
+  for (std::size_t l = 1; l <= graph_.num_layers(); ++l) {
+    graph_.EncodeLayer(l, &layers);
+  }
   return writer->AddSection(prefix + "layers", std::move(layers));
 }
 
@@ -244,30 +278,41 @@ core::Status HnswIndex::LoadSections(const io::SnapshotReader& reader,
   dec.Check(inserted <= n, "HNSW inserted count exceeds dataset size");
   dec.Check(num_layers <= (1ULL << 20), "implausible HNSW layer count");
   dec.Check(entry < n, "HNSW entry point out of range");
-  dec.Check(entry_level <= num_layers, "HNSW entry level above layer stack");
-  for (std::uint32_t node_level : level) {
-    if (node_level > num_layers) {
+  dec.Check(entry_level == num_layers,
+            "HNSW entry level differs from the layer count");
+  if (!dec.ok()) return dec.status();
+  // Every vertex's slots are sized by its level, so the levels must be
+  // consistent before any list is placed: none above the stack, none on a
+  // vertex not yet inserted, and the entry point on the top layer.
+  for (std::uint64_t v = 0; v < n; ++v) {
+    if (level[v] > num_layers) {
       dec.Check(false, "HNSW node level above layer stack");
       break;
     }
+    if (v >= inserted && level[v] != 0) {
+      dec.Check(false, "HNSW level set on an uninserted node");
+      break;
+    }
   }
+  dec.Check(level[entry] == entry_level,
+            "HNSW entry point's level differs from the entry level");
   if (!dec.ok()) return dec.status();
 
-  Graph base;
+  HnswGraph graph;
+  graph.Reset(n, params_.m);
+  for (VectorId v = 0; v < n; ++v) graph.AddLevels(v, level[v]);
+
   GASS_RETURN_IF_ERROR(reader.OpenSection(prefix + "base", &buffer, &dec));
-  GASS_RETURN_IF_ERROR(io::DecodeGraph(&dec, n, &base));
+  GASS_RETURN_IF_ERROR(graph.DecodeLayer(&dec, 0));
   if (!dec.ExpectEnd()) return dec.status();
 
-  std::vector<Graph> layers(num_layers);
   GASS_RETURN_IF_ERROR(reader.OpenSection(prefix + "layers", &buffer, &dec));
-  for (std::uint64_t l = 0; l < num_layers; ++l) {
-    GASS_RETURN_IF_ERROR(io::DecodeGraph(&dec, n, &layers[l]));
+  for (std::uint64_t l = 1; l <= num_layers; ++l) {
+    GASS_RETURN_IF_ERROR(graph.DecodeLayer(&dec, l));
   }
   if (!dec.ExpectEnd()) return dec.status();
 
-  base_ = std::move(base);
-  layers_ = std::move(layers);
-  level_ = std::move(level);
+  graph_ = std::move(graph);
   entry_ = entry;
   entry_level_ = entry_level;
   inserted_ = inserted;
@@ -280,11 +325,6 @@ core::Status HnswIndex::LoadSections(const io::SnapshotReader& reader,
   return core::Status::Ok();
 }
 
-std::size_t HnswIndex::IndexBytes() const {
-  std::size_t total =
-      base_.MemoryBytes() + level_.size() * sizeof(std::uint32_t);
-  for (const Graph& layer : layers_) total += layer.MemoryBytes();
-  return total;
-}
+std::size_t HnswIndex::IndexBytes() const { return graph_.MemoryBytes(); }
 
 }  // namespace gass::methods

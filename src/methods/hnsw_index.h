@@ -9,6 +9,13 @@
 // re-pruned with RND. Layer 0 allows 2·M neighbors (hnswlib's maxM0).
 // Queries descend the layers greedily and beam-search layer 0.
 //
+// Every layer lives in one HnswGraph arena (methods/hnsw_graph.h): fixed
+// 2M- and M-id slots that build, Extend, search, save and load all use in
+// place. A reverse edge that overflows its slot re-prunes the candidate
+// list [old list..., v] — the same candidates, in the same order, that
+// appending then pruning would see — so the graph is bit-identical to the
+// adjacency-list build it replaced.
+//
 // Because construction is one-node-at-a-time, the index also supports
 // streaming growth: BuildPrefix() indexes the first rows of a collection
 // and Extend() inserts further rows later without a rebuild.
@@ -22,6 +29,7 @@
 
 #include "core/rng.h"
 #include "methods/graph_index.h"
+#include "methods/hnsw_graph.h"
 
 namespace gass::methods {
 
@@ -53,10 +61,14 @@ class HnswIndex : public GraphIndex {
                       SearchContext* ctx) const override;
   bool SupportsConcurrentSearch() const override { return true; }
 
-  const core::Graph& graph() const override { return base_; }
+  /// Layer 0 materialized as an adjacency-list graph (a copy; see
+  /// HnswGraph::ToGraph). Searches run on layered_graph() directly.
+  core::Graph graph() const override { return graph_.ToGraph(0); }
   std::size_t IndexBytes() const override;
 
-  std::size_t num_layers() const { return layers_.size(); }
+  /// The adjacency arena holding every layer.
+  const HnswGraph& layered_graph() const { return graph_; }
+  std::size_t num_layers() const { return graph_.num_layers(); }
   core::VectorId entry_point() const { return entry_; }
   std::size_t inserted_count() const { return inserted_; }
 
@@ -75,8 +87,8 @@ class HnswIndex : public GraphIndex {
                             const core::Dataset& data) override;
 
  private:
-  /// Greedy descent from the entry point down to (exclusive) layer
-  /// `target` → returns the entry for layer `target`.
+  /// Greedy descent from the entry point through layers `from_layer` down
+  /// to `target` + 1 → returns the entry for layer `target`.
   core::VectorId DescendToLayer(core::DistanceComputer& dc,
                                 const float* query, std::size_t from_layer,
                                 std::size_t target) const;
@@ -89,9 +101,7 @@ class HnswIndex : public GraphIndex {
   void InsertNode(core::DistanceComputer& dc, core::VectorId v);
 
   HnswParams params_;
-  core::Graph base_;                 ///< Layer 0.
-  std::vector<core::Graph> layers_;  ///< Layers 1..top.
-  std::vector<std::uint32_t> level_;
+  HnswGraph graph_;  ///< Layers 0..top and each vertex's level.
   core::VectorId entry_ = 0;
   std::uint32_t entry_level_ = 0;
   std::size_t inserted_ = 0;

@@ -134,7 +134,7 @@ SearchResult HvsIndex::SearchThrough(const float* query,
   if (seeds.empty()) seeds.push_back(base_->entry_point());
 
   result.neighbors = core::BeamSearch(
-      base_->graph(), dc, query, seeds, params.k, EffectiveBeamWidth(params),
+      base_->layered_graph().base(), dc, query, seeds, params.k, EffectiveBeamWidth(params),
       visited, &result.stats, params.prune_bound, params.deadline);
   result.stats.distance_computations = dc.count();
   result.stats.elapsed_seconds = timer.Seconds();

@@ -49,7 +49,7 @@ class HvsIndex : public GraphIndex {
                       SearchContext* ctx) const override;
   bool SupportsConcurrentSearch() const override { return true; }
 
-  const core::Graph& graph() const override { return base_->graph(); }
+  core::Graph graph() const override { return base_->graph(); }
   std::size_t IndexBytes() const override;
 
   std::size_t num_levels() const { return levels_.size(); }

@@ -80,13 +80,22 @@ methods::BuildStats LiveShardedIndex::Build(const core::Dataset& data) {
       std::memcpy(shard->arena.MutableRow(static_cast<core::VectorId>(local)),
                   data.Row(gid), dim_ * sizeof(float));
     }
-    // Every replica builds over the same arena with the same params, so
-    // the graphs come out bit-identical.
-    for (auto& replica : shard->replicas) {
-      const methods::BuildStats sub =
-          replica->BuildPrefix(shard->arena, shard->base_rows);
-      stats.distance_computations += sub.distance_computations;
-      stats.peak_bytes = std::max(stats.peak_bytes, sub.peak_bytes);
+    // Replica 0 builds; the others are copies of it through an in-memory
+    // snapshot image over the same arena, so they come out bit-identical
+    // and keep extending identically (the copy replays the level stream).
+    const methods::BuildStats sub =
+        shard->primary().BuildPrefix(shard->arena, shard->base_rows);
+    stats.distance_computations += sub.distance_computations;
+    stats.peak_bytes = std::max(stats.peak_bytes, sub.peak_bytes);
+    if (num_replicas_ > 1) {
+      io::SnapshotReader image;
+      core::Status status = methods::SnapshotImage(shard->primary(), &image);
+      for (std::size_t r = 1; r < num_replicas_ && status.ok(); ++r) {
+        status = methods::LoadIndexFrom(shard->replicas[r].get(),
+                                        shard->arena, image);
+      }
+      GASS_CHECK_MSG(status.ok(), "copying live shard %zu to its replicas: %s",
+                     s, status.message().c_str());
     }
     shards_.push_back(std::move(shard));
   }
@@ -99,7 +108,7 @@ methods::BuildStats LiveShardedIndex::Build(const core::Dataset& data) {
   return stats;
 }
 
-const core::Graph& LiveShardedIndex::graph() const {
+core::Graph LiveShardedIndex::graph() const {
   GASS_CHECK_MSG(false,
                  "LIVE-SHARDED-HNSW has no single base graph; "
                  "use shard_index(s).graph()");

@@ -42,7 +42,8 @@ struct LiveShardedOptions {
   /// base rows.
   std::size_t reserve_per_shard = 1024;
   /// Replicas per shard (clamped to >= 1). All replicas of a shard share
-  /// one arena and are built/extended with identical parameters, so they
+  /// one vector arena; replica 0 is built and the others are copied from
+  /// it, then every replica is extended with the same inserts, so they
   /// stay bit-identical; a serving knob, excluded from the params
   /// fingerprint (checkpoints are replica-oblivious).
   std::size_t replicas = 1;
@@ -76,7 +77,7 @@ class LiveShardedIndex : public methods::GraphIndex, public serve::LiveIndex {
                                methods::SearchContext* ctx) const override;
   bool SupportsConcurrentSearch() const override { return true; }
   bool HasBaseGraph() const override { return false; }
-  const core::Graph& graph() const override;
+  core::Graph graph() const override;
   std::size_t IndexBytes() const override;
   /// Sized by the largest shard arena: sub-searches run over shard-local
   /// id ranges, never the global one.

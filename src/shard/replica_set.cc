@@ -29,27 +29,15 @@ int StateRank(BreakerState state) {
 
 }  // namespace
 
-std::uint64_t GraphDigest(const core::Graph& graph) {
-  const std::uint64_t n = graph.size();
-  std::uint64_t h = io::Hash64(&n, sizeof(n), /*seed=*/0);
-  for (core::VectorId v = 0; v < graph.size(); ++v) {
-    const std::vector<core::VectorId>& neighbors = graph.Neighbors(v);
-    const std::uint64_t degree = neighbors.size();
-    h = io::Hash64(&degree, sizeof(degree), h);
-    if (!neighbors.empty()) {
-      h = io::Hash64(neighbors.data(),
-                     neighbors.size() * sizeof(core::VectorId), h);
-    }
-  }
-  return h;
-}
-
 std::uint64_t ReplicaDigest(const methods::GraphIndex& index) {
-  // No single base graph (e.g. ELPIS sub-indexes): nothing comparable to
-  // digest, so every replica reports the same sentinel and the scrubber
-  // sees agreement rather than phantom divergence.
-  if (!index.HasBaseGraph()) return 0x5245504C4943ULL;  // "REPLIC"
-  return GraphDigest(index.graph());
+  // Nothing serializable to compare: every replica reports the same
+  // sentinel and the scrubber sees agreement rather than phantom
+  // divergence.
+  std::vector<std::uint8_t> image;
+  if (!methods::SerializeIndex(index, &image).ok()) {
+    return 0x5245504C4943ULL;  // "REPLIC"
+  }
+  return io::Hash64(image.data(), image.size());
 }
 
 std::uint64_t MajorityDigest(const std::vector<std::uint64_t>& digests) {

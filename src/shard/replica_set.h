@@ -2,22 +2,24 @@
 // replica-level primitives the replicated serve path is built from.
 //
 // Replication here leans on a property most systems have to pay quorums
-// for: every replica of shard s is constructed by the same factory with
-// the same derived seed (ShardedIndex::SubIndexSeed), so replicas are
-// bit-identical by construction — the same graph, the same neighbor
-// order, the same answers. That buys three things:
+// for: every replica of shard s is a copy of one build (made with the
+// derived seed ShardedIndex::SubIndexSeed and copied through an in-memory
+// snapshot image), so replicas are bit-identical by construction — the
+// same graph, the same neighbor order, the same answers. That buys three
+// things:
 //
 //   * Failover is free of consistency questions. Any replica answers any
 //     query identically, so health-aware routing (PickReplica) and
 //     mid-query failover never change results, only availability.
 //   * Anti-entropy is a digest comparison. ReplicaDigest folds a replica's
-//     adjacency into one XXH64 value; a replica whose digest diverges from
-//     the shard majority (MajorityDigest) has been corrupted — there is no
-//     legitimate divergence to distinguish from.
-//   * Rebuild is copy-from-peer. A quarantined replica is restored from
-//     any healthy peer's serialized state (or the shard snapshot), swapped
-//     in under the replica's writer lock while searches continue on the
-//     other replicas.
+//     whole serialized state into one XXH64 value; a replica whose digest
+//     diverges from the shard majority (MajorityDigest) has been corrupted
+//     — there is no legitimate divergence to distinguish from.
+//   * Copies replace builds. ShardedIndex builds each shard once and
+//     copies it to the other replicas, and a quarantined replica is
+//     restored from any healthy peer's in-memory snapshot image (or the
+//     shard snapshot), swapped in under the replica's writer lock while
+//     searches continue on the other replicas.
 //
 // Thread-safety: each replica slot has its own shared_mutex. Search() and
 // Digest() hold it shared; SwapIn() holds it exclusive. Set() is
@@ -34,22 +36,18 @@
 #include <string>
 #include <vector>
 
-#include "core/graph.h"
 #include "core/status.h"
 #include "methods/graph_index.h"
 #include "shard/shard_health.h"
 
 namespace gass::shard {
 
-/// XXH64 digest of a graph's full adjacency structure: vertex count, then
-/// per-vertex degree and neighbor ids, chained. Any single-bit change to
-/// any neighbor list changes the digest.
-std::uint64_t GraphDigest(const core::Graph& graph);
-
-/// Digest of one replica's searchable structure: GraphDigest of its base
-/// graph. Indexes without a single base graph (HasBaseGraph() false)
-/// digest to a fixed sentinel, so scrubbing degenerates to a no-op for
-/// them instead of a false alarm.
+/// XXH64 of one replica's whole serialized state: its in-memory snapshot
+/// image (methods::SerializeIndex), so every layer, level, entry point
+/// and seed structure is covered, and any single-bit change to any of
+/// them changes the digest. An index that cannot serialize digests to a
+/// fixed sentinel, so scrubbing degenerates to a no-op for it instead of
+/// a false alarm.
 std::uint64_t ReplicaDigest(const methods::GraphIndex& index);
 
 /// The digest held by the largest group of replicas; ties break toward the
@@ -114,11 +112,12 @@ class ReplicaSet {
     return ReplicaDigest(*replicas_[r]);
   }
 
-  /// Serializes replica `r` to `path` under its reader lock (the
-  /// copy-from-healthy-peer half of a rebuild).
-  core::Status Save(std::size_t r, const std::string& path) const {
+  /// Replica `r`'s in-memory snapshot image (methods::SnapshotImage),
+  /// taken under its reader lock: the copy-from-healthy-peer half of a
+  /// rebuild.
+  core::Status Image(std::size_t r, io::SnapshotReader* out) const {
     std::shared_lock<std::shared_mutex> lock(locks_[r]);
-    return methods::SaveIndex(*replicas_[r], path);
+    return methods::SnapshotImage(*replicas_[r], out);
   }
 
   /// Swaps a fresh sub-index into slot `r` under its writer lock;

@@ -1,11 +1,8 @@
 #include "shard/sharded_index.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -50,6 +47,14 @@ core::Status ReadFileBytes(const std::string& path,
   }
   if (!in) return core::Status::IoError("cannot read " + path);
   return core::Status::Ok();
+}
+
+/// Opens `bytes` as an in-memory snapshot image labelled `label`.
+core::Status OpenImage(std::vector<std::uint8_t> bytes, std::string label,
+                       io::SnapshotReader* out) {
+  return io::SnapshotReader::OpenBytes(
+      std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes)),
+      std::move(label), out);
 }
 
 bool IsKnownMethod(const std::string& name) {
@@ -132,15 +137,15 @@ methods::BuildStats ShardedIndex::Build(const core::Dataset& data) {
   for (std::size_t s = 0; s < k; ++s) shards_.emplace_back(replicas);
   shard_build_seconds_.assign(k, 0.0);
   std::vector<double> materialize_seconds(k, 0.0);
-  std::vector<double> replica_seconds(k * replicas, 0.0);
-  std::vector<methods::BuildStats> sub_stats(k * replicas);
+  std::vector<methods::BuildStats> sub_stats(k);
   {
     // Shard builds are independent, so they simply fan out on a pool; a
     // failing build (e.g. std::bad_alloc) surfaces here via Wait()'s
     // exception propagation instead of taking the process down. Two
-    // phases: every shard's rows materialize first, then all k*R replica
-    // builds run concurrently (each replica of shard s uses the same
-    // derived seed, so they come out bit-identical).
+    // phases: every shard's rows materialize first, then every shard
+    // builds once and copies that build to its other replicas through an
+    // in-memory snapshot image — bit-identical by construction, at the
+    // cost of a serialize and R-1 validated loads instead of R-1 builds.
     core::ThreadPool pool(options_.build_threads);
     for (std::size_t s = 0; s < k; ++s) {
       const bool accepted =
@@ -153,30 +158,33 @@ methods::BuildStats ShardedIndex::Build(const core::Dataset& data) {
     }
     pool.Wait();
     for (std::size_t s = 0; s < k; ++s) {
-      for (std::size_t r = 0; r < replicas; ++r) {
-        const bool accepted = pool.Submit(
-            [this, &sub_stats, &replica_seconds, s, r, replicas] {
-              core::Timer replica_timer;
-              std::unique_ptr<methods::GraphIndex> index =
-                  methods::CreateIndex(options_.method,
-                                       SubIndexSeed(options_.seed, s));
-              sub_stats[s * replicas + r] = index->Build(shard_data_[s]);
-              shards_[s].Set(r, std::move(index));
-              replica_seconds[s * replicas + r] = replica_timer.Seconds();
-            });
-        GASS_CHECK(accepted);
-      }
+      const bool accepted = pool.Submit([this, &sub_stats, s, replicas] {
+        core::Timer shard_timer;
+        std::unique_ptr<methods::GraphIndex> index = methods::CreateIndex(
+            options_.method, SubIndexSeed(options_.seed, s));
+        sub_stats[s] = index->Build(shard_data_[s]);
+        if (replicas > 1) {
+          io::SnapshotReader image;
+          core::Status status = methods::SnapshotImage(*index, &image);
+          for (std::size_t r = 1; r < replicas && status.ok(); ++r) {
+            std::unique_ptr<methods::GraphIndex> copy;
+            status = AttachReplica(s, image, &copy);
+            shards_[s].Set(r, std::move(copy));
+          }
+          GASS_CHECK_MSG(status.ok(), "copying shard %zu to its replicas: %s",
+                         s, status.message().c_str());
+        }
+        shards_[s].Set(0, std::move(index));
+        shard_build_seconds_[s] = shard_timer.Seconds();
+      });
+      GASS_CHECK(accepted);
     }
     pool.Wait();
   }
-  // The shard's critical-path time: materialization plus its slowest
-  // replica build (replicas of one shard construct concurrently).
+  // The shard's critical-path time: materialization plus its build and
+  // replica copies.
   for (std::size_t s = 0; s < k; ++s) {
-    double slowest = 0.0;
-    for (std::size_t r = 0; r < replicas; ++r) {
-      slowest = std::max(slowest, replica_seconds[s * replicas + r]);
-    }
-    shard_build_seconds_[s] = materialize_seconds[s] + slowest;
+    shard_build_seconds_[s] += materialize_seconds[s];
   }
   FinishInit(data);
 
@@ -218,6 +226,17 @@ void ShardedIndex::FinishInit(const core::Dataset& data) {
     std::lock_guard<std::mutex> lock(reload_mutex_);
     reload_inflight_.assign(shards_.size(), 0);
   }
+}
+
+core::Status ShardedIndex::AttachReplica(
+    std::size_t s, const io::SnapshotReader& image,
+    std::unique_ptr<methods::GraphIndex>* out) const {
+  std::unique_ptr<methods::GraphIndex> fresh =
+      methods::CreateIndex(options_.method, SubIndexSeed(options_.seed, s));
+  GASS_RETURN_IF_ERROR(
+      methods::LoadIndexFrom(fresh.get(), shard_data_[s], image));
+  *out = std::move(fresh);
+  return core::Status::Ok();
 }
 
 void ShardedIndex::SetBreakerOptions(const ShardBreakerOptions& breaker) {
@@ -263,10 +282,9 @@ std::uint64_t ShardedIndex::probe_count(std::size_t s) const {
   return fan_out_->probe_count(s);
 }
 
-const core::Graph& ShardedIndex::graph() const {
+core::Graph ShardedIndex::graph() const {
   GASS_CHECK_MSG(false, "a SHARDED index has no single base graph");
-  static const core::Graph kEmpty;
-  return kEmpty;
+  return core::Graph();
 }
 
 std::size_t ShardedIndex::IndexBytes() const {
@@ -346,18 +364,20 @@ core::Status ShardedIndex::ReloadShard(std::size_t s) {
                                     std::to_string(s));
   }
   const std::string shard_path = ShardPath(snapshot_path_, s);
-  // Every replica reloads from the same shard file (replicas are
-  // bit-identical, and the snapshot stores one copy per shard), each
-  // swapped in under its own writer lock so searches keep flowing on the
-  // replicas not currently swapping. LoadIndex re-validates the snapshot's
-  // checksums, method name, params fingerprint, and dataset binding, so a
-  // corrupted shard file fails here and the old (quarantined) sub-indexes
-  // keep serving.
+  // The shard file is read and opened once (replicas are bit-identical,
+  // and the snapshot stores one copy per shard); every replica attaches
+  // from those bytes and is swapped in under its own writer lock, so
+  // searches keep flowing on the replicas not currently swapping. The
+  // open and each attach re-validate the snapshot's checksums, method
+  // name, params fingerprint, and dataset binding, so a corrupted shard
+  // file fails here and the old (quarantined) sub-indexes keep serving.
+  std::vector<std::uint8_t> bytes;
+  GASS_RETURN_IF_ERROR(ReadFileBytes(shard_path, &bytes));
+  io::SnapshotReader image;
+  GASS_RETURN_IF_ERROR(OpenImage(std::move(bytes), shard_path, &image));
   for (std::size_t r = 0; r < num_replicas_; ++r) {
-    std::unique_ptr<methods::GraphIndex> fresh =
-        methods::CreateIndex(options_.method, SubIndexSeed(options_.seed, s));
-    GASS_RETURN_IF_ERROR(
-        methods::LoadIndex(fresh.get(), shard_data_[s], shard_path));
+    std::unique_ptr<methods::GraphIndex> fresh;
+    GASS_RETURN_IF_ERROR(AttachReplica(s, image, &fresh));
     shards_[s].SwapIn(r, std::move(fresh));
     // Re-enter rotation through the half-open path: the next routing
     // decision probes this replica, and only a passing probe closes the
@@ -375,12 +395,11 @@ core::Status ShardedIndex::RebuildReplica(std::size_t s, std::size_t r) {
     return core::Status::Corruption("injected rebuild corruption for shard " +
                                     std::to_string(s));
   }
-  std::unique_ptr<methods::GraphIndex> fresh =
-      methods::CreateIndex(options_.method, SubIndexSeed(options_.seed, s));
+  io::SnapshotReader image;
   if (!snapshot_path_.empty()) {
     // Snapshot-backed: the shard file is the canonical copy.
-    GASS_RETURN_IF_ERROR(methods::LoadIndex(fresh.get(), shard_data_[s],
-                                            ShardPath(snapshot_path_, s)));
+    GASS_RETURN_IF_ERROR(
+        io::SnapshotReader::Open(ShardPath(snapshot_path_, s), &image));
   } else {
     if (num_replicas_ < 2) {
       return core::Status::InvalidArgument(
@@ -388,10 +407,10 @@ core::Status ShardedIndex::RebuildReplica(std::size_t s, std::size_t r) {
           " without a recovery snapshot");
     }
     // Copy-from-healthy-peer: serialize a peer replica — preferring one
-    // whose breaker is closed — and restore the quarantined slot from that
-    // spill. Save/LoadIndex round-trip the full checksummed snapshot
-    // format, so a corrupt peer fails validation here instead of
-    // propagating its corruption.
+    // whose breaker is closed — into an in-memory snapshot image and
+    // restore the quarantined slot from it. The image passes the full
+    // checksum and bounds validation of a load, so a corrupt peer fails
+    // here instead of propagating its corruption.
     std::size_t peer = num_replicas_;
     for (std::size_t cand = 0; cand < num_replicas_; ++cand) {
       if (cand == r) continue;
@@ -401,18 +420,10 @@ core::Status ShardedIndex::RebuildReplica(std::size_t s, std::size_t r) {
         break;
       }
     }
-    const char* tmp = std::getenv("TMPDIR");
-    const std::string spill =
-        std::string(tmp != nullptr && tmp[0] != '\0' ? tmp : "/tmp") +
-        "/gass.replica.spill." + std::to_string(::getpid()) + "." +
-        std::to_string(s) + "." + std::to_string(r);
-    core::Status status = shards_[s].Save(peer, spill);
-    if (status.ok()) {
-      status = methods::LoadIndex(fresh.get(), shard_data_[s], spill);
-    }
-    std::remove(spill.c_str());
-    GASS_RETURN_IF_ERROR(status);
+    GASS_RETURN_IF_ERROR(shards_[s].Image(peer, &image));
   }
+  std::unique_ptr<methods::GraphIndex> fresh;
+  GASS_RETURN_IF_ERROR(AttachReplica(s, image, &fresh));
   shards_[s].SwapIn(r, std::move(fresh));
   // Rebuilt but not yet trusted: generation bump + forced half-open probe;
   // only a passing probe re-closes the breaker.
@@ -685,13 +696,12 @@ core::Status ShardedIndex::LoadSnapshotImpl(const std::string& path,
     }
     shard_data_[s] = data.Select(shard_ids[s]);
     // The snapshot stores one copy per shard; every replica attaches from
-    // that same pre-built file, re-validating it R times (cheap relative
-    // to a rebuild, and each replica gets its own arena).
+    // the bytes just read and hash-checked, so the file is read once.
+    io::SnapshotReader image;
+    GASS_RETURN_IF_ERROR(OpenImage(std::move(bytes), shard_path, &image));
     for (std::size_t r = 0; r < replicas; ++r) {
-      std::unique_ptr<methods::GraphIndex> sub = methods::CreateIndex(
-          options_.method, SubIndexSeed(options_.seed, s));
-      GASS_RETURN_IF_ERROR(
-          methods::LoadIndex(sub.get(), shard_data_[s], shard_path));
+      std::unique_ptr<methods::GraphIndex> sub;
+      GASS_RETURN_IF_ERROR(AttachReplica(s, image, &sub));
       shards_[s].Set(r, std::move(sub));
     }
   }

@@ -71,9 +71,11 @@ struct ShardedIndexOptions {
   /// Base seed. Shard s's sub-index is built with seed ^ (mix * s), so
   /// shard 0 of a K=1 index uses exactly `seed` (bit-identity baseline).
   std::uint64_t seed = 42;
-  /// Replication factor R: copies of every shard's sub-index, all built by
-  /// the same factory with the same derived seed, so replicas are
-  /// bit-identical and any of them answers any query identically. Search
+  /// Replication factor R: copies of every shard's sub-index. Build
+  /// constructs each shard once and copies it R-1 times through an
+  /// in-memory snapshot image, so replicas are bit-identical — the same
+  /// state a standalone build with the shard's derived seed produces — and
+  /// any of them answers any query identically. Search
   /// routes each probe to a health-chosen replica and fails over to peers
   /// on failure; the anti-entropy scrubber (ScrubReplicas) compares
   /// replica digests and rebuilds divergent copies online. 0 or 1 = no
@@ -135,7 +137,7 @@ class ShardedIndex : public methods::GraphIndex {
   bool SupportsConcurrentSearch() const override { return true; }
 
   /// No single base graph; check HasBaseGraph() first (as with ELPIS).
-  const core::Graph& graph() const override;
+  core::Graph graph() const override;
   bool HasBaseGraph() const override { return false; }
 
   std::size_t IndexBytes() const override;
@@ -193,8 +195,9 @@ class ShardedIndex : public methods::GraphIndex {
 
   /// Rebuilds one replica of shard `s` online: a fresh sub-index is
   /// restored from the recovery snapshot when one is recorded, otherwise
-  /// copied from a healthy peer replica via a spill snapshot (serialized
-  /// under the peer's reader lock, re-validated on load), then swapped in
+  /// copied from a healthy peer replica through an in-memory snapshot
+  /// image (serialized under the peer's reader lock, re-validated on
+  /// load; nothing is written to disk), then swapped in
   /// under replica `r`'s writer lock while searches continue everywhere
   /// else. On success the replica's breaker generation bumps and its next
   /// routing decision is a forced half-open probe (OnReloaded) — it
@@ -203,7 +206,8 @@ class ShardedIndex : public methods::GraphIndex {
   core::Status RebuildReplica(std::size_t s, std::size_t r);
 
   /// One synchronous anti-entropy pass: digests every replica of every
-  /// shard (XXH64 over the adjacency, under the replica's reader lock),
+  /// shard (ReplicaDigest: XXH64 over its whole serialized state, under
+  /// the replica's reader lock),
   /// quarantines any replica whose digest diverges from its shard's
   /// majority, and — when `rebuild` is true — rebuilds each quarantined
   /// replica via RebuildReplica. Safe to run concurrently with searches;
@@ -263,6 +267,11 @@ class ShardedIndex : public methods::GraphIndex {
   /// Common post-partition state setup (the fan-out engine, the serial
   /// RNG, reload bookkeeping).
   void FinishInit(const core::Dataset& data);
+  /// A fresh sub-index for shard `s`, restored from `image` (a snapshot
+  /// file or in-memory image of one of its replicas) with every check
+  /// methods::LoadIndexFrom makes.
+  core::Status AttachReplica(std::size_t s, const io::SnapshotReader& image,
+                             std::unique_ptr<methods::GraphIndex>* out) const;
 
   ShardedIndexOptions options_;
   Partitioning partitioning_;
@@ -298,8 +307,8 @@ class ShardedIndex : public methods::GraphIndex {
 /// verified against the stored params fingerprint), and loads every shard.
 /// The counterpart of methods::LoadAnyIndex for sharded snapshots.
 /// `replicas` copies of each shard are attached (replication is a serving
-/// knob, not a snapshot property: every replica loads from the same
-/// per-shard file); `replicas == 0` means 1.
+/// knob, not a snapshot property: every replica attaches from the same
+/// per-shard file, read and hash-checked once); `replicas == 0` means 1.
 core::Status LoadShardedIndex(const std::string& path,
                               const core::Dataset& data, std::uint64_t seed,
                               std::size_t replicas,

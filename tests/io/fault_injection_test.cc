@@ -15,14 +15,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "io/hash.h"
+#include "io/serialize.h"
 #include "io/snapshot.h"
 #include "methods/factory.h"
+#include "methods/hnsw_index.h"
 #include "synth/generators.h"
 
 namespace gass::io {
@@ -267,6 +270,118 @@ TEST_P(FaultInjectionTest, TrailingGarbageRejected) {
   std::vector<std::uint8_t> bytes = clean_bytes_;
   bytes.insert(bytes.end(), 4 * kSectionAlignment, 0xAB);
   ExpectLoadRejected(bytes, "trailing garbage after last section");
+}
+
+// HNSW keeps every list in a fixed-size slot (methods/hnsw_graph.h): 2M ids
+// on the base layer, M above, and upper slots only for vertices on that
+// layer. A snapshot whose lists cannot fit — well-formed and correctly
+// checksummed, so only the decoder can notice — must be rejected as
+// corruption, never written past a slot.
+class HnswSlotBoundsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    data_ = synth::UniformHypercube(220, 8, 31);
+    index_.Build(data_);
+    const methods::HnswGraph& arena = index_.layered_graph();
+    base_ = arena.ToGraph(0);
+    for (std::size_t l = 1; l <= arena.num_layers(); ++l) {
+      layers_.push_back(arena.ToGraph(l));
+    }
+  }
+
+  /// Re-encodes the index's snapshot with `base_`/`layers_` in place of its
+  /// lists (all other sections copied verbatim), then loads it.
+  core::Status LoadRewritten() const {
+    std::vector<std::uint8_t> clean;
+    EXPECT_TRUE(methods::SerializeIndex(index_, &clean).ok());
+    SnapshotReader original;
+    EXPECT_TRUE(SnapshotReader::OpenBytes(
+                    std::make_shared<const std::vector<std::uint8_t>>(clean),
+                    "clean", &original)
+                    .ok());
+    SnapshotWriter writer(index_.Name(), index_.ParamsFingerprint(),
+                          data_.size(), data_.dim());
+    for (const SectionInfo& section : original.sections()) {
+      Encoder payload;
+      if (section.name == "base") {
+        EncodeGraph(base_, &payload);
+      } else if (section.name == "layers") {
+        for (const core::Graph& layer : layers_) EncodeGraph(layer, &payload);
+      } else {
+        AlignedBytes bytes;
+        EXPECT_TRUE(original.ReadSection(section.name, &bytes).ok());
+        payload.Bytes(bytes.data(), bytes.size());
+      }
+      EXPECT_TRUE(writer.AddSection(section.name, std::move(payload)).ok());
+    }
+    std::vector<std::uint8_t> image;
+    EXPECT_TRUE(writer.ToBytes(&image).ok());
+    SnapshotReader reader;
+    EXPECT_TRUE(SnapshotReader::OpenBytes(
+                    std::make_shared<const std::vector<std::uint8_t>>(image),
+                    "rewritten", &reader)
+                    .ok());
+    methods::HnswIndex restored(params_);
+    return methods::LoadIndexFrom(&restored, data_, reader);
+  }
+
+  /// A vertex at exactly `level` (the test data always has some).
+  core::VectorId VertexAtLevel(std::uint32_t level) const {
+    const methods::HnswGraph& arena = index_.layered_graph();
+    for (core::VectorId v = 0; v < arena.size(); ++v) {
+      if (arena.level(v) == level) return v;
+    }
+    ADD_FAILURE() << "no vertex at level " << level;
+    return 0;
+  }
+
+  /// `count` distinct ids other than `v`.
+  static std::vector<core::VectorId> IdsExcept(core::VectorId v,
+                                               std::size_t count) {
+    std::vector<core::VectorId> ids;
+    for (core::VectorId u = 0; ids.size() < count; ++u) {
+      if (u != v) ids.push_back(u);
+    }
+    return ids;
+  }
+
+  static void ExpectCorruption(const core::Status& status,
+                               const std::string& needle) {
+    EXPECT_EQ(status.code(), core::StatusCode::kCorruption)
+        << status.message();
+    EXPECT_NE(status.message().find(needle), std::string::npos)
+        << status.message();
+  }
+
+  methods::HnswParams params_;
+  Dataset data_;
+  methods::HnswIndex index_{params_};
+  core::Graph base_;
+  std::vector<core::Graph> layers_;
+};
+
+TEST_F(HnswSlotBoundsTest, UnchangedListsLoad) {
+  // Baseline: the re-encoding itself is lossless, or every rejection below
+  // is vacuous.
+  ASSERT_FALSE(layers_.empty());
+  EXPECT_TRUE(LoadRewritten().ok());
+}
+
+TEST_F(HnswSlotBoundsTest, BaseListLongerThanTwoMRejected) {
+  base_.SetNeighbors(0, IdsExcept(0, 2 * params_.m + 1));
+  ExpectCorruption(LoadRewritten(), "more than its 32-id slot");
+}
+
+TEST_F(HnswSlotBoundsTest, UpperListLongerThanMRejected) {
+  const core::VectorId v = VertexAtLevel(1);
+  layers_[0].SetNeighbors(v, IdsExcept(v, params_.m + 1));
+  ExpectCorruption(LoadRewritten(), "more than its 16-id slot");
+}
+
+TEST_F(HnswSlotBoundsTest, UpperListOnAVertexBelowTheLayerRejected) {
+  const core::VectorId v = VertexAtLevel(0);
+  layers_[0].SetNeighbors(v, {index_.entry_point()});
+  ExpectCorruption(LoadRewritten(), "has a list but level 0");
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, FaultInjectionTest,

@@ -62,10 +62,11 @@ TEST_P(SnapshotRoundTripTest, SearchResultsBitIdenticalAfterReload) {
 
   // Structural identity first: same adjacency everywhere.
   if (original->HasBaseGraph()) {
-    ASSERT_EQ(restored->graph().size(), original->graph().size());
-    for (core::VectorId v = 0; v < original->graph().size(); ++v) {
-      ASSERT_EQ(restored->graph().Neighbors(v),
-                original->graph().Neighbors(v))
+    const core::Graph want = original->graph();
+    const core::Graph got = restored->graph();
+    ASSERT_EQ(got.size(), want.size());
+    for (core::VectorId v = 0; v < want.size(); ++v) {
+      ASSERT_EQ(got.Neighbors(v), want.Neighbors(v))
           << method << " vertex " << v;
     }
   }

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,6 +58,53 @@ TEST(SnapshotTest, WriteReadRoundTrip) {
   EXPECT_EQ(values, (std::vector<std::uint32_t>{9, 8, 7, 6}));
   EXPECT_TRUE(dec.ExpectEnd());
   std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, InMemoryImageEqualsFileAndOpensTheSame) {
+  const std::string path = TempPath("snapshot_image.gass");
+  SnapshotWriter writer("hnsw", 0xFEEDULL, 1000, 32);
+  ASSERT_TRUE(writer.AddSection("meta", PayloadOf({1, 2, 3})).ok());
+  ASSERT_TRUE(writer.AddSection("graph", PayloadOf({9, 8, 7, 6})).ok());
+  ASSERT_TRUE(writer.WriteTo(path).ok());
+  std::vector<std::uint8_t> image;
+  ASSERT_TRUE(writer.ToBytes(&image).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                       std::istreambuf_iterator<char>());
+  EXPECT_EQ(image, file);
+  std::remove(path.c_str());
+
+  SnapshotReader reader;
+  ASSERT_TRUE(SnapshotReader::OpenBytes(
+                  std::make_shared<const std::vector<std::uint8_t>>(image),
+                  "image", &reader)
+                  .ok());
+  EXPECT_EQ(reader.path(), "image");
+  EXPECT_EQ(reader.method(), "hnsw");
+  EXPECT_EQ(reader.data_n(), 1000u);
+  AlignedBytes buffer;
+  Decoder dec(nullptr, 0, "");
+  ASSERT_TRUE(reader.OpenSection("graph", &buffer, &dec).ok());
+  std::vector<std::uint32_t> values;
+  ASSERT_TRUE(dec.VecU32(&values, 100));
+  EXPECT_EQ(values, (std::vector<std::uint32_t>{9, 8, 7, 6}));
+
+  // The image gets the file's validation: a truncated image fails to
+  // open, and a flipped payload bit fails its section's checksum.
+  std::vector<std::uint8_t> truncated(image.begin(), image.end() - 70);
+  EXPECT_EQ(SnapshotReader::OpenBytes(
+                std::make_shared<const std::vector<std::uint8_t>>(truncated),
+                "truncated", &reader)
+                .code(),
+            core::StatusCode::kCorruption);
+  std::vector<std::uint8_t> flipped = image;
+  flipped[kFileHeaderBytes + kSectionHeaderBytes] ^= 0x01;
+  ASSERT_TRUE(SnapshotReader::OpenBytes(
+                  std::make_shared<const std::vector<std::uint8_t>>(flipped),
+                  "flipped", &reader)
+                  .ok());
+  EXPECT_EQ(reader.ReadSection("meta", &buffer).code(),
+            core::StatusCode::kCorruption);
 }
 
 TEST(SnapshotTest, PayloadsAreCacheLineAligned) {

@@ -16,11 +16,11 @@ TEST(FlatSearcherTest, MatchesGraphSearchWithSameSeeds) {
   const Dataset data = synth::UniformHypercube(600, 8, 1);
   HnswIndex hnsw(HnswParams{});
   hnsw.Build(data);
+  const core::Graph graph = hnsw.graph();
 
   // A fixed seed selector makes both searches deterministic and identical.
-  auto fixed_a =
-      std::make_unique<seeds::SfFixedSeed>(0, &hnsw.graph());
-  FlatGraphSearcher flat(data, hnsw.graph(), std::move(fixed_a));
+  auto fixed_a = std::make_unique<seeds::SfFixedSeed>(0, &graph);
+  FlatGraphSearcher flat(data, graph, std::move(fixed_a));
 
   core::VisitedTable visited(data.size());
   SearchParams params;
@@ -28,10 +28,10 @@ TEST(FlatSearcherTest, MatchesGraphSearchWithSameSeeds) {
   params.beam_width = 64;
   for (VectorId q = 0; q < 15; ++q) {
     core::DistanceComputer dc(data);
-    seeds::SfFixedSeed fixed_b(0, &hnsw.graph());
+    seeds::SfFixedSeed fixed_b(0, &graph);
     const auto seeds = fixed_b.Select(dc, data.Row(q), params.num_seeds);
     const auto expect =
-        core::BeamSearch(hnsw.graph(), dc, data.Row(q), seeds, params.k,
+        core::BeamSearch(graph, dc, data.Row(q), seeds, params.k,
                          params.beam_width, &visited);
     const SearchResult got = flat.Search(data.Row(q), params);
     ASSERT_EQ(got.neighbors.size(), expect.size());

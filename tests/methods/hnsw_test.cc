@@ -7,6 +7,7 @@
 
 #include "eval/ground_truth.h"
 #include "eval/recall.h"
+#include "io/hash.h"
 #include "synth/generators.h"
 
 namespace gass::methods {
@@ -83,9 +84,44 @@ TEST(HnswTest, DeterministicAcrossRebuilds) {
   HnswIndex a(params), b(params);
   a.Build(data);
   b.Build(data);
+  const core::Graph graph_a = a.graph();
+  const core::Graph graph_b = b.graph();
   for (VectorId v = 0; v < data.size(); ++v) {
-    EXPECT_EQ(a.graph().Neighbors(v), b.graph().Neighbors(v));
+    EXPECT_EQ(graph_a.Neighbors(v), graph_b.Neighbors(v));
   }
+}
+
+// Bit-identity pin: the XXH64 of a seeded 2,000-row HNSW's snapshot image,
+// recorded from the adjacency-list implementation the arena replaced. Any
+// change to the graph, levels, entry point, or the build's distance count
+// moves it. Distances are bit-identical across SIMD levels, so the pin
+// holds under forced-scalar kernels too.
+TEST(HnswTest, SnapshotMatchesPinnedDigest) {
+  constexpr std::uint64_t kPinnedDigest = 0x0da8b0b1f5492540ULL;
+  constexpr std::uint64_t kPinnedBuildDistances = 855128;
+  synth::ClusterParams cluster_params;
+  const Dataset data = synth::GaussianClusters(2000, 16, cluster_params, 3);
+  HnswParams params;
+  params.seed = 7;
+  auto digest = [](const HnswIndex& index) {
+    std::vector<std::uint8_t> image;
+    EXPECT_TRUE(SerializeIndex(index, &image).ok());
+    return io::Hash64(image.data(), image.size());
+  };
+
+  HnswIndex built(params);
+  EXPECT_EQ(built.Build(data).distance_computations, kPinnedBuildDistances);
+  EXPECT_EQ(built.num_layers(), 3u);
+  EXPECT_EQ(digest(built), kPinnedDigest);
+
+  // Streaming growth takes the same insertion path, so a half build plus
+  // Extend reaches the same state.
+  HnswIndex streamed(params);
+  const std::uint64_t prefix = streamed.BuildPrefix(data, 1000)
+                                   .distance_computations;
+  const std::uint64_t extend = streamed.Extend(2000).distance_computations;
+  EXPECT_EQ(prefix + extend, kPinnedBuildDistances);
+  EXPECT_EQ(digest(streamed), kPinnedDigest);
 }
 
 TEST(HnswTest, SaveLoadRoundTripPreservesSearchExactly) {

@@ -9,10 +9,12 @@
 //   - a permanently failing replica is masked by failover: zero failed
 //     shards, zero partial queries, top-k bit-identical to the fault-free
 //     run, and replica_failovers counts the masked faults;
-//   - the anti-entropy scrubber detects a single-bit divergence by digest,
-//     quarantines the divergent replica, rebuilds it online (peer copy or
-//     snapshot), and the replica re-enters rotation through a forced
-//     half-open probe;
+//   - replicas are copies of one build: each equals a standalone build with
+//     the shard's derived seed, digest for digest;
+//   - the anti-entropy scrubber detects a single-id divergence on any HNSW
+//     layer by digest, quarantines the divergent replica, rebuilds it
+//     online (in-memory peer copy, no filesystem, or snapshot), and the
+//     replica re-enters rotation through a forced half-open probe;
 //   - replication is a serving knob: a snapshot written without replicas
 //     loads under any R;
 //   - hedging respects the breakers: a backup never searches an open
@@ -20,14 +22,17 @@
 
 #include <unistd.h>
 
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
 #include "core/deadline.h"
-#include "core/graph.h"
+#include "methods/factory.h"
+#include "methods/hnsw_index.h"
 #include "serve/executor.h"
 #include "serve/fault_injector.h"
 #include "serve/request.h"
@@ -96,14 +101,40 @@ ShardedIndexOptions HedgedOptions() {
   return options;
 }
 
-/// Flips one neighbor id of replica (s, r)'s base graph in place — the
-/// single-bit corruption the anti-entropy scrubber exists to catch. The
+/// The adjacency arena of an HNSW replica, writable in place (the tests'
+/// stand-in for memory corruption; the index itself only exposes it
+/// read-only).
+methods::HnswGraph& MutableArena(const methods::GraphIndex& replica) {
+  const auto& hnsw = dynamic_cast<const methods::HnswIndex&>(replica);
+  return const_cast<methods::HnswGraph&>(hnsw.layered_graph());
+}
+
+/// Changes one neighbor id of vertex 0's base list in replica (s, r) — the
+/// single-id corruption the anti-entropy scrubber exists to catch. The
 /// replacement id stays in range, so searches remain safe, just wrong.
 void CorruptReplica(const ShardedIndex& index, std::size_t s, std::size_t r) {
-  core::Graph& graph = const_cast<core::Graph&>(index.replica(s, r).graph());
-  std::vector<VectorId>& neighbors = graph.MutableNeighbors(0);
-  ASSERT_FALSE(neighbors.empty());
-  neighbors[0] = (neighbors[0] + 1) % static_cast<VectorId>(graph.size());
+  methods::HnswGraph& arena = MutableArena(index.replica(s, r));
+  std::uint32_t* slot = arena.MutableSlot(0, 0);
+  ASSERT_GT(slot[0], 0u);
+  slot[1] = (slot[1] + 1) % static_cast<VectorId>(arena.size());
+  if (slot[1] == 0) slot[1] = 1;  // Never a self-loop.
+}
+
+/// Swaps the first two ids of one layer-1 list in replica (s, r): the base
+/// layer, levels and entry point stay untouched, so only a digest that
+/// covers the upper layers can see the divergence.
+void CorruptUpperLayer(const ShardedIndex& index, std::size_t s,
+                       std::size_t r) {
+  methods::HnswGraph& arena = MutableArena(index.replica(s, r));
+  ASSERT_GE(arena.num_layers(), 1u);
+  for (VectorId v = 0; v < arena.size(); ++v) {
+    if (arena.level(v) < 1) continue;
+    std::uint32_t* slot = arena.MutableSlot(1, v);
+    if (slot[0] < 2) continue;
+    std::swap(slot[1], slot[2]);
+    return;
+  }
+  FAIL() << "no layer-1 list with two ids to reorder";
 }
 
 TEST(ReplicaSetTest, ReplicasAreBitIdenticalByConstruction) {
@@ -118,6 +149,13 @@ TEST(ReplicaSetTest, ReplicasAreBitIdenticalByConstruction) {
       EXPECT_EQ(ReplicaDigest(index.replica(s, r)), digest0)
           << "shard " << s << " replica " << r;
     }
+    // Replicas 1..R-1 are copies, not builds: each must equal what a
+    // standalone build with the shard's derived seed produces.
+    const Dataset rows = index.partitioning().ShardView(data, s).Materialize();
+    auto standalone =
+        methods::CreateIndex("hnsw", ShardedIndex::SubIndexSeed(kSeed, s));
+    standalone->Build(rows);
+    EXPECT_EQ(ReplicaDigest(*standalone), digest0) << "shard " << s;
   }
 }
 
@@ -143,22 +181,17 @@ TEST(ReplicaSetTest, ReplicatedSearchMatchesUnreplicated) {
   }
 }
 
-TEST(ReplicaSetTest, GraphDigestDetectsASingleNeighborChange) {
-  core::Graph graph(4);
-  graph.AddEdge(0, 1);
-  graph.AddEdge(0, 2);
-  graph.AddEdge(1, 3);
-  const std::uint64_t before = GraphDigest(graph);
-  EXPECT_EQ(GraphDigest(graph), before);  // Deterministic.
-  graph.MutableNeighbors(0)[1] = 3;
-  EXPECT_NE(GraphDigest(graph), before);
+TEST(ReplicaSetTest, ReplicaDigestCoversEveryLayer) {
+  const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
+  ShardedIndex index(MakeOptions(1, 2));
+  index.Build(data);
+  const std::uint64_t before = ReplicaDigest(index.replica(0, 0));
+  EXPECT_EQ(ReplicaDigest(index.replica(0, 0)), before);  // Deterministic.
 
-  // Degree boundaries are part of the digest: moving an edge between
-  // vertices keeps the flat neighbor stream identical but not the digest.
-  core::Graph left(2), right(2);
-  left.AddEdge(0, 1);
-  right.AddEdge(1, 1);
-  EXPECT_NE(GraphDigest(left), GraphDigest(right));
+  CorruptReplica(index, 0, 0);
+  EXPECT_NE(ReplicaDigest(index.replica(0, 0)), before);
+  CorruptUpperLayer(index, 0, 1);
+  EXPECT_NE(ReplicaDigest(index.replica(0, 1)), before);
 }
 
 TEST(ReplicaSetTest, MajorityDigestPicksLargestGroupEarliestOnTies) {
@@ -460,6 +493,46 @@ TEST(ReplicaScrubTest, ScrubDetectsQuarantinesRebuildsAndReadmits) {
   // Converged: the next pass sees three identical digests per shard.
   const ScrubReport after = index.ScrubReplicas(/*rebuild=*/true);
   EXPECT_EQ(after.divergent, 0u);
+}
+
+// Corruption confined to an upper HNSW layer — invisible to a base-layer
+// digest — still diverges the replica's digest, so the scrubber catches it
+// and the peer copy restores it.
+TEST(ReplicaScrubTest, ScrubCatchesAnUpperLayerOnlyDivergence) {
+  const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
+  ShardedIndex index(MakeOptions(2, 3));
+  index.Build(data);
+  const std::uint64_t majority = ReplicaDigest(index.replica(1, 0));
+  CorruptUpperLayer(index, 1, 2);
+
+  const ScrubReport report = index.ScrubReplicas(/*rebuild=*/true);
+  EXPECT_EQ(report.divergent, 1u);
+  EXPECT_EQ(report.quarantined, 1u);
+  EXPECT_EQ(report.rebuilt, 1u);
+  EXPECT_EQ(ReplicaDigest(index.replica(1, 2)), majority);
+  EXPECT_TRUE(index.health().probe_pending(1, 2));
+}
+
+// The peer copy never touches the filesystem: it succeeds even when
+// TMPDIR names a directory that does not exist.
+TEST(ReplicaScrubTest, PeerCopyNeedsNoWritableTempDir) {
+  const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
+  ShardedIndex index(MakeOptions(2, 2));
+  index.Build(data);
+  const std::uint64_t majority = ReplicaDigest(index.replica(0, 0));
+  CorruptReplica(index, 0, 1);
+
+  const char* saved = std::getenv("TMPDIR");
+  const std::string old = saved != nullptr ? saved : "";
+  ASSERT_EQ(::setenv("TMPDIR", "/nonexistent/gass-replica-test", 1), 0);
+  const core::Status status = index.RebuildReplica(0, 1);
+  if (saved != nullptr) {
+    ::setenv("TMPDIR", old.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  ASSERT_TRUE(status.ok()) << status.message();
+  EXPECT_EQ(ReplicaDigest(index.replica(0, 1)), majority);
 }
 
 TEST(ReplicaScrubTest, RebuildRestoresFromTheRecoverySnapshot) {
