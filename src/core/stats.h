@@ -3,8 +3,10 @@
 #ifndef GASS_CORE_STATS_H_
 #define GASS_CORE_STATS_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 
 namespace gass::core {
@@ -43,16 +45,44 @@ struct SearchStats {
   std::uint64_t prefetches = 0;
   double elapsed_seconds = 0.0;
 
+  /// One integer counter above, and the names it is exported under:
+  /// Prometheus "<prefix><name>_total" with `help` as its HELP text, and
+  /// `label` in serve::ServeMetrics::Dump().
+  struct Counter {
+    std::uint64_t SearchStats::*field;
+    const char* name;
+    const char* label;
+    const char* help;
+  };
+
+  /// Every integer counter, once. operator+=, AtomicAccumulator and the
+  /// serving metrics all loop over this table, so a new counter is one
+  /// field plus one row here.
+  static constexpr std::array<Counter, 9> kCounters = {{
+      {&SearchStats::distance_computations, "distance_computations",
+       "distance comps", "Distance evaluations across all queries"},
+      {&SearchStats::hops, "hops", "hops",
+       "Graph vertices expanded across all queries"},
+      {&SearchStats::deadline_expiries, "deadline_expiries",
+       "deadline expiry", "Deadline expiry events (>=1 possible per query)"},
+      {&SearchStats::shards_probed, "shards_probed", "shards probed",
+       "Shard sub-searches dispatched"},
+      {&SearchStats::shards_failed, "shards_failed", "shards failed",
+       "Shard contributions lost to faults or open breakers"},
+      {&SearchStats::shards_hedged, "shards_hedged", "shards hedged",
+       "Hedged backup sub-searches launched"},
+      {&SearchStats::hedge_wins, "hedge_wins", "hedge wins",
+       "Hedged backups that resolved before the primary"},
+      {&SearchStats::replica_failovers, "replica_failovers",
+       "replica failover",
+       "Sub-searches answered by a peer replica after the routed replica "
+       "failed"},
+      {&SearchStats::prefetches, "prefetches", "prefetches",
+       "Vectors prefetched ahead of batched distances"},
+  }};
+
   SearchStats& operator+=(const SearchStats& other) {
-    distance_computations += other.distance_computations;
-    hops += other.hops;
-    deadline_expiries += other.deadline_expiries;
-    shards_probed += other.shards_probed;
-    shards_failed += other.shards_failed;
-    shards_hedged += other.shards_hedged;
-    hedge_wins += other.hedge_wins;
-    replica_failovers += other.replica_failovers;
-    prefetches += other.prefetches;
+    for (const Counter& c : kCounters) this->*c.field += other.*c.field;
     elapsed_seconds += other.elapsed_seconds;
     return *this;
   }
@@ -67,18 +97,10 @@ struct SearchStats {
   class AtomicAccumulator {
    public:
     void Add(const SearchStats& s) {
-      distance_computations_.fetch_add(s.distance_computations,
-                                       std::memory_order_relaxed);
-      hops_.fetch_add(s.hops, std::memory_order_relaxed);
-      deadline_expiries_.fetch_add(s.deadline_expiries,
-                                   std::memory_order_relaxed);
-      shards_probed_.fetch_add(s.shards_probed, std::memory_order_relaxed);
-      shards_failed_.fetch_add(s.shards_failed, std::memory_order_relaxed);
-      shards_hedged_.fetch_add(s.shards_hedged, std::memory_order_relaxed);
-      hedge_wins_.fetch_add(s.hedge_wins, std::memory_order_relaxed);
-      replica_failovers_.fetch_add(s.replica_failovers,
-                                   std::memory_order_relaxed);
-      prefetches_.fetch_add(s.prefetches, std::memory_order_relaxed);
+      for (std::size_t i = 0; i < kCounters.size(); ++i) {
+        counters_[i].fetch_add(s.*kCounters[i].field,
+                               std::memory_order_relaxed);
+      }
       // Stored in nanoseconds so the hot path never touches floating-point
       // CAS loops (pre-C++20 atomic<double> has no fetch_add).
       elapsed_ns_.fetch_add(
@@ -89,17 +111,9 @@ struct SearchStats {
 
     SearchStats Snapshot() const {
       SearchStats s;
-      s.distance_computations =
-          distance_computations_.load(std::memory_order_relaxed);
-      s.hops = hops_.load(std::memory_order_relaxed);
-      s.deadline_expiries = deadline_expiries_.load(std::memory_order_relaxed);
-      s.shards_probed = shards_probed_.load(std::memory_order_relaxed);
-      s.shards_failed = shards_failed_.load(std::memory_order_relaxed);
-      s.shards_hedged = shards_hedged_.load(std::memory_order_relaxed);
-      s.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
-      s.replica_failovers =
-          replica_failovers_.load(std::memory_order_relaxed);
-      s.prefetches = prefetches_.load(std::memory_order_relaxed);
+      for (std::size_t i = 0; i < kCounters.size(); ++i) {
+        s.*kCounters[i].field = counters_[i].load(std::memory_order_relaxed);
+      }
       s.elapsed_seconds =
           static_cast<double>(elapsed_ns_.load(std::memory_order_relaxed)) *
           1e-9;
@@ -112,29 +126,15 @@ struct SearchStats {
     }
 
     void Reset() {
-      distance_computations_.store(0, std::memory_order_relaxed);
-      hops_.store(0, std::memory_order_relaxed);
-      deadline_expiries_.store(0, std::memory_order_relaxed);
-      shards_probed_.store(0, std::memory_order_relaxed);
-      shards_failed_.store(0, std::memory_order_relaxed);
-      shards_hedged_.store(0, std::memory_order_relaxed);
-      hedge_wins_.store(0, std::memory_order_relaxed);
-      replica_failovers_.store(0, std::memory_order_relaxed);
-      prefetches_.store(0, std::memory_order_relaxed);
+      for (auto& counter : counters_) {
+        counter.store(0, std::memory_order_relaxed);
+      }
       elapsed_ns_.store(0, std::memory_order_relaxed);
       queries_.store(0, std::memory_order_relaxed);
     }
 
    private:
-    std::atomic<std::uint64_t> distance_computations_{0};
-    std::atomic<std::uint64_t> hops_{0};
-    std::atomic<std::uint64_t> deadline_expiries_{0};
-    std::atomic<std::uint64_t> shards_probed_{0};
-    std::atomic<std::uint64_t> shards_failed_{0};
-    std::atomic<std::uint64_t> shards_hedged_{0};
-    std::atomic<std::uint64_t> hedge_wins_{0};
-    std::atomic<std::uint64_t> replica_failovers_{0};
-    std::atomic<std::uint64_t> prefetches_{0};
+    std::array<std::atomic<std::uint64_t>, kCounters.size()> counters_{};
     std::atomic<std::uint64_t> elapsed_ns_{0};
     std::atomic<std::uint64_t> queries_{0};
   };

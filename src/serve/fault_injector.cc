@@ -14,7 +14,7 @@ void FaultInjector::OnExecute(std::uint64_t id) {
   }
   const double spike = LatencySpikeSeconds(id);
   if (spike > 0) {
-    spikes_.fetch_add(1, std::memory_order_relaxed);
+    Count(FaultCounter::kSpikes);
     std::this_thread::sleep_for(std::chrono::duration<double>(spike));
   }
 }
@@ -23,7 +23,7 @@ void FaultInjector::OnShardSearch(std::uint64_t id, std::uint32_t shard,
                                   std::uint32_t attempt) {
   const double delay = ShardSearchDelaySeconds(id, shard, attempt);
   if (delay > 0) {
-    shard_delays_.fetch_add(1, std::memory_order_relaxed);
+    Count(FaultCounter::kShardDelays);
     std::this_thread::sleep_for(std::chrono::duration<double>(delay));
   }
 }
@@ -35,7 +35,7 @@ bool FaultInjector::OnShardReload(std::uint32_t shard) {
     const std::uint64_t attempt =
         reload_attempts_[i].fetch_add(1, std::memory_order_relaxed);
     if (attempt < p.reload_corrupt_times) {
-      reload_corruptions_.fetch_add(1, std::memory_order_relaxed);
+      Count(FaultCounter::kReloadCorruptions);
       return true;
     }
   }

@@ -15,6 +15,7 @@
 #ifndef GASS_SERVE_FAULT_INJECTOR_H_
 #define GASS_SERVE_FAULT_INJECTOR_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -82,6 +83,18 @@ struct FaultPlan {
   std::vector<ShardFaultPlan> shard_faults;
 };
 
+/// Injected faults, tallied per kind so tests can assert them against the
+/// observed shed / latency / failure counts.
+enum class FaultCounter : std::uint8_t {
+  kSpikes = 0,        ///< Latency spikes slept in OnExecute().
+  kRejections,        ///< Admissions force-rejected by the frontend.
+  kSessionFailures,   ///< Session acquisitions force-failed by the frontend.
+  kShardFailures,     ///< Shard sub-searches failed by the shard layer.
+  kShardDelays,       ///< Shard sub-search delays slept in OnShardSearch().
+  kReloadCorruptions, ///< Reload attempts failed by OnShardReload().
+  kEnd,               ///< Count sentinel, not a counter.
+};
+
 /// Thread-safe; one instance may serve a whole Frontend. All decision
 /// methods are pure functions of (plan, id) — only the gate and the
 /// counters carry state.
@@ -127,7 +140,8 @@ class FaultInjector {
 
   /// Fail shard `shard`'s sub-search on replica `replica` for admission id
   /// `id`? Pure; the shard layer acts by throwing inside its fan-out
-  /// worker and counts the injection via CountShardFailure(). A plan with
+  /// worker and counts the injection as FaultCounter::kShardFailures. A
+  /// plan with
   /// replica = -1 matches every replica, and `replica` = -1 asks whether
   /// the plan would fault ANY replica of the shard.
   bool ShouldFailShardSearch(std::uint64_t id, std::uint32_t shard,
@@ -157,21 +171,6 @@ class FaultInjector {
   /// ones succeed.
   bool OnShardReload(std::uint32_t shard);
 
-  std::uint64_t injected_shard_failures() const {
-    return shard_failures_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t injected_shard_delays() const {
-    return shard_delays_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t injected_reload_corruptions() const {
-    return reload_corruptions_.load(std::memory_order_relaxed);
-  }
-
-  /// Called by the shard layer when it acts on ShouldFailShardSearch().
-  void CountShardFailure() {
-    shard_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Gate control (tests). Opening wakes every parked worker; arrivals()
   /// counts workers that have reached the gate, so a test can wait until
   /// the server is provably wedged before measuring shedding.
@@ -180,21 +179,17 @@ class FaultInjector {
   /// Blocks until at least `n` workers have entered OnExecute().
   void WaitForArrivals(std::uint64_t n);
 
-  std::uint64_t injected_spikes() const {
-    return spikes_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t forced_rejections() const {
-    return rejections_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t forced_session_failures() const {
-    return session_failures_.load(std::memory_order_relaxed);
+  /// Tallies one injected fault. The hooks above count their own; the
+  /// frontend and shard layer call this when they act on a decision
+  /// (rejection, session failure, shard failure).
+  void Count(FaultCounter counter) {
+    counters_[static_cast<std::size_t>(counter)].fetch_add(
+        1, std::memory_order_relaxed);
   }
 
-  /// Called by the frontend when it acts on a decision, so tests can assert
-  /// the injected fault count against the observed shed/latency counts.
-  void CountRejection() { rejections_.fetch_add(1, std::memory_order_relaxed); }
-  void CountSessionFailure() {
-    session_failures_.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t count(FaultCounter counter) const {
+    return counters_[static_cast<std::size_t>(counter)].load(
+        std::memory_order_relaxed);
   }
 
  private:
@@ -214,12 +209,9 @@ class FaultInjector {
   std::condition_variable gate_cv_;
   bool gate_open_ = true;
   std::uint64_t arrivals_ = 0;  // Guarded by gate_mutex_.
-  std::atomic<std::uint64_t> spikes_{0};
-  std::atomic<std::uint64_t> rejections_{0};
-  std::atomic<std::uint64_t> session_failures_{0};
-  std::atomic<std::uint64_t> shard_failures_{0};
-  std::atomic<std::uint64_t> shard_delays_{0};
-  std::atomic<std::uint64_t> reload_corruptions_{0};
+  std::array<std::atomic<std::uint64_t>,
+             static_cast<std::size_t>(FaultCounter::kEnd)>
+      counters_{};
   /// Reload attempts seen so far, one slot per plan_.shard_faults entry.
   std::unique_ptr<std::atomic<std::uint64_t>[]> reload_attempts_;
 };

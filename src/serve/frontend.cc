@@ -71,7 +71,7 @@ Frontend::~Frontend() {
 }
 
 void Frontend::Reject(Task* task) {
-  metrics_.RecordShed();
+  metrics_.Add(ServeCounter::kShed);
   if (task->kind != TaskKind::kSearch) {
     if (task->trace != nullptr && task->owned_trace) {
       tracer_.FinishTrace(task->trace);
@@ -182,7 +182,7 @@ Frontend::Ticket Frontend::Submit(const SearchRequest& request) {
   Ticket ticket = task.promise.get_future();
 
   if (faults_ != nullptr && faults_->ShouldRejectAdmission(task.id)) {
-    faults_->CountRejection();
+    faults_->Count(FaultCounter::kRejections);
     Reject(&task);
     return ticket;
   }
@@ -300,7 +300,7 @@ void Frontend::WorkerLoop() {
 
     bool shed = false;
     if (faults_ != nullptr && faults_->ShouldFailSessionAcquire(task.id)) {
-      faults_->CountSessionFailure();
+      faults_->Count(FaultCounter::kSessionFailures);
       shed = true;
     } else if (task.deadline.IsExpired() || PredictedLate(task.deadline)) {
       // Queue wait consumed the budget (or the p50 prediction says the

@@ -16,65 +16,35 @@ std::string ServeMetrics::Dump() const {
   const core::SearchStats totals = TotalStats();
   const std::uint64_t n = queries();
   const double nq = n == 0 ? 1.0 : static_cast<double>(n);
-  char buffer[1536];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "queries          %llu\n"
-      "qps              %.1f\n"
-      "latency p50      %.3f ms\n"
-      "latency p95      %.3f ms\n"
-      "latency p99      %.3f ms\n"
-      "dists/query      %.1f\n"
-      "hops/query       %.1f\n"
-      "deadline expiry  %llu\n"
-      "expired queries  %llu\n"
-      "partial queries  %llu\n"
-      "shed queries     %llu\n"
-      "degraded queries %llu\n"
-      "queue high-water %llu\n"
-      "fan-out queries  %llu\n"
-      "shards probed    %llu (%.2f per fanned query)\n"
-      "shards failed    %llu\n"
-      "shards hedged    %llu (%llu hedge wins)\n"
-      "replica failover %llu\n"
-      "replicas quarantined %llu\n"
-      "replica rebuilds %llu\n"
-      "scrub passes     %llu\n"
-      "updates applied  %llu\n"
-      "deletes applied  %llu\n"
-      "wal bytes        %llu\n"
-      "wal replayed     %llu\n"
-      "checkpoints      %llu\n",
-      static_cast<unsigned long long>(n), Qps(),
-      1e3 * LatencyQuantileSeconds(0.50), 1e3 * LatencyQuantileSeconds(0.95),
-      1e3 * LatencyQuantileSeconds(0.99),
-      static_cast<double>(totals.distance_computations) / nq,
-      static_cast<double>(totals.hops) / nq,
-      static_cast<unsigned long long>(totals.deadline_expiries),
-      static_cast<unsigned long long>(expired_queries()),
-      static_cast<unsigned long long>(partial_queries()),
-      static_cast<unsigned long long>(shed_queries()),
-      static_cast<unsigned long long>(degraded_queries()),
-      static_cast<unsigned long long>(queue_depth_high_water()),
-      static_cast<unsigned long long>(fanout_queries()),
-      static_cast<unsigned long long>(totals.shards_probed),
-      fanout_queries() == 0
-          ? 0.0
-          : static_cast<double>(totals.shards_probed) /
-                static_cast<double>(fanout_queries()),
-      static_cast<unsigned long long>(totals.shards_failed),
-      static_cast<unsigned long long>(totals.shards_hedged),
-      static_cast<unsigned long long>(totals.hedge_wins),
-      static_cast<unsigned long long>(totals.replica_failovers),
-      static_cast<unsigned long long>(replicas_quarantined()),
-      static_cast<unsigned long long>(replica_rebuilds()),
-      static_cast<unsigned long long>(scrub_passes()),
-      static_cast<unsigned long long>(updates_applied()),
-      static_cast<unsigned long long>(deletes_applied()),
-      static_cast<unsigned long long>(wal_bytes_written()),
-      static_cast<unsigned long long>(wal_replay_records()),
-      static_cast<unsigned long long>(checkpoints()));
-  return buffer;
+  char buffer[256];
+  std::snprintf(buffer, sizeof(buffer),
+                "queries          %llu\n"
+                "qps              %.1f\n"
+                "latency p50      %.3f ms\n"
+                "latency p95      %.3f ms\n"
+                "latency p99      %.3f ms\n"
+                "dists/query      %.1f\n"
+                "hops/query       %.1f\n",
+                static_cast<unsigned long long>(n), Qps(),
+                1e3 * LatencyQuantileSeconds(0.50),
+                1e3 * LatencyQuantileSeconds(0.95),
+                1e3 * LatencyQuantileSeconds(0.99),
+                static_cast<double>(totals.distance_computations) / nq,
+                static_cast<double>(totals.hops) / nq);
+  std::string out = buffer;
+  const auto line = [&](const char* label, std::uint64_t value) {
+    std::snprintf(buffer, sizeof(buffer), "%-16s %llu\n", label,
+                  static_cast<unsigned long long>(value));
+    out += buffer;
+  };
+  for (const core::SearchStats::Counter& c : core::SearchStats::kCounters) {
+    line(c.label, totals.*c.field);
+  }
+  for (const ServeCounterInfo& c : kServeCounters) {
+    line(c.label, count(c.counter));
+  }
+  line("queue high-water", queue_depth_high_water());
+  return out;
 }
 
 void ServeMetrics::ExportTo(obs::Exporter* exporter,
@@ -83,73 +53,14 @@ void ServeMetrics::ExportTo(obs::Exporter* exporter,
   exporter->AddCounter(prefix + "queries_total",
                        static_cast<double>(queries()),
                        "Queries executed and recorded");
-  exporter->AddCounter(prefix + "expired_queries_total",
-                       static_cast<double>(expired_queries()),
-                       "Queries whose results were deadline-truncated");
-  exporter->AddCounter(prefix + "shed_queries_total",
-                       static_cast<double>(shed_queries()),
-                       "Queries rejected before execution");
-  exporter->AddCounter(prefix + "degraded_queries_total",
-                       static_cast<double>(degraded_queries()),
-                       "Queries served at a reduced effort step");
-  exporter->AddCounter(prefix + "fanout_queries_total",
-                       static_cast<double>(fanout_queries()),
-                       "Queries that fanned out to a sharded index");
-  exporter->AddCounter(prefix + "shards_probed_total",
-                       static_cast<double>(totals.shards_probed),
-                       "Shard sub-searches dispatched");
-  exporter->AddCounter(prefix + "partial_queries_total",
-                       static_cast<double>(partial_queries()),
-                       "Queries missing a shard contribution to a fault");
-  exporter->AddCounter(prefix + "shards_failed_total",
-                       static_cast<double>(totals.shards_failed),
-                       "Shard contributions lost to faults or open breakers");
-  exporter->AddCounter(prefix + "shards_hedged_total",
-                       static_cast<double>(totals.shards_hedged),
-                       "Hedged backup sub-searches launched");
-  exporter->AddCounter(prefix + "hedge_wins_total",
-                       static_cast<double>(totals.hedge_wins),
-                       "Hedged backups that resolved before the primary");
-  exporter->AddCounter(prefix + "replica_failovers_total",
-                       static_cast<double>(totals.replica_failovers),
-                       "Sub-searches answered by a peer replica after the "
-                       "routed replica failed");
-  exporter->AddCounter(prefix + "replicas_quarantined_total",
-                       static_cast<double>(replicas_quarantined()),
-                       "Replicas force-opened after digest divergence");
-  exporter->AddCounter(prefix + "replica_rebuilds_total",
-                       static_cast<double>(replica_rebuilds()),
-                       "Quarantined replicas restored online");
-  exporter->AddCounter(prefix + "scrub_passes_total",
-                       static_cast<double>(scrub_passes()),
-                       "Anti-entropy digest passes completed");
-  exporter->AddCounter(prefix + "distance_computations_total",
-                       static_cast<double>(totals.distance_computations),
-                       "Distance evaluations across all queries");
-  exporter->AddCounter(prefix + "hops_total",
-                       static_cast<double>(totals.hops),
-                       "Graph vertices expanded across all queries");
-  exporter->AddCounter(prefix + "prefetches_total",
-                       static_cast<double>(totals.prefetches),
-                       "Vectors prefetched ahead of batched distances");
-  exporter->AddCounter(prefix + "deadline_expiries_total",
-                       static_cast<double>(totals.deadline_expiries),
-                       "Deadline expiry events (>=1 possible per query)");
-  exporter->AddCounter(prefix + "updates_applied_total",
-                       static_cast<double>(updates_applied()),
-                       "Acknowledged inserts applied to the live index");
-  exporter->AddCounter(prefix + "deletes_applied_total",
-                       static_cast<double>(deletes_applied()),
-                       "Acknowledged deletes applied (tombstones set)");
-  exporter->AddCounter(prefix + "wal_bytes_written_total",
-                       static_cast<double>(wal_bytes_written()),
-                       "Write-ahead log bytes made durable");
-  exporter->AddCounter(prefix + "wal_replay_records_total",
-                       static_cast<double>(wal_replay_records()),
-                       "WAL records replayed during recovery");
-  exporter->AddCounter(prefix + "checkpoints_total",
-                       static_cast<double>(checkpoints()),
-                       "Checkpoints written (snapshot + WAL rotation)");
+  for (const core::SearchStats::Counter& c : core::SearchStats::kCounters) {
+    exporter->AddCounter(prefix + c.name + "_total",
+                         static_cast<double>(totals.*c.field), c.help);
+  }
+  for (const ServeCounterInfo& c : kServeCounters) {
+    exporter->AddCounter(prefix + c.name + "_total",
+                         static_cast<double>(count(c.counter)), c.help);
+  }
   for (std::size_t step = 0; step < kMaxDegradeSteps; ++step) {
     const std::uint64_t n = degrade_step_count(step);
     if (n == 0 && step > 0) continue;  // Step 0 always exported.
@@ -177,23 +88,11 @@ void ServeMetrics::Reset() {
   stats_.Reset();
   histogram_.Reset();
   for (auto& h : stage_histograms_) h.Reset();
-  expired_.store(0, std::memory_order_relaxed);
-  partial_.store(0, std::memory_order_relaxed);
-  fanout_.store(0, std::memory_order_relaxed);
-  shed_.store(0, std::memory_order_relaxed);
-  degraded_.store(0, std::memory_order_relaxed);
+  for (auto& counter : counters_) counter.store(0, std::memory_order_relaxed);
   queue_high_water_.store(0, std::memory_order_relaxed);
   for (auto& slot : degrade_occupancy_) {
     slot.store(0, std::memory_order_relaxed);
   }
-  updates_applied_.store(0, std::memory_order_relaxed);
-  deletes_applied_.store(0, std::memory_order_relaxed);
-  wal_bytes_.store(0, std::memory_order_relaxed);
-  wal_replay_records_.store(0, std::memory_order_relaxed);
-  checkpoints_.store(0, std::memory_order_relaxed);
-  replicas_quarantined_.store(0, std::memory_order_relaxed);
-  replica_rebuilds_.store(0, std::memory_order_relaxed);
-  scrub_passes_.store(0, std::memory_order_relaxed);
   window_.Reset();
 }
 

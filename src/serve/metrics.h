@@ -6,9 +6,10 @@
 // Readers (quantiles, dumps) see a consistent-enough snapshot for
 // monitoring; exact totals are available once the writers quiesce.
 //
-// The histogram implementation lives in obs/histogram.h (the exporter
-// walks its buckets without a serve dependency); the alias below keeps the
-// historic serve::LatencyHistogram name working.
+// Counters are table-driven: core::SearchStats::kCounters names the
+// per-query work counters, kServeCounters below names the rest, and
+// Dump(), ExportTo() and Reset() loop over both tables. A new serving
+// counter is one ServeCounter entry plus one kServeCounters row.
 
 #ifndef GASS_SERVE_METRICS_H_
 #define GASS_SERVE_METRICS_H_
@@ -28,7 +29,59 @@ class Exporter;  // obs/exporter.h; only needed by ExportTo callers.
 
 namespace gass::serve {
 
-using LatencyHistogram = obs::LatencyHistogram;
+/// Monotonic serving counters outside core::SearchStats, in kServeCounters
+/// order.
+enum class ServeCounter : std::uint8_t {
+  kExpired = 0,       ///< Queries whose results were deadline-truncated.
+  kShed,              ///< Queries rejected before execution; never
+                      ///< RecordQuery()'d, so they pollute neither the
+                      ///< latency histogram nor the per-query averages.
+  kDegraded,          ///< Queries served at a reduced effort step.
+  kFanout,            ///< Queries that fanned out to a sharded index.
+  kPartial,           ///< Queries missing a shard contribution to a fault.
+  kUpdatesApplied,    ///< Acknowledged inserts applied (logged + in memory).
+  kDeletesApplied,    ///< Acknowledged deletes applied (tombstone set).
+  kWalBytes,          ///< WAL bytes made durable (headers + payloads).
+  kWalReplayRecords,  ///< Records replayed from WALs during recovery.
+  kCheckpoints,       ///< Completed checkpoints (snapshot + WAL rotation).
+  kEnd,               ///< Count sentinel, not a counter.
+};
+
+inline constexpr std::size_t kNumServeCounters =
+    static_cast<std::size_t>(ServeCounter::kEnd);
+
+/// One counter's names: Prometheus "<prefix><name>_total" with `help` as
+/// its HELP text, and `label` in ServeMetrics::Dump().
+struct ServeCounterInfo {
+  ServeCounter counter;
+  const char* name;
+  const char* label;
+  const char* help;
+};
+
+inline constexpr std::array<ServeCounterInfo, kNumServeCounters>
+    kServeCounters = {{
+        {ServeCounter::kExpired, "expired_queries", "expired queries",
+         "Queries whose results were deadline-truncated"},
+        {ServeCounter::kShed, "shed_queries", "shed queries",
+         "Queries rejected before execution"},
+        {ServeCounter::kDegraded, "degraded_queries", "degraded queries",
+         "Queries served at a reduced effort step"},
+        {ServeCounter::kFanout, "fanout_queries", "fan-out queries",
+         "Queries that fanned out to a sharded index"},
+        {ServeCounter::kPartial, "partial_queries", "partial queries",
+         "Queries missing a shard contribution to a fault"},
+        {ServeCounter::kUpdatesApplied, "updates_applied", "updates applied",
+         "Acknowledged inserts applied to the live index"},
+        {ServeCounter::kDeletesApplied, "deletes_applied", "deletes applied",
+         "Acknowledged deletes applied (tombstones set)"},
+        {ServeCounter::kWalBytes, "wal_bytes_written", "wal bytes",
+         "Write-ahead log bytes made durable"},
+        {ServeCounter::kWalReplayRecords, "wal_replay_records",
+         "wal replayed", "WAL records replayed during recovery"},
+        {ServeCounter::kCheckpoints, "checkpoints", "checkpoints",
+         "Checkpoints written (snapshot + WAL rotation)"},
+    }};
 
 /// Aggregated serving metrics for one executor / one shared index.
 ///
@@ -47,81 +100,27 @@ class ServeMetrics {
                    bool partial = false) {
     stats_.Add(stats);
     histogram_.Record(stats.elapsed_seconds);
-    if (expired) expired_.fetch_add(1, std::memory_order_relaxed);
-    if (partial) partial_.fetch_add(1, std::memory_order_relaxed);
+    if (expired) Add(ServeCounter::kExpired);
+    if (partial) Add(ServeCounter::kPartial);
     if (stats.shards_probed > 0 || stats.shards_failed > 0) {
-      fanout_.fetch_add(1, std::memory_order_relaxed);
+      Add(ServeCounter::kFanout);
     }
+  }
+
+  void Add(ServeCounter counter, std::uint64_t n = 1) {
+    counters_[static_cast<std::size_t>(counter)].fetch_add(
+        n, std::memory_order_relaxed);
+  }
+
+  std::uint64_t count(ServeCounter counter) const {
+    return counters_[static_cast<std::size_t>(counter)].load(
+        std::memory_order_relaxed);
   }
 
   /// Totals across all recorded queries.
   core::SearchStats TotalStats() const { return stats_.Snapshot(); }
 
   std::uint64_t queries() const { return stats_.queries(); }
-
-  /// Queries whose results were deadline-truncated.
-  std::uint64_t expired_queries() const {
-    return expired_.load(std::memory_order_relaxed);
-  }
-
-  // --- Sharded fan-out accounting (written via stats.shards_probed) ---
-
-  /// Queries that fanned out to a sharded index (stats.shards_probed > 0).
-  /// Zero when serving an unsharded index.
-  std::uint64_t fanout_queries() const {
-    return fanout_.load(std::memory_order_relaxed);
-  }
-  /// Shard sub-searches dispatched across all recorded queries.
-  std::uint64_t shards_probed_total() const {
-    return stats_.Snapshot().shards_probed;
-  }
-  /// Queries that returned with a fault-caused missing shard contribution.
-  std::uint64_t partial_queries() const {
-    return partial_.load(std::memory_order_relaxed);
-  }
-  /// Shard contributions lost to faults (failed sub-searches + breaker
-  /// skips) across all recorded queries.
-  std::uint64_t shards_failed_total() const {
-    return stats_.Snapshot().shards_failed;
-  }
-  /// Hedged backup sub-searches launched / won across all queries.
-  std::uint64_t shards_hedged_total() const {
-    return stats_.Snapshot().shards_hedged;
-  }
-  std::uint64_t hedge_wins_total() const {
-    return stats_.Snapshot().hedge_wins;
-  }
-  /// Sub-searches answered by a peer replica after their routed replica
-  /// failed (replicated indexes only; flows in via stats).
-  std::uint64_t replica_failovers_total() const {
-    return stats_.Snapshot().replica_failovers;
-  }
-
-  // --- Replica anti-entropy accounting (written by the scrub driver) ---
-
-  /// One replica force-opened after its digest diverged from the shard
-  /// majority.
-  void RecordReplicaQuarantined() {
-    replicas_quarantined_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// One quarantined replica restored online (snapshot or peer copy).
-  void RecordReplicaRebuild() {
-    replica_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// One full anti-entropy pass over every (shard, replica) digest.
-  void RecordScrubPass() {
-    scrub_passes_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::uint64_t replicas_quarantined() const {
-    return replicas_quarantined_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t replica_rebuilds() const {
-    return replica_rebuilds_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t scrub_passes() const {
-    return scrub_passes_.load(std::memory_order_relaxed);
-  }
 
   // --- Per-stage latency (written from sampled traces) ---
 
@@ -134,7 +133,7 @@ class ServeMetrics {
         static_cast<double>(nanos) * 1e-9);
   }
 
-  const LatencyHistogram& stage_histogram(obs::Stage stage) const {
+  const obs::LatencyHistogram& stage_histogram(obs::Stage stage) const {
     return stage_histograms_[static_cast<std::size_t>(stage)];
   }
 
@@ -144,23 +143,15 @@ class ServeMetrics {
   /// deeper steps clamp into the last slot.
   static constexpr std::size_t kMaxDegradeSteps = 8;
 
-  /// One query shed (rejected before execution: queue full, forced fault,
-  /// or predicted-late). Shed queries are NOT RecordQuery()'d — they never
-  /// ran, so they pollute neither the latency histogram nor the per-query
-  /// cost averages.
-  void RecordShed() { shed_.fetch_add(1, std::memory_order_relaxed); }
-
   /// The degradation step one executed query actually ran with (0 = full
   /// effort). Feeds the per-step occupancy, and — when `count_degraded` —
-  /// the degraded_queries() total. Pass false for a query whose *outcome*
-  /// is not degraded (outcome precedence: a query that ran at a reduced
+  /// ServeCounter::kDegraded. Pass false for a query whose *outcome* is
+  /// not degraded (outcome precedence: a query that ran at a reduced
   /// step but then expired reports kExpired, and must count as expired,
   /// not degraded, so the outcome categories stay disjoint and
   /// full + degraded + expired == executed).
   void RecordDegradeStep(std::size_t step, bool count_degraded = true) {
-    if (step > 0 && count_degraded) {
-      degraded_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (step > 0 && count_degraded) Add(ServeCounter::kDegraded);
     if (step >= kMaxDegradeSteps) step = kMaxDegradeSteps - 1;
     degrade_occupancy_[step].fetch_add(1, std::memory_order_relaxed);
   }
@@ -174,12 +165,6 @@ class ServeMetrics {
     }
   }
 
-  std::uint64_t shed_queries() const {
-    return shed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t degraded_queries() const {
-    return degraded_.load(std::memory_order_relaxed);
-  }
   std::uint64_t queue_depth_high_water() const {
     return queue_high_water_.load(std::memory_order_relaxed);
   }
@@ -189,43 +174,12 @@ class ServeMetrics {
     return degrade_occupancy_[step].load(std::memory_order_relaxed);
   }
 
-  // --- Live-update accounting (written by serve::Updater) ---
-
-  /// One acknowledged insert applied to the index (logged + in memory).
-  void RecordUpdateApplied() {
-    updates_applied_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// One acknowledged delete applied (tombstone set).
-  void RecordDeleteApplied() {
-    deletes_applied_.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// WAL bytes made durable (record headers + payloads + file headers).
-  void AddWalBytes(std::uint64_t bytes) {
-    wal_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  /// Records replayed from WALs during recovery (Updater::Open).
-  void AddWalReplayRecords(std::uint64_t records) {
-    wal_replay_records_.fetch_add(records, std::memory_order_relaxed);
-  }
-  /// One completed checkpoint (snapshot written + WALs rotated).
-  void RecordCheckpoint() {
-    checkpoints_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::uint64_t updates_applied() const {
-    return updates_applied_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t deletes_applied() const {
-    return deletes_applied_.load(std::memory_order_relaxed);
-  }
+  /// Named reads of two counters, which bench/e2e/bench_e2e.cc calls.
   std::uint64_t wal_bytes_written() const {
-    return wal_bytes_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t wal_replay_records() const {
-    return wal_replay_records_.load(std::memory_order_relaxed);
+    return count(ServeCounter::kWalBytes);
   }
   std::uint64_t checkpoints() const {
-    return checkpoints_.load(std::memory_order_relaxed);
+    return count(ServeCounter::kCheckpoints);
   }
 
   double LatencyQuantileSeconds(double q) const {
@@ -236,12 +190,13 @@ class ServeMetrics {
   /// last Reset().
   double Qps() const;
 
-  /// Human-readable multi-line summary (QPS, p50/p95/p99, per-query costs,
-  /// deadline expiries) for benches and the CLI.
+  /// Human-readable multi-line summary: QPS, p50/p95/p99, per-query
+  /// costs, then one "label value" line per counter of either table.
   std::string Dump() const;
 
   /// Registers every metric on `exporter`, each name prefixed with
-  /// `prefix` (e.g. "gass_serve_"): query/shed/expiry counters, the
+  /// `prefix` (e.g. "gass_serve_"): "<prefix><name>_total" for
+  /// queries and for every counter of either table, the
   /// end-to-end latency histogram, one "<prefix>stage_seconds_<stage>"
   /// histogram per serve stage that saw samples, per-step degrade
   /// occupancy (label step="N"), and the queue high-water gauge.
@@ -252,22 +207,10 @@ class ServeMetrics {
 
  private:
   core::SearchStats::AtomicAccumulator stats_;
-  LatencyHistogram histogram_;
-  std::array<LatencyHistogram, obs::kNumStages> stage_histograms_;
-  std::atomic<std::uint64_t> expired_{0};
-  std::atomic<std::uint64_t> partial_{0};
-  std::atomic<std::uint64_t> fanout_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> degraded_{0};
+  obs::LatencyHistogram histogram_;
+  std::array<obs::LatencyHistogram, obs::kNumStages> stage_histograms_;
+  std::array<std::atomic<std::uint64_t>, kNumServeCounters> counters_{};
   std::atomic<std::uint64_t> queue_high_water_{0};
-  std::atomic<std::uint64_t> updates_applied_{0};
-  std::atomic<std::uint64_t> deletes_applied_{0};
-  std::atomic<std::uint64_t> wal_bytes_{0};
-  std::atomic<std::uint64_t> wal_replay_records_{0};
-  std::atomic<std::uint64_t> checkpoints_{0};
-  std::atomic<std::uint64_t> replicas_quarantined_{0};
-  std::atomic<std::uint64_t> replica_rebuilds_{0};
-  std::atomic<std::uint64_t> scrub_passes_{0};
   std::array<std::atomic<std::uint64_t>, kMaxDegradeSteps> degrade_occupancy_{};
   core::Timer window_;
 };

@@ -55,7 +55,8 @@ core::Status Updater::Create(LiveIndex* live, const UpdaterOptions& options,
                                                updater->HeaderFor(s, 0),
                                                options.wal,
                                                &updater->wals_[s]));
-    updater->metrics_->AddWalBytes(io::kWalFileHeaderBytes);
+    updater->metrics_->Add(ServeCounter::kWalBytes,
+                           io::kWalFileHeaderBytes);
   }
   *out = std::move(updater);
   return core::Status::Ok();
@@ -158,7 +159,8 @@ core::Status Updater::Open(LiveIndex* live, const UpdaterOptions& options,
       GASS_RETURN_IF_ERROR(io::WalWriter::Create(
           path, updater->HeaderFor(s, watermark), options.wal,
           &updater->wals_[s]));
-      updater->metrics_->AddWalBytes(io::kWalFileHeaderBytes);
+      updater->metrics_->Add(ServeCounter::kWalBytes,
+                             io::kWalFileHeaderBytes);
       continue;
     }
     if (stats.torn_tail) {
@@ -202,7 +204,7 @@ core::Status Updater::Open(LiveIndex* live, const UpdaterOptions& options,
     }
     ++report->records_applied;
   }
-  updater->metrics_->AddWalReplayRecords(pending.size());
+  updater->metrics_->Add(ServeCounter::kWalReplayRecords, pending.size());
   updater->sequence_ = max_seq;
 
   *out = std::move(updater);
@@ -230,7 +232,7 @@ UpdateResult Updater::Insert(const float* vec, obs::QueryTrace* trace) {
     result.status =
         wal.Append(io::kWalOpInsert, seq, id, vec, live_->dim());
     if (!result.status.ok()) return result;  // Not acknowledged.
-    metrics_->AddWalBytes(wal.bytes_written() - before);
+    metrics_->Add(ServeCounter::kWalBytes, wal.bytes_written() - before);
   }
   sequence_ = seq;
 
@@ -244,7 +246,7 @@ UpdateResult Updater::Insert(const float* vec, obs::QueryTrace* trace) {
     GASS_CHECK_MSG(applied.ok(), "apply after WAL append failed: %s",
                    applied.message().c_str());
   }
-  metrics_->RecordUpdateApplied();
+  metrics_->Add(ServeCounter::kUpdatesApplied);
   ++applied_since_checkpoint_;
 
   result.id = id;
@@ -281,7 +283,7 @@ UpdateResult Updater::Delete(core::VectorId id, obs::QueryTrace* trace) {
     const std::uint64_t before = wal.bytes_written();
     result.status = wal.Append(io::kWalOpDelete, seq, id, nullptr, 0);
     if (!result.status.ok()) return result;  // Not acknowledged.
-    metrics_->AddWalBytes(wal.bytes_written() - before);
+    metrics_->Add(ServeCounter::kWalBytes, wal.bytes_written() - before);
   }
   sequence_ = seq;
 
@@ -290,7 +292,7 @@ UpdateResult Updater::Delete(core::VectorId id, obs::QueryTrace* trace) {
     std::unique_lock<std::shared_mutex> lock(search_mutex_);
     tombstones_.Insert(id);
   }
-  metrics_->RecordDeleteApplied();
+  metrics_->Add(ServeCounter::kDeletesApplied);
   ++applied_since_checkpoint_;
 
   result.id = id;
@@ -322,10 +324,10 @@ core::Status Updater::CheckpointLocked() {
     GASS_RETURN_IF_ERROR(io::WalWriter::Create(WalPath(options_, s),
                                                HeaderFor(s, watermark),
                                                options_.wal, &wals_[s]));
-    metrics_->AddWalBytes(io::kWalFileHeaderBytes);
+    metrics_->Add(ServeCounter::kWalBytes, io::kWalFileHeaderBytes);
   }
   applied_since_checkpoint_ = 0;
-  metrics_->RecordCheckpoint();
+  metrics_->Add(ServeCounter::kCheckpoints);
   return core::Status::Ok();
 }
 

@@ -384,7 +384,7 @@ void FanOut::RunAttempt(State& state, std::size_t idx, int attempt) const {
         if (state.faults != nullptr &&
             state.faults->ShouldFailShardSearch(
                 id, s, static_cast<std::int32_t>(r))) {
-          state.faults->CountShardFailure();
+          state.faults->Count(serve::FaultCounter::kShardFailures);
           // Thrown, so injected failures take a real failure's path.
           throw std::runtime_error("injected shard fault");
         }

@@ -106,7 +106,7 @@ TEST_F(ExecutorTest, ExpiredDeadlineYieldsPartialResults) {
     // stats to tell partial results apart.
     EXPECT_TRUE(r.expired);
   }
-  EXPECT_EQ(executor.metrics().expired_queries(), queries_.size());
+  EXPECT_EQ(executor.metrics().count(ServeCounter::kExpired), queries_.size());
 }
 
 TEST_F(ExecutorTest, CallerDeadlineHonoredWhenExecutorHasNoTimeout) {
@@ -153,7 +153,7 @@ TEST_F(ExecutorTest, UnlimitedDeadlineNeverFlagsExpired) {
   const BatchResult batch = executor.SearchBatch(
       queries_.data(), queries_.size(), queries_.dim(), params);
   for (const auto& r : batch.results) EXPECT_FALSE(r.expired);
-  EXPECT_EQ(executor.metrics().expired_queries(), 0u);
+  EXPECT_EQ(executor.metrics().count(ServeCounter::kExpired), 0u);
 }
 
 TEST_F(ExecutorTest, MetricsAccumulateAcrossBatches) {

@@ -102,12 +102,12 @@ TEST_F(FrontendStressTest, EightThreadsPastQueueBoundAccountingCloses) {
   // Every submission resolved exactly once.
   EXPECT_EQ(counts.Total(), submitted);
   // The frontend's own books agree with the client-side tally...
-  EXPECT_EQ(frontend.metrics().shed_queries(), counts.rejected.load());
-  EXPECT_EQ(frontend.metrics().expired_queries(), counts.expired.load());
-  EXPECT_EQ(frontend.metrics().degraded_queries(), counts.degraded.load());
-  EXPECT_EQ(frontend.metrics().queries(),
-            counts.full.load() + counts.degraded.load() +
-                counts.expired.load());
+  const ServeMetrics& metrics = frontend.metrics();
+  EXPECT_EQ(metrics.count(ServeCounter::kShed), counts.rejected.load());
+  EXPECT_EQ(metrics.count(ServeCounter::kExpired), counts.expired.load());
+  EXPECT_EQ(metrics.count(ServeCounter::kDegraded), counts.degraded.load());
+  EXPECT_EQ(metrics.queries(), counts.full.load() + counts.degraded.load() +
+                                   counts.expired.load());
   // ...and the headline invariant closes: accepted + shed + expired ==
   // submitted, so no query was dropped silently or counted twice.
   const std::uint64_t accepted = counts.full.load() + counts.degraded.load();
@@ -123,9 +123,9 @@ TEST_F(FrontendStressTest, EightThreadsPastQueueBoundAccountingCloses) {
   EXPECT_LE(frontend.metrics().queue_depth_high_water(),
             options.queue_capacity);
   // The injected faults actually fired.
-  EXPECT_GT(faults.forced_rejections(), 0u);
-  EXPECT_GT(faults.forced_session_failures(), 0u);
-  EXPECT_GT(faults.injected_spikes(), 0u);
+  EXPECT_GT(faults.count(FaultCounter::kRejections), 0u);
+  EXPECT_GT(faults.count(FaultCounter::kSessionFailures), 0u);
+  EXPECT_GT(faults.count(FaultCounter::kSpikes), 0u);
 }
 
 TEST_F(FrontendStressTest, RetryLoopUnderOverloadStillCloses) {
@@ -168,7 +168,8 @@ TEST_F(FrontendStressTest, RetryLoopUnderOverloadStillCloses) {
   EXPECT_EQ(answered.load() + gave_up.load(), kSubmitters * kPerThread);
   // Retries mean total submissions >= client requests; the frontend's
   // executed + shed books must still cover every submission.
-  EXPECT_EQ(frontend.metrics().queries() + frontend.metrics().shed_queries(),
+  EXPECT_EQ(frontend.metrics().queries() +
+                frontend.metrics().count(ServeCounter::kShed),
             frontend.submitted());
   EXPECT_GT(answered.load(), 0u);
 }

@@ -60,8 +60,8 @@ TEST_F(FrontendTest, UnloadedServerServesFullEffort) {
   }
   frontend.Drain();
   EXPECT_EQ(frontend.metrics().queries(), 16u);
-  EXPECT_EQ(frontend.metrics().shed_queries(), 0u);
-  EXPECT_EQ(frontend.metrics().degraded_queries(), 0u);
+  EXPECT_EQ(frontend.metrics().count(ServeCounter::kShed), 0u);
+  EXPECT_EQ(frontend.metrics().count(ServeCounter::kDegraded), 0u);
 }
 
 // The acceptance-criteria test: with the execution gate closed (a
@@ -115,7 +115,7 @@ TEST_F(FrontendTest, QueueBoundShedsDeterministically) {
     const std::set<std::size_t> expected_shed{5, 6, 7, 8, 9};
     EXPECT_EQ(shed, expected_shed) << "run " << run;
     EXPECT_EQ(shed.size() + executed.size(), tickets.size());
-    EXPECT_EQ(frontend.metrics().shed_queries(), kOverflow);
+    EXPECT_EQ(frontend.metrics().count(ServeCounter::kShed), kOverflow);
     EXPECT_EQ(frontend.metrics().queries(), 1 + kCapacity);
   }
 }
@@ -181,7 +181,7 @@ TEST_F(FrontendTest, QueuePressureDegradesAndRestores) {
     // Degraded answers are still answers.
     EXPECT_EQ(result.neighbors.size(), params_.k);
   }
-  EXPECT_EQ(frontend.metrics().degraded_queries(), 5u);
+  EXPECT_EQ(frontend.metrics().count(ServeCounter::kDegraded), 5u);
   EXPECT_EQ(frontend.metrics().degrade_step_count(0), 4u);
   EXPECT_EQ(frontend.metrics().degrade_step_count(1), 3u);
   EXPECT_EQ(frontend.metrics().degrade_step_count(2), 2u);
@@ -219,7 +219,7 @@ TEST_F(FrontendTest, PredictedLateQueriesAreShedAtAdmission) {
   const methods::SearchResult unlimited =
       frontend.Submit(Query(2), queries_.dim(), params_).get();
   EXPECT_EQ(unlimited.outcome, ServeOutcome::kFull);
-  EXPECT_EQ(frontend.metrics().shed_queries(), 1u);
+  EXPECT_EQ(frontend.metrics().count(ServeCounter::kShed), 1u);
 }
 
 TEST_F(FrontendTest, ForcedRejectionsShedExactlyThePlannedSet) {
@@ -240,8 +240,8 @@ TEST_F(FrontendTest, ForcedRejectionsShedExactlyThePlannedSet) {
     EXPECT_EQ(result.outcome == ServeOutcome::kRejected, q % 3 == 0)
         << "query " << q;
   }
-  EXPECT_EQ(faults.forced_rejections(), 4u);
-  EXPECT_EQ(frontend.metrics().shed_queries(), 4u);
+  EXPECT_EQ(faults.count(FaultCounter::kRejections), 4u);
+  EXPECT_EQ(frontend.metrics().count(ServeCounter::kShed), 4u);
 }
 
 TEST_F(FrontendTest, SessionAcquireFailuresShedWorkerSide) {
@@ -268,8 +268,8 @@ TEST_F(FrontendTest, SessionAcquireFailuresShedWorkerSide) {
     }
   }
   EXPECT_EQ(shed, 3u);
-  EXPECT_EQ(faults.forced_session_failures(), 3u);
-  EXPECT_EQ(frontend.metrics().shed_queries(), 3u);
+  EXPECT_EQ(faults.count(FaultCounter::kSessionFailures), 3u);
+  EXPECT_EQ(frontend.metrics().count(ServeCounter::kShed), 3u);
 }
 
 TEST_F(FrontendTest, LatencySpikesExpireDeadlinedQueries) {
@@ -303,8 +303,8 @@ TEST_F(FrontendTest, LatencySpikesExpireDeadlinedQueries) {
       EXPECT_EQ(result.outcome, ServeOutcome::kFull) << "query " << q;
     }
   }
-  EXPECT_EQ(faults.injected_spikes(), 3u);
-  EXPECT_EQ(frontend.metrics().expired_queries(), 3u);
+  EXPECT_EQ(faults.count(FaultCounter::kSpikes), 3u);
+  EXPECT_EQ(frontend.metrics().count(ServeCounter::kExpired), 3u);
 }
 
 TEST_F(FrontendTest, DegradedResultsMatchDirectDegradedSearch) {

@@ -122,7 +122,7 @@ TEST_F(RetryLoopTest, RetriesThroughForcedRejectionToSuccess) {
   EXPECT_EQ(attempts, 2u);
   EXPECT_EQ(result.outcome, ServeOutcome::kFull);
   EXPECT_EQ(result.neighbors.size(), params_.k);
-  EXPECT_EQ(frontend.metrics().shed_queries(), 1u);
+  EXPECT_EQ(frontend.metrics().count(ServeCounter::kShed), 1u);
 }
 
 TEST_F(RetryLoopTest, ExhaustsAttemptsAgainstAPersistentRejector) {
@@ -143,7 +143,7 @@ TEST_F(RetryLoopTest, ExhaustsAttemptsAgainstAPersistentRejector) {
                       core::Deadline(), policy, &rng, &attempts);
   EXPECT_EQ(attempts, 3u);
   EXPECT_EQ(result.outcome, ServeOutcome::kRejected);
-  EXPECT_EQ(frontend.metrics().shed_queries(), 3u);
+  EXPECT_EQ(frontend.metrics().count(ServeCounter::kShed), 3u);
 }
 
 TEST_F(RetryLoopTest, GivesUpWhenBackoffWouldCrossTheDeadline) {

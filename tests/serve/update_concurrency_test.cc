@@ -114,8 +114,10 @@ TEST(UpdateConcurrencyTest, SearchesRunAgainstAMutatingIndex) {
     EXPECT_GE(full_searches.load(), 1u);
     EXPECT_EQ(live->next_id(), kBaseN + acked_inserts.load());
     EXPECT_EQ(updater->tombstones().count(), acked_deletes.load());
-    EXPECT_EQ(frontend.metrics().updates_applied(), acked_inserts.load());
-    EXPECT_EQ(frontend.metrics().deletes_applied(), acked_deletes.load());
+    EXPECT_EQ(frontend.metrics().count(ServeCounter::kUpdatesApplied),
+              acked_inserts.load());
+    EXPECT_EQ(frontend.metrics().count(ServeCounter::kDeletesApplied),
+              acked_deletes.load());
   }
 
   // Steady state after the storm: no search may emit any tombstoned id.
@@ -184,7 +186,7 @@ TEST(UpdateConcurrencyTest, RejectedUpdatesResolveWithAnError) {
   }
   EXPECT_EQ(acked + rejected, 64u);
   EXPECT_EQ(live->next_id(), 64 + acked);
-  EXPECT_EQ(frontend.metrics().updates_applied(), acked);
+  EXPECT_EQ(frontend.metrics().count(ServeCounter::kUpdatesApplied), acked);
 }
 
 }  // namespace

@@ -188,7 +188,8 @@ TEST(UpdaterTest, CleanRecoveryServesEveryAcknowledgedUpdate) {
   VerifySearches(shell.get(), updater.get(), ops, ops.size(), "clean");
 
   // Recovery binds counters too.
-  EXPECT_EQ(updater->metrics().wal_replay_records(), ops.size());
+  EXPECT_EQ(updater->metrics().count(ServeCounter::kWalReplayRecords),
+            ops.size());
 }
 
 TEST(UpdaterTest, FaultGridRecoversExactlyTheSurvivingPrefix) {
@@ -437,8 +438,8 @@ TEST(UpdaterTest, UpdateCountersFlowThroughTheExporter) {
   ASSERT_TRUE(updater->Checkpoint().ok());
 
   const ServeMetrics& metrics = updater->metrics();
-  EXPECT_EQ(metrics.updates_applied(), 2u);
-  EXPECT_EQ(metrics.deletes_applied(), 1u);
+  EXPECT_EQ(metrics.count(ServeCounter::kUpdatesApplied), 2u);
+  EXPECT_EQ(metrics.count(ServeCounter::kDeletesApplied), 1u);
   EXPECT_GT(metrics.wal_bytes_written(), 0u);
   EXPECT_EQ(metrics.checkpoints(), 1u);
 

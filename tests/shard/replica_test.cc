@@ -320,7 +320,7 @@ TEST(ReplicaFailoverTest, PermanentReplicaFaultIsFullyMasked) {
     }
   }
   EXPECT_GE(total_failovers, 1u);
-  EXPECT_EQ(faults.injected_shard_failures(), total_failovers);
+  EXPECT_EQ(faults.count(serve::FaultCounter::kShardFailures), total_failovers);
   // Selection learned to avoid the sick replica: most queries never
   // touched it, so failovers stayed well below one per query.
   EXPECT_LT(total_failovers, queries.size());
@@ -360,9 +360,9 @@ TEST(ReplicaFailoverTest, ExecutorBatchMasksAPermanentReplicaFault) {
     EXPECT_EQ(response.shards_failed, 0u);
     EXPECT_EQ(response.neighbors.size(), 10u);
   }
-  EXPECT_EQ(executor.metrics().partial_queries(), 0u);
-  EXPECT_EQ(executor.metrics().shards_failed_total(), 0u);
-  EXPECT_GE(executor.metrics().replica_failovers_total(), 1u);
+  EXPECT_EQ(executor.metrics().count(serve::ServeCounter::kPartial), 0u);
+  EXPECT_EQ(executor.metrics().TotalStats().shards_failed, 0u);
+  EXPECT_GE(executor.metrics().TotalStats().replica_failovers, 1u);
 }
 
 // A hedged backup starts on the next replica the breakers will route, so an
@@ -399,7 +399,7 @@ TEST(ReplicaFailoverTest, HedgedBackupNeverSearchesAnOpenReplica) {
   EXPECT_EQ(response.shards_hedged, 1u);
   EXPECT_FALSE(response.partial);
   EXPECT_EQ(response.replica_failovers, 0u);
-  EXPECT_EQ(slow.injected_shard_failures(), 0u);
+  EXPECT_EQ(slow.count(serve::FaultCounter::kShardFailures), 0u);
   EXPECT_EQ(index.health().state(0, 1), BreakerState::kOpen);
 }
 

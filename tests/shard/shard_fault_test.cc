@@ -107,7 +107,7 @@ TEST(ShardFaultTest, FailingShardYieldsPartialResultsNotErrors) {
       EXPECT_LT(nb.id, data.size());
     }
   }
-  EXPECT_EQ(faults.injected_shard_failures(), queries.size());
+  EXPECT_EQ(faults.count(serve::FaultCounter::kShardFailures), queries.size());
 }
 
 TEST(ShardFaultTest, ExpiredWithoutPartial) {
@@ -189,12 +189,14 @@ TEST(ShardFaultTest, BreakerTripQuarantineAndRecoveryAfterReload) {
 
   // Quarantined: routing skips the shard, so the underlying fault is no
   // longer even exercised — still partial, but no new injected failures.
-  const std::uint64_t failures_at_trip = faults.injected_shard_failures();
+  const std::uint64_t failures_at_trip =
+      faults.count(serve::FaultCounter::kShardFailures);
   const auto skipped = SearchOnce(sharded, data.Row(2), params);
   EXPECT_TRUE(skipped.partial);
   EXPECT_EQ(skipped.stats.shards_failed, 1u);
   EXPECT_EQ(skipped.stats.shards_probed, 3u);
-  EXPECT_EQ(faults.injected_shard_failures(), failures_at_trip);
+  EXPECT_EQ(faults.count(serve::FaultCounter::kShardFailures),
+            failures_at_trip);
 
   // The operator fixes the fault and reloads the shard from its snapshot.
   sharded.SetFaultInjector(nullptr);
@@ -441,7 +443,7 @@ TEST(ShardFaultTest, HedgedQueriesTraceReplicaFailovers) {
   EXPECT_TRUE(response.partial);
   EXPECT_EQ(response.shards_failed, 1u);
   EXPECT_EQ(response.replica_failovers, 1u);
-  EXPECT_EQ(faults.injected_shard_failures(), 2u);
+  EXPECT_EQ(faults.count(serve::FaultCounter::kShardFailures), 2u);
 
   std::size_t failover_spans = 0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -485,8 +487,9 @@ TEST(ShardFaultTest, ExecutorBatchSurvivesAPermanentlyFailingShard) {
     EXPECT_EQ(response.neighbors.size(), 10u);
     answers.push_back(response.neighbors);
   }
-  EXPECT_EQ(executor.metrics().partial_queries(), queries.size());
-  EXPECT_EQ(executor.metrics().shards_failed_total(), queries.size());
+  EXPECT_EQ(executor.metrics().count(serve::ServeCounter::kPartial),
+            queries.size());
+  EXPECT_EQ(executor.metrics().TotalStats().shards_failed, queries.size());
 
   // Losing 1 of 8 contiguous shards costs about 1/8 of the ground truth;
   // the remaining shards still answer well.

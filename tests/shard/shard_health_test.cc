@@ -276,8 +276,8 @@ TEST(ShardFaultPlanTest, FailPeriodKeysOnAdmissionIdAndShard) {
   EXPECT_TRUE(faults.ShouldFailShardSearch(3, 2, kAnyReplica));
   EXPECT_FALSE(faults.ShouldFailShardSearch(0, 1, kAnyReplica));
   EXPECT_FALSE(faults.ShouldFailShardSearch(3, 0, kAnyReplica));
-  faults.CountShardFailure();
-  EXPECT_EQ(faults.injected_shard_failures(), 1u);
+  faults.Count(serve::FaultCounter::kShardFailures);
+  EXPECT_EQ(faults.count(serve::FaultCounter::kShardFailures), 1u);
 }
 
 TEST(ShardFaultPlanTest, SlowPlanDelaysOnlyEarlyAttempts) {
@@ -289,9 +289,9 @@ TEST(ShardFaultPlanTest, SlowPlanDelaysOnlyEarlyAttempts) {
   EXPECT_EQ(faults.ShardSearchDelaySeconds(0, 0, /*attempt=*/1), 0.0);
   EXPECT_EQ(faults.ShardSearchDelaySeconds(0, 1, 0), 0.0);  // Other shard.
   faults.OnShardSearch(0, 0, 0);
-  EXPECT_EQ(faults.injected_shard_delays(), 1u);
+  EXPECT_EQ(faults.count(serve::FaultCounter::kShardDelays), 1u);
   faults.OnShardSearch(0, 0, 1);
-  EXPECT_EQ(faults.injected_shard_delays(), 1u);
+  EXPECT_EQ(faults.count(serve::FaultCounter::kShardDelays), 1u);
 }
 
 TEST(ShardFaultPlanTest, ReloadCorruptionFiresFirstNTimes) {
@@ -300,7 +300,7 @@ TEST(ShardFaultPlanTest, ReloadCorruptionFiresFirstNTimes) {
   EXPECT_TRUE(faults.OnShardReload(1));
   EXPECT_FALSE(faults.OnShardReload(1));  // Third reload succeeds.
   EXPECT_FALSE(faults.OnShardReload(0));  // Unplanned shard never corrupts.
-  EXPECT_EQ(faults.injected_reload_corruptions(), 2u);
+  EXPECT_EQ(faults.count(serve::FaultCounter::kReloadCorruptions), 2u);
 }
 
 TEST(ShardFaultPlanTest, ReplicaTargetedFailHitsOnlyThatReplica) {

@@ -3,7 +3,8 @@
 //   - a positional token where a --flag was expected,
 //   - a trailing flag with no value,
 //   - a flag outside the command's spec table (typos never pass),
-//   - a non-numeric value handed to an integer or float flag.
+//   - a non-numeric value handed to an integer or float flag,
+//   - an empty or non-numeric element in an integer-list flag.
 
 #include "arg_parse.h"
 
@@ -33,6 +34,7 @@ const std::vector<ArgSpec> kSpecs = {
     {"n", ArgKind::kInt},
     {"rate", ArgKind::kFloat},
     {"method", ArgKind::kString},
+    {"threads", ArgKind::kIntList},
 };
 
 TEST(ParseLongTest, AcceptsWholeDecimalsOnly) {
@@ -59,6 +61,21 @@ TEST(ParseDoubleTest, AcceptsWholeNumbersOnly) {
   EXPECT_FALSE(ParseDouble("", &v));
   EXPECT_FALSE(ParseDouble("0.5qps", &v));
   EXPECT_FALSE(ParseDouble("fast", &v));
+}
+
+TEST(ParseIntListTest, AcceptsCommaSeparatedWholeDecimalsOnly) {
+  std::vector<long> v;
+  EXPECT_TRUE(ParseIntList("1,2,4", &v));
+  EXPECT_EQ(v, (std::vector<long>{1, 2, 4}));
+  EXPECT_TRUE(ParseIntList("-3", &v));
+  EXPECT_EQ(v, (std::vector<long>{-3}));
+  EXPECT_FALSE(ParseIntList("", &v));
+  EXPECT_FALSE(ParseIntList(",1", &v));     // Empty leading element.
+  EXPECT_FALSE(ParseIntList("1,,2", &v));   // Empty middle element.
+  EXPECT_FALSE(ParseIntList("1,2,", &v));   // Trailing comma.
+  EXPECT_FALSE(ParseIntList("1,abc", &v));  // Non-numeric element.
+  EXPECT_FALSE(ParseIntList("1,2.5", &v));  // Not an integer.
+  EXPECT_EQ(v, (std::vector<long>{-3}));    // Failures leave *out alone.
 }
 
 TEST(ArgParserTest, ParsesFlagValuePairsInAnyOrder) {
@@ -121,6 +138,27 @@ TEST(ArgParserTest, NonNumericFloatValueIsNamedByRestrict) {
   EXPECT_NE(flags.error().find("--rate expects a number, got '0.5qps'"),
             std::string::npos)
       << flags.error();
+}
+
+TEST(ArgParserTest, IntListFlagIsParsedWithFallback) {
+  Argv args({"prog", "cmd", "--threads", "1,8"});
+  ArgParser flags(args.argc(), args.argv(), 2);
+  ASSERT_TRUE(flags.Restrict(kSpecs)) << flags.error();
+  EXPECT_EQ(flags.GetIntList("threads", {4}), (std::vector<long>{1, 8}));
+  EXPECT_EQ(flags.GetIntList("beams", {10, 40}), (std::vector<long>{10, 40}));
+}
+
+TEST(ArgParserTest, MalformedIntListIsNamedByRestrict) {
+  for (const std::string bad : {"1,abc", "", "1,,2", "1,2,"}) {
+    Argv args({"prog", "cmd", "--threads", bad});
+    ArgParser flags(args.argc(), args.argv(), 2);
+    ASSERT_TRUE(flags.ok());
+    EXPECT_FALSE(flags.Restrict(kSpecs)) << bad;
+    EXPECT_NE(flags.error().find("--threads expects comma-separated "
+                                 "integers, got '" + bad + "'"),
+              std::string::npos)
+        << flags.error();
+  }
 }
 
 TEST(ArgParserTest, StringFlagsAcceptAnything) {

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 namespace gass::tools {
 
@@ -23,6 +24,21 @@ bool ParseDouble(const std::string& text, double* out) {
   const double value = std::strtod(text.c_str(), &end);
   if (errno == ERANGE || end == text.c_str() || *end != '\0') return false;
   *out = value;
+  return true;
+}
+
+bool ParseIntList(const std::string& text, std::vector<long>* out) {
+  std::vector<long> values;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t end = text.find(',', start);
+    long value = 0;
+    if (!ParseLong(text.substr(start, end - start), &value)) return false;
+    values.push_back(value);
+    if (end == std::string::npos) break;
+    start = end + 1;
+  }
+  *out = std::move(values);
   return true;
 }
 
@@ -65,6 +81,13 @@ bool ArgParser::Restrict(const std::vector<ArgSpec>& specs) {
         error_ = "flag --" + key + " expects a number, got '" + value + "'";
         return false;
       }
+    } else if (spec->kind == ArgKind::kIntList) {
+      std::vector<long> parsed;
+      if (!ParseIntList(value, &parsed)) {
+        error_ = "flag --" + key +
+                 " expects comma-separated integers, got '" + value + "'";
+        return false;
+      }
     }
   }
   return true;
@@ -82,6 +105,14 @@ double ArgParser::GetFloat(const std::string& key, double fallback) const {
   if (it == values_.end()) return fallback;
   double parsed = 0.0;
   return ParseDouble(it->second, &parsed) ? parsed : fallback;
+}
+
+std::vector<long> ArgParser::GetIntList(
+    const std::string& key, const std::vector<long>& fallback) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  std::vector<long> parsed;
+  return ParseIntList(it->second, &parsed) ? parsed : fallback;
 }
 
 }  // namespace gass::tools

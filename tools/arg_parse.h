@@ -7,7 +7,8 @@
 //   * a positional token where a --flag was expected,
 //   * a trailing flag with no value,
 //   * a flag not in the command's spec table (typos never pass silently),
-//   * a non-numeric value handed to an integer or float flag.
+//   * a non-numeric value handed to an integer or float flag, or an
+//     empty or non-numeric element in an integer-list flag.
 //
 // Usage: construct, then call Restrict() with the command's ArgSpec table.
 // Restrict validates flag names and numeric syntax eagerly, so the typed
@@ -25,9 +26,10 @@ namespace gass::tools {
 
 /// How a flag's value is validated by ArgParser::Restrict.
 enum class ArgKind {
-  kString,  ///< Any value (paths, method names, comma lists).
-  kInt,     ///< A complete decimal integer, optionally signed.
-  kFloat,   ///< A complete decimal floating-point number.
+  kString,   ///< Any value (paths, method names, key=value specs).
+  kInt,      ///< A complete decimal integer, optionally signed.
+  kFloat,    ///< A complete decimal floating-point number.
+  kIntList,  ///< Comma-separated kInt values ("1,2,4"), none empty.
 };
 
 /// One known flag: its name without the "--" prefix, and its value kind.
@@ -42,6 +44,10 @@ bool ParseLong(const std::string& text, long* out);
 
 /// Strict "the whole string is a decimal floating-point number" parse.
 bool ParseDouble(const std::string& text, double* out);
+
+/// Strict comma-list parse: every element must pass ParseLong, so empty
+/// input, an empty element (",1", "1,,2", "1,") or a malformed one fails.
+bool ParseIntList(const std::string& text, std::vector<long>* out);
 
 class ArgParser {
  public:
@@ -69,6 +75,10 @@ class ArgParser {
 
   /// Float flag lookup, same contract as GetInt.
   double GetFloat(const std::string& key, double fallback) const;
+
+  /// Integer-list flag lookup, same contract as GetInt.
+  std::vector<long> GetIntList(const std::string& key,
+                               const std::vector<long>& fallback) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -100,9 +100,11 @@
 // --metrics-out writes the metrics as Prometheus text.
 //
 // All subcommands print human-readable tables to stdout and return nonzero
-// on error. Flag parsing is strict (tools/arg_parse.h): an unknown --flag
-// or a non-numeric value handed to a numeric flag exits with a named error
-// instead of a silent default.
+// on error. Flag parsing is strict (tools/arg_parse.h): an unknown --flag,
+// a non-numeric value handed to a numeric flag, or an empty or non-numeric
+// element of a comma list (--threads, --beams) exits with a named error
+// instead of a silent default. Millisecond flags (--timeout-ms,
+// --deadline-ms, --shard-fault-slow-ms) take fractions, e.g. 2.5.
 
 #include <cstdio>
 #include <cstdlib>
@@ -306,8 +308,7 @@ gass::serve::FaultPlan ShardFaultPlanFromFlags(const Flags& flags) {
       flags.GetInt("shard-fault-fail-period", 0));
   fault.slow_period = static_cast<std::uint64_t>(
       flags.GetInt("shard-fault-slow-period", 0));
-  fault.slow_seconds =
-      static_cast<double>(flags.GetInt("shard-fault-slow-ms", 50)) * 1e-3;
+  fault.slow_seconds = flags.GetFloat("shard-fault-slow-ms", 50.0) * 1e-3;
   fault.slow_attempts = static_cast<std::uint32_t>(
       flags.GetInt("shard-fault-slow-attempts", 1));
   fault.reload_corrupt_times = static_cast<std::uint64_t>(
@@ -362,53 +363,36 @@ void ReportShardFaults(const gass::serve::ServeMetrics& metrics,
                        const gass::serve::FaultInjector* injector) {
   const auto* sharded = dynamic_cast<const gass::shard::ShardedIndex*>(&index);
   if (sharded == nullptr) return;
-  if (metrics.shards_failed_total() == 0 &&
-      metrics.shards_hedged_total() == 0 && metrics.partial_queries() == 0 &&
-      injector == nullptr && !sharded->health().enabled()) {
+  const gass::core::SearchStats totals = metrics.TotalStats();
+  const std::uint64_t partial =
+      metrics.count(gass::serve::ServeCounter::kPartial);
+  if (totals.shards_failed == 0 && totals.shards_hedged == 0 &&
+      partial == 0 && injector == nullptr && !sharded->health().enabled()) {
     return;
   }
   std::printf("fan-out health: partial %llu | shards failed %llu | "
               "hedged %llu (%llu wins)\n",
-              static_cast<unsigned long long>(metrics.partial_queries()),
-              static_cast<unsigned long long>(metrics.shards_failed_total()),
-              static_cast<unsigned long long>(metrics.shards_hedged_total()),
-              static_cast<unsigned long long>(metrics.hedge_wins_total()));
-  if (sharded->num_replicas() > 1 ||
-      metrics.replica_failovers_total() > 0) {
-    std::printf("replication: %zu replicas/shard | failovers %llu | "
-                "quarantined %llu | rebuilds %llu | scrub passes %llu\n",
+              static_cast<unsigned long long>(partial),
+              static_cast<unsigned long long>(totals.shards_failed),
+              static_cast<unsigned long long>(totals.shards_hedged),
+              static_cast<unsigned long long>(totals.hedge_wins));
+  if (sharded->num_replicas() > 1 || totals.replica_failovers > 0) {
+    std::printf("replication: %zu replicas/shard | failovers %llu\n",
                 sharded->num_replicas(),
-                static_cast<unsigned long long>(
-                    metrics.replica_failovers_total()),
-                static_cast<unsigned long long>(
-                    metrics.replicas_quarantined()),
-                static_cast<unsigned long long>(metrics.replica_rebuilds()),
-                static_cast<unsigned long long>(metrics.scrub_passes()));
+                static_cast<unsigned long long>(totals.replica_failovers));
   }
   std::printf("%s\n", sharded->health().Summary().c_str());
   if (injector != nullptr) {
+    using gass::serve::FaultCounter;
     std::printf("injected: %llu shard failures, %llu delays, "
                 "%llu reload corruptions\n",
                 static_cast<unsigned long long>(
-                    injector->injected_shard_failures()),
+                    injector->count(FaultCounter::kShardFailures)),
                 static_cast<unsigned long long>(
-                    injector->injected_shard_delays()),
+                    injector->count(FaultCounter::kShardDelays)),
                 static_cast<unsigned long long>(
-                    injector->injected_reload_corruptions()));
+                    injector->count(FaultCounter::kReloadCorruptions)));
   }
-}
-
-std::vector<std::size_t> ParseBeams(const std::string& spec) {
-  std::vector<std::size_t> beams;
-  std::size_t start = 0;
-  while (start < spec.size()) {
-    std::size_t end = spec.find(',', start);
-    if (end == std::string::npos) end = spec.size();
-    beams.push_back(
-        static_cast<std::size_t>(std::atol(spec.substr(start, end - start).c_str())));
-    start = end + 1;
-  }
-  return beams;
 }
 
 int CmdGen(const Flags& flags) {
@@ -565,9 +549,9 @@ int CmdEval(const Flags& flags) {
   std::printf("%-8s %-10s %-14s %-12s\n", "beam", "recall", "dists/query",
               "time/query");
 
-  for (const std::size_t beam : ParseBeams(flags.Get("beams", "10,40,160"))) {
+  for (const long beam : flags.GetIntList("beams", {10, 40, 160})) {
     gass::methods::SearchParams params = base_params;
-    params.beam_width = beam;
+    params.beam_width = static_cast<std::size_t>(beam);
     std::vector<std::vector<gass::core::Neighbor>> results;
     double dists = 0.0, seconds = 0.0;
     for (VectorId q = 0; q < queries.size(); ++q) {
@@ -577,7 +561,7 @@ int CmdEval(const Flags& flags) {
       results.push_back(std::move(result.neighbors));
     }
     const double nq = static_cast<double>(queries.size());
-    std::printf("%-8zu %-10.4f %-14.0f %.3fms\n", beam,
+    std::printf("%-8zu %-10.4f %-14.0f %.3fms\n", params.beam_width,
                 gass::eval::MeanRecall(results, truth, k), dists / nq,
                 1e3 * seconds / nq);
   }
@@ -624,12 +608,17 @@ int RunPoissonServeBench(gass::methods::GraphIndex& index,
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.GetInt("seed", 42));
 
+  const std::vector<long> threads = flags.GetIntList("threads", {0});
+  if (threads.size() != 1) {
+    std::fprintf(stderr,
+                 "error: --arrival poisson takes one --threads count\n");
+    return 1;
+  }
   gass::serve::FrontendOptions options;
-  options.threads = static_cast<std::size_t>(flags.GetInt("threads", 0));
+  options.threads = static_cast<std::size_t>(threads[0]);
   options.queue_capacity =
       static_cast<std::size_t>(flags.GetInt("queue", 64));
-  options.deadline_seconds =
-      static_cast<double>(flags.GetInt("deadline-ms", 10)) * 1e-3;
+  options.deadline_seconds = flags.GetFloat("deadline-ms", 10.0) * 1e-3;
   options.seed = seed;
   options.trace = TraceOptionsFromFlags(flags);
   gass::serve::Frontend frontend(index, options);
@@ -823,8 +812,7 @@ int CmdServeBench(const Flags& flags) {
 
   const std::size_t k = static_cast<std::size_t>(flags.GetInt("k", 10));
   const std::size_t reps = static_cast<std::size_t>(flags.GetInt("reps", 16));
-  const double timeout_seconds =
-      static_cast<double>(flags.GetInt("timeout-ms", 0)) * 1e-3;
+  const double timeout_seconds = flags.GetFloat("timeout-ms", 0.0) * 1e-3;
 
   std::unique_ptr<gass::methods::GraphIndex> index;
   if (flags.Has("load")) {
@@ -895,10 +883,9 @@ int CmdServeBench(const Flags& flags) {
   } else {
     std::printf("%-8s %-12s %-12s %-12s %-10s\n", "threads", "qps", "p50",
                 "p95", "expired");
-    for (const std::size_t threads :
-         ParseBeams(flags.Get("threads", "1,2,4"))) {
+    for (const long threads : flags.GetIntList("threads", {1, 2, 4})) {
       gass::serve::ExecutorOptions options;
-      options.threads = threads;
+      options.threads = static_cast<std::size_t>(threads);
       options.timeout_seconds = timeout_seconds;
       options.trace = TraceOptionsFromFlags(flags);
       gass::serve::QueryExecutor executor(*index, options);
@@ -907,8 +894,8 @@ int CmdServeBench(const Flags& flags) {
       executor.tracer().Reset();  // Warm-up queries should not occupy slots.
       const gass::serve::BatchResult result =
           executor.SearchBatch(batch.data(), reps * nq, dim, params);
-      std::printf("%-8zu %-12.0f %-12.3f %-12.3f %-10llu\n", threads,
-                  result.Qps(),
+      std::printf("%-8zu %-12.0f %-12.3f %-12.3f %-10llu\n",
+                  options.threads, result.Qps(),
                   1e3 * executor.metrics().LatencyQuantileSeconds(0.50),
                   1e3 * executor.metrics().LatencyQuantileSeconds(0.95),
                   static_cast<unsigned long long>(result.expired));
@@ -1236,7 +1223,7 @@ std::vector<ArgSpec> CommandSpecs(const std::string& command) {
                          {"queries", ArgKind::kString},
                          {"truth", ArgKind::kString},
                          {"k", ArgKind::kInt},
-                         {"beams", ArgKind::kString},
+                         {"beams", ArgKind::kIntList},
                          {"search-params", ArgKind::kString},
                          {"load", ArgKind::kString}});
   }
@@ -1251,9 +1238,9 @@ std::vector<ArgSpec> CommandSpecs(const std::string& command) {
         {"queries", ArgKind::kString},
         {"k", ArgKind::kInt},
         {"beam", ArgKind::kInt},
-        {"threads", ArgKind::kString},  // Comma list, e.g. 1,2,4.
+        {"threads", ArgKind::kIntList},
         {"reps", ArgKind::kInt},
-        {"timeout-ms", ArgKind::kInt},
+        {"timeout-ms", ArgKind::kFloat},
         {"search-params", ArgKind::kString},
         {"load", ArgKind::kString},
         {"trace", ArgKind::kInt},
@@ -1263,7 +1250,7 @@ std::vector<ArgSpec> CommandSpecs(const std::string& command) {
         {"rate", ArgKind::kFloat},
         {"num-arrivals", ArgKind::kInt},
         {"queue", ArgKind::kInt},
-        {"deadline-ms", ArgKind::kInt},
+        {"deadline-ms", ArgKind::kFloat},
         {"retries", ArgKind::kInt},
         {"breaker-threshold", ArgKind::kInt},
         {"breaker-probe", ArgKind::kInt},
@@ -1272,7 +1259,7 @@ std::vector<ArgSpec> CommandSpecs(const std::string& command) {
         {"shard-fault-replica", ArgKind::kInt},
         {"shard-fault-fail-period", ArgKind::kInt},
         {"shard-fault-slow-period", ArgKind::kInt},
-        {"shard-fault-slow-ms", ArgKind::kInt},
+        {"shard-fault-slow-ms", ArgKind::kFloat},
         {"shard-fault-slow-attempts", ArgKind::kInt},
         {"shard-fault-reload-corrupt", ArgKind::kInt},
         {"scrub-every", ArgKind::kInt},
