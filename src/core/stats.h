@@ -140,6 +140,13 @@ struct SearchStats {
   };
 };
 
+// A counter field without its kCounters row would silently drop out of
+// aggregation and export.
+static_assert(sizeof(SearchStats) ==
+                  SearchStats::kCounters.size() * sizeof(std::uint64_t) +
+                      sizeof(double),
+              "every SearchStats counter needs a kCounters row");
+
 /// Monotonic wall-clock stopwatch.
 class Timer {
  public:

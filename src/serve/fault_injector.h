@@ -141,9 +141,8 @@ class FaultInjector {
   /// Fail shard `shard`'s sub-search on replica `replica` for admission id
   /// `id`? Pure; the shard layer acts by throwing inside its fan-out
   /// worker and counts the injection as FaultCounter::kShardFailures. A
-  /// plan with
-  /// replica = -1 matches every replica, and `replica` = -1 asks whether
-  /// the plan would fault ANY replica of the shard.
+  /// plan with replica = -1 matches every replica, and `replica` = -1 asks
+  /// whether the plan would fault ANY replica of the shard.
   bool ShouldFailShardSearch(std::uint64_t id, std::uint32_t shard,
                              std::int32_t replica) const {
     const ShardFaultPlan* p = FindShardPlan(shard);
