@@ -105,10 +105,15 @@ void HnswIndex::InsertNode(DistanceComputer& dc, VectorId v) {
     return;
   }
 
-  diversify::Params upper_prune;
-  upper_prune.strategy = diversify::Strategy::kRnd;
-  upper_prune.max_degree = params_.m;
-  diversify::Params base_prune = upper_prune;
+  // The forward list at any layer is bounded by M; reverse lists may grow
+  // to the layer cap (2M on layer 0, maxM0) before re-pruning. RND decides
+  // each candidate from earlier keeps only, so stopping the forward prune
+  // at M keeps exactly the first M of a 2M-capped prune, without the
+  // distances spent past the M-th keep.
+  diversify::Params forward_prune;
+  forward_prune.strategy = diversify::Strategy::kRnd;
+  forward_prune.max_degree = params_.m;
+  diversify::Params base_prune = forward_prune;
   base_prune.max_degree = params_.m * 2;  // maxM0.
 
   VectorId current = DescendToLayer(dc, data.Row(v), entry_level_,
@@ -116,7 +121,8 @@ void HnswIndex::InsertNode(DistanceComputer& dc, VectorId v) {
                                                           node_level));
 
   for (std::uint32_t l = std::min(node_level, entry_level_) + 1; l-- > 0;) {
-    const diversify::Params& prune = l == 0 ? base_prune : upper_prune;
+    const diversify::Params& reverse_prune =
+        l == 0 ? base_prune : forward_prune;
     std::vector<Neighbor> candidates =
         l == 0 ? core::BeamSearch(graph_.base(), dc, data.Row(v), {current},
                                   params_.ef_construction,
@@ -124,12 +130,9 @@ void HnswIndex::InsertNode(DistanceComputer& dc, VectorId v) {
                : core::BeamSearch(graph_.upper(l), dc, data.Row(v), {current},
                                   params_.ef_construction,
                                   params_.ef_construction, visited_.get());
-    std::vector<Neighbor> kept =
-        diversify::Diversify(dc, v, candidates, prune);
-    // The forward list at any layer is bounded by M (heuristic selects at
-    // most M); reverse lists may grow to the layer cap before re-pruning.
-    if (kept.size() > params_.m) kept.resize(params_.m);
-    InstallLinks(dc, &graph_, l, v, kept, prune);
+    const std::vector<Neighbor> kept =
+        diversify::Diversify(dc, v, candidates, forward_prune);
+    InstallLinks(dc, &graph_, l, v, kept, reverse_prune);
     if (!candidates.empty()) current = candidates.front().id;
   }
 

@@ -4,10 +4,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <limits>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "core/distance.h"
+#include "core/macros.h"
 #include "core/spin_wait.h"
 #include "core/stats.h"
 #include "obs/trace.h"
@@ -21,6 +24,19 @@ namespace {
 /// Golden-ratio odd multiplier (same mix constant as core::Rng).
 constexpr std::uint64_t kSeedMix = 0x9E3779B97F4A7C15ULL;
 
+/// The calling thread's sub-search context, grown to the largest `size` it
+/// has been asked for. One per thread rather than one shared freelist: the
+/// VisitedTable's stamps stay in the cache of the core that wrote them
+/// instead of moving with each probe, and it is epoch-stamped, so one table
+/// serves any smaller shard (of any engine) without clearing.
+methods::SearchContext& ThreadContext(std::size_t size) {
+  thread_local std::optional<methods::SearchContext> ctx;
+  if (!ctx.has_value() || ctx->visited.size() < size) {
+    ctx.emplace(size, /*seed=*/0);
+  }
+  return *ctx;
+}
+
 }  // namespace
 
 /// One attempt at a slot: 0 = primary, 1 = hedged backup.
@@ -33,6 +49,8 @@ struct FanOut::Attempt {
   bool ok = false;
   /// The deadline had expired before the attempt started; nothing ran.
   bool skipped = false;
+  /// Taken by the one thread that runs the attempt (see RunAttempt).
+  std::atomic<bool> claimed{false};
 };
 
 /// One selected shard: its routed replica and up to two racing attempts.
@@ -66,10 +84,12 @@ struct FanOut::State {
 
 FanOut::FanOut(std::size_t num_shards, std::size_t num_replicas,
                std::size_t max_shard_size, const ShardBreakerOptions& breaker,
-               std::size_t threads, ReplicaSearch search, IdTable ids)
+               std::size_t threads, Stragglers stragglers,
+               ReplicaSearch search, IdTable ids)
     : num_shards_(num_shards),
       num_replicas_(num_replicas),
       max_shard_size_(max_shard_size),
+      stragglers_(stragglers),
       search_(std::move(search)),
       ids_(std::move(ids)),
       health_(std::make_unique<ShardHealthTable>(num_shards_, num_replicas_,
@@ -91,40 +111,21 @@ void FanOut::SetBreakerOptions(const ShardBreakerOptions& breaker) {
                                                breaker);
 }
 
-std::unique_ptr<methods::SearchContext> FanOut::AcquireContext() const {
-  {
-    std::lock_guard<std::mutex> lock(ctx_mutex_);
-    if (!ctx_pool_.empty()) {
-      std::unique_ptr<methods::SearchContext> ctx = std::move(ctx_pool_.back());
-      ctx_pool_.pop_back();
-      return ctx;
-    }
-  }
-  // Sized for the largest shard: VisitedTable is epoch-stamped, so one
-  // table serves any smaller shard without clearing.
-  return std::make_unique<methods::SearchContext>(max_shard_size_,
-                                                  /*seed=*/0);
-}
-
-void FanOut::ReleaseContext(
-    std::unique_ptr<methods::SearchContext> ctx) const {
-  std::lock_guard<std::mutex> lock(ctx_mutex_);
-  ctx_pool_.push_back(std::move(ctx));
-}
-
 methods::SearchResult FanOut::Search(const float* query,
                                      const core::Dataset& centroids,
                                      std::size_t nprobe,
                                      const methods::SearchParams& params,
                                      core::Rng* rng, double hedge_fraction,
                                      serve::FaultInjector* faults) const {
+  GASS_CHECK_MSG(stragglers_ == Stragglers::kAbandon || hedge_fraction <= 0.0,
+                 "a draining fan-out does not hedge");
   core::Timer timer;
   obs::QueryTrace* trace = params.trace;
   const std::size_t dim = centroids.dim();
-  auto state = std::make_shared<State>();
 
   // --- Route ---
   obs::StageTimer route_timer(trace, obs::Stage::kRoute);
+  auto state = std::make_shared<State>();
   std::vector<std::pair<float, std::uint32_t>> ranked(num_shards_);
   for (std::size_t s = 0; s < num_shards_; ++s) {
     const auto id = static_cast<core::VectorId>(s);
@@ -193,6 +194,12 @@ methods::SearchResult FanOut::Search(const float* query,
     Launch(state, idx, 0);
   }
   if (caller_probes) RunAttempt(*state, 0, 0);
+  if (caller_probes && stragglers_ == Stragglers::kDrain) {
+    // Having to wait for every probe anyway, a draining coordinator runs
+    // any the pool has not taken up yet instead of waiting for a thread
+    // to free up (behind another query's probe) or to wake.
+    for (std::size_t idx = 1; idx < n; ++idx) RunAttempt(*state, idx, 0);
+  }
 
   std::size_t hedges = 0;
   std::uint64_t hedge_begin_ns = 0;
@@ -236,10 +243,14 @@ methods::SearchResult FanOut::Search(const float* query,
       }
       lock.lock();
     }
-    // The coordinator stops waiting at the deadline; abandoned stragglers
-    // finish against `state` and count as deadline misses.
+    // kAbandon: the coordinator stops waiting at the deadline; abandoned
+    // stragglers finish against `state` and count as deadline misses.
+    // kDrain: it waits for every attempt, all of which are running or done
+    // by now (it ran the unclaimed ones itself). A running one polls the
+    // deadline every few hops, so the wait outlasts the deadline by at
+    // most a few hops.
     while (!resolved()) {
-      if (state->deadline.unlimited()) {
+      if (state->deadline.unlimited() || stragglers_ == Stragglers::kDrain) {
         state->cv.wait(lock, resolved);
         break;
       }
@@ -323,6 +334,10 @@ methods::SearchResult FanOut::Search(const float* query,
     std::sort(merged.neighbors.begin(), merged.neighbors.end());
     if (merged.neighbors.size() > params.k) merged.neighbors.resize(params.k);
   }
+  // The per-query state is fan-out work too: its allocation is timed as
+  // part of route, and its release (whose result buffers the pool threads
+  // allocated) as part of merge.
+  state.reset();
   merge_timer.Stop();
 
   merged.stats.distance_computations += num_shards_;  // Centroid ranking.
@@ -351,6 +366,9 @@ void FanOut::Launch(const std::shared_ptr<State>& state, std::size_t idx,
 void FanOut::RunAttempt(State& state, std::size_t idx, int attempt) const {
   Slot& slot = state.slots[idx];
   Attempt& att = slot.attempts[attempt];
+  // An attempt runs once: a pooled one the coordinator already ran is a
+  // no-op when its pool thread takes it up, and vice versa.
+  if (att.claimed.exchange(true)) return;
   const std::uint32_t s = slot.shard;
   att.start = state.timer.Seconds();
   if (state.deadline.IsExpired()) {
@@ -388,10 +406,9 @@ void FanOut::RunAttempt(State& state, std::size_t idx, int attempt) const {
           // Thrown, so injected failures take a real failure's path.
           throw std::runtime_error("injected shard fault");
         }
-        std::unique_ptr<methods::SearchContext> ctx = AcquireContext();
-        ctx->rng = core::Rng(seed);
-        att.result = search_(s, r, state.query.data(), state.params, ctx.get());
-        ReleaseContext(std::move(ctx));
+        methods::SearchContext& ctx = ThreadContext(max_shard_size_);
+        ctx.rng = core::Rng(seed);
+        att.result = search_(s, r, state.query.data(), state.params, &ctx);
         att.ok = true;
       } catch (...) {
         att.ok = false;

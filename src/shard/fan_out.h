@@ -1,8 +1,9 @@
 // FanOut: the one query fan-out engine behind both sharded indexes
 // (shard::ShardedIndex and shard::LiveShardedIndex). Each index supplies
 // a replica-search callback and its per-shard id tables; the engine owns
-// everything else: the fan-out pool, the sub-search context freelist, the
-// per-shard probe counters, and the per-(shard, replica) breakers.
+// everything else: the fan-out pool, the per-shard probe counters, and the
+// per-(shard, replica) breakers. Each thread that runs a sub-search keeps
+// one reused sub-search context (see RunAttempt).
 //
 // A query runs in three steps:
 //
@@ -21,9 +22,13 @@
 //            hedge_fraction of the remaining budget elapses, one backup
 //            per outstanding shard starts on the next routable replica;
 //            the first attempt to finish resolves the shard. An absent or
-//            refusing pool runs attempts inline. With a deadline set the
-//            coordinator stops waiting at the deadline; abandoned
-//            stragglers finish harmlessly against heap-shared state.
+//            refusing pool runs attempts inline. With a deadline set, what
+//            happens to stragglers is the index's Stragglers policy: under
+//            kAbandon the coordinator stops waiting at the deadline and
+//            they finish harmlessly against heap-shared state; under
+//            kDrain it first runs any probe the pool has not taken up yet,
+//            then waits for every running one (each polls the deadline as
+//            it runs), so none outlives the query.
 //   merge    Map local ids through each shard's id table, drop tombstones,
 //            sort by (distance, id) and cut to k — except that a single
 //            completed probe passes through in its own order (with K=1
@@ -48,7 +53,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/dataset.h"
@@ -76,19 +80,33 @@ class FanOut {
   using IdTable =
       std::function<const std::vector<core::VectorId>&(std::uint32_t s)>;
 
-  /// `num_replicas` and `max_shard_size` (which sizes the pooled
-  /// sub-search contexts) are >= 1; `threads` = 0 runs every attempt
-  /// inline on the caller thread.
+  /// What Search does with sub-searches still running at the deadline.
+  /// Fixed by each index at construction, never a user option.
+  enum class Stragglers {
+    /// Return at the deadline; stragglers finish against heap-shared
+    /// state. Safe only over shards that never change (ShardedIndex).
+    kAbandon,
+    /// Return only once every started attempt has finished, so none reads
+    /// a shard after the caller drops the lock that keeps it from changing
+    /// (LiveShardedIndex under the updater's search lock). No hedging.
+    kDrain,
+  };
+
+  /// `num_replicas` and `max_shard_size` (the smallest size of each
+  /// thread's sub-search context) are >= 1; `threads` = 0 runs every
+  /// attempt inline on the caller thread.
   FanOut(std::size_t num_shards, std::size_t num_replicas,
          std::size_t max_shard_size, const ShardBreakerOptions& breaker,
-         std::size_t threads, ReplicaSearch search, IdTable ids);
+         std::size_t threads, Stragglers stragglers, ReplicaSearch search,
+         IdTable ids);
 
   FanOut(const FanOut&) = delete;
   FanOut& operator=(const FanOut&) = delete;
 
   /// Routes, executes, and merges one query. `rng` supplies the single
   /// query-seed draw; `hedge_fraction` > 0 enables hedging when a pool and
-  /// a deadline exist; `faults` (nullable) drives injected shard faults.
+  /// a deadline exist (kAbandon only); `faults` (nullable) drives injected
+  /// shard faults.
   methods::SearchResult Search(const float* query,
                                const core::Dataset& centroids,
                                std::size_t nprobe,
@@ -125,18 +143,15 @@ class FanOut {
   /// that the breakers will route; num_replicas_ when there is none.
   std::uint32_t NextRoutable(std::uint32_t s, std::uint32_t from,
                              std::vector<bool>* tried) const;
-  std::unique_ptr<methods::SearchContext> AcquireContext() const;
-  void ReleaseContext(std::unique_ptr<methods::SearchContext> ctx) const;
 
   std::size_t num_shards_;
   std::size_t num_replicas_;
   std::size_t max_shard_size_;
+  Stragglers stragglers_;
   ReplicaSearch search_;
   IdTable ids_;
   std::unique_ptr<ShardHealthTable> health_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> probe_counts_;
-  mutable std::mutex ctx_mutex_;
-  mutable std::vector<std::unique_ptr<methods::SearchContext>> ctx_pool_;
   /// Declared last, so it is destroyed first: the pool's shutdown drains
   /// abandoned stragglers while everything they touch is still alive.
   std::unique_ptr<core::ThreadPool> pool_;

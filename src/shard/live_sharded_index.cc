@@ -5,6 +5,7 @@
 
 #include "core/distance.h"
 #include "core/macros.h"
+#include "core/thread_pool.h"
 #include "io/serialize.h"
 #include "methods/fingerprint.h"
 
@@ -70,34 +71,56 @@ methods::BuildStats LiveShardedIndex::Build(const core::Dataset& data) {
 
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>(options_.hnsw, num_replicas_);
-    shard->global_ids = partitioning.shard_ids[s];
+    shard->global_ids = std::move(partitioning.shard_ids[s]);
     shard->base_rows = shard->global_ids.size();
-    shard->arena = core::Dataset(
-        shard->base_rows + options_.reserve_per_shard, dim_);
-    for (std::size_t local = 0; local < shard->base_rows; ++local) {
-      const core::VectorId gid = shard->global_ids[local];
+    for (const core::VectorId gid : shard->global_ids) {
       owner_[gid] = static_cast<std::uint32_t>(s);
-      std::memcpy(shard->arena.MutableRow(static_cast<core::VectorId>(local)),
-                  data.Row(gid), dim_ * sizeof(float));
-    }
-    // Replica 0 builds; the others are copies of it through an in-memory
-    // snapshot image over the same arena, so they come out bit-identical
-    // and keep extending identically (the copy replays the level stream).
-    const methods::BuildStats sub =
-        shard->primary().BuildPrefix(shard->arena, shard->base_rows);
-    stats.distance_computations += sub.distance_computations;
-    stats.peak_bytes = std::max(stats.peak_bytes, sub.peak_bytes);
-    if (num_replicas_ > 1) {
-      io::SnapshotReader image;
-      core::Status status = methods::SnapshotImage(shard->primary(), &image);
-      for (std::size_t r = 1; r < num_replicas_ && status.ok(); ++r) {
-        status = methods::LoadIndexFrom(shard->replicas[r].get(),
-                                        shard->arena, image);
-      }
-      GASS_CHECK_MSG(status.ok(), "copying live shard %zu to its replicas: %s",
-                     s, status.message().c_str());
     }
     shards_.push_back(std::move(shard));
+  }
+  // Shard builds are independent and each stays sequential and seeded, so
+  // they run on a pool with unchanged results, as in ShardedIndex::Build;
+  // a failing build surfaces here through Wait().
+  std::vector<methods::BuildStats> sub_stats(shards_.size());
+  {
+    core::ThreadPool pool(
+        std::min(shards_.size(), core::DefaultThreadCount()));
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const bool accepted = pool.Submit([this, &data, &sub_stats, s] {
+        Shard& shard = *shards_[s];
+        shard.arena = core::Dataset(
+            shard.base_rows + options_.reserve_per_shard, dim_);
+        for (std::size_t local = 0; local < shard.base_rows; ++local) {
+          std::memcpy(
+              shard.arena.MutableRow(static_cast<core::VectorId>(local)),
+              data.Row(shard.global_ids[local]), dim_ * sizeof(float));
+        }
+        // Replica 0 builds; the others are copies of it through an
+        // in-memory snapshot image over the same arena, so they come out
+        // bit-identical and keep extending identically (the copy replays
+        // the level stream).
+        sub_stats[s] =
+            shard.primary().BuildPrefix(shard.arena, shard.base_rows);
+        if (num_replicas_ > 1) {
+          io::SnapshotReader image;
+          core::Status status = methods::SnapshotImage(shard.primary(), &image);
+          for (std::size_t r = 1; r < num_replicas_ && status.ok(); ++r) {
+            status = methods::LoadIndexFrom(shard.replicas[r].get(),
+                                            shard.arena, image);
+          }
+          GASS_CHECK_MSG(status.ok(),
+                         "copying live shard %zu to its replicas: %s", s,
+                         status.message().c_str());
+        }
+      });
+      GASS_CHECK(accepted);
+    }
+    pool.Wait();
+  }
+  for (const methods::BuildStats& sub : sub_stats) {
+    stats.distance_computations += sub.distance_computations;
+    // Shard builds overlap in time, so their transient peaks can coexist.
+    stats.peak_bytes += sub.peak_bytes;
   }
   next_id_ = base_n_;
   data_ = &data;
@@ -137,9 +160,13 @@ std::size_t LiveShardedIndex::MaxArena() const {
 
 void LiveShardedIndex::StartFanOut() {
   serial_rng_ = core::Rng(options_.seed);
+  // The caller searches the nearest shard itself, so one pool thread per
+  // further probe, but no more than the other cores.
+  const std::size_t cores = core::DefaultThreadCount();
+  const std::size_t threads = std::min(EffectiveNprobe(), cores) - 1;
   fan_out_ = std::make_unique<FanOut>(
       shards_.size(), num_replicas_, MaxArena(), ShardBreakerOptions(),
-      /*threads=*/0,
+      threads, FanOut::Stragglers::kDrain,
       [this](std::uint32_t s, std::uint32_t r, const float* query,
              const methods::SearchParams& params,
              methods::SearchContext* ctx) {
@@ -166,13 +193,15 @@ methods::SearchResult LiveShardedIndex::Search(
   return SearchImpl(query, params, &ctx->rng);
 }
 
+std::size_t LiveShardedIndex::EffectiveNprobe() const {
+  const std::size_t k = shards_.size();
+  return options_.nprobe == 0 ? k : std::min(options_.nprobe, k);
+}
+
 methods::SearchResult LiveShardedIndex::SearchImpl(
     const float* query, const methods::SearchParams& params,
     core::Rng* rng) const {
-  const std::size_t k = shards_.size();
-  const std::size_t nprobe =
-      options_.nprobe == 0 ? k : std::min(options_.nprobe, k);
-  return fan_out_->Search(query, centroids_, nprobe, params, rng,
+  return fan_out_->Search(query, centroids_, EffectiveNprobe(), params, rng,
                           /*hedge_fraction=*/0.0, /*faults=*/nullptr);
 }
 

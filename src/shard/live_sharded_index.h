@@ -8,12 +8,23 @@
 // RouteDelete = owning shard) is logged in that shard's log and per-stream
 // replay order is sufficient for recovery.
 //
+// Build partitions the base, then builds the shards in parallel on a
+// core::ThreadPool (each shard's build stays sequential and seeded, so
+// the result does not depend on the pool).
+//
 // Searches run through shard::FanOut, the same route/execute/merge engine
-// as shard::ShardedIndex, configured with no fan-out pool, no hedging, and
-// default breakers: probes run serially on the caller thread, each shard's
-// replica is chosen by health (PickReplica), a failing sub-search becomes
-// per-shard status (`partial`) instead of an error, and traced queries get
-// route / shard_search / merge spans. A shard with no rows is not probed.
+// as shard::ShardedIndex, with no hedging and default breakers. The caller
+// searches the nearest probed shard while a pool of min(probes, cores) - 1
+// threads searches the rest (probes = nprobe, or K when nprobe is 0); the
+// answers are the serial fan-out's, bit for bit. Each shard's replica is
+// chosen by health (PickReplica), a failing sub-search becomes per-shard
+// status (`partial`) instead of an error, and traced queries get route /
+// shard_search / merge spans. A shard with no rows is not probed.
+//
+// Unlike ShardedIndex, Search never abandons a straggling sub-search at the
+// deadline (FanOut::Stragglers::kDrain): it returns only once every
+// sub-search it started has finished, because the shards change under
+// inserts as soon as serve::Frontend releases the updater's search lock.
 //
 // Implements both methods::GraphIndex (the searchable face handed to
 // serve::Frontend) and serve::LiveIndex (the update face handed to
@@ -126,6 +137,8 @@ class LiveShardedIndex : public methods::GraphIndex, public serve::LiveIndex {
 
   /// Largest shard arena (>= 1): the id range any sub-search spans.
   std::size_t MaxArena() const;
+  /// Shards probed per query: nprobe clamped to K, or K when nprobe is 0.
+  std::size_t EffectiveNprobe() const;
   /// (Re)creates the fan-out engine over the current shards.
   void StartFanOut();
   methods::SearchResult SearchImpl(const float* query,
@@ -163,7 +176,7 @@ class LiveShardedIndex : public methods::GraphIndex, public serve::LiveIndex {
   std::size_t next_id_ = 0;
   /// RNG backing the serial two-argument Search.
   core::Rng serial_rng_;
-  /// Routing, serial fan-out, merge, and the per-replica breakers.
+  /// Routing, pooled fan-out, merge, and the per-replica breakers.
   std::unique_ptr<FanOut> fan_out_;
 };
 

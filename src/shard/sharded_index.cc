@@ -213,7 +213,7 @@ void ShardedIndex::FinishInit(const core::Dataset& data) {
   serial_rng_ = core::Rng(options_.seed);
   fan_out_ = std::make_unique<FanOut>(
       shards_.size(), num_replicas_, max_shard_size, options_.breaker,
-      options_.fanout_threads,
+      options_.fanout_threads, FanOut::Stragglers::kAbandon,
       [this](std::uint32_t s, std::uint32_t r, const float* query,
              const methods::SearchParams& params,
              methods::SearchContext* ctx) {

@@ -20,8 +20,7 @@
 // Thread-safety matches the library contract: Build once, then the const
 // three-argument Search may run concurrently from many threads
 // (SupportsConcurrentSearch() is true); per-query scratch for sub-searches
-// comes from the fan-out engine's context freelist, sized to the largest
-// shard.
+// is the fan-out engine's per-thread context, sized to the largest shard.
 //
 // Persistence: SaveSnapshot writes a checksummed manifest snapshot at
 // `path` (partitioner state, assignment, centroids, per-shard file

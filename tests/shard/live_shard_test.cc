@@ -1,20 +1,32 @@
 // LiveShardedIndex: centroid routing, per-shard WAL streams, tombstone
-// filtering at the merge, and recovery of sequence-interleaved streams.
+// filtering at the merge, recovery of sequence-interleaved streams, pooled
+// builds and fan-out pinned to a serial reference, and searches racing
+// updates through serve::Frontend (a TSan target under the shard and wal
+// labels).
 
 #include "shard/live_sharded_index.h"
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dataset.h"
+#include "core/deadline.h"
 #include "core/rng.h"
+#include "core/stats.h"
 #include "io/fs.h"
+#include "io/hash.h"
 #include "io/open_index.h"
 #include "io/wal.h"
+#include "serve/frontend.h"
 #include "serve/updater.h"
 #include "../test_util.h"
 
@@ -238,6 +250,237 @@ TEST(LiveShardTest, CheckpointRoundTripPreservesShardState) {
   // The recovered sharded index keeps serving and updating.
   ASSERT_TRUE(updater->Insert(vec.data()).status.ok());
   EXPECT_EQ(updater->last_sequence(), 4u);
+}
+
+std::uint64_t ImageHash(const methods::HnswIndex& index) {
+  std::vector<std::uint8_t> image;
+  EXPECT_TRUE(methods::SerializeIndex(index, &image).ok());
+  return io::Hash64(image.data(), image.size());
+}
+
+std::uint32_t FloatBits(float value) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// The pooled Build and the pooled fan-out change no answer: every shard
+// (and its replica copy) is the graph a standalone BuildPrefix makes over
+// the same rows, and every query returns exactly the merge of the
+// shard-by-shard searches, work counters included.
+TEST(LiveShardTest, PooledBuildAndFanOutMatchASerialReference) {
+  constexpr std::size_t kN = 900;
+  constexpr std::size_t kReserve = 32;
+  const core::Dataset base = testing::SmallClustered(kN, kDim, 48);
+  LiveShardedOptions options = ShardOptions(kReserve);
+  options.replicas = 2;
+  LiveShardedIndex live(options);
+  live.Build(base);
+
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const std::vector<core::VectorId>& ids = live.shard_global_ids(s);
+    core::Dataset arena(ids.size() + kReserve, kDim);
+    for (std::size_t local = 0; local < ids.size(); ++local) {
+      std::memcpy(arena.MutableRow(static_cast<core::VectorId>(local)),
+                  base.Row(ids[local]), kDim * sizeof(float));
+    }
+    methods::HnswIndex standalone(options.hnsw);
+    standalone.BuildPrefix(arena, ids.size());
+    const std::uint64_t expected = ImageHash(standalone);
+    EXPECT_EQ(ImageHash(live.shard_index(s)), expected) << "shard " << s;
+    EXPECT_EQ(ImageHash(live.shard_replica(s, 1)), expected) << "shard " << s;
+  }
+
+  // Live rows too: the merge must map them through the grown id tables.
+  core::Rng rng(49);
+  std::vector<float> vec(kDim);
+  for (std::size_t i = 0; i < 24; ++i) {
+    const float* row = base.Row(rng.UniformInt(kN));
+    for (std::size_t d = 0; d < kDim; ++d) {
+      vec[d] = row[d] + rng.UniformFloat(-0.05F, 0.05F);
+    }
+    const auto id = static_cast<core::VectorId>(live.next_id());
+    ASSERT_TRUE(live.ApplyInsert(live.RouteInsert(vec.data()), id, vec.data())
+                    .ok());
+  }
+
+  const core::Dataset queries =
+      testing::UniformQueries(40, kDim, -2.0F, 34.0F, 50);
+  const methods::SearchParams params{.k = 10, .beam_width = 48};
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const float* query = queries.Row(static_cast<core::VectorId>(q));
+    methods::SearchContext ctx = live.MakeSearchContext(q);
+    const methods::SearchResult pooled = live.Search(query, params, &ctx);
+
+    // Reference: each shard searched on this thread, ids mapped to global,
+    // merged by (distance, id) and cut to k. HNSW search draws nothing
+    // from the context's RNG, so the per-probe seeds do not matter here.
+    std::vector<core::Neighbor> merged;
+    std::uint64_t distances = kShards;  // One per centroid, for routing.
+    std::uint64_t hops = 0;
+    for (std::size_t s = 0; s < kShards; ++s) {
+      methods::SearchContext sub_ctx = live.MakeSearchContext(0);
+      const methods::SearchResult sub =
+          live.shard_index(s).Search(query, params, &sub_ctx);
+      distances += sub.stats.distance_computations;
+      hops += sub.stats.hops;
+      for (const core::Neighbor& nb : sub.neighbors) {
+        merged.emplace_back(live.shard_global_ids(s)[nb.id], nb.distance);
+      }
+    }
+    std::sort(merged.begin(), merged.end());
+    if (merged.size() > params.k) merged.resize(params.k);
+
+    ASSERT_EQ(pooled.neighbors.size(), merged.size()) << "query " << q;
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      EXPECT_EQ(pooled.neighbors[i].id, merged[i].id) << "query " << q;
+      EXPECT_EQ(FloatBits(pooled.neighbors[i].distance),
+                FloatBits(merged[i].distance))
+          << "query " << q;
+    }
+    EXPECT_EQ(pooled.stats.distance_computations, distances) << "query " << q;
+    EXPECT_EQ(pooled.stats.hops, hops) << "query " << q;
+    EXPECT_EQ(pooled.stats.shards_probed, kShards);
+    EXPECT_FALSE(pooled.expired);
+  }
+}
+
+// Searches through serve::Frontend race inserts and deletes on a pooled
+// K=3 live index, half of them under deadlines that expire mid-query. The
+// index must not return from a search while a sub-search still reads a
+// shard: the frontend then releases the updater's search lock and the next
+// insert rewrites that shard's arena and graph, which TSan reports as a
+// race (as it does with FanOut::Stragglers::kAbandon on this index).
+TEST(LiveShardTest, FrontendSearchesRaceUpdatesWithoutStragglers) {
+  constexpr std::size_t kN = 1500;
+  constexpr std::size_t kRaceDim = 16;
+  constexpr std::size_t kInsertThreads = 2;
+  constexpr std::size_t kInsertsPerThread = 150;
+  constexpr std::size_t kInserts = kInsertThreads * kInsertsPerThread;
+  constexpr std::size_t kDeleteAttempts = 40;
+  constexpr std::size_t kSearchThreads = 3;
+  constexpr std::size_t kSearchesPerThread = 200;
+  const core::Dataset base = testing::SmallClustered(kN, kRaceDim, 51);
+  const core::Dataset queries =
+      testing::UniformQueries(kSearchesPerThread, kRaceDim, -2.0F, 34.0F, 52);
+
+  const std::string dir = TempDirFor("live_shard_race");
+  serve::UpdaterOptions updater_options;
+  updater_options.directory = dir;
+  updater_options.wal.policy = io::WalFsyncPolicy::kInterval;
+  // Cheap inserts, so many land while sub-searches run.
+  LiveShardedOptions options = ShardOptions(kInserts);
+  options.hnsw.ef_construction = 32;
+  auto live = std::make_unique<LiveShardedIndex>(options);
+  live->Build(base);
+  std::unique_ptr<serve::Updater> updater;
+  ASSERT_TRUE(
+      serve::Updater::Create(live.get(), updater_options, &updater).ok());
+
+  serve::FrontendOptions frontend_options;
+  frontend_options.threads = 3;
+  frontend_options.queue_capacity = 256;
+  frontend_options.shed_predicted_late = false;
+
+  std::vector<std::vector<float>> inserted(kInserts);
+  std::vector<core::VectorId> inserted_ids(kInserts);
+  std::atomic<std::size_t> acked_inserts{0};
+  std::mutex deleted_mutex;
+  std::set<core::VectorId> deleted;  // Acknowledged deletes.
+  std::atomic<std::size_t> expired{0};
+  {
+    serve::Frontend frontend(*updater, frontend_options);
+    std::vector<std::thread> clients;
+    for (std::size_t t = 0; t < kInsertThreads; ++t) {
+      clients.emplace_back([&, t] {
+        core::Rng rng(53 + t);
+        for (std::size_t j = 0; j < kInsertsPerThread; ++j) {
+          const std::size_t i = t * kInsertsPerThread + j;
+          std::vector<float>& vec = inserted[i];
+          vec.resize(kRaceDim);
+          const float* row = base.Row(rng.UniformInt(kN));
+          for (std::size_t d = 0; d < kRaceDim; ++d) {
+            vec[d] = row[d] + rng.UniformFloat(-0.05F, 0.05F);
+          }
+          const serve::UpdateResult result =
+              frontend.SubmitInsert(vec.data(), kRaceDim).get();
+          if (!result.status.ok()) continue;
+          inserted_ids[i] = result.id;
+          acked_inserts.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    clients.emplace_back([&] {
+      core::Rng rng(54);
+      for (std::size_t i = 0; i < kDeleteAttempts; ++i) {
+        // Base rows only; a repeat comes back InvalidArgument.
+        const auto id = static_cast<core::VectorId>(rng.UniformInt(kN));
+        if (frontend.SubmitDelete(id).get().status.ok()) {
+          std::lock_guard<std::mutex> lock(deleted_mutex);
+          deleted.insert(id);
+        }
+      }
+    });
+    for (std::size_t t = 0; t < kSearchThreads; ++t) {
+      clients.emplace_back([&, t] {
+        core::Rng rng(55 + t);
+        const methods::SearchParams params{.k = 10, .beam_width = 96};
+        double unbounded_seconds = 0.0;  // Latest query without a deadline.
+        for (std::size_t q = 0; q < kSearchesPerThread; ++q) {
+          std::set<core::VectorId> dead;
+          {
+            std::lock_guard<std::mutex> lock(deleted_mutex);
+            dead = deleted;
+          }
+          const float* query =
+              queries.Row(static_cast<core::VectorId>(q % queries.size()));
+          // Every other query gets a budget of 10-90% of the previous
+          // unbounded one's latency, so at any machine speed most expire
+          // mid-query, while sub-searches are still running.
+          const core::Timer timer;
+          const serve::SearchResponse response =
+              q % 2 == 0
+                  ? frontend.Submit(query, kRaceDim, params).get()
+                  : frontend
+                        .Submit(query, kRaceDim, params,
+                                core::Deadline::After(
+                                    unbounded_seconds *
+                                    (0.1 + 0.8 * rng.UniformDouble())))
+                        .get();
+          if (q % 2 == 0) unbounded_seconds = timer.Seconds();
+          if (response.outcome == methods::ServeOutcome::kExpired) {
+            expired.fetch_add(1, std::memory_order_relaxed);
+          }
+          EXPECT_LE(response.neighbors.size(), params.k);
+          for (const core::Neighbor& nb : response.neighbors) {
+            EXPECT_EQ(dead.count(nb.id), 0u)
+                << "deleted id " << nb.id << " returned";
+          }
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    frontend.Drain();
+  }
+  EXPECT_EQ(acked_inserts.load(), kInserts);
+  EXPECT_GE(deleted.size(), 1u);
+  EXPECT_GE(expired.load(), 1u) << "no deadline expired mid-query";
+  EXPECT_EQ(live->next_id(), kN + kInserts);
+  EXPECT_EQ(updater->tombstones().count(), deleted.size());
+
+  // Every acknowledged insert is found afterwards; no tombstone surfaces.
+  methods::SearchParams params{.k = 10, .beam_width = 64};
+  params.tombstones = &updater->tombstones();
+  for (std::size_t i = 0; i < kInserts; ++i) {
+    const methods::SearchResult result =
+        live->Search(inserted[i].data(), params);
+    bool found = false;
+    for (const core::Neighbor& nb : result.neighbors) {
+      EXPECT_FALSE(updater->tombstones().Contains(nb.id));
+      found |= nb.id == inserted_ids[i];
+    }
+    EXPECT_TRUE(found) << "acknowledged insert " << inserted_ids[i];
+  }
 }
 
 }  // namespace
