@@ -87,8 +87,8 @@ inline std::size_t GatherUnvisited(const VectorId* neighbors,
 
 /// Runs Algorithm 1 over `graph`: any type whose
 /// `const VectorId* Neighbors(VectorId v, std::size_t* degree) const`
-/// returns v's out-neighbors (Graph, FlatGraph, one layer of HNSW's
-/// adjacency arena).
+/// returns v's out-neighbors (Graph, FlatGraph, or one of HNSW's slot
+/// layers).
 ///
 /// `seeds` warm the candidate pool (the first seed acts as the entry node —
 /// it is simply the first candidate expanded, since the pool is sorted by

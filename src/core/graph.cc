@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <queue>
+#include <utility>
 
 #include "core/visited.h"
 
@@ -141,6 +142,14 @@ Status Graph::Load(const std::string& path) {
   }
   std::fclose(f);
   return Status::Ok();
+}
+
+FlatGraph::FlatGraph(std::vector<std::uint64_t> offsets,
+                     std::vector<VectorId> edges)
+    : offsets_(std::move(offsets)), edges_(std::move(edges)) {
+  GASS_CHECK(!offsets_.empty() && offsets_.front() == 0 &&
+             offsets_.back() == edges_.size());
+  GASS_DCHECK(std::is_sorted(offsets_.begin(), offsets_.end()));
 }
 
 FlatGraph FlatGraph::FromGraph(const Graph& graph) {

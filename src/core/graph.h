@@ -2,8 +2,9 @@
 //
 // Graph is the mutable adjacency-list structure used during construction.
 // FlatGraph is the read-only contiguous (CSR-style) layout used by the
-// "optimized implementation" experiments (paper Fig. 17): one block holds all
-// neighbor lists, removing per-node pointer chasing during search.
+// "optimized implementation" experiments (paper Fig. 17) and by HNSW's
+// sealed base layer (methods/hnsw_graph.h): one block holds all neighbor
+// lists, removing per-node pointer chasing during search.
 
 #ifndef GASS_CORE_GRAPH_H_
 #define GASS_CORE_GRAPH_H_
@@ -97,6 +98,11 @@ class Graph {
 class FlatGraph {
  public:
   FlatGraph() = default;
+
+  /// Adopts a CSR block: `offsets` has n + 1 non-decreasing entries
+  /// starting at 0 and ending at edges.size(); v's list is
+  /// edges[offsets[v], offsets[v + 1]).
+  FlatGraph(std::vector<std::uint64_t> offsets, std::vector<VectorId> edges);
 
   /// Builds the flat layout from an adjacency-list graph.
   static FlatGraph FromGraph(const Graph& graph);

@@ -24,6 +24,7 @@ BuildStats ElpisIndex::Build(const core::Dataset& data) {
   leaves_.clear();
   leaves_.resize(tree_->num_leaves());
   std::atomic<std::uint64_t> distances{0};
+  std::vector<std::size_t> transient(leaves_.size(), 0);
   core::ParallelFor(
       leaves_.size(), params_.build_threads,
       [&](std::size_t, std::size_t i) {
@@ -36,13 +37,22 @@ BuildStats ElpisIndex::Build(const core::Dataset& data) {
         const BuildStats leaf_stats = leaf.index->Build(leaf.data);
         distances.fetch_add(leaf_stats.distance_computations,
                             std::memory_order_relaxed);
+        transient[i] = leaf_stats.peak_bytes - leaf_stats.index_bytes;
       });
 
   BuildStats stats;
   stats.elapsed_seconds = timer.Seconds();
   stats.distance_computations = distances.load();
   stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes;
+  // Each leaf build holds its slots beside its sealed copy until it ends;
+  // up to one leaf per worker is in that state at once.
+  const std::size_t workers = std::min(
+      leaves_.size(), params_.build_threads != 0 ? params_.build_threads
+                                                 : core::DefaultThreadCount());
+  const std::size_t largest =
+      transient.empty() ? 0
+                        : *std::max_element(transient.begin(), transient.end());
+  stats.peak_bytes = stats.index_bytes + largest * workers;
   return stats;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 namespace gass::methods {
 
@@ -11,10 +12,45 @@ void HnswGraph::Reset(std::size_t n, std::size_t m) {
   base_stride_ = 2 * m + 1;
   upper_stride_ = m + 1;
   num_layers_ = 0;
-  base_.assign(n * base_stride_, 0);
+  sealed_ = true;
+  std::vector<std::uint32_t>().swap(base_);
+  sealed_base_ = core::FlatGraph(std::vector<std::uint64_t>(n + 1, 0), {});
   upper_.clear();
   first_upper_.assign(n, 0);
   level_.assign(n, 0);
+}
+
+void HnswGraph::Seal() {
+  if (!sealed_) {
+    const std::size_t n = size();
+    std::vector<std::uint64_t> offsets(n + 1, 0);
+    for (VectorId v = 0; v < n; ++v) {
+      offsets[v + 1] = offsets[v] + base_[v * base_stride_];
+    }
+    std::vector<VectorId> edges(offsets[n]);
+    for (VectorId v = 0; v < n; ++v) {
+      const std::uint32_t* slot = base_.data() + v * base_stride_;
+      std::copy(slot + 1, slot + 1 + slot[0], edges.data() + offsets[v]);
+    }
+    sealed_base_ = core::FlatGraph(std::move(offsets), std::move(edges));
+    std::vector<std::uint32_t>().swap(base_);
+    sealed_ = true;
+  }
+  upper_.shrink_to_fit();
+}
+
+void HnswGraph::Unseal() {
+  if (!sealed_) return;
+  base_.assign(size() * base_stride_, 0);
+  for (VectorId v = 0; v < size(); ++v) {
+    std::size_t degree = 0;
+    const VectorId* ids = sealed_base_.Neighbors(v, &degree);
+    std::uint32_t* slot = base_.data() + v * base_stride_;
+    slot[0] = static_cast<std::uint32_t>(degree);
+    std::copy(ids, ids + degree, slot + 1);
+  }
+  sealed_base_ = core::FlatGraph();
+  sealed_ = false;
 }
 
 void HnswGraph::AddLevels(VectorId v, std::uint32_t level) {
@@ -44,22 +80,35 @@ void HnswGraph::EncodeLayer(std::size_t layer, io::Encoder* enc) const {
       enc->U32(0);
       continue;
     }
-    const std::uint32_t* slot = Slot(layer, v);
-    enc->U32(slot[0]);
-    enc->Bytes(slot + 1, slot[0] * sizeof(VectorId));
+    std::size_t degree = 0;
+    const VectorId* ids = Neighbors(layer, v, &degree);
+    enc->U32(static_cast<std::uint32_t>(degree));
+    enc->Bytes(ids, degree * sizeof(VectorId));
   }
 }
 
 core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
+  GASS_CHECK(layer > 0 || sealed_);
   const std::uint64_t n = dec->U64();
   if (!dec->Check(n == size(), "graph vertex count " + std::to_string(n) +
                                    " does not match dataset size " +
                                    std::to_string(size()))) {
     return dec->status();
   }
+  // Layer 0 decodes into a CSR block. Each vertex costs one degree word,
+  // so a well-formed payload holds exactly remaining / 4 - n ids, and the
+  // block is reserved once at its final size.
+  std::vector<std::uint64_t> offsets;
+  std::vector<VectorId> edges;
+  if (layer == 0) {
+    offsets.assign(n + 1, 0);
+    const std::size_t words = dec->remaining() / sizeof(std::uint32_t);
+    edges.reserve(words > n ? words - n : 0);
+  }
   const std::string where = "HNSW layer " + std::to_string(layer) + " vertex ";
   const std::size_t capacity = MaxDegree(layer);
   for (VectorId v = 0; v < n; ++v) {
+    if (layer == 0) offsets[v + 1] = offsets[v];
     const std::uint32_t degree = dec->U32();
     if (!dec->ok()) break;
     if (degree == 0) continue;
@@ -74,11 +123,18 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
                             std::to_string(capacity) + "-id slot");
       break;
     }
-    std::uint32_t* slot = MutableSlot(layer, v);
-    if (!dec->Bytes(slot + 1, degree * sizeof(VectorId))) break;
-    slot[0] = degree;
+    std::uint32_t* slot = nullptr;
+    VectorId* ids = nullptr;
+    if (layer == 0) {
+      edges.resize(edges.size() + degree);
+      ids = edges.data() + offsets[v];
+    } else {
+      slot = MutableSlot(layer, v);
+      ids = slot + 1;
+    }
+    if (!dec->Bytes(ids, degree * sizeof(VectorId))) break;
     for (std::uint32_t i = 0; i < degree; ++i) {
-      const VectorId u = slot[1 + i];
+      const VectorId u = ids[i];
       if (u >= n || u == v || level_[u] < layer) {
         dec->Check(false, where + std::to_string(v) + " has neighbor id " +
                               std::to_string(u) +
@@ -89,6 +145,14 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
       }
     }
     if (!dec->ok()) break;
+    if (layer == 0) {
+      offsets[v + 1] += degree;
+    } else {
+      slot[0] = degree;
+    }
+  }
+  if (layer == 0 && dec->ok()) {
+    sealed_base_ = core::FlatGraph(std::move(offsets), std::move(edges));
   }
   return dec->status();
 }
@@ -96,7 +160,8 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
 std::size_t HnswGraph::MemoryBytes() const {
   return (base_.capacity() + upper_.capacity() + first_upper_.capacity() +
           level_.capacity()) *
-         sizeof(std::uint32_t);
+             sizeof(std::uint32_t) +
+         sealed_base_.MemoryBytes();
 }
 
 }  // namespace gass::methods

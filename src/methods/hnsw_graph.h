@@ -1,19 +1,25 @@
-// HnswGraph: HNSW's whole layer hierarchy in one fixed-stride arena.
+// HnswGraph: HNSW's whole layer hierarchy, with layer 0 in one of two forms.
 //
-// This is hnswlib's link-list layout (`size_links_level0`). Layer 0 is one
-// flat u32 buffer of n slots, each `2M + 1` words wide: a degree word, then
-// up to 2M neighbor ids. The upper layers share a second buffer of
-// `M + 1`-word slots that exist only for vertices of level >= 1: vertex v's
-// layer-l slot (1 <= l <= level(v)) is slot `first_upper_[v] + l - 1`, and
-// AddLevels appends a vertex's slots when it is inserted. No vertex pays for
-// an empty list header on a layer it is not in, and a neighbor list is a
-// pointer offset away from its vertex id, with no per-node heap block.
+// While vertices are being inserted, layer 0 is hnswlib's link-list layout
+// (`size_links_level0`): one flat u32 buffer of n slots, each `2M + 1`
+// words wide, a degree word then up to 2M neighbor ids, rewritten in place
+// by every insert. Once an index stops growing, Seal() packs layer 0 into a
+// core::FlatGraph (CSR: n + 1 offsets and one edge block) and frees the
+// slots. Built lists hold about half their 2M capacity, so the sealed form
+// is roughly half the size, and static searches run on it. Unseal() turns
+// it back into slots before the next insert. HnswIndex::Build seals, as
+// does every load; BuildPrefix and Extend leave slots.
 //
-// The arena is mutable in place, so build, Extend (live inserts), search,
-// save, load and digest all use this one form; there is no sealed copy to
-// keep beside it. Snapshots keep the v1 per-layer list encoding
-// (io::EncodeGraph's format), so files written before the arena existed
-// still load, and DecodeLayer rejects any list a fixed slot cannot hold.
+// The upper layers always share a second buffer of `M + 1`-word slots that
+// exist only for vertices of level >= 1: vertex v's layer-l slot
+// (1 <= l <= level(v)) is slot `first_upper_[v] + l - 1`, and AddLevels
+// appends a vertex's slots when it is inserted. No vertex pays for an empty
+// list header on a layer it is not in.
+//
+// Snapshots keep the v1 per-layer list encoding (io::EncodeGraph's format)
+// whichever form layer 0 is in, so files written before either layout
+// existed still load, and DecodeLayer rejects any list a slot could not
+// hold, so every loaded index can be unsealed and extended.
 
 #ifndef GASS_METHODS_HNSW_GRAPH_H_
 #define GASS_METHODS_HNSW_GRAPH_H_
@@ -73,9 +79,21 @@ class HnswGraph {
 
   HnswGraph() = default;
 
-  /// An arena over `n` vertices, all at level 0 with empty base lists;
-  /// layer 0 holds up to 2m ids per vertex, upper layers up to m.
+  /// A graph over `n` vertices, all at level 0 with empty base lists, and
+  /// layer 0 sealed; layer 0 may hold up to 2m ids per vertex, upper
+  /// layers up to m. Unseal() before inserting.
   void Reset(std::size_t n, std::size_t m);
+
+  /// Packs layer 0 into its sealed CSR form and frees the slots (a no-op
+  /// on layer 0 if it is already sealed), then trims the upper buffer to
+  /// its size, so MemoryBytes() counts only resident lists.
+  void Seal();
+
+  /// Expands a sealed layer 0 back into 2M-id slots, so inserts can
+  /// rewrite lists in place.
+  void Unseal();
+
+  bool sealed() const { return sealed_; }
 
   /// Gives level-0 vertex `v` `level` empty upper-layer slots (appended to
   /// the upper buffer) and raises num_layers() to `level` if it is higher.
@@ -91,25 +109,53 @@ class HnswGraph {
     return (layer == 0 ? base_stride_ : upper_stride_) - 1;
   }
 
-  BaseLayer base() const { return BaseLayer(base_.data(), base_stride_); }
+  /// Layer 0's slots; only while unsealed.
+  BaseLayer base() const {
+    GASS_DCHECK(!sealed_);
+    return BaseLayer(base_.data(), base_stride_);
+  }
+  /// Layer 0's CSR form; only while sealed.
+  const core::FlatGraph& sealed_base() const {
+    GASS_DCHECK(sealed_);
+    return sealed_base_;
+  }
+  /// Calls `search(layer0)` with whichever form layer 0 is in (the
+  /// BaseLayer slot view or the sealed core::FlatGraph) and returns its
+  /// result, so one generic search serves both.
+  template <typename Search>
+  decltype(auto) VisitBase(Search&& search) const {
+    if (sealed_) return search(sealed_base_);
+    return search(base());
+  }
   UpperLayer upper(std::size_t layer) const {
     GASS_DCHECK(layer >= 1 && layer <= num_layers_);
     return UpperLayer(upper_.data(), first_upper_.data(), upper_stride_,
                       layer);
   }
 
-  /// v's list on `layer` (v must have level >= layer).
+  /// v's list on `layer` (v must have level >= layer), in either form.
   const core::VectorId* Neighbors(std::size_t layer, core::VectorId v,
                                   std::size_t* degree) const {
+    if (layer == 0 && sealed_) return sealed_base_.Neighbors(v, degree);
     const std::uint32_t* slot = Slot(layer, v);
     *degree = slot[0];
     return slot + 1;
   }
 
-  /// v's raw slot on `layer`: word 0 is the degree, then MaxDegree(layer)
-  /// id words. Writers keep the degree within that capacity.
+  /// v's raw slot on `layer` (layer 0 only while unsealed): word 0 is the
+  /// degree, then MaxDegree(layer) id words. Writers keep the degree
+  /// within that capacity.
   std::uint32_t* MutableSlot(std::size_t layer, core::VectorId v) {
     return const_cast<std::uint32_t*>(Slot(layer, v));
+  }
+
+  /// v's ids on `layer`, writable in place in either form; the degree
+  /// stays fixed. For tests that stand in for memory corruption: no index
+  /// code writes through it.
+  core::VectorId* MutableNeighborsForTesting(std::size_t layer,
+                                             core::VectorId v,
+                                             std::size_t* degree) {
+    return const_cast<core::VectorId*>(Neighbors(layer, v, degree));
   }
 
   /// Materializes one layer as an adjacency-list graph over all n vertices
@@ -121,19 +167,23 @@ class HnswGraph {
   /// degree and its ids), the snapshot's v1 encoding.
   void EncodeLayer(std::size_t layer, io::Encoder* enc) const;
 
-  /// Inverse of EncodeLayer into this arena, whose levels must already be
-  /// set (Reset + AddLevels). Rejects with kCorruption a vertex count other
-  /// than size(), a list on a vertex below `layer`, a list longer than
-  /// MaxDegree(layer), an out-of-range id or self-loop, and on upper layers
-  /// an id whose vertex is below `layer`.
+  /// Inverse of EncodeLayer into this graph, whose levels must already be
+  /// set (Reset + AddLevels). Layer 0 must be sealed and decodes straight
+  /// into the CSR form; upper layers fill their slots. Rejects with
+  /// kCorruption a vertex count other than size(), a list on a vertex
+  /// below `layer`, a list longer than MaxDegree(layer), an out-of-range
+  /// id or self-loop, and on upper layers an id whose vertex is below
+  /// `layer`.
   core::Status DecodeLayer(io::Decoder* dec, std::size_t layer);
 
-  /// Allocated bytes of the arena and its per-vertex tables.
+  /// Allocated bytes of layer 0 (in its current form), the upper-layer
+  /// slots and the per-vertex tables.
   std::size_t MemoryBytes() const;
 
  private:
   const std::uint32_t* Slot(std::size_t layer, core::VectorId v) const {
     GASS_DCHECK(v < level_.size() && layer <= level_[v]);
+    GASS_DCHECK(layer > 0 || !sealed_);
     if (layer == 0) return base_.data() + v * base_stride_;
     return upper_.data() + (first_upper_[v] + layer - 1) * upper_stride_;
   }
@@ -141,7 +191,9 @@ class HnswGraph {
   std::size_t base_stride_ = 1;   ///< 2M + 1 words.
   std::size_t upper_stride_ = 1;  ///< M + 1 words.
   std::size_t num_layers_ = 0;
-  std::vector<std::uint32_t> base_;         ///< n slots, layer 0.
+  bool sealed_ = false;
+  std::vector<std::uint32_t> base_;         ///< n slots, layer 0 (unsealed).
+  core::FlatGraph sealed_base_;             ///< Layer 0 (sealed).
   std::vector<std::uint32_t> upper_;        ///< Appended upper-layer slots.
   std::vector<std::uint32_t> first_upper_;  ///< v's first upper slot.
   std::vector<std::uint32_t> level_;        ///< v's top layer.

@@ -144,7 +144,14 @@ void HnswIndex::InsertNode(DistanceComputer& dc, VectorId v) {
 }
 
 BuildStats HnswIndex::Build(const core::Dataset& data) {
-  return BuildPrefix(data, data.size());
+  BuildStats stats = BuildPrefix(data, data.size());
+  // The build's peak is its slots plus the sealed copy made from them.
+  core::Timer timer;
+  graph_.Seal();
+  stats.peak_bytes += graph_.sealed_base().MemoryBytes();
+  stats.index_bytes = IndexBytes();
+  stats.elapsed_seconds += timer.Seconds();
+  return stats;
 }
 
 BuildStats HnswIndex::BuildPrefix(const core::Dataset& data,
@@ -156,6 +163,7 @@ BuildStats HnswIndex::BuildPrefix(const core::Dataset& data,
   DistanceComputer dc(data);
 
   graph_.Reset(data.size(), params_.m);
+  graph_.Unseal();
   visited_ = std::make_unique<core::VisitedTable>(data.size());
   level_rng_ = std::make_unique<core::Rng>(params_.seed);
   inserted_ = 0;
@@ -175,6 +183,11 @@ BuildStats HnswIndex::Extend(std::size_t new_count) {
   GASS_CHECK(new_count <= data_->size());
   GASS_CHECK(new_count >= inserted_);
   core::Timer timer;
+  // Inserts rewrite layer-0 lists in place, so a sealed index first
+  // expands back into slots; both forms coexist until that copy is done.
+  const std::size_t sealed_bytes =
+      graph_.sealed() ? graph_.sealed_base().MemoryBytes() : 0;
+  graph_.Unseal();
   DistanceComputer dc(*data_);
   for (VectorId v = static_cast<VectorId>(inserted_); v < new_count; ++v) {
     InsertNode(dc, v);
@@ -183,7 +196,7 @@ BuildStats HnswIndex::Extend(std::size_t new_count) {
   stats.elapsed_seconds = timer.Seconds();
   stats.distance_computations = dc.count();
   stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes;
+  stats.peak_bytes = stats.index_bytes + sealed_bytes;
   return stats;
 }
 
@@ -218,10 +231,12 @@ SearchResult HnswIndex::SearchWith(const float* query,
     }
   }
 
-  result.neighbors =
-      core::BeamSearch(graph_.base(), dc, query, seeds, params.k, EffectiveBeamWidth(params),
-                       visited, &result.stats, params.prune_bound,
-                       params.deadline, params.tombstones);
+  result.neighbors = graph_.VisitBase([&](const auto& base) {
+    return core::BeamSearch(base, dc, query, seeds, params.k,
+                            EffectiveBeamWidth(params), visited,
+                            &result.stats, params.prune_bound,
+                            params.deadline, params.tombstones);
+  });
   result.stats.distance_computations = dc.count();
   result.stats.elapsed_seconds = timer.Seconds();
   return result;
@@ -314,6 +329,7 @@ core::Status HnswIndex::LoadSections(const io::SnapshotReader& reader,
     GASS_RETURN_IF_ERROR(graph.DecodeLayer(&dec, l));
   }
   if (!dec.ExpectEnd()) return dec.status();
+  graph.Seal();  // Layer 0 decoded sealed; this trims the upper buffer.
 
   graph_ = std::move(graph);
   entry_ = entry;

@@ -9,16 +9,20 @@
 // re-pruned with RND. Layer 0 allows 2·M neighbors (hnswlib's maxM0).
 // Queries descend the layers greedily and beam-search layer 0.
 //
-// Every layer lives in one HnswGraph arena (methods/hnsw_graph.h): fixed
-// 2M- and M-id slots that build, Extend, search, save and load all use in
-// place. A reverse edge that overflows its slot re-prunes the candidate
-// list [old list..., v] — the same candidates, in the same order, that
-// appending then pruning would see — so the graph is bit-identical to the
-// adjacency-list build it replaced.
+// Every layer lives in one HnswGraph (methods/hnsw_graph.h). Inserts write
+// fixed 2M- and M-id slots in place. A reverse edge that overflows its
+// slot re-prunes the candidate list [old list..., v] — the same
+// candidates, in the same order, that appending then pruning would see —
+// so the graph is bit-identical to the adjacency-list build it replaced.
+// Build() and every load then seal layer 0 into a CSR block about half the
+// size of its slots; searches run on either form with identical answers
+// and counters.
 //
 // Because construction is one-node-at-a-time, the index also supports
 // streaming growth: BuildPrefix() indexes the first rows of a collection
-// and Extend() inserts further rows later without a rebuild.
+// and Extend() inserts further rows later without a rebuild. Both leave
+// layer 0 in slots (Extend first unseals a built or loaded index), so a
+// growing index keeps its in-place inserts.
 
 #ifndef GASS_METHODS_HNSW_INDEX_H_
 #define GASS_METHODS_HNSW_INDEX_H_
@@ -45,7 +49,9 @@ class HnswIndex : public GraphIndex {
 
   std::string Name() const override { return "HNSW"; }
 
-  /// Indexes all rows of `data`.
+  /// Indexes all rows of `data`, then seals layer 0. `peak_bytes` counts
+  /// the slots and the sealed copy together; `index_bytes` the sealed
+  /// index.
   BuildStats Build(const core::Dataset& data) override;
 
   /// Indexes only rows [0, count); the rest can be added later with
@@ -53,7 +59,8 @@ class HnswIndex : public GraphIndex {
   /// inserted (rows beyond `count` are simply not indexed yet).
   BuildStats BuildPrefix(const core::Dataset& data, std::size_t count);
 
-  /// Inserts rows [inserted_count(), new_count) into the index.
+  /// Inserts rows [inserted_count(), new_count) into the index, unsealing
+  /// layer 0 first if it is sealed.
   BuildStats Extend(std::size_t new_count);
 
   SearchResult Search(const float* query, const SearchParams& params) override;
@@ -66,7 +73,7 @@ class HnswIndex : public GraphIndex {
   core::Graph graph() const override { return graph_.ToGraph(0); }
   std::size_t IndexBytes() const override;
 
-  /// The adjacency arena holding every layer.
+  /// The graph holding every layer.
   const HnswGraph& layered_graph() const { return graph_; }
   std::size_t num_layers() const { return graph_.num_layers(); }
   core::VectorId entry_point() const { return entry_; }

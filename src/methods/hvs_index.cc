@@ -88,7 +88,9 @@ BuildStats HvsIndex::Build(const core::Dataset& data) {
   stats.distance_computations =
       base_stats.distance_computations + density_dc.count();
   stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes;
+  // The base build's slots and sealed copy coexisted before the levels
+  // existed.
+  stats.peak_bytes = std::max(stats.index_bytes, base_stats.peak_bytes);
   return stats;
 }
 
@@ -133,9 +135,12 @@ SearchResult HvsIndex::SearchThrough(const float* query,
   std::vector<VectorId> seeds = carried;
   if (seeds.empty()) seeds.push_back(base_->entry_point());
 
-  result.neighbors = core::BeamSearch(
-      base_->layered_graph().base(), dc, query, seeds, params.k, EffectiveBeamWidth(params),
-      visited, &result.stats, params.prune_bound, params.deadline);
+  result.neighbors = base_->layered_graph().VisitBase([&](const auto& base) {
+    return core::BeamSearch(base, dc, query, seeds, params.k,
+                            EffectiveBeamWidth(params), visited,
+                            &result.stats, params.prune_bound,
+                            params.deadline);
+  });
   result.stats.distance_computations = dc.count();
   result.stats.elapsed_seconds = timer.Seconds();
   return result;

@@ -35,7 +35,11 @@ BuildStats LshApgIndex::Build(const core::Dataset& data) {
   stats.elapsed_seconds = timer.Seconds();
   stats.distance_computations = hnsw_stats.distance_computations;
   stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes + hnsw_stats.index_bytes;
+  // The larger of the HNSW build's own peak (its slots beside the sealed
+  // copy) and the moment the sealed HNSW, the copied graph and the hash
+  // tables all exist.
+  stats.peak_bytes = std::max(hnsw_stats.peak_bytes,
+                              stats.index_bytes + hnsw_stats.index_bytes);
   return stats;
 }
 

@@ -272,11 +272,13 @@ TEST_P(FaultInjectionTest, TrailingGarbageRejected) {
   ExpectLoadRejected(bytes, "trailing garbage after last section");
 }
 
-// HNSW keeps every list in a fixed-size slot (methods/hnsw_graph.h): 2M ids
-// on the base layer, M above, and upper slots only for vertices on that
-// layer. A snapshot whose lists cannot fit — well-formed and correctly
-// checksummed, so only the decoder can notice — must be rejected as
-// corruption, never written past a slot.
+// HNSW bounds every list by its slot (methods/hnsw_graph.h): 2M ids on the
+// base layer, M above, and upper slots only for vertices on that layer.
+// A load decodes the base layer into its sealed CSR form, which any later
+// Extend expands back into slots, and the upper layers into slots. A
+// snapshot whose lists cannot fit — well-formed and correctly checksummed,
+// so only the decoder can notice — must be rejected as corruption, never
+// written past a slot.
 class HnswSlotBoundsTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -1,6 +1,7 @@
 #include "methods/hnsw_index.h"
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -96,23 +97,34 @@ TEST(HnswTest, DeterministicAcrossRebuilds) {
 // change to the graph, levels, entry point, or the build's distance count
 // moves it. Distances are bit-identical across SIMD levels, so the pin
 // holds under forced-scalar kernels too.
-TEST(HnswTest, SnapshotMatchesPinnedDigest) {
-  constexpr std::uint64_t kPinnedDigest = 0x0da8b0b1f5492540ULL;
-  constexpr std::uint64_t kPinnedBuildDistances = 855128;
+constexpr std::uint64_t kPinnedDigest = 0x0da8b0b1f5492540ULL;
+constexpr std::uint64_t kPinnedBuildDistances = 855128;
+
+Dataset PinnedData() {
   synth::ClusterParams cluster_params;
-  const Dataset data = synth::GaussianClusters(2000, 16, cluster_params, 3);
+  return synth::GaussianClusters(2000, 16, cluster_params, 3);
+}
+
+HnswParams PinnedParams() {
   HnswParams params;
   params.seed = 7;
-  auto digest = [](const HnswIndex& index) {
-    std::vector<std::uint8_t> image;
-    EXPECT_TRUE(SerializeIndex(index, &image).ok());
-    return io::Hash64(image.data(), image.size());
-  };
+  return params;
+}
+
+std::uint64_t Digest(const HnswIndex& index) {
+  std::vector<std::uint8_t> image;
+  EXPECT_TRUE(SerializeIndex(index, &image).ok());
+  return io::Hash64(image.data(), image.size());
+}
+
+TEST(HnswTest, SnapshotMatchesPinnedDigest) {
+  const Dataset data = PinnedData();
+  const HnswParams params = PinnedParams();
 
   HnswIndex built(params);
   EXPECT_EQ(built.Build(data).distance_computations, kPinnedBuildDistances);
   EXPECT_EQ(built.num_layers(), 3u);
-  EXPECT_EQ(digest(built), kPinnedDigest);
+  EXPECT_EQ(Digest(built), kPinnedDigest);
 
   // Streaming growth takes the same insertion path, so a half build plus
   // Extend reaches the same state.
@@ -121,7 +133,103 @@ TEST(HnswTest, SnapshotMatchesPinnedDigest) {
                                    .distance_computations;
   const std::uint64_t extend = streamed.Extend(2000).distance_computations;
   EXPECT_EQ(prefix + extend, kPinnedBuildDistances);
-  EXPECT_EQ(digest(streamed), kPinnedDigest);
+  EXPECT_EQ(Digest(streamed), kPinnedDigest);
+}
+
+// A load decodes layer 0 straight into its sealed form, and the first
+// Extend expands it back into slots: the streamed half build from the
+// digest pin, copied through a snapshot image between its two halves, must
+// reach the same graph and spend the same distances.
+TEST(HnswTest, LoadThenExtendMatchesPinnedDigest) {
+  const Dataset data = PinnedData();
+  HnswIndex prefix(PinnedParams());
+  const std::uint64_t prefix_distances =
+      prefix.BuildPrefix(data, 1000).distance_computations;
+  EXPECT_FALSE(prefix.layered_graph().sealed());
+
+  io::SnapshotReader image;
+  ASSERT_TRUE(SnapshotImage(prefix, &image).ok());
+  HnswIndex loaded(PinnedParams());
+  ASSERT_TRUE(LoadIndexFrom(&loaded, data, image).ok());
+  EXPECT_TRUE(loaded.layered_graph().sealed());
+  EXPECT_EQ(Digest(loaded), Digest(prefix));
+
+  const std::uint64_t extend_distances =
+      loaded.Extend(2000).distance_computations;
+  EXPECT_FALSE(loaded.layered_graph().sealed());
+  EXPECT_EQ(prefix_distances + extend_distances, kPinnedBuildDistances);
+  EXPECT_EQ(Digest(loaded), kPinnedDigest);
+}
+
+// Build seals layer 0 and BuildPrefix over every row does not; the two
+// forms must answer every query identically, down to the bits of each
+// distance and the work counters.
+TEST(HnswTest, SealedSearchMatchesSlotSearch) {
+  const Dataset data = PinnedData();
+  synth::ClusterParams cluster_params;
+  const Dataset queries = synth::GaussianClusters(200, 16, cluster_params, 4);
+  HnswIndex sealed(PinnedParams());
+  HnswIndex slots(PinnedParams());
+  sealed.Build(data);
+  slots.BuildPrefix(data, data.size());
+  ASSERT_TRUE(sealed.layered_graph().sealed());
+  ASSERT_FALSE(slots.layered_graph().sealed());
+
+  SearchParams params;
+  params.k = 10;
+  params.beam_width = 48;
+  for (VectorId q = 0; q < queries.size(); ++q) {
+    const SearchResult a = sealed.Search(queries.Row(q), params);
+    const SearchResult b = slots.Search(queries.Row(q), params);
+    ASSERT_EQ(a.neighbors.size(), b.neighbors.size()) << "query " << q;
+    for (std::size_t i = 0; i < a.neighbors.size(); ++i) {
+      EXPECT_EQ(a.neighbors[i].id, b.neighbors[i].id) << "query " << q;
+      EXPECT_EQ(std::memcmp(&a.neighbors[i].distance,
+                            &b.neighbors[i].distance, sizeof(float)),
+                0)
+          << "query " << q;
+    }
+    EXPECT_EQ(a.stats.distance_computations, b.stats.distance_computations)
+        << "query " << q;
+    EXPECT_EQ(a.stats.hops, b.stats.hops) << "query " << q;
+  }
+}
+
+// IndexBytes() of a built or loaded index is exactly its resident sealed
+// form: the CSR layer 0 (n + 1 u64 offsets and one u32 per edge), one
+// (M + 1)-word slot per upper-layer membership, and the two per-vertex
+// tables. That is far below the n (2M + 1)-word slot array the build
+// used, which peak_bytes still counts beside the sealed copy.
+TEST(HnswTest, IndexBytesCountsTheSealedForm) {
+  const Dataset data = PinnedData();
+  const HnswParams params = PinnedParams();
+  const std::size_t n = data.size();
+
+  HnswIndex slots(params);
+  const BuildStats prefix_stats = slots.BuildPrefix(data, n);
+  HnswIndex built(params);
+  const BuildStats stats = built.Build(data);
+
+  std::size_t upper_slots = 0;
+  for (VectorId v = 0; v < n; ++v) {
+    upper_slots += built.layered_graph().level(v);
+  }
+  const std::size_t csr_bytes =
+      (n + 1) * sizeof(std::uint64_t) +
+      built.graph().EdgeCount() * sizeof(VectorId);
+  const std::size_t expected =
+      csr_bytes + upper_slots * (params.m + 1) * sizeof(std::uint32_t) +
+      2 * n * sizeof(std::uint32_t);
+  EXPECT_EQ(built.IndexBytes(), expected);
+  EXPECT_EQ(stats.index_bytes, expected);
+  EXPECT_LT(built.IndexBytes(), n * (2 * params.m + 1) * sizeof(std::uint32_t));
+  EXPECT_EQ(stats.peak_bytes, prefix_stats.index_bytes + csr_bytes);
+
+  io::SnapshotReader image;
+  ASSERT_TRUE(SnapshotImage(built, &image).ok());
+  HnswIndex loaded(params);
+  ASSERT_TRUE(LoadIndexFrom(&loaded, data, image).ok());
+  EXPECT_EQ(loaded.IndexBytes(), expected);
 }
 
 TEST(HnswTest, SaveLoadRoundTripPreservesSearchExactly) {

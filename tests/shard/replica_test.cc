@@ -101,9 +101,11 @@ ShardedIndexOptions HedgedOptions() {
   return options;
 }
 
-/// The adjacency arena of an HNSW replica, writable in place (the tests'
-/// stand-in for memory corruption; the index itself only exposes it
-/// read-only).
+/// The layered graph of an HNSW replica, writable (the tests' stand-in for
+/// memory corruption; the index itself only exposes it read-only). Built
+/// and copied replicas hold layer 0 sealed, so the corruptions below go
+/// through HnswGraph::MutableNeighborsForTesting, which reaches a list in
+/// either form.
 methods::HnswGraph& MutableArena(const methods::GraphIndex& replica) {
   const auto& hnsw = dynamic_cast<const methods::HnswIndex&>(replica);
   return const_cast<methods::HnswGraph&>(hnsw.layered_graph());
@@ -114,10 +116,11 @@ methods::HnswGraph& MutableArena(const methods::GraphIndex& replica) {
 /// replacement id stays in range, so searches remain safe, just wrong.
 void CorruptReplica(const ShardedIndex& index, std::size_t s, std::size_t r) {
   methods::HnswGraph& arena = MutableArena(index.replica(s, r));
-  std::uint32_t* slot = arena.MutableSlot(0, 0);
-  ASSERT_GT(slot[0], 0u);
-  slot[1] = (slot[1] + 1) % static_cast<VectorId>(arena.size());
-  if (slot[1] == 0) slot[1] = 1;  // Never a self-loop.
+  std::size_t degree = 0;
+  VectorId* ids = arena.MutableNeighborsForTesting(0, 0, &degree);
+  ASSERT_GT(degree, 0u);
+  ids[0] = (ids[0] + 1) % static_cast<VectorId>(arena.size());
+  if (ids[0] == 0) ids[0] = 1;  // Never a self-loop.
 }
 
 /// Swaps the first two ids of one layer-1 list in replica (s, r): the base
@@ -129,9 +132,10 @@ void CorruptUpperLayer(const ShardedIndex& index, std::size_t s,
   ASSERT_GE(arena.num_layers(), 1u);
   for (VectorId v = 0; v < arena.size(); ++v) {
     if (arena.level(v) < 1) continue;
-    std::uint32_t* slot = arena.MutableSlot(1, v);
-    if (slot[0] < 2) continue;
-    std::swap(slot[1], slot[2]);
+    std::size_t degree = 0;
+    VectorId* ids = arena.MutableNeighborsForTesting(1, v, &degree);
+    if (degree < 2) continue;
+    std::swap(ids[0], ids[1]);
     return;
   }
   FAIL() << "no layer-1 list with two ids to reorder";
