@@ -66,8 +66,10 @@ TEST(IntegrationTest, GraphPersistenceRoundTripPreservesSearch) {
   auto index = methods::CreateIndex("hnsw", 9);
   index->Build(data);
 
-  const std::string path =
-      std::string(::testing::TempDir()) + "/hnsw_base_graph.bin";
+  // Process-unique: the forced-scalar ctest variant runs concurrently.
+  const std::string path = std::string(::testing::TempDir()) +
+                           "/hnsw_base_graph_" + std::to_string(::getpid()) +
+                           ".bin";
   ASSERT_TRUE(index->graph().Save(path).ok());
   core::Graph loaded;
   ASSERT_TRUE(loaded.Load(path).ok());

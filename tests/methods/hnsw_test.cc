@@ -4,6 +4,8 @@
 #include <cstring>
 #include <string>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "eval/ground_truth.h"
@@ -16,6 +18,13 @@ namespace {
 
 using core::Dataset;
 using core::VectorId;
+
+// Process-unique: ctest runs this binary and its forced-scalar variant
+// concurrently, and they must not clobber each other's files.
+std::string TempPath(const std::string& name) {
+  return std::string(::testing::TempDir()) + "/" +
+         std::to_string(::getpid()) + "_" + name;
+}
 
 TEST(HnswTest, LayersExistOnModerateData) {
   const Dataset data = synth::UniformHypercube(2000, 8, 1);
@@ -239,8 +248,7 @@ TEST(HnswTest, SaveLoadRoundTripPreservesSearchExactly) {
   HnswIndex original(params);
   original.Build(data);
 
-  const std::string path =
-      std::string(::testing::TempDir()) + "/hnsw_full_index.bin";
+  const std::string path = TempPath("hnsw_full_index.bin");
   ASSERT_TRUE(original.Save(path).ok());
 
   HnswIndex restored(params);
@@ -271,8 +279,7 @@ TEST(HnswTest, LoadRejectsMismatchedData) {
   const Dataset data = synth::UniformHypercube(200, 8, 29);
   HnswIndex index(HnswParams{});
   index.Build(data);
-  const std::string path =
-      std::string(::testing::TempDir()) + "/hnsw_mismatch.bin";
+  const std::string path = TempPath("hnsw_mismatch.bin");
   ASSERT_TRUE(index.Save(path).ok());
 
   const Dataset other = synth::UniformHypercube(100, 8, 29);
