@@ -6,11 +6,13 @@ namespace gass::core {
 template std::vector<Neighbor> BeamSearch<Graph>(
     const Graph&, DistanceComputer&, const float*,
     const std::vector<VectorId>&, std::size_t, std::size_t, VisitedTable*,
-    SearchStats*, float, const Deadline*, const TombstoneSet*);
+    SearchStats*, float, const Deadline*, const TombstoneSet*,
+    const VectorId*);
 template std::vector<Neighbor> BeamSearch<FlatGraph>(
     const FlatGraph&, DistanceComputer&, const float*,
     const std::vector<VectorId>&, std::size_t, std::size_t, VisitedTable*,
-    SearchStats*, float, const Deadline*, const TombstoneSet*);
+    SearchStats*, float, const Deadline*, const TombstoneSet*,
+    const VectorId*);
 template std::vector<Neighbor> BeamSearchCollect<Graph>(
     const Graph&, DistanceComputer&, const float*,
     const std::vector<VectorId>&, std::size_t, std::size_t, VisitedTable*,

@@ -28,19 +28,25 @@ namespace internal {
 /// Result emission shared by BeamSearch overloads: the pool's best k
 /// candidates, minus logically deleted ids. Tombstoned nodes still steer
 /// the traversal (they stay in the graph as waypoints); they are only
-/// barred from the answer. With deletions present the result may hold
-/// fewer than k neighbors — the pool is not re-widened, keeping the
-/// explored set (and therefore distance_computations/hops) bit-identical
-/// to a tombstone-free search. The null/empty path is the exact pre-delete
-/// code path.
+/// barred from the answer, which fills up from the rest of the pool. With
+/// deletions present the result holds fewer than k neighbors only when
+/// the pool holds fewer than k live ones — the pool is not re-widened,
+/// keeping the explored set (and therefore distance_computations/hops)
+/// bit-identical to a tombstone-free search. `global_ids`, when given,
+/// maps the pool's (shard-local) ids to the global ids `tombstones` is
+/// keyed by. The null/empty path is the exact pre-delete code path.
 inline std::vector<Neighbor> EmitTopK(const BeamPool& pool, std::size_t k,
-                                      const TombstoneSet* tombstones) {
+                                      const TombstoneSet* tombstones,
+                                      const VectorId* global_ids) {
   if (tombstones == nullptr || tombstones->empty()) return pool.TopK(k);
   std::vector<Neighbor> out;
   out.reserve(k);
   for (std::size_t i = 0; i < pool.size() && out.size() < k; ++i) {
-    if (tombstones->Contains(pool.id(i))) continue;
-    out.emplace_back(pool.id(i), pool.distance(i));
+    const VectorId id = pool.id(i);
+    if (tombstones->Contains(global_ids != nullptr ? global_ids[id] : id)) {
+      continue;
+    }
+    out.emplace_back(id, pool.distance(i));
   }
   return out;
 }
@@ -102,7 +108,8 @@ inline std::size_t GatherUnvisited(const VectorId* neighbors,
 /// partial result), recording the cutoff in `stats->deadline_expiries`.
 ///
 /// `tombstones`, when given, filters logically deleted ids out of the
-/// returned results (traversal is unaffected; see internal::EmitTopK).
+/// returned results (traversal is unaffected; see internal::EmitTopK),
+/// looking each id up through `global_ids` when that is given.
 inline constexpr std::uint64_t kDeadlineCheckHops = 32;
 
 template <typename GraphT>
@@ -114,7 +121,8 @@ std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
                                  SearchStats* stats = nullptr,
                                  float prune_bound = 3.402823466e38f,
                                  const Deadline* deadline = nullptr,
-                                 const TombstoneSet* tombstones = nullptr) {
+                                 const TombstoneSet* tombstones = nullptr,
+                                 const VectorId* global_ids = nullptr) {
   const std::size_t width = beam_width < k ? k : beam_width;
   BeamPool pool(width, visited->size());
   pool.SetPruneBound(prune_bound);
@@ -168,7 +176,7 @@ std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
     stats->hops += hops;
     stats->prefetches += prefetched;
   }
-  return internal::EmitTopK(pool, k, tombstones);
+  return internal::EmitTopK(pool, k, tombstones, global_ids);
 }
 
 /// BeamSearch variant that also returns every vertex whose distance was

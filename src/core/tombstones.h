@@ -4,8 +4,10 @@
 // navigable small-world structure the paper's methods depend on (and HNSW's
 // layer entry points may route through it). Deletes are therefore logical —
 // the node stays in the graph as a waypoint but its id is recorded here and
-// filtered out of search *results* (core::BeamSearch emission and the
-// sharded merge). The node is physically dropped at the next full rebuild.
+// filtered out of search *results* at core::BeamSearch emission, the one
+// place tombstones are applied: a sharded sub-search looks its shard-local
+// ids up through the shard's id table (SearchParams::global_ids). The node
+// is physically dropped at the next full rebuild.
 //
 // Externally synchronized: serve::Updater mutates it under its exclusive
 // update lock while searches read it under the shared lock.

@@ -43,18 +43,22 @@ core::Status OpenLiveIndex(const core::Dataset& base,
   const std::string ckpt = serve::Updater::CheckpointPath(options.updater);
   SnapshotReader reader;
   GASS_RETURN_IF_ERROR(SnapshotReader::Open(ckpt, &reader));
-  // The method names are pinned by LiveHnsw::MethodName() and
-  // LiveShardedIndex::Name(); Updater::Open re-verifies name and
-  // fingerprint against the shell before loading anything.
+  // The method name is pinned by LiveShardedIndex::Name(); Updater::Open
+  // re-verifies name and fingerprint against the shell before loading
+  // anything. A LIVE-HNSW checkpoint predates the one live index: its
+  // sections are laid out differently and its WAL headers carry another
+  // fingerprint, so no replay can bring it back.
   if (reader.method() == "LIVE-HNSW") {
-    *live = serve::LiveHnsw::Shell(base, options.hnsw);
-  } else if (reader.method() == "LIVE-SHARDED-HNSW") {
-    *live = shard::LiveShardedIndex::Shell(base, options.sharded);
-  } else {
+    return core::Status::InvalidArgument(
+        ckpt + ": LIVE-HNSW checkpoints are no longer readable; rebuild "
+        "the index as a one-shard LIVE-SHARDED-HNSW (num_shards = 1)");
+  }
+  if (reader.method() != "LIVE-SHARDED-HNSW") {
     return core::Status::InvalidArgument(
         ckpt + ": not a live-index checkpoint (method " + reader.method() +
         "); open it with OpenIndex instead");
   }
+  *live = shard::LiveShardedIndex::Shell(base, options.sharded);
   return serve::Updater::Open(live->get(), options.updater, updater, report);
 }
 

@@ -18,7 +18,6 @@
 #include "core/dataset.h"
 #include "core/status.h"
 #include "methods/graph_index.h"
-#include "serve/live_hnsw.h"
 #include "serve/updater.h"
 #include "shard/live_sharded_index.h"
 
@@ -56,18 +55,19 @@ struct OpenLiveIndexOptions {
   /// Checkpoint/WAL location and durability knobs; the checkpoint is read
   /// from serve::Updater::CheckpointPath(updater).
   serve::UpdaterOptions updater;
-  /// Shell parameters when the checkpoint holds a LIVE-HNSW index — must
-  /// match the original build (fingerprint-verified by Updater::Open).
-  serve::LiveHnswOptions hnsw;
-  /// Shell parameters when the checkpoint holds LIVE-SHARDED-HNSW.
+  /// Shell parameters — must match the original build (fingerprint-
+  /// verified by Updater::Open).
   shard::LiveShardedOptions sharded;
 };
 
-/// Recovers a live (updatable) index from its checkpoint + WALs: sniffs
-/// which LiveIndex implementation the checkpoint holds, builds the
-/// matching shell over `base` (the original build dataset), and replays
-/// through serve::Updater::Open. On success `*live` owns the index,
-/// `*updater` accepts new updates, and `*report` says what replay did.
+/// Recovers a live (updatable) index from its checkpoint + WALs: checks
+/// that the checkpoint holds a LIVE-SHARDED-HNSW index, builds its shell
+/// over `base` (the original build dataset), and replays through
+/// serve::Updater::Open. On success `*live` owns the index, `*updater`
+/// accepts new updates, and `*report` says what replay did. A checkpoint
+/// of the retired single-HNSW live layout (LIVE-HNSW) is refused with
+/// InvalidArgument: its index has to be rebuilt as a one-shard
+/// LIVE-SHARDED-HNSW.
 core::Status OpenLiveIndex(const core::Dataset& base,
                            const OpenLiveIndexOptions& options,
                            std::unique_ptr<serve::LiveIndex>* live,

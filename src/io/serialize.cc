@@ -1,6 +1,15 @@
 #include "io/serialize.h"
 
+#include <cstring>
+
 namespace gass::io {
+
+void Encoder::AppendRaw(const void* data, std::size_t len) {
+  if (len == 0) return;
+  const std::size_t old = buffer_.size();
+  buffer_.resize(old + len);
+  std::memcpy(buffer_.data() + old, data, len);
+}
 
 void Decoder::Fail(const std::string& message) {
   if (failed_) return;

@@ -12,7 +12,6 @@
 #define GASS_IO_SERIALIZE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -61,12 +60,10 @@ class Encoder {
   std::size_t size() const { return buffer_.size(); }
 
  private:
-  void AppendRaw(const void* data, std::size_t len) {
-    if (len == 0) return;
-    const std::size_t old = buffer_.size();
-    buffer_.resize(old + len);
-    std::memcpy(buffer_.data() + old, data, len);
-  }
+  /// Out of line: inlined into an encoder the compiler knows is empty,
+  /// the vector growth trips GCC 12's -Wstringop-overflow/-Warray-bounds
+  /// false positives.
+  void AppendRaw(const void* data, std::size_t len);
 
   std::vector<std::uint8_t> buffer_;
 };

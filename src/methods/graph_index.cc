@@ -57,7 +57,8 @@ SearchResult SingleGraphIndex::SearchWith(const float* query,
                      : seed_selector_->Select(dc, query, params.num_seeds);
   result.neighbors = core::BeamSearch(
       graph_, dc, query, seeds, params.k, EffectiveBeamWidth(params), visited,
-      &result.stats, params.prune_bound, params.deadline, params.tombstones);
+      &result.stats, params.prune_bound, params.deadline, params.tombstones,
+      params.global_ids);
   result.stats.distance_computations = dc.count();
   result.stats.elapsed_seconds = timer.Seconds();
   result.degrade_step = params.degrade_step;

@@ -62,10 +62,17 @@ struct SearchParams {
   /// Logically deleted ids to filter out of the returned neighbors (owned
   /// by the caller, e.g. serve::Updater, which keeps it consistent under
   /// its search lock). Traversal still walks tombstoned nodes — they
-  /// remain graph waypoints — so with deletions a result may hold fewer
-  /// than k answers. Null (the default) is the exact pre-delete code path.
-  /// Like `trace`, never part of the ParseSearchParams round trip.
+  /// remain graph waypoints — and the answer fills up from the rest of
+  /// the beam, so it is short of k only when the beam is. Null (the
+  /// default) is the exact pre-delete code path. Like `trace`, never part
+  /// of the ParseSearchParams round trip.
   const core::TombstoneSet* tombstones = nullptr;
+  /// The searched index's id → global id table that `tombstones` is keyed
+  /// by (element i is row i's global id). Only shard::FanOut sets it, on
+  /// each sub-search, from the probed shard's id table; null means the
+  /// index's ids are global. Never part of the ParseSearchParams round
+  /// trip.
+  const core::VectorId* global_ids = nullptr;
 };
 
 /// The beam width a search actually runs with: `beam_width >> degrade_step`,

@@ -235,7 +235,8 @@ SearchResult HnswIndex::SearchWith(const float* query,
     return core::BeamSearch(base, dc, query, seeds, params.k,
                             EffectiveBeamWidth(params), visited,
                             &result.stats, params.prune_bound,
-                            params.deadline, params.tombstones);
+                            params.deadline, params.tombstones,
+                            params.global_ids);
   });
   result.stats.distance_computations = dc.count();
   result.stats.elapsed_seconds = timer.Seconds();

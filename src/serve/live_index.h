@@ -1,14 +1,15 @@
 // The mutable-index contract the WAL-backed update path writes through.
 //
-// serve::Updater (updater.h) is generic over what it updates: a plain
-// streaming HNSW (serve::LiveHnsw) or a centroid-routed sharded collection
-// (shard::LiveShardedIndex). LiveIndex is the seam — it owns the vector
-// arena(s) and graph(s) and answers "where does this update go" (stream
-// routing) and "apply it" (in-memory mutation); the updater owns everything
-// durable (WAL, tombstones, checkpoints) and all locking. serve/ therefore
-// never includes shard/ headers: the sharded implementation lives in
-// shard/ and is handed in through this interface, same layering as
-// Frontend over GraphIndex.
+// serve::Updater (updater.h) writes through this interface to the one
+// live index, shard::LiveShardedIndex (a centroid-routed collection of
+// streaming HNSW shards; a plain live HNSW is its one-shard case).
+// LiveIndex is the seam — it owns the vector arena(s) and graph(s) and
+// answers "where does this update go" (stream routing) and "apply it"
+// (in-memory mutation); the updater owns everything durable (WAL,
+// tombstones, checkpoints) and all locking. serve/ therefore never
+// includes shard/ headers: the implementation lives in shard/ and is
+// handed in through this interface, same layering as Frontend over
+// GraphIndex.
 
 #ifndef GASS_SERVE_LIVE_INDEX_H_
 #define GASS_SERVE_LIVE_INDEX_H_
@@ -48,15 +49,15 @@ class LiveIndex {
   virtual std::size_t id_capacity() const = 0;
   virtual std::size_t next_id() const = 0;
 
-  /// Number of WAL streams this index shards its updates over (1 for a
-  /// plain index, num_shards for a sharded one). Stream s gets its own
+  /// Number of WAL streams this index shards its updates over (one per
+  /// shard, so 1 for a one-shard index). Stream s gets its own
   /// log file; recovery merges the streams by global sequence number, so
   /// inserts that interleaved across shards replay in exactly the order
   /// their ids were assigned.
   virtual std::uint32_t num_streams() const = 0;
 
-  /// Stream an insert of `vec` belongs to (nearest-centroid shard for the
-  /// sharded index; always 0 for a plain one). Pure routing — no mutation.
+  /// Stream an insert of `vec` belongs to (the nearest-centroid shard with
+  /// room; always 0 with one shard). Pure routing — no mutation.
   virtual std::uint32_t RouteInsert(const float* vec) const = 0;
   /// Stream that owns already-inserted id (the shard it lives in).
   virtual std::uint32_t RouteDelete(core::VectorId id) const = 0;

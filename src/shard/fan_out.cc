@@ -70,7 +70,7 @@ struct FanOut::Slot {
 struct FanOut::State {
   std::vector<float> query;
   core::Deadline deadline;
-  methods::SearchParams params;  // No trace/tombstones; deadline = &deadline.
+  methods::SearchParams params;  // No trace; deadline = &deadline.
   std::uint64_t query_seed = 0;
   serve::FaultInjector* faults = nullptr;
   std::vector<Slot> slots;
@@ -119,6 +119,11 @@ methods::SearchResult FanOut::Search(const float* query,
                                      serve::FaultInjector* faults) const {
   GASS_CHECK_MSG(stragglers_ == Stragglers::kAbandon || hedge_fraction <= 0.0,
                  "a draining fan-out does not hedge");
+  // Sub-searches read the caller's tombstones: an abandoned straggler
+  // would go on reading them after the query returned.
+  GASS_CHECK_MSG(
+      stragglers_ == Stragglers::kDrain || params.tombstones == nullptr,
+      "only a draining fan-out filters tombstones");
   core::Timer timer;
   obs::QueryTrace* trace = params.trace;
   const std::size_t dim = centroids.dim();
@@ -172,12 +177,12 @@ methods::SearchResult FanOut::Search(const float* query,
   // --- Execute ---
   state->query.assign(query, query + dim);
   if (params.deadline != nullptr) state->deadline = *params.deadline;
-  // Sub-searches speak shard-local ids and report through one
-  // shard_search span per probe, so global-keyed tombstones and the trace
-  // stay out of them (both are handled at the merge).
+  // Sub-searches report through one shard_search span per probe, so the
+  // trace stays out of them. Each filters the tombstones itself, through
+  // its shard's id table (see RunAttempt), so it fills k live answers as
+  // an unsharded search would.
   state->params = params;
   state->params.trace = nullptr;
-  state->params.tombstones = nullptr;
   state->params.deadline =
       params.deadline != nullptr ? &state->deadline : nullptr;
   state->faults = faults;
@@ -270,8 +275,6 @@ methods::SearchResult FanOut::Search(const float* query,
   obs::StageTimer merge_timer(trace, obs::Stage::kMerge);
   methods::SearchResult merged;
   merged.degrade_step = params.degrade_step;
-  const core::TombstoneSet* tombstones = params.tombstones;
-  const bool filter = tombstones != nullptr && !tombstones->empty();
   std::size_t probed = 0;
   std::size_t failed = 0;
   std::size_t missed = 0;
@@ -322,9 +325,7 @@ methods::SearchResult FanOut::Search(const float* query,
     }
     const std::vector<core::VectorId>& global = ids_(slot.shard);
     for (const core::Neighbor& nb : att.result.neighbors) {
-      const core::VectorId gid = global[nb.id];
-      if (filter && tombstones->Contains(gid)) continue;
-      merged.neighbors.emplace_back(gid, nb.distance);
+      merged.neighbors.emplace_back(global[nb.id], nb.distance);
     }
   }
   // One completed probe passes through in its own order. Several merge by
@@ -393,6 +394,8 @@ void FanOut::RunAttempt(State& state, std::size_t idx, int attempt) const {
     // slot's stream, so failover changes availability, never answers.
     const std::uint64_t seed = state.query_seed ^ (kSeedMix * (idx + 1));
     const std::uint64_t id = state.params.admission_id;
+    methods::SearchParams params = state.params;
+    params.global_ids = ids_(s).data();
     for (;;) {
       tried[r] = true;
       if (state.faults != nullptr) {
@@ -408,7 +411,7 @@ void FanOut::RunAttempt(State& state, std::size_t idx, int attempt) const {
         }
         methods::SearchContext& ctx = ThreadContext(max_shard_size_);
         ctx.rng = core::Rng(seed);
-        att.result = search_(s, r, state.query.data(), state.params, &ctx);
+        att.result = search_(s, r, state.query.data(), params, &ctx);
         att.ok = true;
       } catch (...) {
         att.ok = false;

@@ -16,7 +16,11 @@
 //            centroid substitutes. A shard with an empty id table holds no
 //            rows: it takes its rank but is never probed.
 //   execute  One attempt per selected shard, each failing over in-query to
-//            the next routable replica. Without hedging the caller
+//            the next routable replica. Each sub-search gets the query's
+//            tombstones plus its shard's id table (SearchParams::global_ids)
+//            and drops deleted ids as it emits, so it fills k live answers
+//            from its beam exactly as an unsharded search does. Only a
+//            kDrain engine takes tombstones. Without hedging the caller
 //            searches the nearest shard itself while the pool runs the
 //            rest. With hedging every probe runs on the pool, and once
 //            hedge_fraction of the remaining budget elapses, one backup
@@ -29,8 +33,8 @@
 //            kDrain it first runs any probe the pool has not taken up yet,
 //            then waits for every running one (each polls the deadline as
 //            it runs), so none outlives the query.
-//   merge    Map local ids through each shard's id table, drop tombstones,
-//            sort by (distance, id) and cut to k — except that a single
+//   merge    Map local ids through each shard's id table, sort by
+//            (distance, id) and cut to k — except that a single
 //            completed probe passes through in its own order (with K=1
 //            that makes ShardedIndex bit-identical to the unsharded index)
 //            — then set the stats and the partial/expired flags (see
@@ -87,8 +91,9 @@ class FanOut {
     /// state. Safe only over shards that never change (ShardedIndex).
     kAbandon,
     /// Return only once every started attempt has finished, so none reads
-    /// a shard after the caller drops the lock that keeps it from changing
-    /// (LiveShardedIndex under the updater's search lock). No hedging.
+    /// a shard (or the caller's tombstones) after the caller drops the lock
+    /// that keeps it from changing (LiveShardedIndex under the updater's
+    /// search lock). No hedging.
     kDrain,
   };
 

@@ -98,15 +98,18 @@ methods::BuildStats LiveShardedIndex::Build(const core::Dataset& data) {
         // Replica 0 builds; the others are copies of it through an
         // in-memory snapshot image over the same arena, so they come out
         // bit-identical and keep extending identically (the copy replays
-        // the level stream).
+        // the level stream). A copy loads sealed; unsealing it here keeps
+        // that layer-0 expansion out of the first insert, which runs under
+        // the updater's exclusive search lock.
         sub_stats[s] =
             shard.primary().BuildPrefix(shard.arena, shard.base_rows);
         if (num_replicas_ > 1) {
           io::SnapshotReader image;
           core::Status status = methods::SnapshotImage(shard.primary(), &image);
           for (std::size_t r = 1; r < num_replicas_ && status.ok(); ++r) {
-            status = methods::LoadIndexFrom(shard.replicas[r].get(),
-                                            shard.arena, image);
+            methods::HnswIndex& replica = *shard.replicas[r];
+            status = methods::LoadIndexFrom(&replica, shard.arena, image);
+            if (status.ok()) replica.Extend(replica.inserted_count());
           }
           GASS_CHECK_MSG(status.ok(),
                          "copying live shard %zu to its replicas: %s", s,
@@ -409,7 +412,8 @@ core::Status LiveShardedIndex::LoadSections(const io::SnapshotReader& reader) {
 
     // Every replica attaches from the same checkpoint sections (the graph
     // is stored once per shard; replicas are bit-identical), each getting
-    // its own in-memory copy.
+    // its own in-memory copy. It loads sealed and is unsealed here, during
+    // recovery, rather than by the first insert under the search lock.
     for (auto& replica : shard->replicas) {
       GASS_RETURN_IF_ERROR(
           replica->LoadSections(reader, prefix + "index.", shard->arena));
@@ -419,6 +423,7 @@ core::Status LiveShardedIndex::LoadSections(const io::SnapshotReader& reader) {
             std::to_string(replica->inserted_count()) +
             " nodes, checkpoint recorded " + std::to_string(inserted));
       }
+      replica->Extend(inserted);
     }
     shards.push_back(std::move(shard));
   }

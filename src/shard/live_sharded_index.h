@@ -1,30 +1,43 @@
-// LiveIndex over a centroid-routed collection of streaming HNSW shards.
+// LiveIndex over a centroid-routed collection of streaming HNSW shards:
+// the repo's one live (updatable) index.
 //
-// The sharded sibling of serve::LiveHnsw: the base dataset is partitioned
-// once at build time (shard::Partition), each shard gets its own
-// fixed-capacity arena + HnswIndex built over its base rows, and live
-// inserts route to the nearest-centroid shard with arena room — each
-// shard is one WAL stream, so an id's insert (and its later delete, via
-// RouteDelete = owning shard) is logged in that shard's log and per-stream
-// replay order is sufficient for recovery.
+// The base dataset is partitioned once at build time (shard::Partition),
+// each shard gets its own fixed-capacity arena + HnswIndex built over its
+// base rows, and live inserts route to the nearest-centroid shard with
+// arena room — each shard is one WAL stream, so an id's insert (and its
+// later delete, via RouteDelete = owning shard) is logged in that shard's
+// log and per-stream replay order is sufficient for recovery.
+//
+// A plain live HNSW is num_shards = 1: one shard holding every base row
+// (Partition assigns them without clustering), one arena, one WAL stream.
+// Its answers match a bare HnswIndex grown by BuildPrefix + Extend over
+// the same rows — ids, distances and hops — and its distance count is
+// one higher, for ranking the single centroid.
 //
 // Build partitions the base, then builds the shards in parallel on a
 // core::ThreadPool (each shard's build stays sequential and seeded, so
-// the result does not depend on the pool).
+// the result does not depend on the pool). Every replica is unsealed
+// from build or load on (replica copies and checkpoint loads come out
+// sealed), so no insert pays the layer-0 expansion under the updater's
+// search lock.
 //
 // Searches run through shard::FanOut, the same route/execute/merge engine
 // as shard::ShardedIndex, with no hedging and default breakers. The caller
 // searches the nearest probed shard while a pool of min(probes, cores) - 1
 // threads searches the rest (probes = nprobe, or K when nprobe is 0); the
-// answers are the serial fan-out's, bit for bit. Each shard's replica is
-// chosen by health (PickReplica), a failing sub-search becomes per-shard
-// status (`partial`) instead of an error, and traced queries get route /
-// shard_search / merge spans. A shard with no rows is not probed.
+// answers are the serial fan-out's, bit for bit. Each sub-search filters
+// the updater's tombstones through its shard's id table, so a probed
+// shard contributes k live answers whenever its beam holds them. Each
+// shard's replica is chosen by health (PickReplica), a failing sub-search
+// becomes per-shard status (`partial`) instead of an error, and traced
+// queries get route / shard_search / merge spans. A shard with no rows is
+// not probed.
 //
 // Unlike ShardedIndex, Search never abandons a straggling sub-search at the
 // deadline (FanOut::Stragglers::kDrain): it returns only once every
-// sub-search it started has finished, because the shards change under
-// inserts as soon as serve::Frontend releases the updater's search lock.
+// sub-search it started has finished, because the shards and the
+// tombstones the sub-searches read change under updates as soon as
+// serve::Frontend releases the updater's search lock.
 //
 // Implements both methods::GraphIndex (the searchable face handed to
 // serve::Frontend) and serve::LiveIndex (the update face handed to

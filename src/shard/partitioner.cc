@@ -235,7 +235,9 @@ Partitioning Partition(const core::Dataset& data,
   out.assignment.assign(n, 0);
   out.shard_ids.assign(k, {});
 
-  if (n > 0) {
+  // One shard is the identity assignment under every kind, so K=1 skips
+  // the shuffle and the Lloyd iterations.
+  if (n > 0 && k > 1) {
     switch (params.kind) {
       case PartitionerKind::kContiguous:
         AssignContiguous(n, k, &out.assignment);

@@ -470,6 +470,10 @@ bool ShardedIndex::StartShardReload(std::size_t s) {
   if (reload_inflight_[s] != 0) return false;
   reload_inflight_[s] = 1;
   reload_threads_.emplace_back([this, s] {
+    {
+      std::unique_lock<std::mutex> held(reload_mutex_);
+      reloads_released_.wait(held, [this] { return !reloads_held_; });
+    }
     // Status intentionally discarded: a failed background reload leaves
     // the breaker open, which is the observable signal.
     (void)ReloadShard(s);
@@ -487,8 +491,15 @@ void ShardedIndex::WaitForReloads() {
   {
     std::lock_guard<std::mutex> lock(reload_mutex_);
     threads.swap(reload_threads_);
+    reloads_held_ = false;
   }
+  reloads_released_.notify_all();
   for (std::thread& t : threads) t.join();
+}
+
+void ShardedIndex::HoldReloadsForTest() {
+  std::lock_guard<std::mutex> lock(reload_mutex_);
+  reloads_held_ = true;
 }
 
 core::Status ShardedIndex::SaveSnapshot(const std::string& path) const {

@@ -32,6 +32,7 @@
 #ifndef GASS_SHARD_SHARDED_INDEX_H_
 #define GASS_SHARD_SHARDED_INDEX_H_
 
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -220,8 +221,14 @@ class ShardedIndex : public methods::GraphIndex {
   /// so use ReloadShard directly when the caller needs the error.
   bool StartShardReload(std::size_t s);
 
-  /// Joins every background reload launched so far (tests and shutdown).
+  /// Joins every background reload launched so far (tests and shutdown),
+  /// first releasing any held by HoldReloadsForTest.
   void WaitForReloads();
+
+  /// Test hook: background reloads wait, in flight but not started, until
+  /// the next WaitForReloads — so a test can count on a reload still
+  /// being in flight when it asks for a second one.
+  void HoldReloadsForTest();
 
   /// Manifest path used for per-shard reloads; LoadSnapshot records it.
   void SetRecoverySnapshot(const std::string& path) { snapshot_path_ = path; }
@@ -294,6 +301,8 @@ class ShardedIndex : public methods::GraphIndex {
   std::mutex reload_mutex_;
   std::vector<std::thread> reload_threads_;     // Guarded by reload_mutex_.
   std::vector<std::uint8_t> reload_inflight_;   // Guarded by reload_mutex_.
+  bool reloads_held_ = false;                   // Guarded by reload_mutex_.
+  std::condition_variable reloads_released_;
 
   /// Routing, fan-out, merge, and the per-(shard, replica) breakers
   /// (constructed by FinishInit). Its callbacks reach shards_ and

@@ -14,8 +14,8 @@
 #include "core/rng.h"
 #include "io/fs.h"
 #include "io/wal.h"
-#include "serve/live_hnsw.h"
 #include "serve/updater.h"
+#include "shard/live_sharded_index.h"
 #include "../test_util.h"
 
 namespace gass::serve {
@@ -24,6 +24,16 @@ namespace {
 constexpr std::size_t kBaseN = 64;
 constexpr std::size_t kDim = 8;
 constexpr std::size_t kInserts = 6;
+
+using shard::LiveShardedIndex;
+
+// A plain live HNSW: the one-shard live index.
+shard::LiveShardedOptions LiveOptions() {
+  shard::LiveShardedOptions options;
+  options.num_shards = 1;
+  options.reserve_per_shard = 32;
+  return options;
+}
 
 std::string TempDirFor(const char* name) {
   const std::string dir = std::string(::testing::TempDir()) + "/" + name;
@@ -58,14 +68,14 @@ TEST(WalRecoveryTest, TornTailAtEveryByteRecoversExactlyThePrefix) {
   options.directory = dir;
   options.name = "live";
 
-  LiveHnswOptions live_options;
-  live_options.reserve = 32;
+  const shard::LiveShardedOptions live_options = LiveOptions();
 
   // Build, log kInserts inserts and one delete, then capture the pristine
   // on-disk state (checkpoint + WAL) as the crash substrate.
   std::vector<std::vector<float>> vectors;
   {
-    std::unique_ptr<LiveHnsw> live = LiveHnsw::Build(base, live_options);
+    auto live = std::make_unique<LiveShardedIndex>(live_options);
+    live->Build(base);
     std::unique_ptr<Updater> updater;
     ASSERT_TRUE(Updater::Create(live.get(), options, &updater).ok());
     core::Rng rng(99);
@@ -88,7 +98,8 @@ TEST(WalRecoveryTest, TornTailAtEveryByteRecoversExactlyThePrefix) {
   for (std::size_t cut = prefix; cut < pristine.size(); ++cut) {
     WriteFile(wal_path, pristine, cut);
 
-    std::unique_ptr<LiveHnsw> shell = LiveHnsw::Shell(base, live_options);
+    std::unique_ptr<LiveShardedIndex> shell =
+        LiveShardedIndex::Shell(base, live_options);
     std::unique_ptr<Updater> updater;
     RecoveryReport report;
     ASSERT_TRUE(Updater::Open(shell.get(), options, &updater, &report).ok())
@@ -112,7 +123,7 @@ TEST(WalRecoveryTest, TornTailAtEveryByteRecoversExactlyThePrefix) {
     EXPECT_EQ(size, prefix);
 
     // The recovered graph is structurally sound and serves the inserts.
-    ASSERT_TRUE(shell->hnsw().graph().Validate().ok())
+    ASSERT_TRUE(shell->shard_index(0).graph().Validate().ok())
         << "cut at byte " << cut;
     methods::SearchParams params = methods::SearchParams{.k = 5, .beam_width = 50, .num_seeds = 8};
     params.tombstones = &updater->tombstones();
@@ -134,11 +145,11 @@ TEST(WalRecoveryTest, RecoveredLogAcceptsNewAppendsAfterTruncation) {
   UpdaterOptions options;
   options.directory = dir;
   options.name = "live";
-  LiveHnswOptions live_options;
-  live_options.reserve = 32;
+  const shard::LiveShardedOptions live_options = LiveOptions();
 
   {
-    std::unique_ptr<LiveHnsw> live = LiveHnsw::Build(base, live_options);
+    auto live = std::make_unique<LiveShardedIndex>(live_options);
+    live->Build(base);
     std::unique_ptr<Updater> updater;
     ASSERT_TRUE(Updater::Create(live.get(), options, &updater).ok());
     std::vector<float> vec(kDim, 0.25F);
@@ -154,7 +165,8 @@ TEST(WalRecoveryTest, RecoveredLogAcceptsNewAppendsAfterTruncation) {
   // a second recovery sees both the old and the new record.
   std::uint64_t resumed_sequence = 0;
   {
-    std::unique_ptr<LiveHnsw> shell = LiveHnsw::Shell(base, live_options);
+    std::unique_ptr<LiveShardedIndex> shell =
+        LiveShardedIndex::Shell(base, live_options);
     std::unique_ptr<Updater> updater;
     RecoveryReport report;
     ASSERT_TRUE(Updater::Open(shell.get(), options, &updater, &report).ok());
@@ -167,7 +179,8 @@ TEST(WalRecoveryTest, RecoveredLogAcceptsNewAppendsAfterTruncation) {
     resumed_sequence = result.sequence;
   }
   {
-    std::unique_ptr<LiveHnsw> shell = LiveHnsw::Shell(base, live_options);
+    std::unique_ptr<LiveShardedIndex> shell =
+        LiveShardedIndex::Shell(base, live_options);
     std::unique_ptr<Updater> updater;
     RecoveryReport report;
     ASSERT_TRUE(Updater::Open(shell.get(), options, &updater, &report).ok());

@@ -19,8 +19,8 @@
 #include "core/rng.h"
 #include "io/fs.h"
 #include "serve/frontend.h"
-#include "serve/live_hnsw.h"
 #include "serve/updater.h"
+#include "shard/live_sharded_index.h"
 #include "../test_util.h"
 
 namespace gass::serve {
@@ -33,6 +33,16 @@ constexpr std::size_t kInsertsPerThread = 40;
 constexpr std::size_t kSearchThreads = 3;
 constexpr std::size_t kSearchesPerThread = 60;
 constexpr std::size_t kDeleteAttempts = 30;
+
+using shard::LiveShardedIndex;
+
+// A plain live HNSW: the one-shard live index.
+shard::LiveShardedOptions LiveOptions(std::size_t reserve) {
+  shard::LiveShardedOptions options;
+  options.num_shards = 1;
+  options.reserve_per_shard = reserve;
+  return options;
+}
 
 TEST(UpdateConcurrencyTest, SearchesRunAgainstAMutatingIndex) {
   const core::Dataset base = testing::SmallClustered(kBaseN, kDim, 31);
@@ -47,9 +57,10 @@ TEST(UpdateConcurrencyTest, SearchesRunAgainstAMutatingIndex) {
   updater_options.wal.policy = io::WalFsyncPolicy::kEveryN;
   updater_options.wal.sync_every_n = 8;
 
-  LiveHnswOptions live_options;
-  live_options.reserve = kInsertThreads * kInsertsPerThread + 8;
-  std::unique_ptr<LiveHnsw> live = LiveHnsw::Build(base, live_options);
+  const shard::LiveShardedOptions live_options =
+      LiveOptions(kInsertThreads * kInsertsPerThread + 8);
+  auto live = std::make_unique<LiveShardedIndex>(live_options);
+  live->Build(base);
   std::unique_ptr<Updater> updater;
   ASSERT_TRUE(Updater::Create(live.get(), updater_options, &updater).ok());
 
@@ -137,7 +148,8 @@ TEST(UpdateConcurrencyTest, SearchesRunAgainstAMutatingIndex) {
   const std::uint64_t deletes = acked_deletes.load();
   updater.reset();
   live.reset();
-  std::unique_ptr<LiveHnsw> shell = LiveHnsw::Shell(base, live_options);
+  std::unique_ptr<LiveShardedIndex> shell =
+      LiveShardedIndex::Shell(base, live_options);
   std::unique_ptr<Updater> recovered;
   RecoveryReport report;
   ASSERT_TRUE(
@@ -155,9 +167,8 @@ TEST(UpdateConcurrencyTest, RejectedUpdatesResolveWithAnError) {
   UpdaterOptions updater_options;
   updater_options.directory = dir;
 
-  LiveHnswOptions live_options;
-  live_options.reserve = 64;
-  std::unique_ptr<LiveHnsw> live = LiveHnsw::Build(base, live_options);
+  auto live = std::make_unique<LiveShardedIndex>(LiveOptions(64));
+  live->Build(base);
   std::unique_ptr<Updater> updater;
   ASSERT_TRUE(Updater::Create(live.get(), updater_options, &updater).ok());
 

@@ -20,7 +20,7 @@
 #include "io/fs.h"
 #include "io/wal.h"
 #include "obs/exporter.h"
-#include "serve/live_hnsw.h"
+#include "shard/live_sharded_index.h"
 #include "../test_util.h"
 
 namespace gass::serve {
@@ -56,8 +56,8 @@ void WriteFile(const std::string& path,
 
 // One scripted op of the deterministic workload.
 struct Op {
-  bool is_insert;
-  core::VectorId delete_id;       // Deletes only.
+  bool is_insert = false;
+  core::VectorId delete_id = 0;   // Deletes only.
   std::vector<float> vec;         // Inserts only.
   std::uint64_t record_bytes() const {
     return io::kWalRecordHeaderBytes + 8 +
@@ -96,17 +96,27 @@ UpdaterOptions OptionsFor(const std::string& dir) {
   return options;
 }
 
-LiveHnswOptions LiveOptions() {
-  LiveHnswOptions options;
-  options.reserve = 32;
+using shard::LiveShardedIndex;
+
+// A plain live HNSW: the one-shard live index.
+shard::LiveShardedOptions LiveOptions() {
+  shard::LiveShardedOptions options;
+  options.num_shards = 1;
+  options.reserve_per_shard = 32;
   return options;
+}
+
+std::unique_ptr<LiveShardedIndex> BuildLive(const core::Dataset& base) {
+  auto live = std::make_unique<LiveShardedIndex>(LiveOptions());
+  live->Build(base);
+  return live;
 }
 
 // Runs the scripted workload against a fresh updater in `dir`; every op
 // must be acknowledged.
 void RunWorkload(const core::Dataset& base, const UpdaterOptions& options,
                  const std::vector<Op>& ops) {
-  std::unique_ptr<LiveHnsw> live = LiveHnsw::Build(base, LiveOptions());
+  std::unique_ptr<LiveShardedIndex> live = BuildLive(base);
   std::unique_ptr<Updater> updater;
   ASSERT_TRUE(Updater::Create(live.get(), options, &updater).ok());
   for (const Op& op : ops) {
@@ -138,7 +148,7 @@ ExpectedState ExpectAfter(const std::vector<Op>& ops,
 
 // Self-retrieval: each live insert, queried by its own vector, must appear
 // in the top k; each dead id must not appear for any probe.
-void VerifySearches(LiveHnsw* live, Updater* updater,
+void VerifySearches(LiveShardedIndex* live, Updater* updater,
                     const std::vector<Op>& ops, std::size_t applied_ops,
                     const std::string& context) {
   const ExpectedState state = ExpectAfter(ops, applied_ops);
@@ -178,7 +188,8 @@ TEST(UpdaterTest, CleanRecoveryServesEveryAcknowledgedUpdate) {
   const std::vector<Op> ops = Workload();
   RunWorkload(base, options, ops);
 
-  std::unique_ptr<LiveHnsw> shell = LiveHnsw::Shell(base, LiveOptions());
+  std::unique_ptr<LiveShardedIndex> shell =
+      LiveShardedIndex::Shell(base, LiveOptions());
   std::unique_ptr<Updater> updater;
   RecoveryReport report;
   ASSERT_TRUE(Updater::Open(shell.get(), options, &updater, &report).ok());
@@ -243,14 +254,15 @@ TEST(UpdaterTest, FaultGridRecoversExactlyTheSurvivingPrefix) {
     ASSERT_TRUE(
         io::ApplyWalFaults(Updater::WalPath(options, 0), c.plan).ok());
 
-    std::unique_ptr<LiveHnsw> shell = LiveHnsw::Shell(base, LiveOptions());
+    std::unique_ptr<LiveShardedIndex> shell =
+        LiveShardedIndex::Shell(base, LiveOptions());
     std::unique_ptr<Updater> updater;
     RecoveryReport report;
     ASSERT_TRUE(Updater::Open(shell.get(), options, &updater, &report).ok())
         << c.name;
     EXPECT_EQ(report.records_applied, c.surviving_ops) << c.name;
     VerifySearches(shell.get(), updater.get(), ops, c.surviving_ops, c.name);
-    ASSERT_TRUE(shell->hnsw().graph().Validate().ok()) << c.name;
+    ASSERT_TRUE(shell->shard_index(0).graph().Validate().ok()) << c.name;
   }
 }
 
@@ -275,7 +287,8 @@ TEST(UpdaterTest, DoubleReplayIsBitIdentical) {
   std::vector<std::vector<std::pair<core::VectorId, float>>> runs;
   std::uint64_t first_applied = 0;
   for (int run = 0; run < 2; ++run) {
-    std::unique_ptr<LiveHnsw> shell = LiveHnsw::Shell(base, LiveOptions());
+    std::unique_ptr<LiveShardedIndex> shell =
+        LiveShardedIndex::Shell(base, LiveOptions());
     std::unique_ptr<Updater> updater;
     RecoveryReport report;
     ASSERT_TRUE(Updater::Open(shell.get(), options, &updater, &report).ok());
@@ -315,7 +328,7 @@ TEST(UpdaterTest, FailedFsyncRefusesAcknowledgmentAndRecovers) {
   std::vector<float> vec(kDim, 0.5F);
   std::size_t acked = 0;
   {
-    std::unique_ptr<LiveHnsw> live = LiveHnsw::Build(base, LiveOptions());
+    std::unique_ptr<LiveShardedIndex> live = BuildLive(base);
     std::unique_ptr<Updater> updater;
     ASSERT_TRUE(Updater::Create(live.get(), options, &updater).ok());
     ASSERT_TRUE(updater->Insert(vec.data()).status.ok());
@@ -333,7 +346,8 @@ TEST(UpdaterTest, FailedFsyncRefusesAcknowledgmentAndRecovers) {
   // Recovery: everything acknowledged survives; nothing unacknowledged is
   // required to (a record that reached the file without its ack may
   // legitimately replay — the guarantee is one-directional).
-  std::unique_ptr<LiveHnsw> shell = LiveHnsw::Shell(base, LiveOptions());
+  std::unique_ptr<LiveShardedIndex> shell =
+      LiveShardedIndex::Shell(base, LiveOptions());
   std::unique_ptr<Updater> updater;
   RecoveryReport report;
   ASSERT_TRUE(Updater::Open(shell.get(), options, &updater, &report).ok());
@@ -359,7 +373,7 @@ TEST(UpdaterTest, CheckpointRotationCoversTheOldLog) {
 
   std::vector<unsigned char> old_wal;
   {
-    std::unique_ptr<LiveHnsw> live = LiveHnsw::Build(base, LiveOptions());
+    std::unique_ptr<LiveShardedIndex> live = BuildLive(base);
     std::unique_ptr<Updater> updater;
     ASSERT_TRUE(Updater::Create(live.get(), options, &updater).ok());
     for (const Op& op : ops) {
@@ -380,7 +394,8 @@ TEST(UpdaterTest, CheckpointRotationCoversTheOldLog) {
 
   // Normal reopen: nothing to replay, full state from the checkpoint.
   {
-    std::unique_ptr<LiveHnsw> shell = LiveHnsw::Shell(base, LiveOptions());
+    std::unique_ptr<LiveShardedIndex> shell =
+        LiveShardedIndex::Shell(base, LiveOptions());
     std::unique_ptr<Updater> updater;
     RecoveryReport report;
     ASSERT_TRUE(Updater::Open(shell.get(), options, &updater, &report).ok());
@@ -395,7 +410,8 @@ TEST(UpdaterTest, CheckpointRotationCoversTheOldLog) {
   // — replay onto the checkpoint is idempotent.
   WriteFile(Updater::WalPath(options, 0), old_wal);
   {
-    std::unique_ptr<LiveHnsw> shell = LiveHnsw::Shell(base, LiveOptions());
+    std::unique_ptr<LiveShardedIndex> shell =
+        LiveShardedIndex::Shell(base, LiveOptions());
     std::unique_ptr<Updater> updater;
     RecoveryReport report;
     ASSERT_TRUE(Updater::Open(shell.get(), options, &updater, &report).ok());
@@ -412,7 +428,7 @@ TEST(UpdaterTest, AutomaticCheckpointEveryNUpdates) {
   UpdaterOptions options = OptionsFor(dir);
   options.checkpoint_every = 4;
 
-  std::unique_ptr<LiveHnsw> live = LiveHnsw::Build(base, LiveOptions());
+  std::unique_ptr<LiveShardedIndex> live = BuildLive(base);
   std::unique_ptr<Updater> updater;
   ASSERT_TRUE(Updater::Create(live.get(), options, &updater).ok());
   std::vector<float> vec(kDim, 0.1F);
@@ -428,7 +444,7 @@ TEST(UpdaterTest, UpdateCountersFlowThroughTheExporter) {
   const std::string dir = TempDirFor("updater_counters");
   const UpdaterOptions options = OptionsFor(dir);
 
-  std::unique_ptr<LiveHnsw> live = LiveHnsw::Build(base, LiveOptions());
+  std::unique_ptr<LiveShardedIndex> live = BuildLive(base);
   std::unique_ptr<Updater> updater;
   ASSERT_TRUE(Updater::Create(live.get(), options, &updater).ok());
   std::vector<float> vec(kDim, 0.9F);

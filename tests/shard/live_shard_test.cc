@@ -1,8 +1,8 @@
 // LiveShardedIndex: centroid routing, per-shard WAL streams, tombstone
-// filtering at the merge, recovery of sequence-interleaved streams, pooled
-// builds and fan-out pinned to a serial reference, and searches racing
-// updates through serve::Frontend (a TSan target under the shard and wal
-// labels).
+// filtering inside each sub-search, recovery of sequence-interleaved
+// streams, the one-shard index pinned to a bare HnswIndex, pooled builds
+// and fan-out pinned to a serial reference, and searches racing updates
+// through serve::Frontend (a TSan target under the shard and wal labels).
 
 #include "shard/live_sharded_index.h"
 
@@ -22,9 +22,12 @@
 #include "core/deadline.h"
 #include "core/rng.h"
 #include "core/stats.h"
+#include "core/tombstones.h"
 #include "io/fs.h"
 #include "io/hash.h"
 #include "io/open_index.h"
+#include "io/serialize.h"
+#include "io/snapshot.h"
 #include "io/wal.h"
 #include "serve/frontend.h"
 #include "serve/updater.h"
@@ -50,12 +53,22 @@ LiveShardedOptions ShardOptions(std::size_t reserve_per_shard) {
   return options;
 }
 
-std::unique_ptr<LiveShardedIndex> BuildLive(const core::Dataset& base,
-                                            std::size_t reserve_per_shard) {
-  auto live = std::make_unique<LiveShardedIndex>(
-      ShardOptions(reserve_per_shard));
+std::unique_ptr<LiveShardedIndex> BuildLive(const LiveShardedOptions& options,
+                                            const core::Dataset& base) {
+  auto live = std::make_unique<LiveShardedIndex>(options);
   live->Build(base);
   return live;
+}
+
+std::unique_ptr<LiveShardedIndex> BuildLive(const core::Dataset& base,
+                                            std::size_t reserve_per_shard) {
+  return BuildLive(ShardOptions(reserve_per_shard), base);
+}
+
+std::uint32_t FloatBits(float value) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
 }
 
 TEST(LiveShardTest, RouteInsertPicksTheNearestShardWithRoom) {
@@ -123,7 +136,11 @@ TEST(LiveShardTest, EveryShardIsAWalStream) {
 TEST(LiveShardTest, MergeFiltersTombstonedGlobalIds) {
   const core::Dataset base = testing::SmallClustered(kBaseN, kDim, 44);
   const std::string dir = TempDirFor("live_shard_tombstones");
-  std::unique_ptr<LiveShardedIndex> live = BuildLive(base, 16);
+  // One probe: the answer is that one shard's, with no other shard's
+  // results to make up for a dropped tombstone.
+  LiveShardedOptions live_options = ShardOptions(16);
+  live_options.nprobe = 1;
+  std::unique_ptr<LiveShardedIndex> live = BuildLive(live_options, base);
 
   serve::UpdaterOptions options;
   options.directory = dir;
@@ -131,7 +148,8 @@ TEST(LiveShardTest, MergeFiltersTombstonedGlobalIds) {
   ASSERT_TRUE(serve::Updater::Create(live.get(), options, &updater).ok());
 
   // Row 7 queried by itself must come back first — then vanish once
-  // deleted, with the merge filtering its GLOBAL id.
+  // deleted, the sub-search filtering its GLOBAL id and filling k live
+  // answers from the rest of its beam.
   methods::SearchParams params = methods::SearchParams{.k = 5, .beam_width = 50, .num_seeds = 8};
   params.tombstones = &updater->tombstones();
   {
@@ -142,10 +160,200 @@ TEST(LiveShardTest, MergeFiltersTombstonedGlobalIds) {
   ASSERT_TRUE(updater->Delete(7).status.ok());
   {
     const methods::SearchResult result = live->Search(base.Row(7), params);
+    EXPECT_EQ(result.neighbors.size(), params.k);
     for (const auto& nb : result.neighbors) {
       EXPECT_NE(nb.id, 7u) << "tombstoned id leaked through the merge";
     }
   }
+}
+
+// Answers of `live` and the bare `reference` HNSW over the same rows, both
+// filtering `tombstones`: identical ids, bitwise distances and hops, and
+// one more distance on the live side (ranking its single centroid).
+// Returns how many queries had a tombstoned id in the unfiltered answer.
+std::size_t ExpectMatchesReference(const LiveShardedIndex& live,
+                                   const methods::HnswIndex& reference,
+                                   const core::TombstoneSet& tombstones,
+                                   const core::Dataset& queries,
+                                   const std::string& context) {
+  methods::SearchParams params{.k = 10, .beam_width = 32};
+  params.tombstones = &tombstones;
+  methods::SearchParams unfiltered = params;
+  unfiltered.tombstones = nullptr;
+  std::size_t touched = 0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const float* query = queries.Row(static_cast<core::VectorId>(q));
+    methods::SearchContext ctx = live.MakeSearchContext(q);
+    const methods::SearchResult got = live.Search(query, params, &ctx);
+    const methods::SearchResult want =
+        reference.Search(query, params, &ctx);
+    EXPECT_EQ(got.neighbors.size(), want.neighbors.size())
+        << context << " query " << q;
+    if (got.neighbors.size() != want.neighbors.size()) continue;
+    for (std::size_t i = 0; i < want.neighbors.size(); ++i) {
+      EXPECT_EQ(got.neighbors[i].id, want.neighbors[i].id)
+          << context << " query " << q;
+      EXPECT_EQ(FloatBits(got.neighbors[i].distance),
+                FloatBits(want.neighbors[i].distance))
+          << context << " query " << q;
+    }
+    EXPECT_EQ(got.stats.hops, want.stats.hops) << context << " query " << q;
+    EXPECT_EQ(got.stats.distance_computations,
+              want.stats.distance_computations + 1)
+        << context << " query " << q;
+    for (const core::Neighbor& nb :
+         reference.Search(query, unfiltered, &ctx).neighbors) {
+      if (tombstones.Contains(nb.id)) {
+        ++touched;
+        break;
+      }
+    }
+  }
+  return touched;
+}
+
+// The one-shard live index is a plain live HNSW: through a fixed script of
+// inserts and deletes, and again after recovery from a checkpoint plus the
+// WAL tail, every answer matches a bare HnswIndex grown by BuildPrefix and
+// Extend over the same rows and filtered by the same tombstones.
+TEST(LiveShardTest, OneShardMatchesABareHnswIndex) {
+  constexpr std::size_t kN = 400;
+  constexpr std::size_t kReserve = 64;
+  constexpr std::size_t kInserts = 60;
+  const core::Dataset base = testing::SmallClustered(kN, kDim, 56);
+  const std::string dir = TempDirFor("live_shard_one_shard");
+  LiveShardedOptions options;
+  options.num_shards = 1;
+  options.reserve_per_shard = kReserve;
+  serve::UpdaterOptions updater_options;
+  updater_options.directory = dir;
+
+  core::Dataset arena(kN + kReserve, kDim);
+  std::memcpy(arena.mutable_data(), base.data(), base.SizeBytes());
+  methods::HnswIndex reference(options.hnsw);
+  reference.BuildPrefix(arena, kN);
+
+  std::unique_ptr<LiveShardedIndex> live = BuildLive(options, base);
+  std::unique_ptr<serve::Updater> updater;
+  ASSERT_TRUE(
+      serve::Updater::Create(live.get(), updater_options, &updater).ok());
+  // Queries sit on base rows, so deleting rows near them changes answers.
+  const core::Dataset queries = base.Select([] {
+    std::vector<core::VectorId> ids;
+    for (core::VectorId id = 0; id < kN; id += 4) ids.push_back(id);
+    return ids;
+  }());
+
+  // The script: each insert is a perturbed base row; after every insert
+  // two base rows are deleted, and every fifth insert deletes the
+  // previous live row too. A checkpoint halfway makes recovery load it
+  // and replay the rest of the log.
+  core::Rng rng(57);
+  std::vector<float> vec(kDim);
+  for (std::size_t i = 0; i < kInserts; ++i) {
+    const float* row = base.Row(rng.UniformInt(kN));
+    for (std::size_t d = 0; d < kDim; ++d) {
+      vec[d] = row[d] + rng.UniformFloat(-0.05F, 0.05F);
+    }
+    const serve::UpdateResult inserted = updater->Insert(vec.data());
+    ASSERT_TRUE(inserted.status.ok());
+    ASSERT_EQ(inserted.id, kN + i);
+    std::memcpy(arena.MutableRow(inserted.id), vec.data(),
+                kDim * sizeof(float));
+    reference.Extend(inserted.id + 1);
+    for (int d = 0; d < 2; ++d) {
+      // A repeat comes back InvalidArgument and deletes nothing.
+      (void)updater->Delete(static_cast<core::VectorId>(rng.UniformInt(kN)));
+    }
+    if (i % 5 == 4) {
+      ASSERT_TRUE(updater->Delete(inserted.id - 1).status.ok());
+    }
+    if (i == kInserts / 2) {
+      ASSERT_TRUE(updater->Checkpoint().ok());
+    }
+  }
+  ASSERT_GT(updater->tombstones().count(), kInserts);
+
+  EXPECT_GT(ExpectMatchesReference(*live, reference, updater->tombstones(),
+                                   queries, "live"),
+            0u)
+      << "no query's answer held a deleted id";
+
+  updater.reset();
+  live.reset();
+  std::unique_ptr<LiveShardedIndex> shell =
+      LiveShardedIndex::Shell(base, options);
+  serve::RecoveryReport report;
+  ASSERT_TRUE(
+      serve::Updater::Open(shell.get(), updater_options, &updater, &report)
+          .ok());
+  EXPECT_GT(report.records_applied, 0u);
+  EXPECT_GT(ExpectMatchesReference(*shell, reference, updater->tombstones(),
+                                   queries, "recovered"),
+            0u);
+}
+
+// Replica copies and checkpoint loads come out sealed; the live index
+// unseals them up front, so the first insert does not expand layer 0 under
+// the updater's search lock.
+TEST(LiveShardTest, ReplicasAreUnsealedAfterBuildAndLoad) {
+  const core::Dataset base = testing::SmallClustered(kBaseN, kDim, 58);
+  const std::string dir = TempDirFor("live_shard_unsealed");
+  LiveShardedOptions options = ShardOptions(8);
+  options.replicas = 2;
+  serve::UpdaterOptions updater_options;
+  updater_options.directory = dir;
+  {
+    std::unique_ptr<LiveShardedIndex> live = BuildLive(options, base);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      for (std::size_t r = 0; r < options.replicas; ++r) {
+        EXPECT_FALSE(live->shard_replica(s, r).layered_graph().sealed())
+            << "shard " << s << " replica " << r;
+      }
+    }
+    std::unique_ptr<serve::Updater> updater;
+    ASSERT_TRUE(
+        serve::Updater::Create(live.get(), updater_options, &updater).ok());
+  }
+  std::unique_ptr<LiveShardedIndex> shell =
+      LiveShardedIndex::Shell(base, options);
+  std::unique_ptr<serve::Updater> updater;
+  serve::RecoveryReport report;
+  ASSERT_TRUE(
+      serve::Updater::Open(shell.get(), updater_options, &updater, &report)
+          .ok());
+  for (std::size_t s = 0; s < kShards; ++s) {
+    for (std::size_t r = 0; r < options.replicas; ++r) {
+      EXPECT_FALSE(shell->shard_replica(s, r).layered_graph().sealed())
+          << "shard " << s << " replica " << r;
+    }
+  }
+}
+
+// A checkpoint of the retired single-HNSW live layout cannot be replayed
+// (other sections, another WAL fingerprint): OpenLiveIndex refuses it and
+// says to rebuild.
+TEST(LiveShardTest, OpenLiveIndexRefusesTheRetiredSingleHnswLayout) {
+  const core::Dataset base = testing::SmallClustered(kBaseN, kDim, 59);
+  io::OpenLiveIndexOptions open_options;
+  open_options.updater.directory = TempDirFor("live_shard_old_layout");
+  io::SnapshotWriter writer("LIVE-HNSW", 1, base.size(), base.dim());
+  io::Encoder meta;
+  meta.U64(0);
+  ASSERT_TRUE(writer.AddSection("live.meta", std::move(meta)).ok());
+  ASSERT_TRUE(
+      writer.WriteTo(serve::Updater::CheckpointPath(open_options.updater))
+          .ok());
+
+  std::unique_ptr<serve::LiveIndex> live;
+  std::unique_ptr<serve::Updater> updater;
+  serve::RecoveryReport report;
+  const core::Status status =
+      io::OpenLiveIndex(base, open_options, &live, &updater, &report);
+  EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("rebuild"), std::string::npos)
+      << status.message();
+  EXPECT_TRUE(updater == nullptr);
 }
 
 TEST(LiveShardTest, InterleavedStreamsRecoverInGlobalSequenceOrder) {
@@ -256,12 +464,6 @@ std::uint64_t ImageHash(const methods::HnswIndex& index) {
   std::vector<std::uint8_t> image;
   EXPECT_TRUE(methods::SerializeIndex(index, &image).ok());
   return io::Hash64(image.data(), image.size());
-}
-
-std::uint32_t FloatBits(float value) {
-  std::uint32_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
 }
 
 // The pooled Build and the pooled fan-out change no answer: every shard

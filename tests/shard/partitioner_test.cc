@@ -48,7 +48,9 @@ void ExpectValidPartitioning(const Partitioning& p, std::size_t n,
     for (const VectorId id : p.shard_ids[s]) {
       ASSERT_LT(id, n);
       EXPECT_EQ(p.assignment[id], s);
-      if (!first) EXPECT_LT(prev, id) << "shard id list not ascending";
+      if (!first) {
+        EXPECT_LT(prev, id) << "shard id list not ascending";
+      }
       prev = id;
       first = false;
       ++seen[id];
@@ -108,6 +110,8 @@ TEST_P(PartitionerTest, SingleShardOwnsEverything) {
   EXPECT_EQ(p.shard_ids[0].size(), 60u);
   // With K=1 the single shard's ascending id list is the identity order.
   for (std::size_t i = 0; i < 60; ++i) EXPECT_EQ(p.shard_ids[0][i], i);
+  // It is assigned outright: no shuffle, no Lloyd iterations.
+  EXPECT_EQ(p.distance_computations, 0u);
 }
 
 TEST_P(PartitionerTest, ShardViewIsZeroCopy) {

@@ -231,9 +231,11 @@ TEST(ShardFaultTest, BackgroundReloadRecoversThroughHalfOpenProbe) {
   ASSERT_EQ(sharded.health().state(1), BreakerState::kOpen);
 
   sharded.SetFaultInjector(nullptr);
+  // Held, the first reload is still in flight when the second request
+  // comes, so that request is refused every time.
+  sharded.HoldReloadsForTest();
   ASSERT_TRUE(sharded.StartShardReload(1));
-  // A second request for the same shard while one is in flight is refused.
-  sharded.StartShardReload(1);
+  EXPECT_FALSE(sharded.StartShardReload(1));
   sharded.WaitForReloads();
   EXPECT_EQ(sharded.health().generation(1), 1u);
 

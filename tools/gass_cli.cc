@@ -19,7 +19,7 @@
 //                       [--arrival poisson --rate N [--num-arrivals N]
 //                        [--queue 64] [--deadline-ms 10] [--retries 0]]
 //   gass_cli update-bench --base base.fvecs --wal-dir DIR [--updates 1000]
-//                       [--delete-fraction 0.1] [--shards 0] [--reserve N]
+//                       [--delete-fraction 0.1] [--shards 1] [--reserve N]
 //                       [--wal-name live] [--wal-fsync every|everyn|interval]
 //                       [--wal-fsync-n 64] [--wal-fsync-interval-ms 50]
 //                       [--checkpoint-every 0] [--queries q.fvecs
@@ -32,7 +32,9 @@
 // serve::Frontend — concurrent searches mixed in with --queries — then
 // reopens the checkpoint + WALs and verifies the recovered index
 // self-retrieves acknowledged inserts and drops acknowledged deletes. See
-// docs/PERSISTENCE.md "Durability & live updates".
+// docs/PERSISTENCE.md "Durability & live updates". Its index is always a
+// LIVE-SHARDED-HNSW: --shards defaults to 1 (one shard is a plain live
+// HNSW with one WAL stream), and --nprobe and --replicas apply at any K.
 //
 // Sharding flags (build/eval/serve-bench; see docs/SHARDING.md):
 //   --shards K              partition the base into K shards and build one
@@ -135,7 +137,6 @@
 #include "serve/executor.h"
 #include "serve/fault_injector.h"
 #include "serve/frontend.h"
-#include "serve/live_hnsw.h"
 #include "serve/retry.h"
 #include "serve/updater.h"
 #include "shard/live_sharded_index.h"
@@ -285,7 +286,8 @@ std::string ShardSummary(const gass::methods::GraphIndex& index) {
                      ", nprobe " + std::to_string(sharded->EffectiveNprobe()) +
                      "):";
   for (std::size_t s = 0; s < sharded->num_shards(); ++s) {
-    line += " " + std::to_string(sharded->shard_size(s));
+    line += ' ';
+    line += std::to_string(sharded->shard_size(s));
   }
   return line;
 }
@@ -962,8 +964,12 @@ int CmdUpdateBench(const Flags& flags) {
   const std::size_t updates =
       static_cast<std::size_t>(flags.GetInt("updates", 1000));
   const double delete_fraction = flags.GetFloat("delete-fraction", 0.1);
+  if (flags.GetInt("shards", 1) < 1) {
+    std::fprintf(stderr, "error: update-bench needs --shards >= 1\n");
+    return 1;
+  }
   const std::size_t shards =
-      static_cast<std::size_t>(flags.GetInt("shards", 0));
+      static_cast<std::size_t>(flags.GetInt("shards", 1));
   const std::size_t reserve = static_cast<std::size_t>(
       flags.GetInt("reserve", static_cast<long>(updates)));
   const std::uint64_t seed =
@@ -977,34 +983,18 @@ int CmdUpdateBench(const Flags& flags) {
       static_cast<std::uint64_t>(flags.GetInt("checkpoint-every", 0));
   if (!WalOptionsFromFlags(flags, &up_options.wal)) return 1;
 
-  gass::serve::LiveHnswOptions hnsw_options;
-  hnsw_options.hnsw.seed = seed;
-  hnsw_options.reserve = reserve;
   gass::shard::LiveShardedOptions sharded_options;
   sharded_options.num_shards = shards;
   sharded_options.nprobe = static_cast<std::size_t>(flags.GetInt("nprobe", 0));
-  sharded_options.reserve_per_shard =
-      shards > 0 ? (reserve + shards - 1) / shards : reserve;
+  sharded_options.reserve_per_shard = (reserve + shards - 1) / shards;
   sharded_options.replicas =
       static_cast<std::size_t>(flags.GetInt("replicas", 1));
   sharded_options.hnsw.seed = seed;
   sharded_options.seed = seed;
-  if (shards == 0 && sharded_options.replicas > 1) {
-    std::fprintf(stderr,
-                 "error: --replicas needs sharded live updates (--shards K)\n");
-    return 1;
-  }
 
   // Build the live index and its durable state (checkpoint + empty WALs).
-  std::unique_ptr<gass::serve::LiveIndex> live;
-  if (shards > 0) {
-    auto index = std::make_unique<gass::shard::LiveShardedIndex>(
-        sharded_options);
-    index->Build(base);
-    live = std::move(index);
-  } else {
-    live = gass::serve::LiveHnsw::Build(base, hnsw_options);
-  }
+  auto live = std::make_unique<gass::shard::LiveShardedIndex>(sharded_options);
+  live->Build(base);
   std::unique_ptr<gass::serve::Updater> updater;
   status = gass::serve::Updater::Create(live.get(), up_options, &updater);
   if (!status.ok()) return Fail(status);
@@ -1117,7 +1107,6 @@ int CmdUpdateBench(const Flags& flags) {
   // Recovery: reopen from checkpoint + WALs and spot-check the result.
   gass::io::OpenLiveIndexOptions open_options;
   open_options.updater = up_options;
-  open_options.hnsw = hnsw_options;
   open_options.sharded = sharded_options;
   std::unique_ptr<gass::serve::LiveIndex> recovered;
   std::unique_ptr<gass::serve::Updater> reopened;
