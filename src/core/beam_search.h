@@ -56,8 +56,7 @@ inline std::vector<Neighbor> EmitTopK(const BeamPool& pool, std::size_t k,
 /// one's neighbors, so the list's cache miss overlaps the current hop.
 template <typename GraphT>
 void PrefetchNeighbors(const GraphT& graph, VectorId v) {
-  std::size_t degree = 0;
-  const VectorId* list = graph.Neighbors(v, &degree);
+  const void* list = graph.Neighbors(v).data();
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(list);
 #else
@@ -69,14 +68,16 @@ void PrefetchNeighbors(const GraphT& graph, VectorId v) {
 inline constexpr std::size_t kExpandBatch = DistanceComputer::kBatchChunk;
 
 /// Claims the next (up to kExpandBatch) unvisited ids of neighbors[*i,
-/// degree) into `chunk`, advancing *i past every id it examined, then
+/// size) into `chunk`, advancing *i past every id it examined, then
 /// prefetches the claimed rows. The visited test is branch-free: each id is
-/// written to the chunk and only a first visit keeps it there.
-inline std::size_t GatherUnvisited(const VectorId* neighbors,
-                                   std::size_t degree, std::size_t* i,
-                                   VisitedTable* visited,
-                                   const DistanceComputer& dc,
-                                   VectorId* chunk) {
+/// read (for a packed list, decoded) and written to the chunk, and only a
+/// first visit keeps it there. Forced inline: left to itself GCC calls the
+/// packed-list instantiation out of line, once per chunk.
+template <typename List>
+[[gnu::always_inline]] inline std::size_t GatherUnvisited(
+    const List& neighbors, std::size_t* i, VisitedTable* visited,
+    const DistanceComputer& dc, VectorId* chunk) {
+  const std::size_t degree = neighbors.size();
   std::size_t m = 0;
   std::size_t next = *i;
   for (; next < degree && m < kExpandBatch; ++next) {
@@ -91,10 +92,10 @@ inline std::size_t GatherUnvisited(const VectorId* neighbors,
 
 }  // namespace internal
 
-/// Runs Algorithm 1 over `graph`: any type whose
-/// `const VectorId* Neighbors(VectorId v, std::size_t* degree) const`
-/// returns v's out-neighbors (Graph, FlatGraph, or one of HNSW's slot
-/// layers).
+/// Runs Algorithm 1 over `graph`: any type whose `Neighbors(VectorId v)`
+/// returns v's out-neighbors as a list with `size()`, `operator[]` and a
+/// prefetchable `data()` (Graph's vector, a span over one of HNSW's slots,
+/// or FlatGraph's PackedIds).
 ///
 /// `seeds` warm the candidate pool (the first seed acts as the entry node —
 /// it is simply the first candidate expanded, since the pool is sorted by
@@ -151,17 +152,16 @@ std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
     // distance values, count, and insert order are all identical to the
     // one-at-a-time loop — only the memory/compute overlap changes, as it
     // does for the prefetch of the next candidate's adjacency list.
-    std::size_t degree = 0;
-    const VectorId* neighbors = graph.Neighbors(v, &degree);
+    const auto& neighbors = graph.Neighbors(v);
     if (pool.HasUnexplored()) {
       internal::PrefetchNeighbors(graph, pool.PeekNext());
     }
     VectorId chunk[internal::kExpandBatch];
     float dist[internal::kExpandBatch];
     std::size_t i = 0;
-    while (i < degree) {
+    while (i < neighbors.size()) {
       const std::size_t m =
-          internal::GatherUnvisited(neighbors, degree, &i, visited, dc, chunk);
+          internal::GatherUnvisited(neighbors, &i, visited, dc, chunk);
       if (m == 0) continue;
       prefetched += m;
       dc.ToQueryBatch(query, chunk, m, dist);
@@ -211,17 +211,16 @@ std::vector<Neighbor> BeamSearchCollect(const GraphT& graph,
 
     // Same gather-then-batch expansion as BeamSearch; `evaluated` is
     // appended in chunk order, which equals the original visit order.
-    std::size_t degree = 0;
-    const VectorId* neighbors = graph.Neighbors(v, &degree);
+    const auto& neighbors = graph.Neighbors(v);
     if (pool.HasUnexplored()) {
       internal::PrefetchNeighbors(graph, pool.PeekNext());
     }
     VectorId chunk[internal::kExpandBatch];
     float dist[internal::kExpandBatch];
     std::size_t i = 0;
-    while (i < degree) {
+    while (i < neighbors.size()) {
       const std::size_t m =
-          internal::GatherUnvisited(neighbors, degree, &i, visited, dc, chunk);
+          internal::GatherUnvisited(neighbors, &i, visited, dc, chunk);
       if (m == 0) continue;
       prefetched += m;
       dc.ToQueryBatch(query, chunk, m, dist);

@@ -144,30 +144,36 @@ Status Graph::Load(const std::string& path) {
   return Status::Ok();
 }
 
-FlatGraph::FlatGraph(std::vector<std::uint64_t> offsets,
-                     std::vector<VectorId> edges)
-    : offsets_(std::move(offsets)), edges_(std::move(edges)) {
-  GASS_CHECK(!offsets_.empty() && offsets_.front() == 0 &&
-             offsets_.back() == edges_.size());
+FlatGraph::FlatGraph(std::vector<std::uint64_t> offsets)
+    : offsets_(std::move(offsets)) {
+  GASS_CHECK(!offsets_.empty() && offsets_.front() == 0);
   GASS_DCHECK(std::is_sorted(offsets_.begin(), offsets_.end()));
+  width_ = IdWidth(size());
+  words_.assign((offsets_.back() * width_ + 63) / 64 + 1, 0);
+}
+
+void FlatGraph::SetNeighbor(VectorId v, std::size_t i, VectorId id) {
+  GASS_CHECK(i < Degree(v) && id < size());
+  const std::uint64_t bit = (offsets_[v] + i) * width_;
+  const std::uint64_t mask = ((std::uint64_t{1} << width_) - 1) << (bit & 7);
+  unsigned char* at = reinterpret_cast<unsigned char*>(words_.data()) +
+                      (bit >> 3);
+  std::uint64_t word;
+  std::memcpy(&word, at, sizeof(word));
+  word = (word & ~mask) | (std::uint64_t{id} << (bit & 7));
+  std::memcpy(at, &word, sizeof(word));
 }
 
 FlatGraph FlatGraph::FromGraph(const Graph& graph) {
-  FlatGraph flat;
   const std::size_t n = graph.size();
-  flat.offsets_.resize(n + 1);
-  flat.offsets_[0] = 0;
+  std::vector<std::uint64_t> offsets(n + 1, 0);
   for (VectorId v = 0; v < n; ++v) {
-    flat.offsets_[v + 1] = flat.offsets_[v] + graph.Neighbors(v).size();
+    offsets[v + 1] = offsets[v] + graph.Neighbors(v).size();
   }
-  flat.edges_.resize(flat.offsets_[n]);
-  for (VectorId v = 0; v < n; ++v) {
-    const auto& list = graph.Neighbors(v);
-    std::copy(list.begin(), list.end(), flat.edges_.begin() +
-                                            static_cast<std::ptrdiff_t>(
-                                                flat.offsets_[v]));
-  }
-  return flat;
+  return Pack(std::move(offsets),
+              [&](VectorId v) -> const std::vector<VectorId>& {
+                return graph.Neighbors(v);
+              });
 }
 
 }  // namespace gass::core

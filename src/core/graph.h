@@ -3,14 +3,17 @@
 // Graph is the mutable adjacency-list structure used during construction.
 // FlatGraph is the read-only contiguous (CSR-style) layout used by the
 // "optimized implementation" experiments (paper Fig. 17) and by HNSW's
-// sealed base layer (methods/hnsw_graph.h): one block holds all neighbor
-// lists, removing per-node pointer chasing during search.
+// sealed base layer (methods/hnsw_graph.h): one bit-packed block holds all
+// neighbor lists, removing per-node pointer chasing during search and
+// storing each id in only as many bits as the vertex count needs.
 
 #ifndef GASS_CORE_GRAPH_H_
 #define GASS_CORE_GRAPH_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -33,13 +36,6 @@ class Graph {
   const std::vector<VectorId>& Neighbors(VectorId v) const {
     GASS_DCHECK(v < adjacency_.size());
     return adjacency_[v];
-  }
-  /// Pointer to v's neighbor ids; degree returned via out-parameter. The
-  /// form core::BeamSearch expands every graph layout through.
-  const VectorId* Neighbors(VectorId v, std::size_t* degree) const {
-    GASS_DCHECK(v < adjacency_.size());
-    *degree = adjacency_[v].size();
-    return adjacency_[v].data();
   }
   std::vector<VectorId>& MutableNeighbors(VectorId v) {
     GASS_DCHECK(v < adjacency_.size());
@@ -90,50 +86,145 @@ class Graph {
   std::vector<std::vector<VectorId>> adjacency_;
 };
 
+static_assert(std::endian::native == std::endian::little,
+              "PackedIds decodes with little-endian loads");
+
+/// One vertex's neighbor ids in FlatGraph's packed block: `size()` ids of
+/// `width` bits each, starting `first_bit` bits into the block. Indexing
+/// decodes one id (an unaligned 8-byte load, a shift and a mask), so beam
+/// search decodes each id where it reads it, with no staging buffer. The
+/// bit order is the little-endian one the load assumes.
+class PackedIds {
+ public:
+  PackedIds(const unsigned char* block, std::uint64_t first_bit,
+            std::size_t size, std::uint32_t width)
+      : block_(block),
+        first_bit_(first_bit),
+        size_(size),
+        width_(width),
+        mask_((std::uint64_t{1} << width) - 1) {}
+
+  std::size_t size() const { return size_; }
+
+  VectorId operator[](std::size_t i) const {
+    const std::uint64_t bit = first_bit_ + i * width_;
+    std::uint64_t word;
+    std::memcpy(&word, block_ + (bit >> 3), sizeof(word));
+    return static_cast<VectorId>((word >> (bit & 7)) & mask_);
+  }
+
+  /// Address of the byte holding the first id, for prefetching.
+  const void* data() const { return block_ + (first_bit_ >> 3); }
+
+ private:
+  const unsigned char* block_;
+  std::uint64_t first_bit_;
+  std::size_t size_;
+  std::uint32_t width_;
+  std::uint64_t mask_;
+};
+
 /// Read-only contiguous graph layout.
 ///
-/// Stores offsets[n+1] and one flat neighbor array; Neighbors(v) is a pure
-/// pointer-arithmetic slice. This mirrors the hnswlib/ParlayANN layouts whose
-/// impact the paper measures in Fig. 17.
+/// Stores offsets[n+1] and one bit-packed neighbor block: every id takes
+/// width() = max(1, bit_width(n - 1)) bits, and v's list is ids
+/// [offsets[v], offsets[v + 1]) of the block. The block carries one spare
+/// word, so the 8-byte load that decodes any id stays in bounds. This
+/// mirrors the hnswlib/ParlayANN contiguous layouts whose impact the paper
+/// measures in Fig. 17, with ids narrowed to what n needs.
 class FlatGraph {
  public:
   FlatGraph() = default;
 
-  /// Adopts a CSR block: `offsets` has n + 1 non-decreasing entries
-  /// starting at 0 and ending at edges.size(); v's list is
-  /// edges[offsets[v], offsets[v + 1]).
-  FlatGraph(std::vector<std::uint64_t> offsets, std::vector<VectorId> edges);
+  /// A graph whose lists have the lengths `offsets` gives (n + 1
+  /// non-decreasing entries starting at 0; v's list holds
+  /// offsets[v + 1] - offsets[v] ids), every id 0 until SetNeighbor
+  /// writes it.
+  explicit FlatGraph(std::vector<std::uint64_t> offsets);
+
+  /// Packs every list in one sequential pass: `offsets` as above, and
+  /// `lists(v)` returns v's ids (anything with size() and operator[]),
+  /// offsets[v + 1] - offsets[v] of them, each below n.
+  template <typename Lists>
+  static FlatGraph Pack(std::vector<std::uint64_t> offsets,
+                        const Lists& lists);
 
   /// Builds the flat layout from an adjacency-list graph.
   static FlatGraph FromGraph(const Graph& graph);
+
+  /// Bits per id for a graph of n vertices: enough to name vertex n - 1,
+  /// and at least one.
+  static std::uint32_t IdWidth(std::size_t n) {
+    return n > 1 ? static_cast<std::uint32_t>(std::bit_width(n - 1)) : 1;
+  }
 
   std::size_t size() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
 
-  /// Pointer to v's neighbor ids; degree returned via out-parameter.
-  const VectorId* Neighbors(VectorId v, std::size_t* degree) const {
+  std::uint32_t width() const { return width_; }
+
+  /// v's neighbor ids, decoded on access.
+  PackedIds Neighbors(VectorId v) const {
     GASS_DCHECK(v + 1 < offsets_.size());
-    *degree = offsets_[v + 1] - offsets_[v];
-    return edges_.data() + offsets_[v];
+    return PackedIds(reinterpret_cast<const unsigned char*>(words_.data()),
+                     offsets_[v] * width_, offsets_[v + 1] - offsets_[v],
+                     width_);
   }
+
+  /// Overwrites the i-th id of v's list (i < Degree(v), id < size()),
+  /// leaving every other id as it was. One id at a time, so builders use
+  /// Pack; tests use this to stand in for corruption.
+  void SetNeighbor(VectorId v, std::size_t i, VectorId id);
 
   std::size_t Degree(VectorId v) const {
     GASS_DCHECK(v + 1 < offsets_.size());
     return offsets_[v + 1] - offsets_[v];
   }
 
-  std::size_t EdgeCount() const { return edges_.size(); }
+  std::size_t EdgeCount() const {
+    return offsets_.empty() ? 0 : offsets_.back();
+  }
 
+  /// The offsets plus the packed block: ceil(EdgeCount() * width() / 64)
+  /// words of ids and the one spare word.
   std::size_t MemoryBytes() const {
-    return offsets_.size() * sizeof(std::uint64_t) +
-           edges_.size() * sizeof(VectorId);
+    return (offsets_.size() + words_.size()) * sizeof(std::uint64_t);
   }
 
  private:
-  std::vector<std::uint64_t> offsets_;  // size n+1.
-  std::vector<VectorId> edges_;
+  std::vector<std::uint64_t> offsets_;  // size n+1, in ids.
+  std::vector<std::uint64_t> words_;    // Packed ids, plus one spare word.
+  std::uint32_t width_ = 1;
 };
+
+template <typename Lists>
+FlatGraph FlatGraph::Pack(std::vector<std::uint64_t> offsets,
+                          const Lists& lists) {
+  FlatGraph flat(std::move(offsets));
+  const std::size_t n = flat.size();
+  const std::uint32_t width = flat.width_;
+  std::uint64_t* word = flat.words_.data();
+  std::uint64_t pending = 0;  // Low `filled` bits are ids not yet stored.
+  std::uint32_t filled = 0;
+  for (VectorId v = 0; v < n; ++v) {
+    const auto& ids = lists(v);
+    GASS_CHECK(ids.size() == flat.Degree(v));
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const std::uint64_t id = ids[i];
+      GASS_CHECK(id < n);
+      pending |= id << filled;
+      filled += width;
+      if (filled >= 64) {
+        *word++ = pending;
+        filled -= 64;
+        pending = id >> (width - filled);  // The bits that did not fit.
+      }
+    }
+  }
+  if (filled > 0) *word = pending;
+  return flat;
+}
 
 }  // namespace gass::core
 

@@ -14,7 +14,7 @@ void HnswGraph::Reset(std::size_t n, std::size_t m) {
   num_layers_ = 0;
   sealed_ = true;
   std::vector<std::uint32_t>().swap(base_);
-  sealed_base_ = core::FlatGraph(std::vector<std::uint64_t>(n + 1, 0), {});
+  sealed_base_ = core::FlatGraph(std::vector<std::uint64_t>(n + 1, 0));
   upper_.clear();
   first_upper_.assign(n, 0);
   level_.assign(n, 0);
@@ -27,12 +27,9 @@ void HnswGraph::Seal() {
     for (VectorId v = 0; v < n; ++v) {
       offsets[v + 1] = offsets[v] + base_[v * base_stride_];
     }
-    std::vector<VectorId> edges(offsets[n]);
-    for (VectorId v = 0; v < n; ++v) {
-      const std::uint32_t* slot = base_.data() + v * base_stride_;
-      std::copy(slot + 1, slot + 1 + slot[0], edges.data() + offsets[v]);
-    }
-    sealed_base_ = core::FlatGraph(std::move(offsets), std::move(edges));
+    const BaseLayer slots = base();
+    sealed_base_ = core::FlatGraph::Pack(
+        std::move(offsets), [&](VectorId v) { return slots.Neighbors(v); });
     std::vector<std::uint32_t>().swap(base_);
     sealed_ = true;
   }
@@ -43,11 +40,10 @@ void HnswGraph::Unseal() {
   if (!sealed_) return;
   base_.assign(size() * base_stride_, 0);
   for (VectorId v = 0; v < size(); ++v) {
-    std::size_t degree = 0;
-    const VectorId* ids = sealed_base_.Neighbors(v, &degree);
+    const core::PackedIds ids = sealed_base_.Neighbors(v);
     std::uint32_t* slot = base_.data() + v * base_stride_;
-    slot[0] = static_cast<std::uint32_t>(degree);
-    std::copy(ids, ids + degree, slot + 1);
+    slot[0] = static_cast<std::uint32_t>(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) slot[1 + i] = ids[i];
   }
   sealed_base_ = core::FlatGraph();
   sealed_ = false;
@@ -62,29 +58,47 @@ void HnswGraph::AddLevels(VectorId v, std::uint32_t level) {
   num_layers_ = std::max<std::size_t>(num_layers_, level);
 }
 
+void HnswGraph::SetNeighborForTesting(std::size_t layer, VectorId v,
+                                      std::size_t i, VectorId id) {
+  if (layer == 0 && sealed_) {
+    sealed_base_.SetNeighbor(v, i, id);  // Checks i and id itself.
+    return;
+  }
+  std::uint32_t* slot = MutableSlot(layer, v);
+  GASS_CHECK(i < slot[0] && id < size());
+  slot[1 + i] = id;
+}
+
 core::Graph HnswGraph::ToGraph(std::size_t layer) const {
   core::Graph graph(size());
-  for (VectorId v = 0; v < size(); ++v) {
-    if (level_[v] < layer) continue;
-    std::size_t degree = 0;
-    const VectorId* ids = Neighbors(layer, v, &degree);
-    graph.SetNeighbors(v, std::vector<VectorId>(ids, ids + degree));
-  }
+  VisitLayer(layer, [&](const auto& view) {
+    for (VectorId v = 0; v < size(); ++v) {
+      if (level_[v] < layer) continue;
+      const auto& ids = view.Neighbors(v);
+      std::vector<VectorId> list(ids.size());
+      for (std::size_t i = 0; i < ids.size(); ++i) list[i] = ids[i];
+      graph.SetNeighbors(v, std::move(list));
+    }
+  });
   return graph;
 }
 
 void HnswGraph::EncodeLayer(std::size_t layer, io::Encoder* enc) const {
   enc->U64(size());
-  for (VectorId v = 0; v < size(); ++v) {
-    if (level_[v] < layer) {
-      enc->U32(0);
-      continue;
+  std::vector<VectorId> list;
+  VisitLayer(layer, [&](const auto& view) {
+    for (VectorId v = 0; v < size(); ++v) {
+      if (level_[v] < layer) {
+        enc->U32(0);
+        continue;
+      }
+      const auto& ids = view.Neighbors(v);
+      list.resize(ids.size());
+      for (std::size_t i = 0; i < ids.size(); ++i) list[i] = ids[i];
+      enc->U32(static_cast<std::uint32_t>(list.size()));
+      enc->Bytes(list.data(), list.size() * sizeof(VectorId));
     }
-    std::size_t degree = 0;
-    const VectorId* ids = Neighbors(layer, v, &degree);
-    enc->U32(static_cast<std::uint32_t>(degree));
-    enc->Bytes(ids, degree * sizeof(VectorId));
-  }
+  });
 }
 
 core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
@@ -95,9 +109,10 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
                                    std::to_string(size()))) {
     return dec->status();
   }
-  // Layer 0 decodes into a CSR block. Each vertex costs one degree word,
-  // so a well-formed payload holds exactly remaining / 4 - n ids, and the
-  // block is reserved once at its final size.
+  // Layer 0 decodes into a u32 CSR block, packed once it validates. Each
+  // vertex costs one degree word, so a well-formed payload holds exactly
+  // remaining / 4 - n ids, and the block is reserved once at its final
+  // size.
   std::vector<std::uint64_t> offsets;
   std::vector<VectorId> edges;
   if (layer == 0) {
@@ -152,7 +167,11 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
     }
   }
   if (layer == 0 && dec->ok()) {
-    sealed_base_ = core::FlatGraph(std::move(offsets), std::move(edges));
+    // Pack takes its own copy of the offsets; the lists index this one.
+    sealed_base_ = core::FlatGraph::Pack(offsets, [&](VectorId v) {
+      return std::span<const VectorId>(edges.data() + offsets[v],
+                                       edges.data() + offsets[v + 1]);
+    });
   }
   return dec->status();
 }

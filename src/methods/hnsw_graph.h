@@ -4,11 +4,13 @@
 // (`size_links_level0`): one flat u32 buffer of n slots, each `2M + 1`
 // words wide, a degree word then up to 2M neighbor ids, rewritten in place
 // by every insert. Once an index stops growing, Seal() packs layer 0 into a
-// core::FlatGraph (CSR: n + 1 offsets and one edge block) and frees the
-// slots. Built lists hold about half their 2M capacity, so the sealed form
-// is roughly half the size, and static searches run on it. Unseal() turns
-// it back into slots before the next insert. HnswIndex::Build seals, as
-// does every load; BuildPrefix and Extend leave slots.
+// core::FlatGraph (CSR: n + 1 u64 offsets and one block of ids bit-packed
+// at bit_width(n - 1) bits each) and frees the slots. Built lists hold
+// about half their 2M capacity, so a vertex costs 8 + degree·width/8 bytes
+// sealed against 4·(2M + 1) in its slot, and static searches run on the
+// sealed form, decoding each id as they read it. Unseal() turns it back
+// into slots before the next insert. HnswIndex::Build seals, as does every
+// load; BuildPrefix and Extend leave slots.
 //
 // The upper layers always share a second buffer of `M + 1`-word slots that
 // exist only for vertices of level >= 1: vertex v's layer-l slot
@@ -26,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/graph.h"
@@ -43,11 +46,9 @@ class HnswGraph {
    public:
     BaseLayer(const std::uint32_t* words, std::size_t stride)
         : words_(words), stride_(stride) {}
-    const core::VectorId* Neighbors(core::VectorId v,
-                                    std::size_t* degree) const {
+    std::span<const core::VectorId> Neighbors(core::VectorId v) const {
       const std::uint32_t* slot = words_ + v * stride_;
-      *degree = slot[0];
-      return slot + 1;
+      return {slot + 1, slot[0]};
     }
 
    private:
@@ -62,12 +63,10 @@ class HnswGraph {
     UpperLayer(const std::uint32_t* words, const std::uint32_t* first,
                std::size_t stride, std::size_t layer)
         : words_(words), first_(first), stride_(stride), layer_(layer) {}
-    const core::VectorId* Neighbors(core::VectorId v,
-                                    std::size_t* degree) const {
+    std::span<const core::VectorId> Neighbors(core::VectorId v) const {
       const std::uint32_t* slot =
           words_ + (first_[v] + layer_ - 1) * stride_;
-      *degree = slot[0];
-      return slot + 1;
+      return {slot + 1, slot[0]};
     }
 
    private:
@@ -84,9 +83,9 @@ class HnswGraph {
   /// layers up to m. Unseal() before inserting.
   void Reset(std::size_t n, std::size_t m);
 
-  /// Packs layer 0 into its sealed CSR form and frees the slots (a no-op
-  /// on layer 0 if it is already sealed), then trims the upper buffer to
-  /// its size, so MemoryBytes() counts only resident lists.
+  /// Packs layer 0 into its sealed, bit-packed CSR form and frees the
+  /// slots (a no-op on layer 0 if it is already sealed), then trims the
+  /// upper buffer to its size, so MemoryBytes() counts only resident lists.
   void Seal();
 
   /// Expands a sealed layer 0 back into 2M-id slots, so inserts can
@@ -114,7 +113,7 @@ class HnswGraph {
     GASS_DCHECK(!sealed_);
     return BaseLayer(base_.data(), base_stride_);
   }
-  /// Layer 0's CSR form; only while sealed.
+  /// Layer 0's packed CSR form; only while sealed.
   const core::FlatGraph& sealed_base() const {
     GASS_DCHECK(sealed_);
     return sealed_base_;
@@ -133,15 +132,6 @@ class HnswGraph {
                       layer);
   }
 
-  /// v's list on `layer` (v must have level >= layer), in either form.
-  const core::VectorId* Neighbors(std::size_t layer, core::VectorId v,
-                                  std::size_t* degree) const {
-    if (layer == 0 && sealed_) return sealed_base_.Neighbors(v, degree);
-    const std::uint32_t* slot = Slot(layer, v);
-    *degree = slot[0];
-    return slot + 1;
-  }
-
   /// v's raw slot on `layer` (layer 0 only while unsealed): word 0 is the
   /// degree, then MaxDegree(layer) id words. Writers keep the degree
   /// within that capacity.
@@ -149,14 +139,11 @@ class HnswGraph {
     return const_cast<std::uint32_t*>(Slot(layer, v));
   }
 
-  /// v's ids on `layer`, writable in place in either form; the degree
-  /// stays fixed. For tests that stand in for memory corruption: no index
-  /// code writes through it.
-  core::VectorId* MutableNeighborsForTesting(std::size_t layer,
-                                             core::VectorId v,
-                                             std::size_t* degree) {
-    return const_cast<core::VectorId*>(Neighbors(layer, v, degree));
-  }
+  /// Overwrites the i-th id of v's list on `layer` (i below its degree,
+  /// `id` below size()) in either form. For tests that stand in for memory
+  /// corruption: no index code writes through it.
+  void SetNeighborForTesting(std::size_t layer, core::VectorId v,
+                             std::size_t i, core::VectorId id);
 
   /// Materializes one layer as an adjacency-list graph over all n vertices
   /// (vertices below the layer get empty lists). For tools and tests; no
@@ -168,8 +155,9 @@ class HnswGraph {
   void EncodeLayer(std::size_t layer, io::Encoder* enc) const;
 
   /// Inverse of EncodeLayer into this graph, whose levels must already be
-  /// set (Reset + AddLevels). Layer 0 must be sealed and decodes straight
-  /// into the CSR form; upper layers fill their slots. Rejects with
+  /// set (Reset + AddLevels). Layer 0 must be sealed; its lists are
+  /// decoded, validated, then packed into the sealed form. Upper layers
+  /// fill their slots. Rejects with
   /// kCorruption a vertex count other than size(), a list on a vertex
   /// below `layer`, a list longer than MaxDegree(layer), an out-of-range
   /// id or self-loop, and on upper layers an id whose vertex is below
@@ -181,6 +169,18 @@ class HnswGraph {
   std::size_t MemoryBytes() const;
 
  private:
+  /// Calls `visit(view)` with `layer`'s view: upper(layer) above layer 0,
+  /// either form of layer 0 (as VisitBase) on it. Every view's
+  /// `Neighbors(v)` is v's list (v must have level >= layer).
+  template <typename Visit>
+  void VisitLayer(std::size_t layer, Visit&& visit) const {
+    if (layer > 0) {
+      visit(upper(layer));
+    } else {
+      VisitBase(visit);
+    }
+  }
+
   const std::uint32_t* Slot(std::size_t layer, core::VectorId v) const {
     GASS_DCHECK(v < level_.size() && layer <= level_[v]);
     GASS_DCHECK(layer > 0 || !sealed_);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 
 #include "core/beam_search.h"
 #include "core/macros.h"
@@ -64,14 +65,15 @@ core::VectorId HnswIndex::DescendToLayer(DistanceComputer& dc,
       // Prefetch-then-batch over the full neighbor list of the node we
       // started this sweep from; the sequential scan below makes the greedy
       // step (and the distance count) identical to the one-at-a-time loop.
-      std::size_t degree = 0;
-      const VectorId* ids = graph_.Neighbors(layer, current, &degree);
+      const std::span<const VectorId> ids =
+          graph_.upper(layer).Neighbors(current);
+      const std::size_t degree = ids.size();
       constexpr std::size_t kChunk = DistanceComputer::kBatchChunk;
       float dist[kChunk];
       for (std::size_t i = 0; i < degree; i += kChunk) {
         const std::size_t m = std::min(kChunk, degree - i);
         for (std::size_t j = 0; j < m; ++j) dc.Prefetch(ids[i + j]);
-        dc.ToQueryBatch(query, ids + i, m, dist);
+        dc.ToQueryBatch(query, ids.data() + i, m, dist);
         for (std::size_t j = 0; j < m; ++j) {
           if (dist[j] < current_dist) {
             current_dist = dist[j];
@@ -223,9 +225,8 @@ SearchResult HnswIndex::SearchWith(const float* query,
   const VectorId node = DescendToLayer(dc, query, graph_.num_layers(), 0);
   std::vector<VectorId> seeds{node};
   if (graph_.num_layers() > 0) {
-    std::size_t degree = 0;
-    const VectorId* ids = graph_.Neighbors(1, node, &degree);
-    for (std::size_t i = 0; i < degree && seeds.size() < params.num_seeds;
+    const std::span<const VectorId> ids = graph_.upper(1).Neighbors(node);
+    for (std::size_t i = 0; i < ids.size() && seeds.size() < params.num_seeds;
          ++i) {
       seeds.push_back(ids[i]);
     }

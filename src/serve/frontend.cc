@@ -80,14 +80,14 @@ void Frontend::Reject(Task* task) {
     UpdateResult result;
     result.status = core::Status::Error(
         "update rejected: admission queue full or frontend stopping");
-    task->update_promise.set_value(std::move(result));
+    task->update_promise->set_value(std::move(result));
     return;
   }
   SearchResponse response;
   response.outcome = methods::ServeOutcome::kRejected;
   response.admission_id = task->id;
   FinishTaskTrace(task, &response);
-  task->promise.set_value(std::move(response));
+  task->promise->set_value(std::move(response));
 }
 
 void Frontend::FinishTaskTrace(Task* task, SearchResponse* response) {
@@ -179,7 +179,7 @@ Frontend::Ticket Frontend::Submit(const SearchRequest& request) {
     task.trace = tracer_.StartTrace(task.id);
     task.owned_trace = task.trace != nullptr;
   }
-  Ticket ticket = task.promise.get_future();
+  Ticket ticket = task.promise.emplace().get_future();
 
   if (faults_ != nullptr && faults_->ShouldRejectAdmission(task.id)) {
     faults_->Count(FaultCounter::kRejections);
@@ -231,7 +231,7 @@ Frontend::UpdateTicket Frontend::SubmitUpdate(Task task) {
   // queue wait plus the updater's wal_append / apply spans.
   task.trace = tracer_.StartTrace(task.id);
   task.owned_trace = task.trace != nullptr;
-  UpdateTicket ticket = task.update_promise.get_future();
+  UpdateTicket ticket = task.update_promise.emplace().get_future();
   // No deadline shedding: an update is durability work, not a query whose
   // value decays — the only admission control is the queue bound.
   {
@@ -367,7 +367,7 @@ void Frontend::WorkerLoop() {
       metrics_.RecordDegradeStep(
           step, response.outcome == methods::ServeOutcome::kDegraded);
       FinishTaskTrace(&task, &response);
-      task.promise.set_value(std::move(response));
+      task.promise->set_value(std::move(response));
     }
 
     {
@@ -395,7 +395,7 @@ void Frontend::ServeUpdate(Task* task) {
     }
     task->trace = nullptr;
   }
-  task->update_promise.set_value(std::move(result));
+  task->update_promise->set_value(std::move(result));
 }
 
 void Frontend::Drain() {

@@ -33,6 +33,7 @@
 #include <deque>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -196,12 +197,15 @@ class Frontend {
     /// tracer slot that must be retired via FinishTrace.
     obs::QueryTrace* trace = nullptr;
     bool owned_trace = false;
-    std::promise<SearchResponse> promise;
+    /// A search's ticket; set only on search tasks. A promise allocates
+    /// its shared state when built, so each task builds only its own.
+    std::optional<std::promise<SearchResponse>> promise;
     /// Update-task payload: the copied vector (inserts) or target id
-    /// (deletes), resolved through update_promise instead of promise.
+    /// (deletes), resolved through update_promise (set only on update
+    /// tasks) instead of promise.
     std::vector<float> update_vector;
     core::VectorId delete_id = core::kInvalidVectorId;
-    std::promise<UpdateResult> update_promise;
+    std::optional<std::promise<UpdateResult>> update_promise;
   };
 
   Frontend(const methods::GraphIndex& index, const FrontendOptions& options,

@@ -110,24 +110,31 @@ TEST(BeamSearchTest, DuplicateSeedsHandled) {
 }
 
 TEST(BeamSearchTest, FlatGraphMatchesAdjacencyGraph) {
-  BeamFixture fixture;
-  const FlatGraph flat = FlatGraph::FromGraph(fixture.graph);
-  DistanceComputer dc1(fixture.data);
-  DistanceComputer dc2(fixture.data);
-  VisitedTable visited1(fixture.data.size());
-  VisitedTable visited2(fixture.data.size());
-  for (VectorId q = 0; q < 10; ++q) {
-    const auto a = BeamSearch(fixture.graph, dc1, fixture.data.Row(q), {0},
-                              5, 32, &visited1);
-    const auto b =
-        BeamSearch(flat, dc2, fixture.data.Row(q), {0}, 5, 32, &visited2);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_FLOAT_EQ(a[i].distance, b[i].distance);
+  // Two vertex counts, so the packed ids are 9 and 11 bits wide.
+  for (const std::size_t n : {std::size_t{300}, std::size_t{1100}}) {
+    BeamFixture fixture(n);
+    const FlatGraph flat = FlatGraph::FromGraph(fixture.graph);
+    ASSERT_EQ(flat.width(), n == 300 ? 9u : 11u);
+    DistanceComputer dc1(fixture.data);
+    DistanceComputer dc2(fixture.data);
+    VisitedTable visited1(fixture.data.size());
+    VisitedTable visited2(fixture.data.size());
+    SearchStats stats1;
+    SearchStats stats2;
+    for (VectorId q = 0; q < 10; ++q) {
+      const auto a = BeamSearch(fixture.graph, dc1, fixture.data.Row(q), {0},
+                                5, 32, &visited1, &stats1);
+      const auto b = BeamSearch(flat, dc2, fixture.data.Row(q), {0}, 5, 32,
+                                &visited2, &stats2);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].id, b[i].id);
+        EXPECT_FLOAT_EQ(a[i].distance, b[i].distance);
+      }
     }
+    EXPECT_EQ(dc1.count(), dc2.count()) << "n = " << n;
+    EXPECT_EQ(stats1.hops, stats2.hops) << "n = " << n;
   }
-  EXPECT_EQ(dc1.count(), dc2.count());
 }
 
 TEST(BeamSearchCollectTest, EvaluatedSupersetOfResults) {
@@ -187,9 +194,10 @@ std::vector<VectorId> ReferenceNeighbors(const Graph& graph, VectorId v) {
 }
 
 std::vector<VectorId> ReferenceNeighbors(const FlatGraph& graph, VectorId v) {
-  std::size_t degree = 0;
-  const VectorId* list = graph.Neighbors(v, &degree);
-  return std::vector<VectorId>(list, list + degree);
+  const PackedIds list = graph.Neighbors(v);
+  std::vector<VectorId> ids(list.size());
+  for (std::size_t i = 0; i < list.size(); ++i) ids[i] = list[i];
+  return ids;
 }
 
 template <typename GraphT>

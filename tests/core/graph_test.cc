@@ -1,10 +1,14 @@
 #include "core/graph.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "core/rng.h"
 
 namespace gass::core {
 namespace {
@@ -90,6 +94,28 @@ TEST(GraphTest, LoadMissingFileFails) {
   EXPECT_FALSE(graph.Load("/nonexistent/graph.bin").ok());
 }
 
+std::vector<VectorId> ListOf(const FlatGraph& flat, VectorId v) {
+  const PackedIds list = flat.Neighbors(v);
+  std::vector<VectorId> ids(list.size());
+  for (std::size_t i = 0; i < list.size(); ++i) ids[i] = list[i];
+  return ids;
+}
+
+/// The packed layout's exact footprint: n + 1 u64 offsets, then
+/// ceil(edges * width / 64) words of ids and one spare word.
+std::size_t PackedBytes(std::size_t n, std::size_t edges, std::size_t width) {
+  return (n + 1) * sizeof(std::uint64_t) +
+         ((edges * width + 63) / 64 + 1) * sizeof(std::uint64_t);
+}
+
+void ExpectSameLists(const Graph& graph, const FlatGraph& flat) {
+  ASSERT_EQ(flat.size(), graph.size());
+  for (VectorId v = 0; v < graph.size(); ++v) {
+    EXPECT_EQ(flat.Degree(v), graph.Neighbors(v).size()) << "vertex " << v;
+    EXPECT_EQ(ListOf(flat, v), graph.Neighbors(v)) << "vertex " << v;
+  }
+}
+
 TEST(FlatGraphTest, FromGraphPreservesAdjacency) {
   Graph graph(4);
   graph.AddEdge(0, 2);
@@ -98,13 +124,105 @@ TEST(FlatGraphTest, FromGraphPreservesAdjacency) {
   const FlatGraph flat = FlatGraph::FromGraph(graph);
   ASSERT_EQ(flat.size(), 4u);
   EXPECT_EQ(flat.EdgeCount(), 3u);
-  std::size_t degree = 0;
-  const VectorId* neighbors = flat.Neighbors(0, &degree);
-  ASSERT_EQ(degree, 2u);
-  EXPECT_EQ(neighbors[0], 2u);
-  EXPECT_EQ(neighbors[1], 3u);
+  EXPECT_EQ(flat.width(), 2u);
+  EXPECT_EQ(ListOf(flat, 0), (std::vector<VectorId>{2, 3}));
   EXPECT_EQ(flat.Degree(1), 0u);
   EXPECT_EQ(flat.Degree(2), 1u);
+  EXPECT_EQ(ListOf(flat, 2), (std::vector<VectorId>{1}));
+}
+
+TEST(FlatGraphTest, IdWidthNamesTheLastVertex) {
+  EXPECT_EQ(FlatGraph::IdWidth(1), 1u);
+  EXPECT_EQ(FlatGraph::IdWidth(2), 1u);
+  EXPECT_EQ(FlatGraph::IdWidth(3), 2u);
+  EXPECT_EQ(FlatGraph::IdWidth(std::size_t{1} << 14), 14u);
+  EXPECT_EQ(FlatGraph::IdWidth((std::size_t{1} << 14) + 1), 15u);
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{1} << 14,
+        (std::size_t{1} << 14) + 1}) {
+    const FlatGraph flat(std::vector<std::uint64_t>(n + 1, 0));
+    EXPECT_EQ(flat.width(), FlatGraph::IdWidth(n)) << "n = " << n;
+    EXPECT_EQ(flat.MemoryBytes(), PackedBytes(n, 0, flat.width()));
+  }
+}
+
+TEST(FlatGraphTest, EveryWidthRoundTripsTheLastId) {
+  // Each graph links every vertex to the last one, n - 1 (all ones at
+  // widths 1, 2 and 14; a lone top bit at 15), and the last vertex to 0.
+  // FromGraph packs in one pass; SetNeighbor writes the same ids one at a
+  // time into a zeroed block.
+  for (const std::size_t n :
+       {std::size_t{2}, std::size_t{3}, std::size_t{4},
+        std::size_t{1} << 14, (std::size_t{1} << 14) + 1}) {
+    Graph graph(n);
+    const VectorId last = static_cast<VectorId>(n - 1);
+    for (VectorId v = 0; v < last; ++v) graph.AddEdge(v, last);
+    graph.AddEdge(last, 0);
+    const FlatGraph flat = FlatGraph::FromGraph(graph);
+    ExpectSameLists(graph, flat);
+    EXPECT_EQ(flat.MemoryBytes(), PackedBytes(n, n, flat.width()));
+
+    std::vector<std::uint64_t> offsets(n + 1);
+    for (std::size_t v = 0; v <= n; ++v) offsets[v] = v;
+    FlatGraph by_id(std::move(offsets));
+    for (VectorId v = 0; v < last; ++v) by_id.SetNeighbor(v, 0, last);
+    by_id.SetNeighbor(last, 0, 0);
+    ExpectSameLists(graph, by_id);
+  }
+}
+
+TEST(FlatGraphTest, ListEndingOnTheBlocksLastBit) {
+  // 2^14 vertices take 14 bits an id, so 32 ids fill exactly 7 words: the
+  // last list's last id ends on bit 447, and decoding it reads into the
+  // spare word. Every vertex but the first and last has degree 0.
+  const std::size_t n = std::size_t{1} << 14;
+  const VectorId last = static_cast<VectorId>(n - 1);
+  Graph graph(n);
+  graph.AddEdge(0, last);
+  for (VectorId i = 0; i < 31; ++i) graph.AddEdge(last, last - 1 - i * 97);
+  const FlatGraph flat = FlatGraph::FromGraph(graph);
+  ASSERT_EQ(flat.width(), 14u);
+  ASSERT_EQ(flat.EdgeCount() * flat.width(), 7u * 64u);
+  ExpectSameLists(graph, flat);
+  EXPECT_EQ(flat.Degree(1), 0u);
+  EXPECT_EQ(flat.Degree(last - 1), 0u);
+  EXPECT_EQ(flat.MemoryBytes(), (n + 1) * sizeof(std::uint64_t) +
+                                    8 * sizeof(std::uint64_t));
+}
+
+TEST(FlatGraphTest, RandomGraphRoundTripsAndSetNeighborIsLocal) {
+  Rng rng(17);
+  const std::size_t n = 1000;  // 10-bit ids, straddling byte boundaries.
+  Graph graph(n);
+  for (VectorId v = 0; v < n; ++v) {
+    const std::size_t degree = rng.UniformInt(v % 9 == 0 ? 1 : 40);
+    for (std::size_t e = 0; e < degree; ++e) {
+      graph.AddEdge(v, static_cast<VectorId>(rng.UniformInt(n)));
+    }
+  }
+  FlatGraph flat = FlatGraph::FromGraph(graph);
+  ASSERT_EQ(flat.width(), 10u);
+  ExpectSameLists(graph, flat);
+  EXPECT_EQ(flat.EdgeCount(), graph.EdgeCount());
+  EXPECT_EQ(flat.MemoryBytes(),
+            PackedBytes(n, graph.EdgeCount(), flat.width()));
+
+  // Overwriting ids in place (all ones, then all zeros) leaves every
+  // other id of the block as it was.
+  for (VectorId v = 0; v < n; ++v) {
+    for (std::size_t i = 0; i < flat.Degree(v); i += 3) {
+      flat.SetNeighbor(v, i, static_cast<VectorId>(n - 1));
+      graph.MutableNeighbors(v)[i] = static_cast<VectorId>(n - 1);
+    }
+  }
+  ExpectSameLists(graph, flat);
+  for (VectorId v = 0; v < n; ++v) {
+    for (std::size_t i = 1; i < flat.Degree(v); i += 4) {
+      flat.SetNeighbor(v, i, 0);
+      graph.MutableNeighbors(v)[i] = 0;
+    }
+  }
+  ExpectSameLists(graph, flat);
 }
 
 TEST(FlatGraphTest, MemorySmallerThanAdjacencyLists) {
@@ -117,6 +235,8 @@ TEST(FlatGraphTest, MemorySmallerThanAdjacencyLists) {
   const FlatGraph flat = FlatGraph::FromGraph(graph);
   EXPECT_LT(flat.MemoryBytes(), graph.MemoryBytes() * 2);
   EXPECT_GT(flat.MemoryBytes(), 0u);
+  EXPECT_EQ(flat.MemoryBytes(),
+            PackedBytes(100, graph.EdgeCount(), flat.width()));
 }
 
 }  // namespace

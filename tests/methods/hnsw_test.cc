@@ -1,5 +1,6 @@
 #include "methods/hnsw_index.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -223,9 +224,13 @@ TEST(HnswTest, IndexBytesCountsTheSealedForm) {
   for (VectorId v = 0; v < n; ++v) {
     upper_slots += built.layered_graph().level(v);
   }
-  const std::size_t csr_bytes =
-      (n + 1) * sizeof(std::uint64_t) +
-      built.graph().EdgeCount() * sizeof(VectorId);
+  // The sealed layer 0: n + 1 u64 offsets, then the ids bit-packed at
+  // bit_width(n - 1) bits into whole u64 words, plus one spare word.
+  const std::size_t width = static_cast<std::size_t>(std::bit_width(n - 1));
+  const std::size_t id_bits = built.graph().EdgeCount() * width;
+  const std::size_t csr_bytes = (n + 1) * sizeof(std::uint64_t) +
+                                ((id_bits + 63) / 64 + 1) *
+                                    sizeof(std::uint64_t);
   const std::size_t expected =
       csr_bytes + upper_slots * (params.m + 1) * sizeof(std::uint32_t) +
       2 * n * sizeof(std::uint32_t);

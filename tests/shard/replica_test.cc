@@ -103,9 +103,9 @@ ShardedIndexOptions HedgedOptions() {
 
 /// The layered graph of an HNSW replica, writable (the tests' stand-in for
 /// memory corruption; the index itself only exposes it read-only). Built
-/// and copied replicas hold layer 0 sealed, so the corruptions below go
-/// through HnswGraph::MutableNeighborsForTesting, which reaches a list in
-/// either form.
+/// and copied replicas hold layer 0 sealed (bit-packed), so the corruptions
+/// below go through HnswGraph::SetNeighborForTesting, which writes one id
+/// in either form.
 methods::HnswGraph& MutableArena(const methods::GraphIndex& replica) {
   const auto& hnsw = dynamic_cast<const methods::HnswIndex&>(replica);
   return const_cast<methods::HnswGraph&>(hnsw.layered_graph());
@@ -116,11 +116,11 @@ methods::HnswGraph& MutableArena(const methods::GraphIndex& replica) {
 /// replacement id stays in range, so searches remain safe, just wrong.
 void CorruptReplica(const ShardedIndex& index, std::size_t s, std::size_t r) {
   methods::HnswGraph& arena = MutableArena(index.replica(s, r));
-  std::size_t degree = 0;
-  VectorId* ids = arena.MutableNeighborsForTesting(0, 0, &degree);
-  ASSERT_GT(degree, 0u);
-  ids[0] = (ids[0] + 1) % static_cast<VectorId>(arena.size());
-  if (ids[0] == 0) ids[0] = 1;  // Never a self-loop.
+  const std::vector<VectorId> ids = arena.ToGraph(0).Neighbors(0);
+  ASSERT_GT(ids.size(), 0u);
+  VectorId id = (ids[0] + 1) % static_cast<VectorId>(arena.size());
+  if (id == 0) id = 1;  // Never a self-loop.
+  arena.SetNeighborForTesting(0, 0, 0, id);
 }
 
 /// Swaps the first two ids of one layer-1 list in replica (s, r): the base
@@ -130,12 +130,12 @@ void CorruptUpperLayer(const ShardedIndex& index, std::size_t s,
                        std::size_t r) {
   methods::HnswGraph& arena = MutableArena(index.replica(s, r));
   ASSERT_GE(arena.num_layers(), 1u);
+  const core::Graph layer1 = arena.ToGraph(1);
   for (VectorId v = 0; v < arena.size(); ++v) {
-    if (arena.level(v) < 1) continue;
-    std::size_t degree = 0;
-    VectorId* ids = arena.MutableNeighborsForTesting(1, v, &degree);
-    if (degree < 2) continue;
-    std::swap(ids[0], ids[1]);
+    const std::vector<VectorId>& ids = layer1.Neighbors(v);
+    if (ids.size() < 2) continue;
+    arena.SetNeighborForTesting(1, v, 0, ids[1]);
+    arena.SetNeighborForTesting(1, v, 1, ids[0]);
     return;
   }
   FAIL() << "no layer-1 list with two ids to reorder";
