@@ -33,14 +33,6 @@ class Deadline {
   /// An already-expired deadline (for tests and load-shedding).
   static Deadline Expired() { return Deadline(Clock::time_point::min()); }
 
-  /// The earlier of two deadlines. An unlimited deadline is later than
-  /// everything, so Earliest(unlimited, d) == d. Lets layered budgets
-  /// (caller deadline vs. executor timeout) combine without either side
-  /// silently overriding the other.
-  static Deadline Earliest(const Deadline& a, const Deadline& b) {
-    return a.at_ <= b.at_ ? a : b;
-  }
-
   bool unlimited() const { return at_ == Clock::time_point::max(); }
 
   bool IsExpired() const {

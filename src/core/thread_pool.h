@@ -2,7 +2,7 @@
 //
 // The surveyed methods all build multithreaded indexes; builders in this
 // library use ParallelFor over node ranges, and the serving layer
-// (serve::QueryExecutor, shard::FanOut) dispatches work through Submit.
+// (shard::FanOut) dispatches work through Submit.
 // ParallelFor with one thread (or one item) runs inline with no thread
 // overhead. ThreadPool always hands a submitted task to one of its
 // workers, on any number of cores; an idle worker waits spin-then-park

@@ -31,7 +31,7 @@ struct OpenIndexOptions {
   /// manifest default of probing every shard).
   std::size_t nprobe = 0;
   /// Sharded snapshots only: per-query fan-out threads (0 = fan out on
-  /// the caller thread — the right choice under an outer executor).
+  /// the caller thread — the right choice under an outer frontend).
   std::size_t fanout_threads = 0;
   /// Sharded snapshots only: replicas attached per shard (0 or 1 = none).
   /// A serving knob, not a snapshot property — every replica loads from

@@ -37,7 +37,7 @@ struct SearchParams {
   /// already hold answers (ELPIS warms later leaf searches with the current
   /// k-th best-so-far). Default: no bound.
   float prune_bound = 3.402823466e38f;
-  /// Optional time budget (owned by the caller, e.g. serve::QueryExecutor).
+  /// Optional time budget (owned by the caller, e.g. serve::Frontend).
   /// On expiry the search stops and returns its best-so-far answers,
   /// flagging `stats.deadline_expiries`. Null = unlimited.
   const core::Deadline* deadline = nullptr;
@@ -53,8 +53,8 @@ struct SearchParams {
   /// fourth Search argument — so the span plumbing crosses the GraphIndex
   /// virtual boundary without touching twelve method signatures.
   obs::QueryTrace* trace = nullptr;
-  /// Admission id of the enclosing serve request (serve::Frontend /
-  /// serve::QueryExecutor assign one per query; 0 = unserved/unknown).
+  /// Admission id of the enclosing serve request (serve::Frontend assigns
+  /// one per query; 0 = unserved/unknown).
   /// Carried here, like `trace`, so composite indexes can key deterministic
   /// per-shard decisions — fault injection, trace sampling — on the query
   /// identity. Never part of the ParseSearchParams round trip.
@@ -106,8 +106,8 @@ struct SearchResult {
   core::SearchStats stats;
   /// True when a deadline cut the search short: `neighbors` holds the
   /// best-so-far answers, not a full-effort result. Set by deadline-running
-  /// callers (serve::QueryExecutor) so batch consumers can tell truncated
-  /// results apart without digging through stats.
+  /// callers (serve::Frontend) so consumers can tell truncated results
+  /// apart without digging through stats.
   bool expired = false;
   /// True when a fault — not a deadline — cost the query some shard's
   /// contribution: a sub-search failed, a fault was injected, or an open

@@ -1,5 +1,5 @@
 // Construction, parsing, and formatting of methods::SearchParams, shared by
-// the CLI, the benchmark drivers, and the serving executor so "k=10,beam=64,
+// the CLI, the benchmark drivers, and the serving frontend so "k=10,beam=64,
 // seeds=48" means the same thing everywhere.
 
 #ifndef GASS_METHODS_SEARCH_PARAMS_H_
@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <string>
 
-#include "core/deadline.h"
 #include "methods/graph_index.h"
 
 namespace gass::methods {
@@ -36,14 +35,6 @@ bool ParseSearchParams(const std::string& spec, SearchParams* params,
 /// only when set; the deadline (a caller-owned pointer) is never part of
 /// the round trip.
 std::string SearchParamsToString(const SearchParams& params);
-
-/// Copy of `params` with the deadline replaced (null = unlimited).
-inline SearchParams WithDeadline(const SearchParams& params,
-                                 const core::Deadline* deadline) {
-  SearchParams out = params;
-  out.deadline = deadline;
-  return out;
-}
 
 }  // namespace gass::methods
 

@@ -22,7 +22,7 @@
 //    counted in dropped(), not silently lost.
 //
 // Stages mirror the serve path: queue wait and session acquire in
-// serve::Frontend / QueryExecutor, then either one opaque search span
+// serve::Frontend, then either one opaque search span
 // (unsharded index) or route + per-shard search + merge spans (the
 // shard::FanOut engine behind both sharded indexes).
 

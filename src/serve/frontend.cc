@@ -315,8 +315,8 @@ void Frontend::WorkerLoop() {
       if (faults_ != nullptr) faults_->OnExecute(task.id);
       obs::StageTimer session_timer(task.trace, obs::Stage::kSession);
       SearchSessionPool::Lease lease = sessions_.Acquire();
-      // Same determinism contract as QueryExecutor: results depend only on
-      // (seed, admission id), never on which worker ran the query.
+      // Determinism: results depend only on (seed, admission id), never on
+      // which worker ran the query or how many workers there are.
       lease->rng =
           core::Rng(options_.seed ^ (0x9E3779B97F4A7C15ULL * (task.id + 1)));
       methods::SearchParams query_params = task.params;

@@ -1,11 +1,12 @@
-// Overload-resilient serving frontend: bounded admission, load shedding,
-// and adaptive degradation on top of the concurrent search path.
+// The serving frontend: the one path that turns a SearchRequest into a
+// SearchResponse. It owns the worker threads, a SearchSessionPool and the
+// trace sampler; it reseeds each query's RNG from (seed, admission id), so
+// an answer never depends on which worker ran it or how many there are,
+// and it owns each query's deadline.
 //
-// QueryExecutor answers "how fast can N threads drain a batch"; it will
-// happily accept unbounded work and, under overload, miss every deadline at
-// once. The Frontend is the piece that faces an *open-loop* world, where
-// clients do not wait for the previous answer before sending the next
-// query. It degrades gracefully instead of collapsing:
+// It faces an *open-loop* world, where clients do not wait for the
+// previous answer before sending the next query, and degrades gracefully
+// instead of collapsing:
 //
 //   * Bounded admission queue — work beyond `queue_capacity` is rejected
 //     immediately (shed), so queue delay is bounded and memory cannot grow
@@ -23,6 +24,11 @@
 // kFull / kDegraded / kExpired / kRejected — and aggregated in ServeMetrics
 // (shed/degraded counts, per-step occupancy, queue high-water mark). See
 // docs/SERVING.md for how to read them and pick settings.
+//
+// A closed-loop batch (the CLI's thread sweep, the tests) is the same
+// frontend with a queue that holds every query in flight and shedding and
+// degradation off: each query then runs at full effort and its answer
+// depends only on (seed, admission id).
 
 #ifndef GASS_SERVE_FRONTEND_H_
 #define GASS_SERVE_FRONTEND_H_
@@ -72,8 +78,8 @@ struct FrontendOptions {
   /// (see DegradeStepForDepth).
   double degrade_low_fraction = 0.25;
   double degrade_high_fraction = 0.75;
-  /// Base seed for per-query RNG reseeding — the same (seed, admission id)
-  /// determinism contract as QueryExecutor.
+  /// Base seed for per-query RNG reseeding: a query's answer depends only
+  /// on (seed, admission id).
   std::uint64_t seed = 0xF207E7DULL;
   /// Trace sampling (obs::TracerOptions::sample_period 0 = off). Sampled
   /// queries get per-stage spans recorded into the frontend's tracer and

@@ -32,8 +32,8 @@ class LiveIndex {
  public:
   virtual ~LiveIndex() = default;
 
-  /// The searchable face of this index (what Frontend / QueryExecutor
-  /// query). Alive for the lifetime of the LiveIndex.
+  /// The searchable face of this index (what the Frontend queries).
+  /// Alive for the lifetime of the LiveIndex.
   virtual const methods::GraphIndex& SearchIndex() const = 0;
   virtual methods::GraphIndex* MutableSearchIndex() = 0;
 

@@ -83,7 +83,7 @@ inline constexpr std::array<ServeCounterInfo, kNumServeCounters>
          "Checkpoints written (snapshot + WAL rotation)"},
     }};
 
-/// Aggregated serving metrics for one executor / one shared index.
+/// Aggregated serving metrics for one frontend / one shared index.
 ///
 /// RecordQuery() is called once per finished query from any thread; all
 /// other members are read-side. Reset() must not race with RecordQuery().

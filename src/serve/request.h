@@ -1,12 +1,11 @@
-// The unified serve-path request/response pair.
+// The serve-path request/response pair that serve::Frontend, the one
+// serving path, takes and returns.
 //
-// One query used to travel through three different signatures — the
-// executor's (queries, n, dim, params), the frontend's (query, dim,
-// params, deadline), and the index's (query, params, ctx) — which left no
-// place to attach per-query concerns like a trace handle or a stable
-// admission id. SearchRequest is that place: everything the serving tier
-// needs to know about one query, in one struct, with the old signatures
-// kept as thin forwarding overloads.
+// SearchRequest is everything the serving tier needs to know about one
+// query, in one struct: the vector and params an index's Search takes,
+// plus the per-query concerns the index does not see directly — a
+// deadline, a stable admission id and a trace handle. The Frontend's
+// (query, dim, params[, deadline]) Submit overloads forward to it.
 //
 // SearchResponse extends methods::SearchResult (publicly, so existing
 // callers that slice into a SearchResult or read .outcome / .neighbors
@@ -24,9 +23,10 @@
 
 namespace gass::serve {
 
-/// "Assign me an id": the serving tier substitutes its own sequential id
-/// (frontend: submission order; executor: batch index). Explicit ids exist
-/// so replayed workloads hit the same deterministic RNG/sampling streams.
+/// "Assign me an id": the frontend substitutes its submission count.
+/// Explicit ids exist so replayed workloads (and batches that must not
+/// depend on submission order) hit the same deterministic RNG/sampling
+/// streams.
 inline constexpr std::uint64_t kAutoAdmissionId = ~std::uint64_t{0};
 
 struct SearchRequest {
@@ -38,8 +38,8 @@ struct SearchRequest {
   /// Per-query deadline, honored only when `has_deadline` is true (a
   /// default-constructed Deadline means "explicitly unlimited", which is
   /// different from "use the server's default budget" — the flag keeps the
-  /// two apart). params.deadline is ignored by request-based entry points;
-  /// the serving tier owns deadline storage.
+  /// two apart). params.deadline is ignored: the frontend owns deadline
+  /// storage, since a deadline must survive the queue wait.
   core::Deadline deadline;
   bool has_deadline = false;
   /// Identity for RNG reseeding and trace sampling; kAutoAdmissionId lets
@@ -66,7 +66,7 @@ struct SearchResponse : methods::SearchResult {
   /// failed or were breaker-skipped (fault-caused — pairs with the
   /// inherited `partial` flag, as deadline-caused misses pair with
   /// `expired`), and hedged backup sub-searches launched. Filled from
-  /// stats.shards_* by the serving tier / shard::ShardedIndex.
+  /// stats.shards_* by the frontend.
   std::uint64_t shards_ok = 0;
   std::uint64_t shards_failed = 0;
   std::uint64_t shards_hedged = 0;

@@ -318,38 +318,6 @@ methods::SearchResult ShardedIndex::SearchImpl(
                           params, rng, options_.hedge_fraction, faults_);
 }
 
-serve::SearchResponse ShardedIndex::Search(
-    const serve::SearchRequest& request) const {
-  // Standalone requests have no admission counter; auto resolves to 0.
-  const std::uint64_t id = request.admission_id == serve::kAutoAdmissionId
-                               ? 0
-                               : request.admission_id;
-  // Same (seed, admission id) reseed contract as the serve tier, so a
-  // request-based search is reproducible without a Frontend in front.
-  core::Rng rng(options_.seed ^ (kSeedMix * (id + 1)));
-  methods::SearchParams params = request.params;
-  core::Deadline deadline =
-      request.has_deadline ? request.deadline : core::Deadline();
-  params.deadline = deadline.unlimited() ? nullptr : &deadline;
-  if (request.trace != nullptr) request.trace->Begin(id);
-  params.trace = request.trace;
-  serve::SearchResponse response(SearchImpl(request.query, params, &rng));
-  response.admission_id = id;
-  response.shards_ok = response.stats.shards_probed;
-  response.shards_failed = response.stats.shards_failed;
-  response.shards_hedged = response.stats.shards_hedged;
-  response.replica_failovers = response.stats.replica_failovers;
-  response.outcome = response.expired ? methods::ServeOutcome::kExpired
-                     : params.degrade_step > 0
-                         ? methods::ServeOutcome::kDegraded
-                         : methods::ServeOutcome::kFull;
-  if (request.trace != nullptr) {
-    request.trace->Finish();
-    response.trace = request.trace;
-  }
-  return response;
-}
-
 core::Status ShardedIndex::ReloadShard(std::size_t s) {
   GASS_CHECK(s < shards_.size());
   if (snapshot_path_.empty()) {

@@ -41,7 +41,6 @@
 
 #include "core/rng.h"
 #include "methods/graph_index.h"
-#include "serve/request.h"
 #include "shard/fan_out.h"
 #include "shard/partitioner.h"
 #include "shard/replica_set.h"
@@ -65,8 +64,8 @@ struct ShardedIndexOptions {
   /// Threads for the parallel shard builds; 0 = hardware concurrency.
   std::size_t build_threads = 0;
   /// Threads for parallel per-query fan-out; 0 = fan out on the caller
-  /// thread (the right choice when an outer executor already runs one
-  /// query per thread).
+  /// thread (the right choice when an outer frontend already runs one
+  /// query per worker).
   std::size_t fanout_threads = 0;
   /// Base seed. Shard s's sub-index is built with seed ^ (mix * s), so
   /// shard 0 of a K=1 index uses exactly `seed` (bit-identity baseline).
@@ -126,13 +125,6 @@ class ShardedIndex : public methods::GraphIndex {
   methods::SearchResult Search(const float* query,
                                const methods::SearchParams& params,
                                methods::SearchContext* ctx) const override;
-
-  /// Request-based entry point (the serve-tier API, usable standalone):
-  /// derives the per-query RNG from (seed, admission id), honors the
-  /// request deadline, and — when the request carries a trace — records
-  /// route / per-shard search / merge spans into it. Thread-safe like the
-  /// three-argument Search.
-  serve::SearchResponse Search(const serve::SearchRequest& request) const;
 
   bool SupportsConcurrentSearch() const override { return true; }
 

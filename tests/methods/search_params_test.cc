@@ -184,17 +184,5 @@ TEST(EffectiveBeamWidthTest, HalvesPerStepAndFloorsAtK) {
   EXPECT_EQ(EffectiveBeamWidth(params), 10u);
 }
 
-TEST(WithDeadlineTest, ReplacesOnlyTheDeadline) {
-  const SearchParams base = MakeSearchParams(10, 64, 48);
-  core::Deadline deadline = core::Deadline::After(10.0);
-  const SearchParams timed = WithDeadline(base, &deadline);
-  EXPECT_EQ(timed.deadline, &deadline);
-  EXPECT_EQ(timed.k, base.k);
-  EXPECT_EQ(timed.beam_width, base.beam_width);
-
-  const SearchParams untimed = WithDeadline(timed, nullptr);
-  EXPECT_EQ(untimed.deadline, nullptr);
-}
-
 }  // namespace
 }  // namespace gass::methods

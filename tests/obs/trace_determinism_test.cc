@@ -1,5 +1,5 @@
 // End-to-end trace determinism (docs/OBSERVABILITY.md): with the same
-// executor seed and the same admission ids, two runs sample the identical
+// frontend seed and the same admission ids, two runs sample the identical
 // query subset, and each sampled query's per-stage work counters (distance
 // computations, hops, prefetches) match bit-for-bit. Span durations are
 // wall-clock and excluded from the comparison.
@@ -11,11 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include "../serve_test_util.h"
 #include "core/deadline.h"
 #include "methods/factory.h"
 #include "methods/search_params.h"
 #include "obs/trace.h"
-#include "serve/executor.h"
+#include "serve/frontend.h"
 #include "serve/request.h"
 #include "shard/live_sharded_index.h"
 #include "shard/sharded_index.h"
@@ -51,19 +52,18 @@ TraceKey KeyOf(const QueryTrace& trace) {
   return key;
 }
 
-std::vector<TraceKey> RunExecutorOnce(const methods::GraphIndex& index,
+std::vector<TraceKey> RunFrontendOnce(const methods::GraphIndex& index,
                                       const core::Dataset& queries) {
-  serve::ExecutorOptions options;
-  options.threads = 2;
-  options.seed = 42;
+  serve::FrontendOptions options =
+      gass::testing::BatchFrontendOptions(2, queries.size(), 42);
   options.trace.sample_period = 2;
-  serve::QueryExecutor executor(index, options);
+  serve::Frontend frontend(index, options);
 
   const methods::SearchParams params = methods::MakeSearchParams(5, 32, 8);
-  executor.SearchBatch(queries.data(), queries.size(), queries.dim(), params);
+  gass::testing::ServeBatch(frontend, queries, params);
 
   std::vector<TraceKey> keys;
-  for (const QueryTrace* trace : executor.tracer().Completed()) {
+  for (const QueryTrace* trace : frontend.tracer().Completed()) {
     keys.push_back(KeyOf(*trace));
   }
   // Worker interleaving randomizes completion order; canonicalize.
@@ -74,14 +74,14 @@ std::vector<TraceKey> RunExecutorOnce(const methods::GraphIndex& index,
   return keys;
 }
 
-TEST(TraceDeterminismTest, ExecutorRunsProduceIdenticalTraces) {
+TEST(TraceDeterminismTest, FrontendRunsProduceIdenticalTraces) {
   synth::HoldOutSplit split = synth::SplitHoldOut(
       synth::MakeDatasetProxy("deep", 1600, 42), 80, 42 ^ 0x5ULL);
   auto index = methods::CreateIndex("hnsw", 42);
   index->Build(split.base);
 
-  const std::vector<TraceKey> first = RunExecutorOnce(*index, split.queries);
-  const std::vector<TraceKey> second = RunExecutorOnce(*index, split.queries);
+  const std::vector<TraceKey> first = RunFrontendOnce(*index, split.queries);
+  const std::vector<TraceKey> second = RunFrontendOnce(*index, split.queries);
 
   ASSERT_FALSE(first.empty());  // Period 2 over 80 ids samples some.
   ASSERT_EQ(first.size(), second.size());
@@ -138,6 +138,8 @@ TEST(TraceDeterminismTest, ShardedRequestSearchTracesAreStable) {
     options.hedge_fraction = hedged ? 0.5 : 0.0;
     shard::ShardedIndex index(options);
     index.Build(split.base);
+    serve::Frontend frontend(
+        index, gass::testing::BatchFrontendOptions(1, 1, options.seed));
     for (std::uint64_t id = 0; id < split.queries.size(); ++id) {
       QueryTrace first, second;
       for (QueryTrace* trace : {&first, &second}) {
@@ -151,7 +153,7 @@ TEST(TraceDeterminismTest, ShardedRequestSearchTracesAreStable) {
           request.deadline = core::Deadline::After(10.0);
           request.has_deadline = true;
         }
-        const serve::SearchResponse response = index.Search(request);
+        const serve::SearchResponse response = frontend.Search(request);
         EXPECT_EQ(response.admission_id, id);
       }
       const TraceKey a = KeyOf(first), b = KeyOf(second);

@@ -1,13 +1,18 @@
 #include "serve/frontend.h"
 
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../serve_test_util.h"
+#include "eval/ground_truth.h"
+#include "eval/recall.h"
 #include "methods/hnsw_index.h"
 #include "serve/fault_injector.h"
+#include "serve/search_session.h"
 #include "synth/generators.h"
 
 namespace gass::serve {
@@ -62,6 +67,57 @@ TEST_F(FrontendTest, UnloadedServerServesFullEffort) {
   EXPECT_EQ(frontend.metrics().queries(), 16u);
   EXPECT_EQ(frontend.metrics().count(ServeCounter::kShed), 0u);
   EXPECT_EQ(frontend.metrics().count(ServeCounter::kDegraded), 0u);
+}
+
+// Determinism: each query's RNG is reseeded from (seed, admission id), so
+// one worker and four answer every query identically, work counters too.
+TEST_F(FrontendTest, ResultsIndependentOfThreadCount) {
+  params_.beam_width = 100;
+  std::vector<std::vector<SearchResponse>> runs;
+  for (const std::size_t threads : {1, 4}) {
+    Frontend frontend(*index_, gass::testing::BatchFrontendOptions(
+                                   threads, queries_.size(), 7));
+    runs.push_back(gass::testing::ServeBatch(frontend, queries_, params_));
+  }
+  const std::vector<SearchResponse>& a = runs[0];
+  const std::vector<SearchResponse>& b = runs[1];
+  ASSERT_EQ(a.size(), queries_.size());
+  ASSERT_EQ(b.size(), queries_.size());
+  std::vector<std::vector<core::Neighbor>> answers;
+  for (std::size_t q = 0; q < a.size(); ++q) {
+    EXPECT_EQ(a[q].outcome, ServeOutcome::kFull) << "query " << q;
+    EXPECT_FALSE(a[q].expired);
+    ASSERT_EQ(a[q].neighbors.size(), params_.k) << "query " << q;
+    ASSERT_EQ(b[q].neighbors.size(), params_.k) << "query " << q;
+    for (std::size_t i = 0; i < params_.k; ++i) {
+      EXPECT_EQ(a[q].neighbors[i].id, b[q].neighbors[i].id)
+          << "query " << q << " rank " << i;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(a[q].neighbors[i].distance),
+                std::bit_cast<std::uint32_t>(b[q].neighbors[i].distance))
+          << "query " << q << " rank " << i;
+    }
+    EXPECT_EQ(a[q].stats.distance_computations,
+              b[q].stats.distance_computations)
+        << "query " << q;
+    EXPECT_EQ(a[q].stats.hops, b[q].stats.hops) << "query " << q;
+    answers.push_back(a[q].neighbors);
+  }
+  const auto truth = eval::BruteForceKnn(data_, queries_, 10, 1);
+  EXPECT_GE(eval::MeanRecall(answers, truth, 10), 0.9);
+}
+
+TEST_F(FrontendTest, MetricsAccumulateAcrossRuns) {
+  params_.k = 5;
+  Frontend frontend(*index_, gass::testing::BatchFrontendOptions(
+                                 2, queries_.size(), 7));
+  gass::testing::ServeBatch(frontend, queries_, params_);
+  gass::testing::ServeBatch(frontend, queries_, params_);
+
+  const ServeMetrics& metrics = frontend.metrics();
+  EXPECT_EQ(metrics.queries(), 2 * queries_.size());
+  EXPECT_GT(metrics.TotalStats().distance_computations, 0u);
+  EXPECT_GT(metrics.LatencyQuantileSeconds(0.5), 0.0);
+  EXPECT_GT(metrics.Qps(), 0.0);
 }
 
 // The acceptance-criteria test: with the execution gate closed (a
@@ -353,6 +409,27 @@ TEST_F(FrontendTest, DrainOnIdleFrontendReturnsImmediately) {
   Frontend frontend(*index_, options);
   frontend.Drain();
   EXPECT_EQ(frontend.submitted(), 0u);
+}
+
+TEST(SearchSessionPoolTest, ReusesReleasedContexts) {
+  const Dataset data = synth::UniformHypercube(300, 8, 5);
+  HnswIndex index(HnswParams{});
+  index.Build(data);
+  SearchSessionPool pool(index);
+  EXPECT_EQ(pool.created_count(), 0u);
+  {
+    SearchSessionPool::Lease a = pool.Acquire();
+    SearchSessionPool::Lease b = pool.Acquire();
+    EXPECT_EQ(pool.created_count(), 2u);
+    EXPECT_EQ(pool.idle_count(), 0u);
+    EXPECT_EQ(a->visited.size(), data.size());
+  }
+  EXPECT_EQ(pool.idle_count(), 2u);
+  {
+    SearchSessionPool::Lease c = pool.Acquire();
+    EXPECT_EQ(pool.created_count(), 2u);  // Recycled, not newly built.
+    EXPECT_EQ(pool.idle_count(), 1u);
+  }
 }
 
 }  // namespace

@@ -29,12 +29,13 @@
 
 #include <gtest/gtest.h>
 
+#include "../serve_test_util.h"
 #include "../test_util.h"
 #include "core/deadline.h"
 #include "methods/factory.h"
 #include "methods/hnsw_index.h"
-#include "serve/executor.h"
 #include "serve/fault_injector.h"
+#include "serve/frontend.h"
 #include "serve/request.h"
 #include "shard/replica_set.h"
 #include "shard/sharded_index.h"
@@ -72,10 +73,12 @@ methods::SearchParams MakeParams() {
   return params;
 }
 
-/// Request-based search: the per-query RNG (and with it the replica
-/// selection key) derives from (seed, admission id), so distinct ids
-/// exercise distinct replica choices — unlike a fresh fixed-seed context.
-/// A positive `deadline_seconds` gives the query a deadline.
+/// Request-based search through a one-worker frontend seeded like the
+/// index: the per-query RNG (and with it the replica selection key) derives
+/// from (seed, admission id), so distinct ids exercise distinct replica
+/// choices — unlike a fresh fixed-seed context. A positive
+/// `deadline_seconds` gives the query a deadline. The frontend is gone when
+/// this returns, so callers may reconfigure the index between searches.
 serve::SearchResponse SearchId(const ShardedIndex& index, const float* query,
                                std::uint64_t id,
                                double deadline_seconds = 0.0) {
@@ -89,7 +92,9 @@ serve::SearchResponse SearchId(const ShardedIndex& index, const float* query,
     request.deadline = core::Deadline::After(deadline_seconds);
     request.has_deadline = true;
   }
-  return index.Search(request);
+  serve::Frontend frontend(index,
+                           gass::testing::BatchFrontendOptions(1, 1, kSeed));
+  return frontend.Search(request);
 }
 
 /// Hedged serving options over one shard with two replicas: a backup
@@ -330,10 +335,10 @@ TEST(ReplicaFailoverTest, PermanentReplicaFaultIsFullyMasked) {
   EXPECT_LT(total_failovers, queries.size());
 }
 
-// Same drill through the executor: a whole batch completes with zero
+// Same drill through a serving frontend: a whole batch completes with zero
 // query-level errors AND zero partials (contrast the unreplicated
-// executor drill in shard_fault_test.cc, where every query is partial).
-TEST(ReplicaFailoverTest, ExecutorBatchMasksAPermanentReplicaFault) {
+// frontend drill in shard_fault_test.cc, where every query is partial).
+TEST(ReplicaFailoverTest, FrontendBatchMasksAPermanentReplicaFault) {
   const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
   const Dataset queries =
       gass::testing::UniformQueries(32, kDim, 0.0f, 28.0f, 6);
@@ -352,21 +357,20 @@ TEST(ReplicaFailoverTest, ExecutorBatchMasksAPermanentReplicaFault) {
   serve::FaultInjector faults(plan);
   sharded.SetFaultInjector(&faults);
 
-  serve::ExecutorOptions exec_options;
-  exec_options.threads = 2;
-  serve::QueryExecutor executor(sharded, exec_options);
-  const serve::BatchResult batch = executor.SearchBatch(
-      queries.data(), queries.size(), queries.dim(), MakeParams());
+  serve::Frontend frontend(
+      sharded, gass::testing::BatchFrontendOptions(2, queries.size(), kSeed));
+  const std::vector<serve::SearchResponse> batch =
+      gass::testing::ServeBatch(frontend, queries, MakeParams());
 
-  ASSERT_EQ(batch.results.size(), queries.size());
-  for (const serve::SearchResponse& response : batch.results) {
+  ASSERT_EQ(batch.size(), queries.size());
+  for (const serve::SearchResponse& response : batch) {
     EXPECT_FALSE(response.partial);
     EXPECT_EQ(response.shards_failed, 0u);
     EXPECT_EQ(response.neighbors.size(), 10u);
   }
-  EXPECT_EQ(executor.metrics().count(serve::ServeCounter::kPartial), 0u);
-  EXPECT_EQ(executor.metrics().TotalStats().shards_failed, 0u);
-  EXPECT_GE(executor.metrics().TotalStats().replica_failovers, 1u);
+  EXPECT_EQ(frontend.metrics().count(serve::ServeCounter::kPartial), 0u);
+  EXPECT_EQ(frontend.metrics().TotalStats().shards_failed, 0u);
+  EXPECT_GE(frontend.metrics().TotalStats().replica_failovers, 1u);
 }
 
 // A hedged backup starts on the next replica the breakers will route, so an

@@ -16,7 +16,7 @@
 //     attempts are slow the coordinator abandons the shard at the deadline
 //     (expired, not partial); hedged queries trace replica failovers like
 //     unhedged ones;
-//   - through serve::QueryExecutor, a permanently failing shard yields
+//   - through a serve::Frontend, a permanently failing shard yields
 //     zero query-level errors, one partial per query, and recall degraded
 //     by roughly the lost shard's share.
 
@@ -27,13 +27,14 @@
 
 #include <gtest/gtest.h>
 
+#include "../serve_test_util.h"
 #include "../test_util.h"
 #include "core/deadline.h"
 #include "eval/ground_truth.h"
 #include "eval/recall.h"
 #include "obs/trace.h"
-#include "serve/executor.h"
 #include "serve/fault_injector.h"
+#include "serve/frontend.h"
 #include "serve/request.h"
 #include "shard/sharded_index.h"
 
@@ -441,7 +442,9 @@ TEST(ShardFaultTest, HedgedQueriesTraceReplicaFailovers) {
   request.deadline = core::Deadline::After(10.0);
   request.has_deadline = true;
   request.trace = &trace;
-  const serve::SearchResponse response = sharded.Search(request);
+  serve::Frontend frontend(sharded,
+                           gass::testing::BatchFrontendOptions(1, 1, kSeed));
+  const serve::SearchResponse response = frontend.Search(request);
   EXPECT_TRUE(response.partial);
   EXPECT_EQ(response.shards_failed, 1u);
   EXPECT_EQ(response.replica_failovers, 1u);
@@ -457,10 +460,10 @@ TEST(ShardFaultTest, HedgedQueriesTraceReplicaFailovers) {
 }
 
 // The headline acceptance: with 1 of 8 shards permanently failing, a whole
-// executor batch completes with zero query-level errors, every query is
+// frontend batch completes with zero query-level errors, every query is
 // partial (pre-trip failures and post-trip breaker skips alike), and
 // recall degrades by roughly the lost shard's share — not to zero.
-TEST(ShardFaultTest, ExecutorBatchSurvivesAPermanentlyFailingShard) {
+TEST(ShardFaultTest, FrontendBatchSurvivesAPermanentlyFailingShard) {
   const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
   const Dataset queries =
       gass::testing::UniformQueries(32, kDim, 0.0f, 28.0f, 6);
@@ -473,15 +476,14 @@ TEST(ShardFaultTest, ExecutorBatchSurvivesAPermanentlyFailingShard) {
   serve::FaultInjector faults(FailShardPlan(5));
   sharded.SetFaultInjector(&faults);
 
-  serve::ExecutorOptions exec_options;
-  exec_options.threads = 2;
-  serve::QueryExecutor executor(sharded, exec_options);
-  const serve::BatchResult batch = executor.SearchBatch(
-      queries.data(), queries.size(), queries.dim(), MakeParams());
+  serve::Frontend frontend(
+      sharded, gass::testing::BatchFrontendOptions(2, queries.size(), kSeed));
+  const std::vector<serve::SearchResponse> batch =
+      gass::testing::ServeBatch(frontend, queries, MakeParams());
 
-  ASSERT_EQ(batch.results.size(), queries.size());
+  ASSERT_EQ(batch.size(), queries.size());
   std::vector<std::vector<core::Neighbor>> answers;
-  for (const serve::SearchResponse& response : batch.results) {
+  for (const serve::SearchResponse& response : batch) {
     EXPECT_TRUE(response.partial);
     EXPECT_FALSE(response.expired);
     EXPECT_EQ(response.shards_failed, 1u);
@@ -489,9 +491,9 @@ TEST(ShardFaultTest, ExecutorBatchSurvivesAPermanentlyFailingShard) {
     EXPECT_EQ(response.neighbors.size(), 10u);
     answers.push_back(response.neighbors);
   }
-  EXPECT_EQ(executor.metrics().count(serve::ServeCounter::kPartial),
+  EXPECT_EQ(frontend.metrics().count(serve::ServeCounter::kPartial),
             queries.size());
-  EXPECT_EQ(executor.metrics().TotalStats().shards_failed, queries.size());
+  EXPECT_EQ(frontend.metrics().TotalStats().shards_failed, queries.size());
 
   // Losing 1 of 8 contiguous shards costs about 1/8 of the ground truth;
   // the remaining shards still answer well.

@@ -80,7 +80,10 @@
 // R >= 2 and a replica-targeted fault, the lost replica surfaces as
 // replica-failover counters and the run stays *complete* (no partials).
 //
-// serve-bench defaults to the closed-loop executor thread sweep. With
+// serve-bench defaults to a closed-loop thread sweep: at each --threads
+// count T, T clients each keep one query in flight on a T-worker
+// serve::Frontend (no shedding, no degradation; --timeout-ms is each
+// query's deadline). With
 // --arrival poisson it instead offers an open-loop Poisson stream at
 // --rate arrivals/sec to serve::Frontend (bounded queue, load shedding,
 // adaptive degradation; see docs/SERVING.md) and reports goodput, shed
@@ -110,11 +113,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -126,6 +129,7 @@
 
 #include "core/dataset.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "eval/complexity.h"
 #include "eval/ground_truth.h"
 #include "eval/recall.h"
@@ -134,7 +138,6 @@
 #include "methods/factory.h"
 #include "methods/search_params.h"
 #include "obs/exporter.h"
-#include "serve/executor.h"
 #include "serve/fault_injector.h"
 #include "serve/frontend.h"
 #include "serve/retry.h"
@@ -802,8 +805,48 @@ class ScrubDriver {
   std::uint64_t rebuild_failures_ = 0;
 };
 
+// One closed-loop run of `total` queries: `clients` threads each send the
+// next query as soon as their previous answer arrives. Query i is row
+// i % queries.size() under admission id i, so every query's answer depends
+// only on (seed, i), never on the client count. Returns the wall time and
+// counts in `*expired` the queries their deadline cut short: expired in
+// service, or shed at dequeue because the deadline had already passed
+// (with shedding off and a queue as deep as the clients, the only shed).
+double RunClosedLoop(gass::serve::Frontend& frontend, const Dataset& queries,
+                     const gass::methods::SearchParams& params,
+                     std::size_t total, std::size_t clients,
+                     std::uint64_t* expired) {
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::uint64_t> cut{0};
+  auto client = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= total) return;
+      gass::serve::SearchRequest request;
+      request.query = queries.Row(static_cast<VectorId>(i % queries.size()));
+      request.dim = queries.dim();
+      request.params = params;
+      request.admission_id = i;
+      if (frontend.Search(request).outcome !=
+          gass::methods::ServeOutcome::kFull) {
+        cut.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  };
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (std::size_t c = 1; c < clients; ++c) threads.emplace_back(client);
+  client();
+  for (std::thread& thread : threads) thread.join();
+  if (expired != nullptr) *expired = cut.load();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 // Throughput of the concurrent serving path at each thread count: builds
-// once, then drives tiled query batches through serve::QueryExecutor.
+// once, then runs a closed loop over the queries (--reps passes) through a
+// serve::Frontend.
 int CmdServeBench(const Flags& flags) {
   Dataset base, queries;
   Status status = gass::core::ReadFvecs(flags.Get("base", "base.fvecs"), &base);
@@ -858,14 +901,6 @@ int CmdServeBench(const Flags& flags) {
   ScrubDriver scrubber(scrub_ms > 0 ? scrub_target : nullptr, scrub_ms);
   std::printf("\n");
 
-  const std::size_t nq = queries.size();
-  const std::size_t dim = queries.dim();
-  std::vector<float> batch(reps * nq * dim);
-  for (std::size_t r = 0; r < reps; ++r) {
-    std::memcpy(batch.data() + r * nq * dim, queries.data(),
-                nq * dim * sizeof(float));
-  }
-
   gass::methods::SearchParams params = gass::methods::MakeSearchParams(
       k, static_cast<std::size_t>(flags.GetInt("beam", 100)), 48);
   std::string spec_error;
@@ -886,26 +921,36 @@ int CmdServeBench(const Flags& flags) {
     std::printf("%-8s %-12s %-12s %-12s %-10s\n", "threads", "qps", "p50",
                 "p95", "expired");
     for (const long threads : flags.GetIntList("threads", {1, 2, 4})) {
-      gass::serve::ExecutorOptions options;
-      options.threads = static_cast<std::size_t>(threads);
-      options.timeout_seconds = timeout_seconds;
+      const std::size_t clients =
+          threads > 0 ? static_cast<std::size_t>(threads)
+                      : gass::core::DefaultThreadCount();
+      gass::serve::FrontendOptions options;
+      options.threads = clients;
+      options.queue_capacity = clients;
+      options.deadline_seconds = timeout_seconds;
+      options.shed_predicted_late = false;
+      options.max_degrade_step = 0;
+      options.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
       options.trace = TraceOptionsFromFlags(flags);
-      gass::serve::QueryExecutor executor(*index, options);
-      executor.SearchBatch(batch.data(), nq, dim, params);  // Warm-up.
-      executor.metrics().Reset();
-      executor.tracer().Reset();  // Warm-up queries should not occupy slots.
-      const gass::serve::BatchResult result =
-          executor.SearchBatch(batch.data(), reps * nq, dim, params);
-      std::printf("%-8zu %-12.0f %-12.3f %-12.3f %-10llu\n",
-                  options.threads, result.Qps(),
-                  1e3 * executor.metrics().LatencyQuantileSeconds(0.50),
-                  1e3 * executor.metrics().LatencyQuantileSeconds(0.95),
-                  static_cast<unsigned long long>(result.expired));
-      ReportShardFaults(executor.metrics(), *index, shard_injector.get());
+      gass::serve::Frontend frontend(*index, options);
+      RunClosedLoop(frontend, queries, params, queries.size(), clients,
+                    nullptr);  // Warm-up.
+      frontend.metrics().Reset();
+      frontend.tracer().Reset();  // Warm-up queries should not occupy slots.
+      const std::size_t total = reps * queries.size();
+      std::uint64_t expired = 0;
+      const double seconds =
+          RunClosedLoop(frontend, queries, params, total, clients, &expired);
+      std::printf("%-8ld %-12.0f %-12.3f %-12.3f %-10llu\n", threads,
+                  seconds > 0 ? static_cast<double>(total) / seconds : 0.0,
+                  1e3 * frontend.metrics().LatencyQuantileSeconds(0.50),
+                  1e3 * frontend.metrics().LatencyQuantileSeconds(0.95),
+                  static_cast<unsigned long long>(expired));
+      ReportShardFaults(frontend.metrics(), *index, shard_injector.get());
       // With --trace the coverage summary and any --trace-out/--metrics-out
       // artifacts follow each row (later rows overwrite earlier files).
-      if (executor.tracer().enabled()) {
-        rc = ReportTraces(flags, executor.metrics(), executor.tracer());
+      if (frontend.tracer().enabled()) {
+        rc = ReportTraces(flags, frontend.metrics(), frontend.tracer());
         if (rc != 0) break;
       }
     }
