@@ -71,19 +71,21 @@ inline constexpr std::size_t kExpandBatch = DistanceComputer::kBatchChunk;
 /// size) into `chunk`, advancing *i past every id it examined, then
 /// prefetches the claimed rows. The visited test is branch-free: each id is
 /// read (for a packed list, decoded) and written to the chunk, and only a
-/// first visit keeps it there. Forced inline: left to itself GCC calls the
-/// packed-list instantiation out of line, once per chunk.
+/// first visit keeps it there. The epoch is read once per gather, not once
+/// per id (see VisitedTable::TryVisit). Forced inline: left to itself GCC
+/// calls the packed-list instantiation out of line, once per chunk.
 template <typename List>
 [[gnu::always_inline]] inline std::size_t GatherUnvisited(
     const List& neighbors, std::size_t* i, VisitedTable* visited,
     const DistanceComputer& dc, VectorId* chunk) {
   const std::size_t degree = neighbors.size();
+  const std::uint32_t epoch = visited->epoch();
   std::size_t m = 0;
   std::size_t next = *i;
   for (; next < degree && m < kExpandBatch; ++next) {
     const VectorId u = neighbors[next];
     chunk[m] = u;
-    m += visited->TryVisit(u);
+    m += visited->TryVisit(u, epoch);
   }
   *i = next;
   for (std::size_t j = 0; j < m; ++j) dc.Prefetch(chunk[j]);

@@ -44,9 +44,14 @@ class VisitedTable {
   /// Marks visited; returns true if this was the first visit this epoch.
   /// Branch-free (the stamp is written either way), so gather loops can
   /// write every id and advance only on a first visit.
-  bool TryVisit(VectorId id) {
-    const bool first = stamps_[id] != epoch_;
-    stamps_[id] = epoch_;
+  bool TryVisit(VectorId id) { return TryVisit(id, epoch_); }
+
+  /// TryVisit under an `epoch` the caller read once from epoch(). A stamp
+  /// store may alias epoch_, so the one-argument form reloads it per id;
+  /// a loop over many ids passes it in instead.
+  bool TryVisit(VectorId id, std::uint32_t epoch) {
+    const bool first = stamps_[id] != epoch;
+    stamps_[id] = epoch;
     return first;
   }
 
