@@ -164,16 +164,27 @@ void FlatGraph::SetNeighbor(VectorId v, std::size_t i, VectorId id) {
   std::memcpy(at, &word, sizeof(word));
 }
 
-FlatGraph FlatGraph::FromGraph(const Graph& graph) {
-  const std::size_t n = graph.size();
-  std::vector<std::uint64_t> offsets(n + 1, 0);
-  for (VectorId v = 0; v < n; ++v) {
-    offsets[v + 1] = offsets[v] + graph.Neighbors(v).size();
+FlatGraph::Packer::Packer(std::size_t n, std::size_t max_edges)
+    : flat_(std::vector<std::uint64_t>(n + 1, 0)), max_edges_(max_edges) {
+  flat_.words_.assign((max_edges * flat_.width_ + 63) / 64 + 1, 0);
+}
+
+FlatGraph FlatGraph::Packer::Finish() && {
+  for (std::size_t u = next_ + 1; u < flat_.offsets_.size(); ++u) {
+    flat_.offsets_[u] = edges_;
   }
-  return Pack(std::move(offsets),
-              [&](VectorId v) -> const std::vector<VectorId>& {
-                return graph.Neighbors(v);
-              });
+  const std::size_t words = (edges_ * flat_.width_ + 63) / 64 + 1;
+  if (filled_ > 0) flat_.words_[edges_ * flat_.width_ / 64] = pending_;
+  flat_.words_.resize(words);
+  return std::move(flat_);
+}
+
+FlatGraph FlatGraph::FromGraph(const Graph& graph) {
+  Packer packer(graph.size(), graph.EdgeCount());
+  for (VectorId v = 0; v < graph.size(); ++v) {
+    packer.Append(v, graph.Neighbors(v));
+  }
+  return std::move(packer).Finish();
 }
 
 }  // namespace gass::core

@@ -142,12 +142,9 @@ class FlatGraph {
   /// writes it.
   explicit FlatGraph(std::vector<std::uint64_t> offsets);
 
-  /// Packs every list in one sequential pass: `offsets` as above, and
-  /// `lists(v)` returns v's ids (anything with size() and operator[]),
-  /// offsets[v + 1] - offsets[v] of them, each below n.
-  template <typename Lists>
-  static FlatGraph Pack(std::vector<std::uint64_t> offsets,
-                        const Lists& lists);
+  /// Packs lists one vertex at a time (see below); FromGraph and HNSW's
+  /// seal and load build their graphs through it.
+  class Packer;
 
   /// Builds the flat layout from an adjacency-list graph.
   static FlatGraph FromGraph(const Graph& graph);
@@ -198,32 +195,63 @@ class FlatGraph {
   std::uint32_t width_ = 1;
 };
 
-template <typename Lists>
-FlatGraph FlatGraph::Pack(std::vector<std::uint64_t> offsets,
-                          const Lists& lists) {
-  FlatGraph flat(std::move(offsets));
-  const std::size_t n = flat.size();
-  const std::uint32_t width = flat.width_;
-  std::uint64_t* word = flat.words_.data();
-  std::uint64_t pending = 0;  // Low `filled` bits are ids not yet stored.
-  std::uint32_t filled = 0;
-  for (VectorId v = 0; v < n; ++v) {
-    const auto& ids = lists(v);
-    GASS_CHECK(ids.size() == flat.Degree(v));
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const std::uint64_t id = ids[i];
-      GASS_CHECK(id < n);
-      pending |= id << filled;
-      filled += width;
-      if (filled >= 64) {
-        *word++ = pending;
-        filled -= 64;
-        pending = id >> (width - filled);  // The bits that did not fit.
-      }
+/// Packs lists one vertex at a time, in vertex order, into a block
+/// sized for at most `max_edges` ids, so a caller holding its lists in
+/// another form (HNSW's slots, a snapshot payload) needs no copy of them
+/// all in between.
+class FlatGraph::Packer {
+ public:
+  Packer(std::size_t n, std::size_t max_edges);
+
+  /// Appends v's ids (anything with size() and operator[], each below
+  /// n). v must follow every vertex appended before; the vertices
+  /// skipped in between get empty lists. Returns false, packing nothing,
+  /// when the ids would overflow max_edges.
+  template <typename List>
+  bool Append(VectorId v, const List& ids);
+
+  /// The packed graph, its block trimmed to the ids appended; vertices
+  /// never appended have empty lists.
+  FlatGraph Finish() &&;
+
+ private:
+  FlatGraph flat_;
+  std::size_t max_edges_;
+  std::uint64_t edges_ = 0;    // Ids appended so far.
+  VectorId next_ = 0;          // The first vertex not yet given a list.
+  std::uint64_t pending_ = 0;  // Low `filled_` bits: ids not yet stored.
+  std::uint32_t filled_ = 0;
+};
+
+template <typename List>
+bool FlatGraph::Packer::Append(VectorId v, const List& ids) {
+  const std::size_t n = flat_.size();
+  GASS_CHECK(v >= next_ && v < n);
+  if (ids.size() > max_edges_ - edges_) return false;
+  for (VectorId u = next_ + 1; u <= v; ++u) flat_.offsets_[u] = edges_;
+  // The bit stream continues where the last list stopped; locals keep it
+  // in registers (a store to the block could alias a member).
+  const std::uint32_t width = flat_.width_;
+  std::uint64_t* word = flat_.words_.data() + edges_ * width / 64;
+  std::uint64_t pending = pending_;
+  std::uint32_t filled = filled_;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint64_t id = ids[i];
+    GASS_CHECK(id < n);
+    pending |= id << filled;
+    filled += width;
+    if (filled >= 64) {
+      *word++ = pending;
+      filled -= 64;
+      pending = id >> (width - filled);  // The bits that did not fit.
     }
   }
-  if (filled > 0) *word = pending;
-  return flat;
+  pending_ = pending;
+  filled_ = filled;
+  edges_ += ids.size();
+  flat_.offsets_[v + 1] = edges_;
+  next_ = v + 1;
+  return true;
 }
 
 }  // namespace gass::core

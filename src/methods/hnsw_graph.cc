@@ -1,6 +1,7 @@
 #include "methods/hnsw_graph.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -23,13 +24,12 @@ void HnswGraph::Reset(std::size_t n, std::size_t m) {
 void HnswGraph::Seal() {
   if (!sealed_) {
     const std::size_t n = size();
-    std::vector<std::uint64_t> offsets(n + 1, 0);
-    for (VectorId v = 0; v < n; ++v) {
-      offsets[v + 1] = offsets[v] + base_[v * base_stride_];
-    }
+    std::size_t edges = 0;
+    for (VectorId v = 0; v < n; ++v) edges += base_[v * base_stride_];
     const BaseLayer slots = base();
-    sealed_base_ = core::FlatGraph::Pack(
-        std::move(offsets), [&](VectorId v) { return slots.Neighbors(v); });
+    core::FlatGraph::Packer packer(n, edges);
+    for (VectorId v = 0; v < n; ++v) packer.Append(v, slots.Neighbors(v));
+    sealed_base_ = std::move(packer).Finish();
     std::vector<std::uint32_t>().swap(base_);
     sealed_ = true;
   }
@@ -109,21 +109,22 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
                                    std::to_string(size()))) {
     return dec->status();
   }
-  // Layer 0 decodes into a u32 CSR block, packed once it validates. Each
-  // vertex costs one degree word, so a well-formed payload holds exactly
-  // remaining / 4 - n ids, and the block is reserved once at its final
-  // size.
-  std::vector<std::uint64_t> offsets;
-  std::vector<VectorId> edges;
-  if (layer == 0) {
-    offsets.assign(n + 1, 0);
-    const std::size_t words = dec->remaining() / sizeof(std::uint32_t);
-    edges.reserve(words > n ? words - n : 0);
-  }
+  // Layer 0 reads each list into a one-slot buffer and packs it as soon
+  // as it validates. Each vertex costs one degree word, so a well-formed
+  // payload holds exactly remaining / 4 - n ids, and the packed block is
+  // sized for that once. A list that would overflow it leaves too few
+  // bytes for the remaining degree words, so a later read fails the
+  // decode; such a list is left unpacked.
   const std::string where = "HNSW layer " + std::to_string(layer) + " vertex ";
   const std::size_t capacity = MaxDegree(layer);
+  std::optional<core::FlatGraph::Packer> packer;
+  std::vector<VectorId> list;
+  if (layer == 0) {
+    const std::size_t words = dec->remaining() / sizeof(std::uint32_t);
+    packer.emplace(n, words > n ? words - n : 0);
+    list.resize(capacity);
+  }
   for (VectorId v = 0; v < n; ++v) {
-    if (layer == 0) offsets[v + 1] = offsets[v];
     const std::uint32_t degree = dec->U32();
     if (!dec->ok()) break;
     if (degree == 0) continue;
@@ -139,11 +140,8 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
       break;
     }
     std::uint32_t* slot = nullptr;
-    VectorId* ids = nullptr;
-    if (layer == 0) {
-      edges.resize(edges.size() + degree);
-      ids = edges.data() + offsets[v];
-    } else {
+    VectorId* ids = list.data();
+    if (layer > 0) {
       slot = MutableSlot(layer, v);
       ids = slot + 1;
     }
@@ -161,18 +159,12 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
     }
     if (!dec->ok()) break;
     if (layer == 0) {
-      offsets[v + 1] += degree;
+      packer->Append(v, std::span<const VectorId>(ids, degree));
     } else {
       slot[0] = degree;
     }
   }
-  if (layer == 0 && dec->ok()) {
-    // Pack takes its own copy of the offsets; the lists index this one.
-    sealed_base_ = core::FlatGraph::Pack(offsets, [&](VectorId v) {
-      return std::span<const VectorId>(edges.data() + offsets[v],
-                                       edges.data() + offsets[v + 1]);
-    });
-  }
+  if (layer == 0 && dec->ok()) sealed_base_ = std::move(*packer).Finish();
   return dec->status();
 }
 

@@ -239,5 +239,26 @@ TEST(FlatGraphTest, MemorySmallerThanAdjacencyLists) {
             PackedBytes(100, graph.EdgeCount(), flat.width()));
 }
 
+// A packer sized above what it is given (a loader sizes it from the
+// payload before reading a list) gives skipped vertices empty lists,
+// refuses a list that would overflow, and trims its block to the ids it
+// packed: the same lists and footprint as FromGraph over those lists.
+TEST(FlatGraphTest, PackerSkipsVerticesRefusesOverflowAndTrims) {
+  Graph graph(300);  // 9-bit ids.
+  graph.SetNeighbors(1, {299, 0, 7});
+  graph.SetNeighbors(4, {2});
+  graph.SetNeighbors(298, {1, 299});
+  FlatGraph::Packer packer(300, 100);
+  EXPECT_TRUE(packer.Append(1, graph.Neighbors(1)));
+  EXPECT_TRUE(packer.Append(4, graph.Neighbors(4)));
+  EXPECT_FALSE(packer.Append(5, std::vector<VectorId>(98, 3)));
+  EXPECT_TRUE(packer.Append(298, graph.Neighbors(298)));
+  const FlatGraph flat = std::move(packer).Finish();
+  ExpectSameLists(graph, flat);
+  EXPECT_EQ(flat.EdgeCount(), 6u);
+  EXPECT_EQ(flat.MemoryBytes(), PackedBytes(300, 6, 9));
+  EXPECT_EQ(flat.MemoryBytes(), FlatGraph::FromGraph(graph).MemoryBytes());
+}
+
 }  // namespace
 }  // namespace gass::core
