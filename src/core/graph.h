@@ -171,7 +171,7 @@ class FlatGraph {
 
   /// Overwrites the i-th id of v's list (i < Degree(v), id < size()),
   /// leaving every other id as it was. One id at a time, so builders use
-  /// Pack; tests use this to stand in for corruption.
+  /// a Packer; tests use this to stand in for corruption.
   void SetNeighbor(VectorId v, std::size_t i, VectorId id);
 
   std::size_t Degree(VectorId v) const {
