@@ -144,34 +144,54 @@ Status Graph::Load(const std::string& path) {
   return Status::Ok();
 }
 
-FlatGraph::FlatGraph(std::vector<std::uint64_t> offsets)
-    : offsets_(std::move(offsets)) {
-  GASS_CHECK(!offsets_.empty() && offsets_.front() == 0);
-  GASS_DCHECK(std::is_sorted(offsets_.begin(), offsets_.end()));
+namespace {
+
+/// Writes `id` into the `width` bits that start `bit` bits into `block`,
+/// leaving every other bit as it was: one unaligned 8-byte
+/// read-modify-write, the store that matches PackedIds' load.
+void StorePackedId(unsigned char* block, std::uint64_t bit,
+                   std::uint32_t width, std::uint64_t id) {
+  const std::uint64_t mask = ((std::uint64_t{1} << width) - 1) << (bit & 7);
+  unsigned char* at = block + (bit >> 3);
+  std::uint64_t word;
+  std::memcpy(&word, at, sizeof(word));
+  word = (word & ~mask) | (id << (bit & 7));
+  std::memcpy(at, &word, sizeof(word));
+}
+
+void CheckEdgeCount(std::uint64_t edges) {
+  GASS_CHECK_MSG(edges <= FlatGraph::kMaxEdges,
+                 "a FlatGraph holds at most 2^32 - 1 edges (its offsets "
+                 "are u32), not %llu",
+                 static_cast<unsigned long long>(edges));
+}
+
+}  // namespace
+
+FlatGraph::FlatGraph(const std::vector<std::uint64_t>& offsets) {
+  GASS_CHECK(!offsets.empty() && offsets.front() == 0);
+  GASS_DCHECK(std::is_sorted(offsets.begin(), offsets.end()));
+  CheckEdgeCount(offsets.back());
+  offsets_.assign(offsets.begin(), offsets.end());
   width_ = IdWidth(size());
-  words_.assign((offsets_.back() * width_ + 63) / 64 + 1, 0);
+  words_.assign((offsets_.back() * std::uint64_t{width_} + 63) / 64 + 1, 0);
 }
 
 void FlatGraph::SetNeighbor(VectorId v, std::size_t i, VectorId id) {
   GASS_CHECK(i < Degree(v) && id < size());
-  const std::uint64_t bit = (offsets_[v] + i) * width_;
-  const std::uint64_t mask = ((std::uint64_t{1} << width_) - 1) << (bit & 7);
-  unsigned char* at = reinterpret_cast<unsigned char*>(words_.data()) +
-                      (bit >> 3);
-  std::uint64_t word;
-  std::memcpy(&word, at, sizeof(word));
-  word = (word & ~mask) | (std::uint64_t{id} << (bit & 7));
-  std::memcpy(at, &word, sizeof(word));
+  StorePackedId(reinterpret_cast<unsigned char*>(words_.data()),
+                (std::uint64_t{offsets_[v]} + i) * width_, width_, id);
 }
 
 FlatGraph::Packer::Packer(std::size_t n, std::size_t max_edges)
     : flat_(std::vector<std::uint64_t>(n + 1, 0)), max_edges_(max_edges) {
+  CheckEdgeCount(max_edges);
   flat_.words_.assign((max_edges * flat_.width_ + 63) / 64 + 1, 0);
 }
 
 FlatGraph FlatGraph::Packer::Finish() && {
   for (std::size_t u = next_ + 1; u < flat_.offsets_.size(); ++u) {
-    flat_.offsets_[u] = edges_;
+    flat_.offsets_[u] = static_cast<std::uint32_t>(edges_);
   }
   const std::size_t words = (edges_ * flat_.width_ + 63) / 64 + 1;
   if (filled_ > 0) flat_.words_[edges_ * flat_.width_ / 64] = pending_;
@@ -185,6 +205,41 @@ FlatGraph FlatGraph::FromGraph(const Graph& graph) {
     packer.Append(v, graph.Neighbors(v));
   }
   return std::move(packer).Finish();
+}
+
+PackedSlots::PackedSlots(std::size_t slots, std::size_t capacity,
+                         std::size_t id_range)
+    : slots_(slots),
+      capacity_(capacity),
+      id_range_(id_range),
+      stride_(StrideWords(capacity, id_range)),
+      width_(FlatGraph::IdWidth(id_range)),
+      degree_bits_(static_cast<std::uint32_t>(std::bit_width(capacity))),
+      degree_mask_((std::uint64_t{1} << degree_bits_) - 1) {
+  GASS_CHECK(capacity >= 1);
+  words_.assign(slots * stride_ + 1, 0);
+}
+
+bool PackedSlots::Append(std::size_t s, VectorId id) {
+  GASS_CHECK(s < slots_ && id < id_range_);
+  std::uint64_t* slot = words_.data() + s * stride_;
+  const std::uint64_t degree = *slot & degree_mask_;
+  if (degree == capacity_) return false;
+  StorePackedId(reinterpret_cast<unsigned char*>(slot),
+                degree_bits_ + degree * width_, width_, id);
+  *slot += 1;  // degree < capacity < 2^degree_bits_: no carry.
+  return true;
+}
+
+void PackedSlots::Set(std::size_t s, std::size_t i, VectorId id) {
+  GASS_CHECK(s < slots_ && i < Degree(s) && id < id_range_);
+  StorePackedId(reinterpret_cast<unsigned char*>(words_.data() + s * stride_),
+                degree_bits_ + i * width_, width_, id);
+}
+
+void PackedSlots::AddSlots(std::size_t count) {
+  slots_ += count;
+  words_.resize(slots_ * stride_ + 1, 0);
 }
 
 }  // namespace gass::core

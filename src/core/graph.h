@@ -6,6 +6,9 @@
 // sealed base layer (methods/hnsw_graph.h): one bit-packed block holds all
 // neighbor lists, removing per-node pointer chasing during search and
 // storing each id in only as many bits as the vertex count needs.
+// PackedSlots is the mutable form of the same packing: fixed-stride slots,
+// each a packed degree then room for a fixed number of packed ids,
+// rewritten in place (HNSW's lists while it inserts).
 
 #ifndef GASS_CORE_GRAPH_H_
 #define GASS_CORE_GRAPH_H_
@@ -17,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/align.h"
 #include "core/macros.h"
 #include "core/status.h"
 #include "core/types.h"
@@ -89,7 +93,8 @@ class Graph {
 static_assert(std::endian::native == std::endian::little,
               "PackedIds decodes with little-endian loads");
 
-/// One vertex's neighbor ids in FlatGraph's packed block: `size()` ids of
+/// One vertex's neighbor ids in a packed block (FlatGraph's or a
+/// PackedSlots slot): `size()` ids of
 /// `width` bits each, starting `first_bit` bits into the block. Indexing
 /// decodes one id (an unaligned 8-byte load, a shift and a mask), so beam
 /// search decodes each id where it reads it, with no staging buffer. The
@@ -124,23 +129,61 @@ class PackedIds {
   std::uint64_t mask_;
 };
 
+namespace internal {
+
+/// Appends `ids` (each below `bound`) to a little-endian bit stream of
+/// `width`-bit fields: `*pending` holds the stream's `*filled` low bits
+/// not yet stored, and each word that fills is stored at `word`, which
+/// advances. Returns the next word to store. The stream state lives in
+/// locals meanwhile, since a store through `word` could alias it.
+template <typename List>
+std::uint64_t* StreamIds(const List& ids, std::uint64_t bound,
+                         std::uint32_t width, std::uint64_t* word,
+                         std::uint64_t* pending, std::uint32_t* filled) {
+  std::uint64_t bits = *pending;
+  std::uint32_t used = *filled;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint64_t id = ids[i];
+    GASS_CHECK(id < bound);
+    bits |= id << used;
+    used += width;
+    if (used >= 64) {
+      *word++ = bits;
+      used -= 64;
+      bits = id >> (width - used);  // The bits that did not fit.
+    }
+  }
+  *pending = bits;
+  *filled = used;
+  return word;
+}
+
+}  // namespace internal
+
 /// Read-only contiguous graph layout.
 ///
-/// Stores offsets[n+1] and one bit-packed neighbor block: every id takes
-/// width() = max(1, bit_width(n - 1)) bits, and v's list is ids
-/// [offsets[v], offsets[v + 1]) of the block. The block carries one spare
-/// word, so the 8-byte load that decodes any id stays in bounds. This
-/// mirrors the hnswlib/ParlayANN contiguous layouts whose impact the paper
-/// measures in Fig. 17, with ids narrowed to what n needs.
+/// Stores offsets[n+1] (u32, counted in ids) and one bit-packed neighbor
+/// block: every id takes width() = max(1, bit_width(n - 1)) bits, and v's
+/// list is ids [offsets[v], offsets[v + 1]) of the block. The block
+/// carries one spare word, so the 8-byte load that decodes any id stays in
+/// bounds. This mirrors the hnswlib/ParlayANN contiguous layouts whose
+/// impact the paper measures in Fig. 17, with ids narrowed to what n needs.
+///
+/// The u32 offsets limit a FlatGraph to kMaxEdges = 2^32 - 1 edges in
+/// all; the offsets constructor and the Packer abort on more. A graph of
+/// 2^32 vertices would reach that limit at an average degree of one.
 class FlatGraph {
  public:
+  /// The most edges the u32 offsets can count.
+  static constexpr std::uint64_t kMaxEdges = 0xFFFFFFFFu;
+
   FlatGraph() = default;
 
   /// A graph whose lists have the lengths `offsets` gives (n + 1
-  /// non-decreasing entries starting at 0; v's list holds
-  /// offsets[v + 1] - offsets[v] ids), every id 0 until SetNeighbor
-  /// writes it.
-  explicit FlatGraph(std::vector<std::uint64_t> offsets);
+  /// non-decreasing entries starting at 0, the last at most kMaxEdges;
+  /// v's list holds offsets[v + 1] - offsets[v] ids), every id 0 until
+  /// SetNeighbor writes it.
+  explicit FlatGraph(const std::vector<std::uint64_t>& offsets);
 
   /// Packs lists one vertex at a time (see below); FromGraph and HNSW's
   /// seal and load build their graphs through it.
@@ -165,8 +208,8 @@ class FlatGraph {
   PackedIds Neighbors(VectorId v) const {
     GASS_DCHECK(v + 1 < offsets_.size());
     return PackedIds(reinterpret_cast<const unsigned char*>(words_.data()),
-                     offsets_[v] * width_, offsets_[v + 1] - offsets_[v],
-                     width_);
+                     std::uint64_t{offsets_[v]} * width_,
+                     offsets_[v + 1] - offsets_[v], width_);
   }
 
   /// Overwrites the i-th id of v's list (i < Degree(v), id < size()),
@@ -183,14 +226,15 @@ class FlatGraph {
     return offsets_.empty() ? 0 : offsets_.back();
   }
 
-  /// The offsets plus the packed block: ceil(EdgeCount() * width() / 64)
-  /// words of ids and the one spare word.
+  /// The n + 1 u32 offsets plus the packed block: ceil(EdgeCount() *
+  /// width() / 64) words of ids and the one spare word.
   std::size_t MemoryBytes() const {
-    return (offsets_.size() + words_.size()) * sizeof(std::uint64_t);
+    return offsets_.size() * sizeof(std::uint32_t) +
+           words_.size() * sizeof(std::uint64_t);
   }
 
  private:
-  std::vector<std::uint64_t> offsets_;  // size n+1, in ids.
+  std::vector<std::uint32_t> offsets_;  // size n+1, in ids.
   std::vector<std::uint64_t> words_;    // Packed ids, plus one spare word.
   std::uint32_t width_ = 1;
 };
@@ -201,6 +245,7 @@ class FlatGraph {
 /// all in between.
 class FlatGraph::Packer {
  public:
+  /// Aborts if `max_edges` exceeds kMaxEdges.
   Packer(std::size_t n, std::size_t max_edges);
 
   /// Appends v's ids (anything with size() and operator[], each below
@@ -228,30 +273,116 @@ bool FlatGraph::Packer::Append(VectorId v, const List& ids) {
   const std::size_t n = flat_.size();
   GASS_CHECK(v >= next_ && v < n);
   if (ids.size() > max_edges_ - edges_) return false;
-  for (VectorId u = next_ + 1; u <= v; ++u) flat_.offsets_[u] = edges_;
-  // The bit stream continues where the last list stopped; locals keep it
-  // in registers (a store to the block could alias a member).
+  const auto edges = static_cast<std::uint32_t>(edges_);
+  for (VectorId u = next_ + 1; u <= v; ++u) flat_.offsets_[u] = edges;
+  // The bit stream continues where the last list stopped.
   const std::uint32_t width = flat_.width_;
-  std::uint64_t* word = flat_.words_.data() + edges_ * width / 64;
-  std::uint64_t pending = pending_;
-  std::uint32_t filled = filled_;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const std::uint64_t id = ids[i];
-    GASS_CHECK(id < n);
-    pending |= id << filled;
-    filled += width;
-    if (filled >= 64) {
-      *word++ = pending;
-      filled -= 64;
-      pending = id >> (width - filled);  // The bits that did not fit.
-    }
-  }
-  pending_ = pending;
-  filled_ = filled;
+  internal::StreamIds(ids, n, width,
+                      flat_.words_.data() + edges_ * width / 64, &pending_,
+                      &filled_);
   edges_ += ids.size();
-  flat_.offsets_[v + 1] = edges_;
+  flat_.offsets_[v + 1] = static_cast<std::uint32_t>(edges_);
   next_ = v + 1;
   return true;
+}
+
+/// Fixed-stride, bit-packed neighbor lists that are rewritten in place.
+///
+/// Slot s holds a degree of bit_width(capacity) bits, then room for
+/// `capacity` ids of FlatGraph::IdWidth(id_range) bits each, the whole slot
+/// rounded up to stride_words() u64 words. The block is 64-byte aligned and
+/// carries one spare word past the last slot, so the unaligned 8-byte load
+/// or read-modify-write of any id stays in bounds. Neighbors(s) returns the
+/// same PackedIds view as FlatGraph, so a PackedSlots whose slot v is
+/// vertex v's list is a graph core::BeamSearch can walk. At capacity 32
+/// and an id range of at most 2^15, a slot is exactly one cache line.
+class PackedSlots {
+ public:
+  PackedSlots() = default;
+
+  /// `slots` empty slots of `capacity` (>= 1) ids, each below `id_range`.
+  PackedSlots(std::size_t slots, std::size_t capacity, std::size_t id_range);
+
+  /// Words per slot: bit_width(capacity) degree bits plus capacity ids of
+  /// IdWidth(id_range) bits, rounded up to whole words.
+  static std::size_t StrideWords(std::size_t capacity, std::size_t id_range) {
+    const std::size_t bits = std::bit_width(capacity) +
+                             capacity * FlatGraph::IdWidth(id_range);
+    return (bits + 63) / 64;
+  }
+
+  std::size_t size() const { return slots_; }
+  std::uint32_t width() const { return width_; }
+  std::size_t stride_words() const { return stride_; }
+
+  std::size_t Degree(std::size_t s) const {
+    GASS_DCHECK(s < slots_);
+    return words_[s * stride_] & degree_mask_;
+  }
+
+  /// Slot s's ids, decoded on access.
+  PackedIds Neighbors(std::size_t s) const {
+    GASS_DCHECK(s < slots_);
+    const std::size_t first = s * stride_;
+    return PackedIds(reinterpret_cast<const unsigned char*>(words_.data()),
+                     std::uint64_t{first} * 64 + degree_bits_,
+                     words_[first] & degree_mask_, width_);
+  }
+
+  /// Makes `ids` (anything with size() <= capacity() and operator[], each
+  /// id below the id range) slot s's list. Every word of the slot is
+  /// rewritten, so nothing of a longer list it replaces stays behind.
+  template <typename List>
+  void SetList(std::size_t s, const List& ids);
+
+  /// Appends `id` to slot s's list. Returns false, changing nothing, when
+  /// the slot is full.
+  bool Append(std::size_t s, VectorId id);
+
+  /// Overwrites the i-th id of slot s (i < Degree(s)), leaving every other
+  /// bit as it was.
+  void Set(std::size_t s, std::size_t i, VectorId id);
+
+  /// Appends `count` empty slots.
+  void AddSlots(std::size_t count);
+
+  /// Frees the block's capacity beyond the slots it holds.
+  void ShrinkToFit() { words_.shrink_to_fit(); }
+
+  /// The allocated block: 8 * (size() * stride_words() + 1) bytes once
+  /// trimmed, 0 for a default-constructed PackedSlots.
+  std::size_t MemoryBytes() const {
+    return words_.capacity() * sizeof(std::uint64_t);
+  }
+
+ private:
+  std::vector<std::uint64_t,
+              AlignedAllocator<std::uint64_t, kCacheLineBytes>>
+      words_;  // size() slots of stride_ words, plus one spare word.
+  std::size_t slots_ = 0;
+  std::size_t capacity_ = 0;
+  std::size_t id_range_ = 0;
+  std::size_t stride_ = 0;
+  std::uint32_t width_ = 1;
+  std::uint32_t degree_bits_ = 0;
+  std::uint64_t degree_mask_ = 0;
+};
+
+template <typename List>
+void PackedSlots::SetList(std::size_t s, const List& ids) {
+  GASS_CHECK(s < slots_ && ids.size() <= capacity_);
+  // One pass over the slot's words, as Packer::Append streams a list:
+  // the degree, then each id, then zeros to the slot's end.
+  std::uint64_t* const end = words_.data() + (s + 1) * stride_;
+  std::uint64_t pending = ids.size();
+  std::uint32_t filled = degree_bits_;
+  std::uint64_t* word =
+      internal::StreamIds(ids, id_range_, width_, words_.data() + s * stride_,
+                          &pending, &filled);
+  for (; word < end; ++word) {
+    *word = pending;
+    pending = 0;
+  }
 }
 
 }  // namespace gass::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -10,13 +11,12 @@ namespace gass::methods {
 using core::VectorId;
 
 void HnswGraph::Reset(std::size_t n, std::size_t m) {
-  base_stride_ = 2 * m + 1;
-  upper_stride_ = m + 1;
+  m_ = m;
   num_layers_ = 0;
   sealed_ = true;
-  std::vector<std::uint32_t>().swap(base_);
+  base_ = core::PackedSlots();
   sealed_base_ = core::FlatGraph(std::vector<std::uint64_t>(n + 1, 0));
-  upper_.clear();
+  upper_ = core::PackedSlots(0, m, n);
   first_upper_.assign(n, 0);
   level_.assign(n, 0);
 }
@@ -25,25 +25,21 @@ void HnswGraph::Seal() {
   if (!sealed_) {
     const std::size_t n = size();
     std::size_t edges = 0;
-    for (VectorId v = 0; v < n; ++v) edges += base_[v * base_stride_];
-    const BaseLayer slots = base();
+    for (VectorId v = 0; v < n; ++v) edges += base_.Degree(v);
     core::FlatGraph::Packer packer(n, edges);
-    for (VectorId v = 0; v < n; ++v) packer.Append(v, slots.Neighbors(v));
+    for (VectorId v = 0; v < n; ++v) packer.Append(v, base_.Neighbors(v));
     sealed_base_ = std::move(packer).Finish();
-    std::vector<std::uint32_t>().swap(base_);
+    base_ = core::PackedSlots();
     sealed_ = true;
   }
-  upper_.shrink_to_fit();
+  TrimUpper();
 }
 
 void HnswGraph::Unseal() {
   if (!sealed_) return;
-  base_.assign(size() * base_stride_, 0);
+  base_ = core::PackedSlots(size(), MaxDegree(0), size());
   for (VectorId v = 0; v < size(); ++v) {
-    const core::PackedIds ids = sealed_base_.Neighbors(v);
-    std::uint32_t* slot = base_.data() + v * base_stride_;
-    slot[0] = static_cast<std::uint32_t>(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) slot[1 + i] = ids[i];
+    base_.SetList(v, sealed_base_.Neighbors(v));
   }
   sealed_base_ = core::FlatGraph();
   sealed_ = false;
@@ -53,8 +49,8 @@ void HnswGraph::AddLevels(VectorId v, std::uint32_t level) {
   GASS_CHECK(v < level_.size() && level_[v] == 0);
   level_[v] = level;
   if (level == 0) return;
-  first_upper_[v] = static_cast<std::uint32_t>(upper_.size() / upper_stride_);
-  upper_.resize(upper_.size() + level * upper_stride_, 0);
+  first_upper_[v] = static_cast<std::uint32_t>(upper_.size());
+  upper_.AddSlots(level);
   num_layers_ = std::max<std::size_t>(num_layers_, level);
 }
 
@@ -64,9 +60,7 @@ void HnswGraph::SetNeighborForTesting(std::size_t layer, VectorId v,
     sealed_base_.SetNeighbor(v, i, id);  // Checks i and id itself.
     return;
   }
-  std::uint32_t* slot = MutableSlot(layer, v);
-  GASS_CHECK(i < slot[0] && id < size());
-  slot[1 + i] = id;
+  Slots(layer).Set(SlotOf(layer, v), i, id);  // Checks i and id.
 }
 
 core::Graph HnswGraph::ToGraph(std::size_t layer) const {
@@ -109,21 +103,21 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
                                    std::to_string(size()))) {
     return dec->status();
   }
-  // Layer 0 reads each list into a one-slot buffer and packs it as soon
-  // as it validates. Each vertex costs one degree word, so a well-formed
-  // payload holds exactly remaining / 4 - n ids, and the packed block is
-  // sized for that once. A list that would overflow it leaves too few
-  // bytes for the remaining degree words, so a later read fails the
-  // decode; such a list is left unpacked.
+  // Each list is read into a one-slot buffer and stored as soon as it
+  // validates: into its slot on an upper layer, through a packer on layer
+  // 0. Each vertex costs one degree word, so a well-formed layer-0 payload
+  // holds exactly remaining / 4 - n ids, and the packed block is sized for
+  // that once (capped by what n full slots, or u32 offsets, can hold). A
+  // list that would overflow it is rejected.
   const std::string where = "HNSW layer " + std::to_string(layer) + " vertex ";
   const std::size_t capacity = MaxDegree(layer);
   std::optional<core::FlatGraph::Packer> packer;
-  std::vector<VectorId> list;
   if (layer == 0) {
     const std::size_t words = dec->remaining() / sizeof(std::uint32_t);
-    packer.emplace(n, words > n ? words - n : 0);
-    list.resize(capacity);
+    packer.emplace(n, std::min({words > n ? words - n : 0, n * capacity,
+                                std::size_t{core::FlatGraph::kMaxEdges}}));
   }
+  std::vector<VectorId> list(capacity);
   for (VectorId v = 0; v < n; ++v) {
     const std::uint32_t degree = dec->U32();
     if (!dec->ok()) break;
@@ -139,15 +133,9 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
                             std::to_string(capacity) + "-id slot");
       break;
     }
-    std::uint32_t* slot = nullptr;
-    VectorId* ids = list.data();
-    if (layer > 0) {
-      slot = MutableSlot(layer, v);
-      ids = slot + 1;
-    }
-    if (!dec->Bytes(ids, degree * sizeof(VectorId))) break;
+    if (!dec->Bytes(list.data(), degree * sizeof(VectorId))) break;
     for (std::uint32_t i = 0; i < degree; ++i) {
-      const VectorId u = ids[i];
+      const VectorId u = list[i];
       if (u >= n || u == v || level_[u] < layer) {
         dec->Check(false, where + std::to_string(v) + " has neighbor id " +
                               std::to_string(u) +
@@ -158,10 +146,15 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
       }
     }
     if (!dec->ok()) break;
+    const std::span<const VectorId> ids(list.data(), degree);
     if (layer == 0) {
-      packer->Append(v, std::span<const VectorId>(ids, degree));
+      if (!packer->Append(v, ids)) {
+        dec->Check(false, where + std::to_string(v) +
+                              " overflows the layer's edge block");
+        break;
+      }
     } else {
-      slot[0] = degree;
+      SetList(layer, v, ids);
     }
   }
   if (layer == 0 && dec->ok()) sealed_base_ = std::move(*packer).Finish();
@@ -169,10 +162,9 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
 }
 
 std::size_t HnswGraph::MemoryBytes() const {
-  return (base_.capacity() + upper_.capacity() + first_upper_.capacity() +
-          level_.capacity()) *
-             sizeof(std::uint32_t) +
-         sealed_base_.MemoryBytes();
+  return base_.MemoryBytes() + sealed_base_.MemoryBytes() +
+         upper_.MemoryBytes() +
+         (first_upper_.capacity() + level_.capacity()) * sizeof(std::uint32_t);
 }
 
 }  // namespace gass::methods

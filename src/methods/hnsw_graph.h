@@ -1,34 +1,36 @@
 // HnswGraph: HNSW's whole layer hierarchy, with layer 0 in one of two forms.
 //
-// While vertices are being inserted, layer 0 is hnswlib's link-list layout
-// (`size_links_level0`): one flat u32 buffer of n slots, each `2M + 1`
-// words wide, a degree word then up to 2M neighbor ids, rewritten in place
-// by every insert. Once an index stops growing, Seal() packs layer 0 into a
-// core::FlatGraph (CSR: n + 1 u64 offsets and one block of ids bit-packed
-// at bit_width(n - 1) bits each) and frees the slots. Built lists hold
-// about half their 2M capacity, so a vertex costs 8 + degree·width/8 bytes
-// sealed against 4·(2M + 1) in its slot, and static searches run on the
-// sealed form, decoding each id as they read it. Unseal() turns it back
-// into slots before the next insert. HnswIndex::Build seals, as does every
-// load; BuildPrefix and Extend leave slots.
+// While vertices are being inserted, layer 0 is a core::PackedSlots block:
+// hnswlib's fixed-stride link lists (`size_links_level0`) with the degree
+// and ids bit-packed. Slot v holds a bit_width(2M)-bit degree then room for
+// 2M ids of bit_width(n - 1) bits, rounded up to whole u64 words: at M = 16
+// and n <= 2^15 that is one 64-byte cache line. Every insert rewrites
+// lists in place. Once an index stops growing, Seal() packs layer 0 into a
+// core::FlatGraph (CSR: n + 1 u32 offsets and one block of ids at the same
+// width) and frees the slots. Built lists hold about half their 2M
+// capacity, so a vertex costs 4 + degree·width/8 bytes sealed against its
+// whole slot, and static searches run on the sealed form. Both forms
+// decode each id as beam search reads it, through the same core::PackedIds
+// view. Unseal() turns layer 0 back into slots before the next insert.
+// HnswIndex::Build seals, as does every load; BuildPrefix and Extend leave
+// slots.
 //
-// The upper layers always share a second buffer of `M + 1`-word slots that
-// exist only for vertices of level >= 1: vertex v's layer-l slot
+// The upper layers always share a second PackedSlots block of M-id slots
+// that exist only for vertices of level >= 1: vertex v's layer-l slot
 // (1 <= l <= level(v)) is slot `first_upper_[v] + l - 1`, and AddLevels
 // appends a vertex's slots when it is inserted. No vertex pays for an empty
 // list header on a layer it is not in.
 //
 // Snapshots keep the v1 per-layer list encoding (io::EncodeGraph's format)
-// whichever form layer 0 is in, so files written before either layout
-// existed still load, and DecodeLayer rejects any list a slot could not
-// hold, so every loaded index can be unsealed and extended.
+// whichever form layer 0 is in, so files written before any of these
+// layouts existed still load, and DecodeLayer rejects any list a slot could
+// not hold, so every loaded index can be unsealed and extended.
 
 #ifndef GASS_METHODS_HNSW_GRAPH_H_
 #define GASS_METHODS_HNSW_GRAPH_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/graph.h"
@@ -41,38 +43,20 @@ namespace gass::methods {
 
 class HnswGraph {
  public:
-  /// Layer 0 as core::BeamSearch expands it: slot v sits at v * stride.
-  class BaseLayer {
-   public:
-    BaseLayer(const std::uint32_t* words, std::size_t stride)
-        : words_(words), stride_(stride) {}
-    std::span<const core::VectorId> Neighbors(core::VectorId v) const {
-      const std::uint32_t* slot = words_ + v * stride_;
-      return {slot + 1, slot[0]};
-    }
-
-   private:
-    const std::uint32_t* words_;
-    std::size_t stride_;
-  };
-
   /// One upper layer (>= 1). Only vertices of at least this level may be
   /// expanded; every id stored on the layer satisfies that.
   class UpperLayer {
    public:
-    UpperLayer(const std::uint32_t* words, const std::uint32_t* first,
-               std::size_t stride, std::size_t layer)
-        : words_(words), first_(first), stride_(stride), layer_(layer) {}
-    std::span<const core::VectorId> Neighbors(core::VectorId v) const {
-      const std::uint32_t* slot =
-          words_ + (first_[v] + layer_ - 1) * stride_;
-      return {slot + 1, slot[0]};
+    UpperLayer(const core::PackedSlots* slots, const std::uint32_t* first,
+               std::size_t layer)
+        : slots_(slots), first_(first), layer_(layer) {}
+    core::PackedIds Neighbors(core::VectorId v) const {
+      return slots_->Neighbors(first_[v] + layer_ - 1);
     }
 
    private:
-    const std::uint32_t* words_;
+    const core::PackedSlots* slots_;
     const std::uint32_t* first_;
-    std::size_t stride_;
     std::size_t layer_;
   };
 
@@ -85,17 +69,21 @@ class HnswGraph {
 
   /// Packs layer 0 into its sealed, bit-packed CSR form and frees the
   /// slots (a no-op on layer 0 if it is already sealed), then trims the
-  /// upper buffer to its size, so MemoryBytes() counts only resident lists.
+  /// upper layers, so MemoryBytes() counts only resident lists.
   void Seal();
 
   /// Expands a sealed layer 0 back into 2M-id slots, so inserts can
   /// rewrite lists in place.
   void Unseal();
 
+  /// Frees the upper-layer block's spare capacity (AddLevels grows it
+  /// geometrically).
+  void TrimUpper() { upper_.ShrinkToFit(); }
+
   bool sealed() const { return sealed_; }
 
   /// Gives level-0 vertex `v` `level` empty upper-layer slots (appended to
-  /// the upper buffer) and raises num_layers() to `level` if it is higher.
+  /// the upper block) and raises num_layers() to `level` if it is higher.
   void AddLevels(core::VectorId v, std::uint32_t level);
 
   std::size_t size() const { return level_.size(); }
@@ -105,13 +93,13 @@ class HnswGraph {
 
   /// Slot capacity of `layer`: 2M on layer 0, M above.
   std::size_t MaxDegree(std::size_t layer) const {
-    return (layer == 0 ? base_stride_ : upper_stride_) - 1;
+    return layer == 0 ? 2 * m_ : m_;
   }
 
-  /// Layer 0's slots; only while unsealed.
-  BaseLayer base() const {
+  /// Layer 0's slots (slot v is v's list); only while unsealed.
+  const core::PackedSlots& base() const {
     GASS_DCHECK(!sealed_);
-    return BaseLayer(base_.data(), base_stride_);
+    return base_;
   }
   /// Layer 0's packed CSR form; only while sealed.
   const core::FlatGraph& sealed_base() const {
@@ -119,8 +107,8 @@ class HnswGraph {
     return sealed_base_;
   }
   /// Calls `search(layer0)` with whichever form layer 0 is in (the
-  /// BaseLayer slot view or the sealed core::FlatGraph) and returns its
-  /// result, so one generic search serves both.
+  /// PackedSlots or the sealed core::FlatGraph) and returns its result, so
+  /// one generic search serves both.
   template <typename Search>
   decltype(auto) VisitBase(Search&& search) const {
     if (sealed_) return search(sealed_base_);
@@ -128,15 +116,25 @@ class HnswGraph {
   }
   UpperLayer upper(std::size_t layer) const {
     GASS_DCHECK(layer >= 1 && layer <= num_layers_);
-    return UpperLayer(upper_.data(), first_upper_.data(), upper_stride_,
-                      layer);
+    return UpperLayer(&upper_, first_upper_.data(), layer);
   }
 
-  /// v's raw slot on `layer` (layer 0 only while unsealed): word 0 is the
-  /// degree, then MaxDegree(layer) id words. Writers keep the degree
-  /// within that capacity.
-  std::uint32_t* MutableSlot(std::size_t layer, core::VectorId v) {
-    return const_cast<std::uint32_t*>(Slot(layer, v));
+  /// v's list on `layer` (layer 0 only while unsealed), decoded on access.
+  core::PackedIds Neighbors(std::size_t layer, core::VectorId v) const {
+    return Slots(layer).Neighbors(SlotOf(layer, v));
+  }
+
+  /// Makes `ids` (at most MaxDegree(layer), anything with size() and
+  /// operator[]) v's list on `layer`; layer 0 only while unsealed.
+  template <typename List>
+  void SetList(std::size_t layer, core::VectorId v, const List& ids) {
+    Slots(layer).SetList(SlotOf(layer, v), ids);
+  }
+
+  /// Appends `id` to v's list on `layer` (layer 0 only while unsealed).
+  /// Returns false, changing nothing, when the list is full.
+  bool AppendNeighbor(std::size_t layer, core::VectorId v, core::VectorId id) {
+    return Slots(layer).Append(SlotOf(layer, v), id);
   }
 
   /// Overwrites the i-th id of v's list on `layer` (i below its degree,
@@ -181,20 +179,27 @@ class HnswGraph {
     }
   }
 
-  const std::uint32_t* Slot(std::size_t layer, core::VectorId v) const {
-    GASS_DCHECK(v < level_.size() && layer <= level_[v]);
+  /// The slot block holding `layer` (layer 0 only while unsealed), and
+  /// v's slot in it.
+  const core::PackedSlots& Slots(std::size_t layer) const {
     GASS_DCHECK(layer > 0 || !sealed_);
-    if (layer == 0) return base_.data() + v * base_stride_;
-    return upper_.data() + (first_upper_[v] + layer - 1) * upper_stride_;
+    return layer == 0 ? base_ : upper_;
+  }
+  core::PackedSlots& Slots(std::size_t layer) {
+    GASS_DCHECK(layer > 0 || !sealed_);
+    return layer == 0 ? base_ : upper_;
+  }
+  std::size_t SlotOf(std::size_t layer, core::VectorId v) const {
+    GASS_DCHECK(v < level_.size() && layer <= level_[v]);
+    return layer == 0 ? v : first_upper_[v] + layer - 1;
   }
 
-  std::size_t base_stride_ = 1;   ///< 2M + 1 words.
-  std::size_t upper_stride_ = 1;  ///< M + 1 words.
+  std::size_t m_ = 1;
   std::size_t num_layers_ = 0;
   bool sealed_ = false;
-  std::vector<std::uint32_t> base_;         ///< n slots, layer 0 (unsealed).
+  core::PackedSlots base_;                  ///< n slots, layer 0 (unsealed).
   core::FlatGraph sealed_base_;             ///< Layer 0 (sealed).
-  std::vector<std::uint32_t> upper_;        ///< Appended upper-layer slots.
+  core::PackedSlots upper_;                 ///< Appended upper-layer slots.
   std::vector<std::uint32_t> first_upper_;  ///< v's first upper slot.
   std::vector<std::uint32_t> level_;        ///< v's top layer.
 };

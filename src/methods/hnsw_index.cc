@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <span>
 
 #include "core/beam_search.h"
 #include "core/macros.h"
@@ -19,34 +18,37 @@ using core::VectorId;
 
 namespace {
 
+/// The ids of a list of Neighbors, as HnswGraph::SetList reads them.
+struct NeighborIds {
+  const std::vector<Neighbor>& list;
+  std::size_t size() const { return list.size(); }
+  VectorId operator[](std::size_t i) const { return list[i].id; }
+};
+
 /// Installs `kept` as v's list on `layer` and links each kept neighbor back
-/// to v. A back list whose slot is full is re-pruned over [its list..., v]:
-/// the candidates, order and distance count of InstallBidirectional's
-/// append-then-prune.
+/// to v. A back list that is full (prune.max_degree is the slot capacity)
+/// is re-pruned over [its list..., v]: the candidates, order and distance
+/// count of InstallBidirectional's append-then-prune.
 void InstallLinks(DistanceComputer& dc, HnswGraph* graph, std::size_t layer,
                   VectorId v, const std::vector<Neighbor>& kept,
                   const diversify::Params& prune) {
-  std::uint32_t* forward = graph->MutableSlot(layer, v);
-  forward[0] = static_cast<std::uint32_t>(kept.size());
-  for (std::size_t i = 0; i < kept.size(); ++i) forward[1 + i] = kept[i].id;
+  GASS_DCHECK(prune.max_degree == graph->MaxDegree(layer));
+  graph->SetList(layer, v, NeighborIds{kept});
 
   std::vector<VectorId> overflow;
   for (const Neighbor& nb : kept) {
-    std::uint32_t* back = graph->MutableSlot(layer, nb.id);
-    const std::uint32_t degree = back[0];
-    VectorId* ids = back + 1;
-    if (std::find(ids, ids + degree, v) != ids + degree) continue;
-    if (degree < prune.max_degree) {
-      ids[degree] = v;
-      back[0] = degree + 1;
-      continue;
+    const core::PackedIds back = graph->Neighbors(layer, nb.id);
+    overflow.resize(back.size());
+    bool linked = false;
+    for (std::size_t i = 0; i < back.size(); ++i) {
+      overflow[i] = back[i];
+      linked |= overflow[i] == v;
     }
-    overflow.assign(ids, ids + degree);
+    if (linked || graph->AppendNeighbor(layer, nb.id, v)) continue;
     overflow.push_back(v);
     const std::vector<Neighbor> re_kept =
         RePrune(dc, nb.id, overflow.data(), overflow.size(), prune);
-    back[0] = static_cast<std::uint32_t>(re_kept.size());
-    for (std::size_t i = 0; i < re_kept.size(); ++i) ids[i] = re_kept[i].id;
+    graph->SetList(layer, nb.id, NeighborIds{re_kept});
   }
 }
 
@@ -62,22 +64,26 @@ core::VectorId HnswIndex::DescendToLayer(DistanceComputer& dc,
     bool improved = true;
     while (improved) {
       improved = false;
-      // Prefetch-then-batch over the full neighbor list of the node we
-      // started this sweep from; the sequential scan below makes the greedy
-      // step (and the distance count) identical to the one-at-a-time loop.
-      const std::span<const VectorId> ids =
-          graph_.upper(layer).Neighbors(current);
+      // Decode-prefetch-then-batch over the full neighbor list of the node
+      // we started this sweep from; the sequential scan below makes the
+      // greedy step (and the distance count) identical to the
+      // one-at-a-time loop.
+      const core::PackedIds ids = graph_.upper(layer).Neighbors(current);
       const std::size_t degree = ids.size();
       constexpr std::size_t kChunk = DistanceComputer::kBatchChunk;
+      VectorId chunk[kChunk];
       float dist[kChunk];
       for (std::size_t i = 0; i < degree; i += kChunk) {
         const std::size_t m = std::min(kChunk, degree - i);
-        for (std::size_t j = 0; j < m; ++j) dc.Prefetch(ids[i + j]);
-        dc.ToQueryBatch(query, ids.data() + i, m, dist);
+        for (std::size_t j = 0; j < m; ++j) {
+          chunk[j] = ids[i + j];
+          dc.Prefetch(chunk[j]);
+        }
+        dc.ToQueryBatch(query, chunk, m, dist);
         for (std::size_t j = 0; j < m; ++j) {
           if (dist[j] < current_dist) {
             current_dist = dist[j];
-            current = ids[i + j];
+            current = chunk[j];
             improved = true;
           }
         }
@@ -171,6 +177,7 @@ BuildStats HnswIndex::BuildPrefix(const core::Dataset& data,
   inserted_ = 0;
 
   for (VectorId v = 0; v < count; ++v) InsertNode(dc, v);
+  graph_.TrimUpper();  // So index_bytes counts only resident lists.
 
   BuildStats stats;
   stats.elapsed_seconds = timer.Seconds();
@@ -225,7 +232,7 @@ SearchResult HnswIndex::SearchWith(const float* query,
   const VectorId node = DescendToLayer(dc, query, graph_.num_layers(), 0);
   std::vector<VectorId> seeds{node};
   if (graph_.num_layers() > 0) {
-    const std::span<const VectorId> ids = graph_.upper(1).Neighbors(node);
+    const core::PackedIds ids = graph_.upper(1).Neighbors(node);
     for (std::size_t i = 0; i < ids.size() && seeds.size() < params.num_seeds;
          ++i) {
       seeds.push_back(ids[i]);

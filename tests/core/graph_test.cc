@@ -101,10 +101,10 @@ std::vector<VectorId> ListOf(const FlatGraph& flat, VectorId v) {
   return ids;
 }
 
-/// The packed layout's exact footprint: n + 1 u64 offsets, then
+/// The packed layout's exact footprint: n + 1 u32 offsets, then
 /// ceil(edges * width / 64) words of ids and one spare word.
 std::size_t PackedBytes(std::size_t n, std::size_t edges, std::size_t width) {
-  return (n + 1) * sizeof(std::uint64_t) +
+  return (n + 1) * sizeof(std::uint32_t) +
          ((edges * width + 63) / 64 + 1) * sizeof(std::uint64_t);
 }
 
@@ -186,7 +186,7 @@ TEST(FlatGraphTest, ListEndingOnTheBlocksLastBit) {
   ExpectSameLists(graph, flat);
   EXPECT_EQ(flat.Degree(1), 0u);
   EXPECT_EQ(flat.Degree(last - 1), 0u);
-  EXPECT_EQ(flat.MemoryBytes(), (n + 1) * sizeof(std::uint64_t) +
+  EXPECT_EQ(flat.MemoryBytes(), (n + 1) * sizeof(std::uint32_t) +
                                     8 * sizeof(std::uint64_t));
 }
 
@@ -258,6 +258,168 @@ TEST(FlatGraphTest, PackerSkipsVerticesRefusesOverflowAndTrims) {
   EXPECT_EQ(flat.EdgeCount(), 6u);
   EXPECT_EQ(flat.MemoryBytes(), PackedBytes(300, 6, 9));
   EXPECT_EQ(flat.MemoryBytes(), FlatGraph::FromGraph(graph).MemoryBytes());
+}
+
+// The u32 offsets cap a FlatGraph at 2^32 - 1 edges; asking a Packer for
+// more aborts before anything is allocated.
+TEST(FlatGraphDeathTest, PackerRefusesMoreEdgesThanU32OffsetsCount) {
+  EXPECT_DEATH(FlatGraph::Packer(2, FlatGraph::kMaxEdges + 1),
+               "at most 2\\^32 - 1 edges");
+  const std::vector<std::uint64_t> offsets{0, FlatGraph::kMaxEdges + 1};
+  EXPECT_DEATH(FlatGraph{offsets}, "at most 2\\^32 - 1 edges");
+}
+
+std::vector<VectorId> ListOf(const PackedSlots& slots, std::size_t s) {
+  const PackedIds list = slots.Neighbors(s);
+  std::vector<VectorId> ids(list.size());
+  for (std::size_t i = 0; i < list.size(); ++i) ids[i] = list[i];
+  return ids;
+}
+
+// A slot is a bit_width(capacity)-bit degree and capacity ids, rounded up
+// to whole words: HNSW's layer 0 at M = 16 fills one cache line while ids
+// fit 15 bits and spills into a ninth word at 16.
+TEST(PackedSlotsTest, StrideAtTheWidthBoundaries) {
+  EXPECT_EQ(PackedSlots::StrideWords(32, std::size_t{1} << 15), 8u);
+  EXPECT_EQ(PackedSlots::StrideWords(32, (std::size_t{1} << 15) + 1), 9u);
+  EXPECT_EQ(PackedSlots::StrideWords(16, std::size_t{1} << 15), 4u);
+  EXPECT_EQ(PackedSlots::StrideWords(2, std::size_t{1} << 31), 1u);
+  const PackedSlots slots(3, 32, std::size_t{1} << 15);
+  EXPECT_EQ(slots.stride_words(), 8u);
+  EXPECT_EQ(slots.width(), 15u);
+  EXPECT_EQ(slots.size(), 3u);
+}
+
+TEST(PackedSlotsTest, EmptyAndFullSlots) {
+  const std::size_t range = std::size_t{1} << 15;
+  PackedSlots slots(4, 32, range);
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(slots.Degree(s), 0u);
+    EXPECT_EQ(slots.Neighbors(s).size(), 0u);
+  }
+  std::vector<VectorId> full(32);
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    full[i] = static_cast<VectorId>(range - 1 - i * 131);
+  }
+  slots.SetList(1, full);
+  EXPECT_EQ(slots.Degree(1), 32u);
+  EXPECT_EQ(ListOf(slots, 1), full);
+  EXPECT_EQ(slots.Degree(0), 0u);
+  EXPECT_EQ(slots.Degree(2), 0u);
+  slots.SetList(1, std::vector<VectorId>{});
+  EXPECT_EQ(slots.Degree(1), 0u);
+}
+
+// SetList rewrites the whole slot, so an id of the longer list it replaced
+// never resurfaces: not when the list is read, nor once appends reach the
+// positions the old ids held.
+TEST(PackedSlotsTest, ShorterListLeavesNoStaleId) {
+  PackedSlots slots(2, 16, 1000);
+  slots.SetList(0, std::vector<VectorId>(16, 999));
+  slots.SetList(0, std::vector<VectorId>{3, 5});
+  EXPECT_EQ(ListOf(slots, 0), (std::vector<VectorId>{3, 5}));
+  ASSERT_TRUE(slots.Append(0, 0));
+  ASSERT_TRUE(slots.Append(0, 7));
+  EXPECT_EQ(ListOf(slots, 0), (std::vector<VectorId>{3, 5, 0, 7}));
+  slots.SetList(0, std::vector<VectorId>{});
+  for (std::size_t i = 0; i < 16; ++i) ASSERT_TRUE(slots.Append(0, 0));
+  EXPECT_EQ(ListOf(slots, 0), std::vector<VectorId>(16, 0));
+}
+
+TEST(PackedSlotsTest, AppendToAFullSlotIsRefused) {
+  PackedSlots slots(2, 3, 100);
+  EXPECT_TRUE(slots.Append(1, 10));
+  EXPECT_TRUE(slots.Append(1, 99));
+  EXPECT_TRUE(slots.Append(1, 0));
+  EXPECT_FALSE(slots.Append(1, 42));
+  EXPECT_EQ(ListOf(slots, 1), (std::vector<VectorId>{10, 99, 0}));
+  EXPECT_EQ(slots.Degree(0), 0u);
+  slots.Set(1, 1, 55);
+  EXPECT_EQ(ListOf(slots, 1), (std::vector<VectorId>{10, 55, 0}));
+}
+
+// Capacity 2 at 31-bit ids fills each one-word slot to its last bit, so
+// the last id of the last slot ends on the block's last bit: decoding it
+// and writing it read and rewrite bytes of the spare word (which ASan
+// checks is allocated).
+TEST(PackedSlotsTest, LastIdOfTheLastSlotEndsTheBlock) {
+  const std::size_t range = std::size_t{1} << 31;
+  PackedSlots slots(3, 2, range);
+  ASSERT_EQ(slots.stride_words(), 1u);
+  const VectorId last = static_cast<VectorId>(range - 1);
+  for (std::size_t s = 0; s < 3; ++s) {
+    slots.SetList(s, std::vector<VectorId>{last, last - 1});
+  }
+  EXPECT_EQ(ListOf(slots, 2), (std::vector<VectorId>{last, last - 1}));
+  slots.Set(2, 1, 0);
+  slots.SetList(1, std::vector<VectorId>{last});
+  ASSERT_TRUE(slots.Append(1, 1));
+  EXPECT_EQ(ListOf(slots, 0), (std::vector<VectorId>{last, last - 1}));
+  EXPECT_EQ(ListOf(slots, 1), (std::vector<VectorId>{last, 1}));
+  EXPECT_EQ(ListOf(slots, 2), (std::vector<VectorId>{last, 0}));
+}
+
+// MemoryBytes is the whole block: slots of stride_words() words and the
+// one spare word, 64-byte aligned, and nothing for an empty PackedSlots.
+TEST(PackedSlotsTest, MemoryBytesFormula) {
+  EXPECT_EQ(PackedSlots().MemoryBytes(), 0u);
+  PackedSlots slots(10, 32, 20000);
+  EXPECT_EQ(slots.MemoryBytes(), 8u * (10 * 8 + 1));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(slots.Neighbors(0).data()) %
+                64,
+            0u);
+  PackedSlots upper(0, 16, 20000);
+  EXPECT_EQ(upper.MemoryBytes(), 8u);
+  for (int i = 0; i < 7; ++i) upper.AddSlots(3);
+  upper.ShrinkToFit();
+  EXPECT_EQ(upper.size(), 21u);
+  EXPECT_EQ(upper.MemoryBytes(), 8u * (21 * 4 + 1));
+}
+
+// A seeded mix of whole-list writes, appends (refused once full) and
+// single-id overwrites, across slots grown in batches, always reads back
+// as the same operations on vectors.
+TEST(PackedSlotsTest, RandomOperationsMatchAReference) {
+  Rng rng(29);
+  const std::size_t capacity = 20;
+  const std::size_t range = 5000;  // 13-bit ids, straddling bytes.
+  PackedSlots slots(50, capacity, range);
+  std::vector<std::vector<VectorId>> reference(50);
+  auto random_id = [&] { return static_cast<VectorId>(rng.UniformInt(range)); };
+  for (int op = 0; op < 20000; ++op) {
+    if (op % 2500 == 0) {
+      slots.AddSlots(5);
+      reference.resize(reference.size() + 5);
+    }
+    const std::size_t s = rng.UniformInt(reference.size());
+    std::vector<VectorId>& list = reference[s];
+    switch (rng.UniformInt(3)) {
+      case 0: {
+        list.resize(rng.UniformInt(capacity + 1));
+        for (VectorId& id : list) id = random_id();
+        slots.SetList(s, list);
+        break;
+      }
+      case 1: {
+        const VectorId id = random_id();
+        const bool fits = list.size() < capacity;
+        ASSERT_EQ(slots.Append(s, id), fits) << "op " << op;
+        if (fits) list.push_back(id);
+        break;
+      }
+      default: {
+        if (list.empty()) break;
+        const std::size_t i = rng.UniformInt(list.size());
+        list[i] = random_id();
+        slots.Set(s, i, list[i]);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(slots.size(), reference.size());
+  for (std::size_t s = 0; s < reference.size(); ++s) {
+    EXPECT_EQ(ListOf(slots, s), reference[s]) << "slot " << s;
+  }
 }
 
 }  // namespace

@@ -206,10 +206,11 @@ TEST(HnswTest, SealedSearchMatchesSlotSearch) {
 }
 
 // IndexBytes() of a built or loaded index is exactly its resident sealed
-// form: the CSR layer 0 (n + 1 u64 offsets and one u32 per edge), one
-// (M + 1)-word slot per upper-layer membership, and the two per-vertex
-// tables. That is far below the n (2M + 1)-word slot array the build
-// used, which peak_bytes still counts beside the sealed copy.
+// form: the CSR layer 0 (n + 1 u32 offsets and the bit-packed ids), one
+// packed M-id slot per upper-layer membership, and the two per-vertex
+// tables. That is far below the n packed 2M-id slots the build used,
+// which peak_bytes still counts beside the sealed copy, and which
+// BuildPrefix's index_bytes counts exactly.
 TEST(HnswTest, IndexBytesCountsTheSealedForm) {
   const Dataset data = PinnedData();
   const HnswParams params = PinnedParams();
@@ -224,20 +225,34 @@ TEST(HnswTest, IndexBytesCountsTheSealedForm) {
   for (VectorId v = 0; v < n; ++v) {
     upper_slots += built.layered_graph().level(v);
   }
-  // The sealed layer 0: n + 1 u64 offsets, then the ids bit-packed at
-  // bit_width(n - 1) bits into whole u64 words, plus one spare word.
+  // Upper slots: a bit_width(M)-bit degree and M ids of bit_width(n - 1)
+  // bits, rounded up to whole u64 words, in one block with a spare word.
   const std::size_t width = static_cast<std::size_t>(std::bit_width(n - 1));
+  const std::size_t upper_stride =
+      (std::bit_width(params.m) + params.m * width + 63) / 64;
+  const std::size_t upper_bytes =
+      (upper_slots * upper_stride + 1) * sizeof(std::uint64_t);
+  const std::size_t table_bytes = 2 * n * sizeof(std::uint32_t);
+  // The sealed layer 0: n + 1 u32 offsets, then the ids bit-packed at
+  // bit_width(n - 1) bits into whole u64 words, plus one spare word.
   const std::size_t id_bits = built.graph().EdgeCount() * width;
-  const std::size_t csr_bytes = (n + 1) * sizeof(std::uint64_t) +
+  const std::size_t csr_bytes = (n + 1) * sizeof(std::uint32_t) +
                                 ((id_bits + 63) / 64 + 1) *
                                     sizeof(std::uint64_t);
-  const std::size_t expected =
-      csr_bytes + upper_slots * (params.m + 1) * sizeof(std::uint32_t) +
-      2 * n * sizeof(std::uint32_t);
+  const std::size_t expected = csr_bytes + upper_bytes + table_bytes;
   EXPECT_EQ(built.IndexBytes(), expected);
   EXPECT_EQ(stats.index_bytes, expected);
-  EXPECT_LT(built.IndexBytes(), n * (2 * params.m + 1) * sizeof(std::uint32_t));
-  EXPECT_EQ(stats.peak_bytes, prefix_stats.index_bytes + csr_bytes);
+
+  // The slot form: n layer-0 slots of the same packing at capacity 2M.
+  const std::size_t base_stride =
+      (std::bit_width(2 * params.m) + 2 * params.m * width + 63) / 64;
+  const std::size_t slot_bytes =
+      (n * base_stride + 1) * sizeof(std::uint64_t) + upper_bytes +
+      table_bytes;
+  EXPECT_EQ(prefix_stats.index_bytes, slot_bytes);
+  EXPECT_EQ(slots.IndexBytes(), slot_bytes);
+  EXPECT_LT(built.IndexBytes(), slot_bytes);
+  EXPECT_EQ(stats.peak_bytes, slot_bytes + csr_bytes);
 
   io::SnapshotReader image;
   ASSERT_TRUE(SnapshotImage(built, &image).ok());

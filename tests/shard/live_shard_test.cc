@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -328,6 +329,43 @@ TEST(LiveShardTest, ReplicasAreUnsealedAfterBuildAndLoad) {
           << "shard " << s << " replica " << r;
     }
   }
+}
+
+// A live index's footprint is exact: per replica, n packed layer-0 slots
+// over its whole arena (a bit_width(2M)-bit degree and 2M ids of
+// bit_width(n - 1) bits in whole u64 words, plus a spare word), the packed
+// M-id upper slots and two u32 tables; per shard its global ids; and the
+// centroids and the owner table. bench/e2e's `deep-live` index_mib is this
+// number.
+TEST(LiveShardTest, IndexBytesCountsThePackedSlots) {
+  const core::Dataset base = testing::SmallClustered(kBaseN, kDim, 60);
+  LiveShardedOptions options = ShardOptions(40);
+  options.replicas = 2;
+  std::unique_ptr<LiveShardedIndex> live = BuildLive(options, base);
+  const std::size_t m = options.hnsw.m;
+
+  std::size_t expected = kShards * kDim * sizeof(float) +
+                         (kBaseN + kShards * 40) * sizeof(std::uint32_t);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const std::size_t n = live->shard_global_ids(s).size() + 40;
+    const std::size_t width = static_cast<std::size_t>(std::bit_width(n - 1));
+    const std::size_t base_stride =
+        (std::bit_width(2 * m) + 2 * m * width + 63) / 64;
+    const std::size_t upper_stride =
+        (std::bit_width(m) + m * width + 63) / 64;
+    for (std::size_t r = 0; r < options.replicas; ++r) {
+      const methods::HnswGraph& graph =
+          live->shard_replica(s, r).layered_graph();
+      ASSERT_EQ(graph.size(), n);
+      std::size_t upper_slots = 0;
+      for (core::VectorId v = 0; v < n; ++v) upper_slots += graph.level(v);
+      expected += (n * base_stride + 1) * sizeof(std::uint64_t) +
+                  (upper_slots * upper_stride + 1) * sizeof(std::uint64_t) +
+                  2 * n * sizeof(std::uint32_t);
+    }
+    expected += live->shard_global_ids(s).size() * sizeof(core::VectorId);
+  }
+  EXPECT_EQ(live->IndexBytes(), expected);
 }
 
 // A checkpoint of the retired single-HNSW live layout cannot be replayed
