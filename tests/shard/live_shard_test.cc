@@ -6,6 +6,8 @@
 
 #include "shard/live_sharded_index.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -42,7 +44,9 @@ constexpr std::size_t kDim = 8;
 constexpr std::size_t kShards = 3;
 
 std::string TempDirFor(const char* name) {
-  const std::string dir = std::string(::testing::TempDir()) + "/" + name;
+  // Process-unique: the forced-scalar ctest variant runs concurrently.
+  const std::string dir = std::string(::testing::TempDir()) + "/" + name +
+                          "_" + std::to_string(::getpid());
   EXPECT_TRUE(io::CreateDirectory(dir).ok());
   return dir;
 }
@@ -366,6 +370,44 @@ TEST(LiveShardTest, IndexBytesCountsThePackedSlots) {
     expected += live->shard_global_ids(s).size() * sizeof(core::VectorId);
   }
   EXPECT_EQ(live->IndexBytes(), expected);
+}
+
+// Pinned outputs of one K=2, R=2 live index: the XXH64 of its checkpoint
+// sections after a few inserts, and the footprint and build distances of
+// the fresh build. A change that alters how shards are partitioned, built,
+// copied to replicas, grown or checkpointed moves one of them. Distances
+// are bit-identical across SIMD levels, so the pins hold under
+// forced-scalar kernels too.
+constexpr std::uint64_t kPinnedCheckpointHash = 0x94620307e6461bdeULL;
+constexpr std::size_t kPinnedIndexBytes = 11744;
+constexpr std::uint64_t kPinnedBuildDistances = 7607;
+
+TEST(LiveShardTest, CheckpointMatchesPinnedHash) {
+  const core::Dataset base = testing::SmallClustered(kBaseN, kDim, 61);
+  LiveShardedOptions options = ShardOptions(16);
+  options.num_shards = 2;
+  options.replicas = 2;
+  LiveShardedIndex live(options);
+  EXPECT_EQ(live.Build(base).distance_computations, kPinnedBuildDistances);
+  EXPECT_EQ(live.IndexBytes(), kPinnedIndexBytes);
+
+  core::Rng rng(62);
+  std::vector<float> vec(kDim);
+  for (std::size_t i = 0; i < 6; ++i) {
+    const float* row = base.Row(rng.UniformInt(kBaseN));
+    for (std::size_t d = 0; d < kDim; ++d) {
+      vec[d] = row[d] + rng.UniformFloat(-0.05F, 0.05F);
+    }
+    const auto id = static_cast<core::VectorId>(live.next_id());
+    ASSERT_TRUE(
+        live.ApplyInsert(live.RouteInsert(vec.data()), id, vec.data()).ok());
+  }
+  io::SnapshotWriter writer(live.MethodName(), live.ParamsFingerprint(),
+                            live.next_id(), live.dim());
+  ASSERT_TRUE(live.SaveSections(&writer).ok());
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(writer.ToBytes(&bytes).ok());
+  EXPECT_EQ(io::Hash64(bytes.data(), bytes.size()), kPinnedCheckpointHash);
 }
 
 // A checkpoint of the retired single-HNSW live layout cannot be replayed

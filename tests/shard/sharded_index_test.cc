@@ -6,13 +6,21 @@
 //     only valid, correctly-priced ids — never garbage;
 //   - parallel and hedged fan-out return exactly what caller-thread
 //     fan-out returns, work counters included;
-//   - probe counters and EffectiveNprobe clamping.
+//   - probe counters and EffectiveNprobe clamping;
+//   - a pinned K=3, R=2 build: its snapshot files, footprint and build
+//     distances.
 
 #include "shard/sharded_index.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +29,7 @@
 #include "../test_util.h"
 #include "core/deadline.h"
 #include "core/distance.h"
+#include "io/hash.h"
 #include "methods/factory.h"
 
 namespace gass::shard {
@@ -355,6 +364,50 @@ TEST(ShardedIndexTest, BuildStatsAccountForShardsAndRouting) {
     slowest = std::max(slowest, seconds);
   }
   EXPECT_LE(sharded.partition_seconds() + slowest, stats.elapsed_seconds);
+}
+
+// Pinned outputs of one K=3, R=2 k-means build: the XXH64 of the manifest
+// and of every shard file SaveSnapshot writes, the footprint, and the build
+// distances (partitioning included). A change that alters how shards are
+// partitioned, built, copied to replicas or saved moves one of them.
+// Distances are bit-identical across SIMD levels, so the pins hold under
+// forced-scalar kernels too.
+constexpr std::uint64_t kPinnedManifestHash = 0xc1027fbbafff0c0aULL;
+constexpr std::uint64_t kPinnedShardHashes[] = {
+    0x5765f8a2d379be9dULL, 0x76d7c13699a1e83cULL, 0x4fc5314b37cd44cdULL};
+constexpr std::size_t kPinnedIndexBytes = 34936;
+constexpr std::uint64_t kPinnedBuildDistances = 148761;
+
+std::uint64_t FileHash(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  EXPECT_FALSE(bytes.empty()) << path;
+  return io::Hash64(bytes.data(), bytes.size());
+}
+
+TEST(ShardedIndexTest, SnapshotMatchesPinnedHashes) {
+  const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
+  ShardedIndexOptions options =
+      MakeOptions("hnsw", 3, PartitionerKind::kKMeans);
+  options.replicas = 2;
+  ShardedIndex sharded(options);
+  const methods::BuildStats stats = sharded.Build(data);
+  EXPECT_EQ(stats.distance_computations, kPinnedBuildDistances);
+  EXPECT_EQ(sharded.IndexBytes(), kPinnedIndexBytes);
+
+  // Process-unique: the forced-scalar ctest variant runs concurrently.
+  const std::string path = std::string(::testing::TempDir()) +
+                           "/sharded_pin_" + std::to_string(::getpid()) +
+                           ".gass";
+  ASSERT_TRUE(sharded.SaveSnapshot(path).ok());
+  EXPECT_EQ(FileHash(path), kPinnedManifestHash);
+  std::remove(path.c_str());
+  for (std::size_t s = 0; s < 3; ++s) {
+    const std::string shard_path = ShardedIndex::ShardPath(path, s);
+    EXPECT_EQ(FileHash(shard_path), kPinnedShardHashes[s]) << "shard " << s;
+    std::remove(shard_path.c_str());
+  }
 }
 
 }  // namespace
