@@ -16,6 +16,7 @@
 #include "obs/trace.h"
 #include "serve/fault_injector.h"
 #include "shard/replica_set.h"
+#include "shard/shard_set.h"
 
 namespace gass::shard {
 
@@ -82,16 +83,13 @@ struct FanOut::State {
   std::atomic<std::size_t> unresolved{0};
 };
 
-FanOut::FanOut(std::size_t num_shards, std::size_t num_replicas,
-               std::size_t max_shard_size, const ShardBreakerOptions& breaker,
-               std::size_t threads, Stragglers stragglers,
-               ReplicaSearch search, IdTable ids)
-    : num_shards_(num_shards),
-      num_replicas_(num_replicas),
-      max_shard_size_(max_shard_size),
+FanOut::FanOut(const ShardSet& shards, const ShardBreakerOptions& breaker,
+               std::size_t threads, Stragglers stragglers)
+    : shards_(shards),
+      num_shards_(shards.num_shards()),
+      num_replicas_(shards.num_replicas()),
+      max_shard_size_(shards.MaxRows()),
       stragglers_(stragglers),
-      search_(std::move(search)),
-      ids_(std::move(ids)),
       health_(std::make_unique<ShardHealthTable>(num_shards_, num_replicas_,
                                                  breaker)),
       probe_counts_(  // Value-initialized: every counter starts at 0.
@@ -111,9 +109,7 @@ void FanOut::SetBreakerOptions(const ShardBreakerOptions& breaker) {
                                                breaker);
 }
 
-methods::SearchResult FanOut::Search(const float* query,
-                                     const core::Dataset& centroids,
-                                     std::size_t nprobe,
+methods::SearchResult FanOut::Search(const float* query, std::size_t nprobe,
                                      const methods::SearchParams& params,
                                      core::Rng* rng, double hedge_fraction,
                                      serve::FaultInjector* faults) const {
@@ -126,6 +122,7 @@ methods::SearchResult FanOut::Search(const float* query,
       "only a draining fan-out filters tombstones");
   core::Timer timer;
   obs::QueryTrace* trace = params.trace;
+  const core::Dataset& centroids = shards_.centroids();
   const std::size_t dim = centroids.dim();
 
   // --- Route ---
@@ -147,7 +144,7 @@ methods::SearchResult FanOut::Search(const float* query,
   std::size_t breaker_skips = 0;
   for (std::size_t i = 0; i < num_shards_ && n + empty < nprobe; ++i) {
     const std::uint32_t s = ranked[i].second;
-    if (ids_(s).empty()) {
+    if (shards_.ids(s).empty()) {
       ++empty;
       continue;
     }
@@ -323,7 +320,7 @@ methods::SearchResult FanOut::Search(const float* query,
            .hops = sub.hops,
            .prefetches = sub.prefetches});
     }
-    const std::vector<core::VectorId>& global = ids_(slot.shard);
+    const std::vector<core::VectorId>& global = shards_.ids(slot.shard);
     for (const core::Neighbor& nb : att.result.neighbors) {
       merged.neighbors.emplace_back(global[nb.id], nb.distance);
     }
@@ -395,7 +392,7 @@ void FanOut::RunAttempt(State& state, std::size_t idx, int attempt) const {
     const std::uint64_t seed = state.query_seed ^ (kSeedMix * (idx + 1));
     const std::uint64_t id = state.params.admission_id;
     methods::SearchParams params = state.params;
-    params.global_ids = ids_(s).data();
+    params.global_ids = shards_.ids(s).data();
     for (;;) {
       tried[r] = true;
       if (state.faults != nullptr) {
@@ -411,7 +408,8 @@ void FanOut::RunAttempt(State& state, std::size_t idx, int attempt) const {
         }
         methods::SearchContext& ctx = ThreadContext(max_shard_size_);
         ctx.rng = core::Rng(seed);
-        att.result = search_(s, r, state.query.data(), params, &ctx);
+        att.result =
+            shards_.replicas(s).Search(r, state.query.data(), params, &ctx);
         att.ok = true;
       } catch (...) {
         att.ok = false;

@@ -1,9 +1,9 @@
 // FanOut: the one query fan-out engine behind both sharded indexes
-// (shard::ShardedIndex and shard::LiveShardedIndex). Each index supplies
-// a replica-search callback and its per-shard id tables; the engine owns
-// everything else: the fan-out pool, the per-shard probe counters, and the
-// per-(shard, replica) breakers. Each thread that runs a sub-search keeps
-// one reused sub-search context (see RunAttempt).
+// (shard::ShardedIndex and shard::LiveShardedIndex). It reads the shards
+// straight from their shard::ShardSet (centroids, id tables, replicas),
+// which owns it, and owns the rest: the fan-out pool, the per-shard probe
+// counters, and the per-(shard, replica) breakers. Each thread that runs a
+// sub-search keeps one reused sub-search context (see RunAttempt).
 //
 // A query runs in three steps:
 //
@@ -55,11 +55,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "core/dataset.h"
 #include "core/rng.h"
 #include "core/thread_pool.h"
 #include "methods/graph_index.h"
@@ -71,19 +69,10 @@ class FaultInjector;
 
 namespace gass::shard {
 
+class ShardSet;
+
 class FanOut {
  public:
-  /// Searches replica `r` of shard `s`; throws on failure. Runs on the
-  /// caller thread or a pool worker, possibly after the query returned (an
-  /// abandoned straggler), so it may touch only state that outlives the
-  /// engine.
-  using ReplicaSearch = std::function<methods::SearchResult(
-      std::uint32_t s, std::uint32_t r, const float* query,
-      const methods::SearchParams& params, methods::SearchContext* ctx)>;
-  /// Shard `s`'s id table: element `local` is that row's global id.
-  using IdTable =
-      std::function<const std::vector<core::VectorId>&(std::uint32_t s)>;
-
   /// What Search does with sub-searches still running at the deadline.
   /// Fixed by each index at construction, never a user option.
   enum class Stragglers {
@@ -97,13 +86,11 @@ class FanOut {
     kDrain,
   };
 
-  /// `num_replicas` and `max_shard_size` (the smallest size of each
-  /// thread's sub-search context) are >= 1; `threads` = 0 runs every
-  /// attempt inline on the caller thread.
-  FanOut(std::size_t num_shards, std::size_t num_replicas,
-         std::size_t max_shard_size, const ShardBreakerOptions& breaker,
-         std::size_t threads, Stragglers stragglers, ReplicaSearch search,
-         IdTable ids);
+  /// Fans out over `shards`, which must outlive the engine (it owns it)
+  /// and keep its shape; `threads` = 0 runs every attempt inline on the
+  /// caller thread.
+  FanOut(const ShardSet& shards, const ShardBreakerOptions& breaker,
+         std::size_t threads, Stragglers stragglers);
 
   FanOut(const FanOut&) = delete;
   FanOut& operator=(const FanOut&) = delete;
@@ -112,9 +99,7 @@ class FanOut {
   /// query-seed draw; `hedge_fraction` > 0 enables hedging when a pool and
   /// a deadline exist (kAbandon only); `faults` (nullable) drives injected
   /// shard faults.
-  methods::SearchResult Search(const float* query,
-                               const core::Dataset& centroids,
-                               std::size_t nprobe,
+  methods::SearchResult Search(const float* query, std::size_t nprobe,
                                const methods::SearchParams& params,
                                core::Rng* rng, double hedge_fraction,
                                serve::FaultInjector* faults) const;
@@ -149,12 +134,13 @@ class FanOut {
   std::uint32_t NextRoutable(std::uint32_t s, std::uint32_t from,
                              std::vector<bool>* tried) const;
 
+  const ShardSet& shards_;
   std::size_t num_shards_;
   std::size_t num_replicas_;
+  /// Largest row block: the smallest size of each thread's sub-search
+  /// context.
   std::size_t max_shard_size_;
   Stragglers stragglers_;
-  ReplicaSearch search_;
-  IdTable ids_;
   std::unique_ptr<ShardHealthTable> health_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> probe_counts_;
   /// Declared last, so it is destroyed first: the pool's shutdown drains

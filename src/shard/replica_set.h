@@ -2,11 +2,10 @@
 // replica-level primitives the replicated serve path is built from.
 //
 // Replication here leans on a property most systems have to pay quorums
-// for: every replica of shard s is a copy of one build (made with the
-// derived seed ShardedIndex::SubIndexSeed and copied through an in-memory
-// snapshot image), so replicas are bit-identical by construction — the
-// same graph, the same neighbor order, the same answers. That buys three
-// things:
+// for: every replica of shard s is a copy of one build (ShardSet builds
+// replica 0 and copies it through an in-memory snapshot image), so
+// replicas are bit-identical by construction — the same graph, the same
+// neighbor order, the same answers. That buys three things:
 //
 //   * Failover is free of consistency questions. Any replica answers any
 //     query identically, so health-aware routing (PickReplica) and
@@ -15,15 +14,14 @@
 //     whole serialized state into one XXH64 value; a replica whose digest
 //     diverges from the shard majority (MajorityDigest) has been corrupted
 //     — there is no legitimate divergence to distinguish from.
-//   * Copies replace builds. ShardedIndex builds each shard once and
-//     copies it to the other replicas, and a quarantined replica is
-//     restored from any healthy peer's in-memory snapshot image (or the
-//     shard snapshot), swapped in under the replica's writer lock while
-//     searches continue on the other replicas.
+//   * Copies replace builds. A shard builds once and is copied to its
+//     other replicas, and ShardedIndex restores a quarantined replica from
+//     any healthy peer's in-memory snapshot image (or the shard snapshot),
+//     swapped in under the replica's writer lock while searches continue
+//     on the other replicas.
 //
-// Thread-safety: each replica slot has its own shared_mutex. Search() and
-// Digest() hold it shared; SwapIn() holds it exclusive. Set() is
-// init-time only (no locking; callers serialize construction).
+// Thread-safety: each replica slot has its own shared_mutex. Search(),
+// Digest() and Image() hold it shared; SwapIn() holds it exclusive.
 
 #ifndef GASS_SHARD_REPLICA_SET_H_
 #define GASS_SHARD_REPLICA_SET_H_
@@ -87,16 +85,15 @@ class ReplicaSet {
 
   std::size_t size() const { return replicas_.size(); }
 
-  /// Installs a freshly built replica (init-time; not thread-safe).
-  void Set(std::size_t r, std::unique_ptr<methods::GraphIndex> index) {
-    replicas_[r] = std::move(index);
-  }
-
-  /// The replica itself (valid once Set; callers must not mutate it while
-  /// searches run — rebuilds go through SwapIn).
+  /// The replica itself (valid once installed; callers must not mutate it
+  /// while searches run — rebuilds go through SwapIn).
   const methods::GraphIndex& replica(std::size_t r) const {
     return *replicas_[r];
   }
+
+  /// The replica, for in-place updates: the caller keeps searches out
+  /// while it mutates (a live index under the updater's search lock).
+  methods::GraphIndex& mutable_replica(std::size_t r) { return *replicas_[r]; }
 
   /// Searches replica `r` under its reader lock.
   methods::SearchResult Search(std::size_t r, const float* query,
@@ -120,7 +117,7 @@ class ReplicaSet {
     return methods::SnapshotImage(*replicas_[r], out);
   }
 
-  /// Swaps a fresh sub-index into slot `r` under its writer lock;
+  /// Installs a fresh sub-index in slot `r` under its writer lock;
   /// in-flight searches on the old replica finish first (they hold the
   /// reader side), searches on other replicas are unaffected.
   void SwapIn(std::size_t r, std::unique_ptr<methods::GraphIndex> fresh) {

@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "core/macros.h"
-#include "core/stats.h"
-#include "core/thread_pool.h"
 #include "io/hash.h"
 #include "io/serialize.h"
 #include "io/snapshot.h"
@@ -64,6 +62,16 @@ bool IsKnownMethod(const std::string& name) {
   return false;
 }
 
+/// Decodes the manifest's construction fields (method and partitioner).
+void DecodeManifestHead(io::Decoder* dec, ShardedIndexOptions* options) {
+  dec->Str(&options->method, io::kMaxMethodName);
+  options->partitioner.kind = static_cast<PartitionerKind>(dec->U8());
+  options->partitioner.num_shards = dec->U64();
+  options->partitioner.kmeans_sample = dec->U64();
+  options->partitioner.kmeans_iters = dec->U64();
+  options->partitioner.balance_slack = dec->F64();
+}
+
 }  // namespace
 
 bool IsShardedSnapshotMethod(const std::string& method) {
@@ -71,18 +79,20 @@ bool IsShardedSnapshotMethod(const std::string& method) {
 }
 
 ShardedIndex::ShardedIndex(const ShardedIndexOptions& options)
-    : options_(options), serial_rng_(options.seed) {
+    : ShardSet(options.seed), options_(options) {
   GASS_CHECK_MSG(IsKnownMethod(options_.method),
                  "unknown sub-index method '%s'", options_.method.c_str());
   GASS_CHECK_MSG(options_.partitioner.num_shards >= 1,
                  "num_shards must be >= 1");
+  SetNprobe(options_.nprobe);
+  SetHedgeFraction(options_.hedge_fraction);
 }
 
 ShardedIndex::~ShardedIndex() {
-  // Background reloads and abandoned fan-out stragglers both touch shards_
-  // and the breakers: drain them while every member is still alive.
+  // Background reloads touch the shards and the breakers: drain them while
+  // every member is still alive. The ShardSet then drains abandoned
+  // fan-out stragglers before it releases anything they read.
   WaitForReloads();
-  fan_out_.reset();
 }
 
 std::string ShardedIndex::Name() const {
@@ -124,210 +134,68 @@ std::uint64_t ShardedIndex::ParamsFingerprint() const {
   return methods::FingerprintBytes(enc);
 }
 
+std::unique_ptr<methods::GraphIndex> ShardedIndex::MakeShard(
+    std::size_t s) const {
+  return methods::CreateIndex(options_.method, SubIndexSeed(options_.seed, s));
+}
+
+methods::BuildStats ShardedIndex::BuildShard(methods::GraphIndex& index,
+                                             const core::Dataset& rows,
+                                             std::size_t /*base_rows*/) const {
+  return index.Build(rows);
+}
+
 methods::BuildStats ShardedIndex::Build(const core::Dataset& data) {
-  GASS_CHECK_MSG(shards_.empty(), "ShardedIndex::Build called twice");
-  core::Timer timer;
-  partitioning_ = Partition(data, options_.partitioner, options_.seed);
-  partition_seconds_ = timer.Seconds();
-  const std::size_t k = partitioning_.num_shards();
-  const std::size_t replicas = options_.replicas == 0 ? 1 : options_.replicas;
-  shard_data_.resize(k);
-  shards_.clear();
-  shards_.reserve(k);
-  for (std::size_t s = 0; s < k; ++s) shards_.emplace_back(replicas);
-  shard_build_seconds_.assign(k, 0.0);
-  std::vector<double> materialize_seconds(k, 0.0);
-  std::vector<methods::BuildStats> sub_stats(k);
-  {
-    // Shard builds are independent, so they simply fan out on a pool; a
-    // failing build (e.g. std::bad_alloc) surfaces here via Wait()'s
-    // exception propagation instead of taking the process down. Two
-    // phases: every shard's rows materialize first, then every shard
-    // builds once and copies that build to its other replicas through an
-    // in-memory snapshot image — bit-identical by construction, at the
-    // cost of a serialize and R-1 validated loads instead of R-1 builds.
-    core::ThreadPool pool(options_.build_threads);
-    for (std::size_t s = 0; s < k; ++s) {
-      const bool accepted =
-          pool.Submit([this, &data, &materialize_seconds, s] {
-            core::Timer mat_timer;
-            shard_data_[s] = partitioning_.ShardView(data, s).Materialize();
-            materialize_seconds[s] = mat_timer.Seconds();
-          });
-      GASS_CHECK(accepted);
-    }
-    pool.Wait();
-    for (std::size_t s = 0; s < k; ++s) {
-      const bool accepted = pool.Submit([this, &sub_stats, s, replicas] {
-        core::Timer shard_timer;
-        std::unique_ptr<methods::GraphIndex> index = methods::CreateIndex(
-            options_.method, SubIndexSeed(options_.seed, s));
-        sub_stats[s] = index->Build(shard_data_[s]);
-        if (replicas > 1) {
-          io::SnapshotReader image;
-          core::Status status = methods::SnapshotImage(*index, &image);
-          for (std::size_t r = 1; r < replicas && status.ok(); ++r) {
-            std::unique_ptr<methods::GraphIndex> copy;
-            status = AttachReplica(s, image, &copy);
-            shards_[s].Set(r, std::move(copy));
-          }
-          GASS_CHECK_MSG(status.ok(), "copying shard %zu to its replicas: %s",
-                         s, status.message().c_str());
-        }
-        shards_[s].Set(0, std::move(index));
-        shard_build_seconds_[s] = shard_timer.Seconds();
-      });
-      GASS_CHECK(accepted);
-    }
-    pool.Wait();
-  }
-  // The shard's critical-path time: materialization plus its build and
-  // replica copies.
-  for (std::size_t s = 0; s < k; ++s) {
-    shard_build_seconds_[s] += materialize_seconds[s];
-  }
-  FinishInit(data);
-
-  methods::BuildStats out;
-  out.distance_computations = partitioning_.distance_computations;
-  for (const methods::BuildStats& s : sub_stats) {
-    out.distance_computations += s.distance_computations;
-    // Shard builds overlap in time, so the transient peaks can coexist;
-    // summing is the conservative bound.
-    out.peak_bytes += s.peak_bytes;
-  }
-  for (const core::Dataset& d : shard_data_) out.peak_bytes += d.SizeBytes();
-  out.index_bytes = IndexBytes();
-  out.elapsed_seconds = timer.Seconds();
-  return out;
+  const methods::BuildStats stats =
+      BuildShards(data, options_.partitioner, /*reserve=*/0, options_.replicas,
+                  options_.build_threads);
+  FinishInit();
+  return stats;
 }
 
-void ShardedIndex::FinishInit(const core::Dataset& data) {
-  WaitForReloads();
-  data_ = &data;
-  num_replicas_ = options_.replicas == 0 ? 1 : options_.replicas;
-  std::size_t max_shard_size = 1;
-  for (const core::Dataset& d : shard_data_) {
-    max_shard_size = std::max(max_shard_size, d.size());
-  }
-  serial_rng_ = core::Rng(options_.seed);
-  fan_out_ = std::make_unique<FanOut>(
-      shards_.size(), num_replicas_, max_shard_size, options_.breaker,
-      options_.fanout_threads, FanOut::Stragglers::kAbandon,
-      [this](std::uint32_t s, std::uint32_t r, const float* query,
-             const methods::SearchParams& params,
-             methods::SearchContext* ctx) {
-        return shards_[s].Search(r, query, params, ctx);
-      },
-      [this](std::uint32_t s) -> const std::vector<core::VectorId>& {
-        return partitioning_.shard_ids[s];
-      });
-  {
-    std::lock_guard<std::mutex> lock(reload_mutex_);
-    reload_inflight_.assign(shards_.size(), 0);
-  }
-}
-
-core::Status ShardedIndex::AttachReplica(
-    std::size_t s, const io::SnapshotReader& image,
-    std::unique_ptr<methods::GraphIndex>* out) const {
-  std::unique_ptr<methods::GraphIndex> fresh =
-      methods::CreateIndex(options_.method, SubIndexSeed(options_.seed, s));
-  GASS_RETURN_IF_ERROR(
-      methods::LoadIndexFrom(fresh.get(), shard_data_[s], image));
-  *out = std::move(fresh);
-  return core::Status::Ok();
+void ShardedIndex::FinishInit() {
+  Serve(options_.breaker, options_.fanout_threads,
+        FanOut::Stragglers::kAbandon);
+  std::lock_guard<std::mutex> lock(reload_mutex_);
+  reload_inflight_.assign(num_shards(), 0);
 }
 
 void ShardedIndex::SetBreakerOptions(const ShardBreakerOptions& breaker) {
   options_.breaker = breaker;
-  if (fan_out_ != nullptr) fan_out_->SetBreakerOptions(breaker);
-}
-
-const ShardHealthTable& ShardedIndex::health() const {
-  GASS_CHECK_MSG(fan_out_ != nullptr, "health() before Build");
-  return fan_out_->health();
+  if (serving()) fan_out().SetBreakerOptions(breaker);
 }
 
 void ShardedIndex::SetFanoutThreads(std::size_t threads) {
   options_.fanout_threads = threads;
-  if (fan_out_ != nullptr) fan_out_->SetThreads(threads);
-}
-
-std::size_t ShardedIndex::EffectiveNprobe() const {
-  GASS_CHECK_MSG(!shards_.empty(), "EffectiveNprobe before Build");
-  const std::size_t k = shards_.size();
-  if (options_.nprobe == 0) return k;
-  return std::min(options_.nprobe, k);
-}
-
-const methods::GraphIndex& ShardedIndex::shard(std::size_t s) const {
-  GASS_CHECK(s < shards_.size());
-  return shards_[s].replica(0);
+  if (serving()) fan_out().SetThreads(threads);
 }
 
 const methods::GraphIndex& ShardedIndex::replica(std::size_t s,
                                                  std::size_t r) const {
-  GASS_CHECK(s < shards_.size() && r < shards_[s].size());
-  return shards_[s].replica(r);
+  GASS_CHECK(s < num_shards() && r < num_replicas());
+  return replicas(s).replica(r);
 }
 
 std::size_t ShardedIndex::shard_size(std::size_t s) const {
-  GASS_CHECK(s < shard_data_.size());
-  return shard_data_[s].size();
+  GASS_CHECK(s < num_shards());
+  return ids(s).size();
 }
 
 std::uint64_t ShardedIndex::probe_count(std::size_t s) const {
-  GASS_CHECK(s < shards_.size());
-  return fan_out_->probe_count(s);
-}
-
-core::Graph ShardedIndex::graph() const {
-  GASS_CHECK_MSG(false, "a SHARDED index has no single base graph");
-  return core::Graph();
-}
-
-std::size_t ShardedIndex::IndexBytes() const {
-  std::size_t total = partitioning_.centroids.SizeBytes() +
-                      partitioning_.assignment.size() * sizeof(std::uint32_t);
-  for (const std::vector<core::VectorId>& ids : partitioning_.shard_ids) {
-    total += ids.size() * sizeof(core::VectorId);
-  }
-  for (const ReplicaSet& s : shards_) {
-    total += s.IndexBytes();
-  }
-  return total;
-}
-
-methods::SearchResult ShardedIndex::Search(
-    const float* query, const methods::SearchParams& params) {
-  return SearchImpl(query, params, &serial_rng_);
-}
-
-methods::SearchResult ShardedIndex::Search(const float* query,
-                                           const methods::SearchParams& params,
-                                           methods::SearchContext* ctx) const {
-  return SearchImpl(query, params, &ctx->rng);
-}
-
-methods::SearchResult ShardedIndex::SearchImpl(
-    const float* query, const methods::SearchParams& params,
-    core::Rng* rng) const {
-  GASS_CHECK_MSG(fan_out_ != nullptr, "Search before Build");
-  return fan_out_->Search(query, partitioning_.centroids, EffectiveNprobe(),
-                          params, rng, options_.hedge_fraction, faults_);
+  GASS_CHECK(s < num_shards());
+  return fan_out().probe_count(s);
 }
 
 core::Status ShardedIndex::ReloadShard(std::size_t s) {
-  GASS_CHECK(s < shards_.size());
+  GASS_CHECK(s < num_shards());
   if (snapshot_path_.empty()) {
     return core::Status::InvalidArgument(
         "no recovery snapshot recorded for " + Name() +
         " (LoadSnapshot records one; after Build + SaveSnapshot call "
         "SetRecoverySnapshot)");
   }
-  if (faults_ != nullptr &&
-      faults_->OnShardReload(static_cast<std::uint32_t>(s))) {
+  if (faults() != nullptr &&
+      faults()->OnShardReload(static_cast<std::uint32_t>(s))) {
     return core::Status::Corruption("injected reload corruption for shard " +
                                     std::to_string(s));
   }
@@ -343,23 +211,24 @@ core::Status ShardedIndex::ReloadShard(std::size_t s) {
   GASS_RETURN_IF_ERROR(ReadFileBytes(shard_path, &bytes));
   io::SnapshotReader image;
   GASS_RETURN_IF_ERROR(OpenImage(std::move(bytes), shard_path, &image));
-  for (std::size_t r = 0; r < num_replicas_; ++r) {
+  for (std::size_t r = 0; r < num_replicas(); ++r) {
     std::unique_ptr<methods::GraphIndex> fresh;
-    GASS_RETURN_IF_ERROR(AttachReplica(s, image, &fresh));
-    shards_[s].SwapIn(r, std::move(fresh));
+    GASS_RETURN_IF_ERROR(Attach(s, image, &fresh));
+    replicas(s).SwapIn(r, std::move(fresh));
     // Re-enter rotation through the half-open path: the next routing
     // decision probes this replica, and only a passing probe closes the
     // breaker (generation bump included).
-    fan_out_->health().OnReloaded(s, r);
+    fan_out().health().OnReloaded(s, r);
   }
   return core::Status::Ok();
 }
 
 core::Status ShardedIndex::RebuildReplica(std::size_t s, std::size_t r) {
-  GASS_CHECK(s < shards_.size());
-  GASS_CHECK(r < num_replicas_);
-  if (faults_ != nullptr &&
-      faults_->OnShardReload(static_cast<std::uint32_t>(s))) {
+  const std::size_t reps = num_replicas();
+  GASS_CHECK(s < num_shards());
+  GASS_CHECK(r < reps);
+  if (faults() != nullptr &&
+      faults()->OnShardReload(static_cast<std::uint32_t>(s))) {
     return core::Status::Corruption("injected rebuild corruption for shard " +
                                     std::to_string(s));
   }
@@ -369,7 +238,7 @@ core::Status ShardedIndex::RebuildReplica(std::size_t s, std::size_t r) {
     GASS_RETURN_IF_ERROR(
         io::SnapshotReader::Open(ShardPath(snapshot_path_, s), &image));
   } else {
-    if (num_replicas_ < 2) {
+    if (reps < 2) {
       return core::Status::InvalidArgument(
           "cannot rebuild the only replica of shard " + std::to_string(s) +
           " without a recovery snapshot");
@@ -379,36 +248,37 @@ core::Status ShardedIndex::RebuildReplica(std::size_t s, std::size_t r) {
     // restore the quarantined slot from it. The image passes the full
     // checksum and bounds validation of a load, so a corrupt peer fails
     // here instead of propagating its corruption.
-    std::size_t peer = num_replicas_;
-    for (std::size_t cand = 0; cand < num_replicas_; ++cand) {
+    std::size_t peer = reps;
+    for (std::size_t cand = 0; cand < reps; ++cand) {
       if (cand == r) continue;
-      if (peer == num_replicas_) peer = cand;
-      if (fan_out_->health().state(s, cand) == BreakerState::kClosed) {
+      if (peer == reps) peer = cand;
+      if (health().state(s, cand) == BreakerState::kClosed) {
         peer = cand;
         break;
       }
     }
-    GASS_RETURN_IF_ERROR(shards_[s].Image(peer, &image));
+    GASS_RETURN_IF_ERROR(replicas(s).Image(peer, &image));
   }
   std::unique_ptr<methods::GraphIndex> fresh;
-  GASS_RETURN_IF_ERROR(AttachReplica(s, image, &fresh));
-  shards_[s].SwapIn(r, std::move(fresh));
+  GASS_RETURN_IF_ERROR(Attach(s, image, &fresh));
+  replicas(s).SwapIn(r, std::move(fresh));
   // Rebuilt but not yet trusted: generation bump + forced half-open probe;
   // only a passing probe re-closes the breaker.
-  fan_out_->health().OnReloaded(s, r);
+  fan_out().health().OnReloaded(s, r);
   return core::Status::Ok();
 }
 
 ScrubReport ShardedIndex::ScrubReplicas(bool rebuild) {
-  GASS_CHECK_MSG(!shards_.empty(), "ScrubReplicas before Build");
+  GASS_CHECK_MSG(num_shards() > 0, "ScrubReplicas before Build");
   ScrubReport report;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::size_t reps = shards_[s].size();
+  for (std::size_t s = 0; s < num_shards(); ++s) {
+    const ReplicaSet& set = replicas(s);
+    const std::size_t reps = set.size();
     report.replicas_checked += reps;
     if (reps < 2) continue;  // No peer group to compare against.
     std::vector<std::uint64_t> digests(reps);
     for (std::size_t r = 0; r < reps; ++r) {
-      digests[r] = shards_[s].Digest(r);
+      digests[r] = set.Digest(r);
     }
     const std::uint64_t majority = MajorityDigest(digests);
     for (std::size_t r = 0; r < reps; ++r) {
@@ -418,7 +288,7 @@ ScrubReport ShardedIndex::ScrubReplicas(bool rebuild) {
       // (routing stops using the replica immediately), then restore it
       // online while the healthy replicas keep serving.
       ++report.divergent;
-      fan_out_->health().Quarantine(s, r);
+      fan_out().health().Quarantine(s, r);
       ++report.quarantined;
       if (rebuild) {
         if (RebuildReplica(s, r).ok()) {
@@ -433,7 +303,7 @@ ScrubReport ShardedIndex::ScrubReplicas(bool rebuild) {
 }
 
 bool ShardedIndex::StartShardReload(std::size_t s) {
-  GASS_CHECK(s < shards_.size());
+  GASS_CHECK(s < num_shards());
   std::lock_guard<std::mutex> lock(reload_mutex_);
   if (reload_inflight_[s] != 0) return false;
   reload_inflight_[s] = 1;
@@ -471,11 +341,11 @@ void ShardedIndex::HoldReloadsForTest() {
 }
 
 core::Status ShardedIndex::SaveSnapshot(const std::string& path) const {
-  if (shards_.empty() || data_ == nullptr) {
+  if (num_shards() == 0 || data_ == nullptr) {
     return core::Status::InvalidArgument("cannot save an unbuilt " + Name() +
                                          " index");
   }
-  const std::size_t k = shards_.size();
+  const std::size_t k = num_shards();
   // Shard files first, manifest last: a crash mid-save can orphan shard
   // files but never publish a manifest whose shards are missing, because
   // the manifest itself is written crash-safely after all of them exist.
@@ -487,10 +357,10 @@ core::Status ShardedIndex::SaveSnapshot(const std::string& path) const {
     // per shard (replica 0) — the on-disk format is replica-oblivious and
     // unchanged from the unreplicated layout.
     GASS_RETURN_IF_ERROR(
-        methods::SaveIndex(shards_[s].replica(0), shard_path));
+        methods::SaveIndex(shard(s), shard_path));
     std::vector<std::uint8_t> bytes;
     GASS_RETURN_IF_ERROR(ReadFileBytes(shard_path, &bytes));
-    shard_sizes[s] = shard_data_[s].size();
+    shard_sizes[s] = shard_size(s);
     shard_hashes[s] = io::Hash64(bytes.data(), bytes.size(),
                                  kShardFileHashSeed);
   }
@@ -510,12 +380,12 @@ core::Status ShardedIndex::SaveSnapshot(const std::string& path) const {
       writer.AddSection(kManifestSection, std::move(manifest)));
 
   io::Encoder assignment;
-  assignment.VecU32(partitioning_.assignment);
+  assignment.VecU32(partitioning().assignment);
   GASS_RETURN_IF_ERROR(
       writer.AddSection(kAssignmentSection, std::move(assignment)));
 
   io::Encoder centroids;
-  io::EncodeDataset(partitioning_.centroids, &centroids);
+  io::EncodeDataset(partitioning().centroids, &centroids);
   GASS_RETURN_IF_ERROR(
       writer.AddSection(kCentroidsSection, std::move(centroids)));
   return writer.WriteTo(path);
@@ -523,15 +393,10 @@ core::Status ShardedIndex::SaveSnapshot(const std::string& path) const {
 
 core::Status ShardedIndex::LoadSnapshot(const std::string& path,
                                         const core::Dataset& data) {
+  WaitForReloads();
   const core::Status status = LoadSnapshotImpl(path, data);
   if (!status.ok()) {
-    shards_.clear();
-    shard_data_.clear();
-    partition_seconds_ = 0.0;
-    shard_build_seconds_.clear();
-    partitioning_ = Partitioning();
-    data_ = nullptr;
-    fan_out_.reset();
+    Clear();
     snapshot_path_.clear();
   }
   return status;
@@ -562,13 +427,10 @@ core::Status ShardedIndex::LoadSnapshotImpl(const std::string& path,
   io::AlignedBytes buffer;
   io::Decoder dec(nullptr, 0, "");
   GASS_RETURN_IF_ERROR(reader.OpenSection(kManifestSection, &buffer, &dec));
-  std::string method;
-  dec.Str(&method, io::kMaxMethodName);
-  const std::uint8_t kind = dec.U8();
-  const std::uint64_t k = dec.U64();
-  const std::uint64_t kmeans_sample = dec.U64();
-  const std::uint64_t kmeans_iters = dec.U64();
-  const double balance_slack = dec.F64();
+  ShardedIndexOptions stored;
+  DecodeManifestHead(&dec, &stored);
+  const PartitionerParams& part = stored.partitioner;
+  const std::size_t k = part.num_shards;
   std::vector<std::uint64_t> shard_sizes;
   std::vector<std::uint64_t> shard_hashes;
   dec.VecU64(&shard_sizes, kMaxShards);
@@ -577,12 +439,12 @@ core::Status ShardedIndex::LoadSnapshotImpl(const std::string& path,
   // Semantic cross-checks. Every field below is also covered by the header
   // fingerprint (already verified), so a disagreement means the manifest
   // payload was altered behind a resealed checksum — reject loudly.
-  if (method != options_.method ||
-      kind != static_cast<std::uint8_t>(options_.partitioner.kind) ||
+  if (stored.method != options_.method ||
+      part.kind != options_.partitioner.kind ||
       k != options_.partitioner.num_shards ||
-      kmeans_sample != options_.partitioner.kmeans_sample ||
-      kmeans_iters != options_.partitioner.kmeans_iters ||
-      balance_slack != options_.partitioner.balance_slack) {
+      part.kmeans_sample != options_.partitioner.kmeans_sample ||
+      part.kmeans_iters != options_.partitioner.kmeans_iters ||
+      part.balance_slack != options_.partitioner.balance_slack) {
     return core::Status::Corruption(
         path + ": manifest partitioner state contradicts the fingerprinted "
                "construction parameters");
@@ -650,14 +512,12 @@ core::Status ShardedIndex::LoadSnapshotImpl(const std::string& path,
         path + ": stored centroids do not match the shard member means");
   }
 
-  shard_data_.clear();
-  shards_.clear();
-  partition_seconds_ = 0.0;
-  shard_build_seconds_.clear();
-  shard_data_.resize(k);
-  const std::size_t replicas = options_.replicas == 0 ? 1 : options_.replicas;
-  shards_.reserve(k);
-  for (std::size_t s = 0; s < k; ++s) shards_.emplace_back(replicas);
+  Partitioning partitioning;
+  partitioning.assignment = std::move(assignment);
+  partitioning.shard_ids = std::move(shard_ids);
+  partitioning.centroids = std::move(centroids);
+  Place(data, std::move(partitioning), /*reserve=*/0,
+                options_.replicas);
   for (std::size_t s = 0; s < k; ++s) {
     const std::string shard_path = ShardPath(path, s);
     std::vector<std::uint8_t> bytes;
@@ -673,23 +533,17 @@ core::Status ShardedIndex::LoadSnapshotImpl(const std::string& path,
           path + ": shard file " + shard_path +
           " does not match the hash recorded in the manifest");
     }
-    shard_data_[s] = data.Select(shard_ids[s]);
     // The snapshot stores one copy per shard; every replica attaches from
     // the bytes just read and hash-checked, so the file is read once.
     io::SnapshotReader image;
     GASS_RETURN_IF_ERROR(OpenImage(std::move(bytes), shard_path, &image));
-    for (std::size_t r = 0; r < replicas; ++r) {
+    for (std::size_t r = 0; r < num_replicas(); ++r) {
       std::unique_ptr<methods::GraphIndex> sub;
-      GASS_RETURN_IF_ERROR(AttachReplica(s, image, &sub));
-      shards_[s].Set(r, std::move(sub));
+      GASS_RETURN_IF_ERROR(Attach(s, image, &sub));
+      replicas(s).SwapIn(r, std::move(sub));
     }
   }
-
-  partitioning_.assignment = std::move(assignment);
-  partitioning_.shard_ids = std::move(shard_ids);
-  partitioning_.centroids = std::move(centroids);
-  partitioning_.distance_computations = 0;
-  FinishInit(data);
+  FinishInit();
   // Record where the shards live so ReloadShard can recover any one of
   // them online later.
   snapshot_path_ = path;
@@ -712,18 +566,14 @@ core::Status LoadShardedIndex(const std::string& path,
   ShardedIndexOptions options;
   options.seed = seed;
   options.replicas = replicas == 0 ? 1 : replicas;
-  dec.Str(&options.method, io::kMaxMethodName);
-  const std::uint8_t kind = dec.U8();
-  const std::uint64_t num_shards = dec.U64();
-  const std::uint64_t kmeans_sample = dec.U64();
-  const std::uint64_t kmeans_iters = dec.U64();
-  const double balance_slack = dec.F64();
+  DecodeManifestHead(&dec, &options);
   if (!dec.ok()) return dec.status();
+  const std::size_t num_shards = options.partitioner.num_shards;
   if (!IsKnownMethod(options.method)) {
     return core::Status::Corruption(path + ": manifest names unknown method '" +
                                     options.method + "'");
   }
-  if (kind > static_cast<std::uint8_t>(PartitionerKind::kKMeans)) {
+  if (options.partitioner.kind > PartitionerKind::kKMeans) {
     return core::Status::Corruption(path +
                                     ": manifest names an unknown partitioner");
   }
@@ -732,11 +582,6 @@ core::Status LoadShardedIndex(const std::string& path,
                                     std::to_string(num_shards) +
                                     " is out of range");
   }
-  options.partitioner.kind = static_cast<PartitionerKind>(kind);
-  options.partitioner.num_shards = static_cast<std::size_t>(num_shards);
-  options.partitioner.kmeans_sample = static_cast<std::size_t>(kmeans_sample);
-  options.partitioner.kmeans_iters = static_cast<std::size_t>(kmeans_iters);
-  options.partitioner.balance_slack = balance_slack;
 
   auto index = std::make_unique<ShardedIndex>(options);
   GASS_RETURN_IF_ERROR(index->LoadSnapshot(path, data));

@@ -1,13 +1,17 @@
 // ShardedIndex: K per-shard graph indexes behind one GraphIndex facade.
 //
-// Build partitions the dataset into K shards (see shard/partitioner.h),
-// builds one sub-index of any factory method per shard — in parallel on a
-// core::ThreadPool, each shard with a deterministic derived seed — and
-// keeps one routing centroid per shard. Search routes each query to the
-// `nprobe` nearest centroids, fans a beam search out to those shards
-// (parallel on an internal pool, or on the caller thread), and merges the
-// per-shard top-k into one global result carrying correct global VectorIds;
-// shard::FanOut (shard/fan_out.h) runs all three steps.
+// The shards live in its shard::ShardSet base (shard/shard_set.h), the
+// core shared with LiveShardedIndex: Build partitions the dataset into K
+// shards (see shard/partitioner.h), builds one sub-index of any factory
+// method per shard — in parallel, each shard with a deterministic derived
+// seed (SubIndexSeed) — and keeps one routing centroid per shard. Search
+// routes each query to the `nprobe` nearest centroids, fans a beam search
+// out to those shards (parallel on an internal pool, or on the caller
+// thread), and merges the per-shard top-k into one global result carrying
+// correct global VectorIds; shard::FanOut (shard/fan_out.h) runs all three
+// steps. What this index adds is its own: the manifest snapshot format,
+// reload, scrub/rebuild, hedging, faults, and abandoning stragglers at the
+// deadline.
 //
 // Why shard: graph builds are superlinear in n, so K builds of n/K rows
 // each — run concurrently — cut build wall-clock by far more than K-way
@@ -39,17 +43,11 @@
 #include <thread>
 #include <vector>
 
-#include "core/rng.h"
 #include "methods/graph_index.h"
-#include "shard/fan_out.h"
 #include "shard/partitioner.h"
 #include "shard/replica_set.h"
 #include "shard/shard_health.h"
-
-namespace gass::serve {
-class FaultInjector;  // serve/fault_injector.h; the header only carries a
-                      // pointer so shard/ stays light to include.
-}  // namespace gass::serve
+#include "shard/shard_set.h"
 
 namespace gass::shard {
 
@@ -61,7 +59,8 @@ struct ShardedIndexOptions {
   /// 0 = probe every shard. Query-time knob (excluded from the params
   /// fingerprint); adjustable after build via SetNprobe().
   std::size_t nprobe = 0;
-  /// Threads for the parallel shard builds; 0 = hardware concurrency.
+  /// Threads for the parallel shard builds; 0 = one per shard, up to the
+  /// hardware concurrency.
   std::size_t build_threads = 0;
   /// Threads for parallel per-query fan-out; 0 = fan out on the caller
   /// thread (the right choice when an outer frontend already runs one
@@ -70,17 +69,13 @@ struct ShardedIndexOptions {
   /// Base seed. Shard s's sub-index is built with seed ^ (mix * s), so
   /// shard 0 of a K=1 index uses exactly `seed` (bit-identity baseline).
   std::uint64_t seed = 42;
-  /// Replication factor R: copies of every shard's sub-index. Build
-  /// constructs each shard once and copies it R-1 times through an
-  /// in-memory snapshot image, so replicas are bit-identical — the same
-  /// state a standalone build with the shard's derived seed produces — and
-  /// any of them answers any query identically. Search
-  /// routes each probe to a health-chosen replica and fails over to peers
-  /// on failure; the anti-entropy scrubber (ScrubReplicas) compares
-  /// replica digests and rebuilds divergent copies online. 0 or 1 = no
-  /// replication (the exact pre-replication code path). A serving knob
-  /// like nprobe: excluded from the params fingerprint, so snapshots load
-  /// under any R.
+  /// Replication factor R: bit-identical copies of every shard's
+  /// sub-index (built once, copied R-1 times; see ShardSet). Search routes
+  /// each probe to a health-chosen replica and fails over to peers on
+  /// failure; the anti-entropy scrubber (ScrubReplicas) compares replica
+  /// digests and rebuilds divergent copies online. 0 or 1 = no
+  /// replication. A serving knob like nprobe: excluded from the params
+  /// fingerprint, so snapshots load under any R.
   std::size_t replicas = 1;
   /// Per-shard circuit breaker (see shard/shard_health.h). The default
   /// trips a shard after 3 consecutive sub-search failures; threshold 0
@@ -110,7 +105,7 @@ struct ScrubReport {
 };
 
 /// K per-shard indexes + centroid routing, behind the GraphIndex interface.
-class ShardedIndex : public methods::GraphIndex {
+class ShardedIndex : public ShardSet {
  public:
   explicit ShardedIndex(const ShardedIndexOptions& options);
   ~ShardedIndex() override;
@@ -120,20 +115,6 @@ class ShardedIndex : public methods::GraphIndex {
 
   methods::BuildStats Build(const core::Dataset& data) override;
 
-  methods::SearchResult Search(const float* query,
-                               const methods::SearchParams& params) override;
-  methods::SearchResult Search(const float* query,
-                               const methods::SearchParams& params,
-                               methods::SearchContext* ctx) const override;
-
-  bool SupportsConcurrentSearch() const override { return true; }
-
-  /// No single base graph; check HasBaseGraph() first (as with ELPIS).
-  core::Graph graph() const override;
-  bool HasBaseGraph() const override { return false; }
-
-  std::size_t IndexBytes() const override;
-
   /// Hash of (method, partitioner params, seed, sub-index params); nprobe
   /// and thread counts are query/run-time knobs and excluded.
   std::uint64_t ParamsFingerprint() const override;
@@ -142,34 +123,19 @@ class ShardedIndex : public methods::GraphIndex {
   core::Status LoadSnapshot(const std::string& path,
                             const core::Dataset& data) override;
 
+  /// The options the index was constructed with; SetFanoutThreads and
+  /// SetBreakerOptions write theirs back.
   const ShardedIndexOptions& options() const { return options_; }
-  std::size_t num_shards() const { return shards_.size(); }
-  /// The nprobe a search will actually use: options clamped to [1, K].
-  std::size_t EffectiveNprobe() const;
-  /// Adjusts nprobe after build (for sweeps). Not thread-safe against
-  /// concurrent searches.
-  void SetNprobe(std::size_t nprobe) { options_.nprobe = nprobe; }
   /// Re-sizes the per-query fan-out pool after build/load (0 = fan out on
   /// the caller thread). Not thread-safe against concurrent searches.
   void SetFanoutThreads(std::size_t threads);
-  /// Adjusts the hedge trigger after build/load (see
-  /// ShardedIndexOptions::hedge_fraction). Not thread-safe against
-  /// concurrent searches.
-  void SetHedgeFraction(double fraction) { options_.hedge_fraction = fraction; }
-  /// Attaches (or detaches, with null) a fault injector whose
-  /// ShardFaultPlan entries drive deterministic shard-level faults: slow
-  /// sub-searches, failing sub-searches (injected as exceptions inside the
-  /// fan-out worker, exercising the same path a real failure takes), and
-  /// corrupt reloads. The injector is shared with — and outlived by rules
-  /// of — the serve tier; not thread-safe against concurrent searches.
-  void SetFaultInjector(serve::FaultInjector* faults) { faults_ = faults; }
   /// Replaces the breaker configuration (resets all breaker state). Not
   /// thread-safe against concurrent searches.
   void SetBreakerOptions(const ShardBreakerOptions& breaker);
 
   /// Per-shard breaker state + transition counters (valid after
   /// Build/LoadSnapshot).
-  const ShardHealthTable& health() const;
+  const ShardHealthTable& health() const { return fan_out().health(); }
 
   // --- Online shard recovery (see docs/SHARDING.md "Failure semantics") ---
 
@@ -226,26 +192,14 @@ class ShardedIndex : public methods::GraphIndex {
   void SetRecoverySnapshot(const std::string& path) { snapshot_path_ = path; }
   const std::string& recovery_snapshot() const { return snapshot_path_; }
 
-  /// Partition state (valid after Build/LoadSnapshot).
-  const Partitioning& partitioning() const { return partitioning_; }
-  const methods::GraphIndex& shard(std::size_t s) const;
-  /// Replication factor actually in effect (>= 1; valid after
-  /// Build/LoadSnapshot).
-  std::size_t num_replicas() const { return num_replicas_; }
+  const methods::GraphIndex& shard(std::size_t s) const {
+    return replica(s, 0);
+  }
   /// Replica `r` of shard `s` (replica(s, 0) == shard(s)).
   const methods::GraphIndex& replica(std::size_t s, std::size_t r) const;
   std::size_t shard_size(std::size_t s) const;
   /// Sub-searches dispatched to shard `s` since build/load (relaxed).
   std::uint64_t probe_count(std::size_t s) const;
-
-  /// Build-time breakdown (valid after Build; empty after LoadSnapshot).
-  /// partition_seconds() + max(shard_build_seconds()) is the parallel
-  /// critical path: the build wall-clock on a machine with >= K free
-  /// cores, where every shard constructs concurrently.
-  double partition_seconds() const { return partition_seconds_; }
-  const std::vector<double>& shard_build_seconds() const {
-    return shard_build_seconds_;
-  }
 
   /// Seed shard `s`'s sub-index is constructed with (s = 0 yields `seed`).
   static std::uint64_t SubIndexSeed(std::uint64_t seed, std::size_t s);
@@ -254,39 +208,21 @@ class ShardedIndex : public methods::GraphIndex {
   static std::string ShardPath(const std::string& path, std::size_t s);
 
  private:
-  methods::SearchResult SearchImpl(const float* query,
-                                   const methods::SearchParams& params,
-                                   core::Rng* rng) const;
+  std::unique_ptr<methods::GraphIndex> MakeShard(std::size_t s) const override;
+  methods::BuildStats BuildShard(methods::GraphIndex& index,
+                                 const core::Dataset& rows,
+                                 std::size_t base_rows) const override;
+
   /// LoadSnapshot body; the wrapper resets this index to the unbuilt state
   /// when any step fails, so a rejected snapshot never leaves a
   /// half-loaded, searchable index behind.
   core::Status LoadSnapshotImpl(const std::string& path,
                                 const core::Dataset& data);
-  /// Common post-partition state setup (the fan-out engine, the serial
-  /// RNG, reload bookkeeping).
-  void FinishInit(const core::Dataset& data);
-  /// A fresh sub-index for shard `s`, restored from `image` (a snapshot
-  /// file or in-memory image of one of its replicas) with every check
-  /// methods::LoadIndexFrom makes.
-  core::Status AttachReplica(std::size_t s, const io::SnapshotReader& image,
-                             std::unique_ptr<methods::GraphIndex>* out) const;
+  /// Common post-build/load setup: the fan-out engine and reload
+  /// bookkeeping.
+  void FinishInit();
 
   ShardedIndexOptions options_;
-  Partitioning partitioning_;
-  /// Materialized per-shard rows; each sub-index binds to its entry, so
-  /// these must live exactly as long as shards_.
-  std::vector<core::Dataset> shard_data_;
-  /// One ReplicaSet per shard; replica 0 is the historic sub-index.
-  std::vector<ReplicaSet> shards_;
-  /// options_.replicas clamped to >= 1 (resolved by FinishInit).
-  std::size_t num_replicas_ = 1;
-  double partition_seconds_ = 0.0;
-  std::vector<double> shard_build_seconds_;
-
-  /// RNG backing the two-argument Search.
-  core::Rng serial_rng_;
-  /// Optional shard-level fault injector (not owned; see SetFaultInjector).
-  serve::FaultInjector* faults_ = nullptr;
   /// Manifest path for per-shard recovery reloads ("" = none recorded).
   std::string snapshot_path_;
 
@@ -295,11 +231,6 @@ class ShardedIndex : public methods::GraphIndex {
   std::vector<std::uint8_t> reload_inflight_;   // Guarded by reload_mutex_.
   bool reloads_held_ = false;                   // Guarded by reload_mutex_.
   std::condition_variable reloads_released_;
-
-  /// Routing, fan-out, merge, and the per-(shard, replica) breakers
-  /// (constructed by FinishInit). Its callbacks reach shards_ and
-  /// partitioning_, so the destructor drains its stragglers first.
-  std::unique_ptr<FanOut> fan_out_;
 };
 
 /// Opens the sharded manifest at `path`, reconstructs a ShardedIndex with

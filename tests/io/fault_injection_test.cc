@@ -21,12 +21,12 @@
 
 #include <gtest/gtest.h>
 
-#include "io/hash.h"
 #include "io/serialize.h"
 #include "io/snapshot.h"
 #include "methods/factory.h"
 #include "methods/hnsw_index.h"
 #include "synth/generators.h"
+#include "../snapshot_edit.h"
 
 namespace gass::io {
 namespace {
@@ -59,23 +59,9 @@ void PutU32At(std::vector<std::uint8_t>* bytes, std::size_t offset,
   std::memcpy(bytes->data() + offset, &v, sizeof(v));
 }
 
-void PutU64At(std::vector<std::uint8_t>* bytes, std::size_t offset,
-              std::uint64_t v) {
-  std::memcpy(bytes->data() + offset, &v, sizeof(v));
-}
-
-/// Re-seals a section header after its bytes were edited, so mutations can
-/// target the *decoder* rather than tripping the checksum layer.
-void ResealSectionHeader(std::vector<std::uint8_t>* bytes,
-                         std::uint64_t header_offset) {
-  PutU64At(bytes, header_offset + kSectionHeaderChecksumOffset,
-           Hash64(bytes->data() + header_offset, kSectionHeaderChecksumOffset));
-}
-
-void ResealFileHeader(std::vector<std::uint8_t>* bytes) {
-  PutU64At(bytes, kFileHeaderChecksumOffset,
-           Hash64(bytes->data(), kFileHeaderChecksumOffset));
-}
+using testing::PutU64At;
+using testing::ResealFileHeader;
+using testing::ResealSectionPayload;
 
 class FaultInjectionTest : public ::testing::TestWithParam<const char*> {
  protected:
@@ -227,10 +213,7 @@ TEST_P(FaultInjectionTest, AbsurdPayloadCountWithValidChecksumsRejected) {
   ASSERT_GE(section.payload_bytes, 8u);
   std::vector<std::uint8_t> bytes = clean_bytes_;
   PutU64At(&bytes, section.payload_offset, ~std::uint64_t{0});
-  PutU64At(&bytes, section.header_offset + kSectionPayloadChecksumOffset,
-           Hash64(bytes.data() + section.payload_offset,
-                  section.payload_bytes));
-  ResealSectionHeader(&bytes, section.header_offset);
+  ResealSectionPayload(&bytes, section);
   ExpectLoadRejected(bytes, "absurd leading count in section '" +
                                 section.name + "'");
 }
@@ -257,11 +240,7 @@ TEST_P(FaultInjectionTest, CorruptNeighborIdWithValidChecksumsRejected) {
   for (std::uint64_t at = 16; at < 24; ++at) {
     bytes[graph_section->payload_offset + at] = 0xFF;
   }
-  PutU64At(&bytes,
-           graph_section->header_offset + kSectionPayloadChecksumOffset,
-           Hash64(bytes.data() + graph_section->payload_offset,
-                  graph_section->payload_bytes));
-  ResealSectionHeader(&bytes, graph_section->header_offset);
+  ResealSectionPayload(&bytes, *graph_section);
   ExpectLoadRejected(bytes, "corrupt neighbor ids in section '" +
                                 graph_section->name + "'");
 }

@@ -12,6 +12,8 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -34,6 +36,7 @@
 #include "io/wal.h"
 #include "serve/frontend.h"
 #include "serve/updater.h"
+#include "../snapshot_edit.h"
 #include "../test_util.h"
 
 namespace gass::shard {
@@ -408,6 +411,104 @@ TEST(LiveShardTest, CheckpointMatchesPinnedHash) {
   std::vector<std::uint8_t> bytes;
   ASSERT_TRUE(writer.ToBytes(&bytes).ok());
   EXPECT_EQ(io::Hash64(bytes.data(), bytes.size()), kPinnedCheckpointHash);
+}
+
+std::vector<std::uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path,
+                    const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+// A checkpoint whose id bookkeeping was edited behind valid checksums is
+// refused: a next id the shards' rows do not add up to (resealed in
+// live.meta, upd.meta and the file header's data_n alike, so the updater's
+// own cross-checks agree), or a live row's id moved past the next id.
+// Accepted, the first would let the next insert write past the owner
+// table, the second would hand one id to two shards.
+TEST(LiveShardTest, CheckpointWithInconsistentIdsRejected) {
+  const core::Dataset base = testing::SmallClustered(kBaseN, kDim, 63);
+  LiveShardedOptions options = ShardOptions(8);
+  options.num_shards = 2;
+  serve::UpdaterOptions updater_options;
+  updater_options.directory = TempDirFor("live_shard_crafted_ids");
+  constexpr std::size_t kInserts = 4;
+  {
+    std::unique_ptr<LiveShardedIndex> live = BuildLive(options, base);
+    std::unique_ptr<serve::Updater> updater;
+    ASSERT_TRUE(
+        serve::Updater::Create(live.get(), updater_options, &updater).ok());
+    for (core::VectorId i = 0; i < kInserts; ++i) {
+      ASSERT_TRUE(updater->Insert(base.Row(i)).status.ok());
+    }
+    ASSERT_TRUE(updater->Checkpoint().ok());
+  }
+  const std::string ckpt = serve::Updater::CheckpointPath(updater_options);
+  const std::vector<std::uint8_t> clean = ReadFileBytes(ckpt);
+  io::SnapshotReader layout;
+  ASSERT_TRUE(io::SnapshotReader::Open(ckpt, &layout).ok());
+  const auto section = [&](const std::string& name) {
+    for (const io::SectionInfo& info : layout.sections()) {
+      if (info.name == name) return info;
+    }
+    ADD_FAILURE() << "no section " << name;
+    return io::SectionInfo{};
+  };
+  const auto open = [&](const std::vector<std::uint8_t>& bytes) {
+    WriteFileBytes(ckpt, bytes);
+    std::unique_ptr<LiveShardedIndex> shell =
+        LiveShardedIndex::Shell(base, options);
+    std::unique_ptr<serve::Updater> updater;
+    serve::RecoveryReport report;
+    return serve::Updater::Open(shell.get(), updater_options, &updater,
+                                &report);
+  };
+  ASSERT_TRUE(open(clean).ok());
+
+  // (a) Next id one past the rows the shards hold. live.meta is (K, dim,
+  // base_n, next_id, reserve), upd.meta (watermark, next_id); the file
+  // header keeps data_n at byte 64.
+  constexpr std::uint64_t kNextId = kBaseN + kInserts;
+  std::vector<std::uint8_t> bumped = clean;
+  const io::SectionInfo live_meta = section("live.meta");
+  testing::PutU64At(&bumped, live_meta.payload_offset + 24, kNextId + 1);
+  testing::ResealSectionPayload(&bumped, live_meta);
+  const io::SectionInfo upd_meta = section("upd.meta");
+  testing::PutU64At(&bumped, upd_meta.payload_offset + 8, kNextId + 1);
+  testing::ResealSectionPayload(&bumped, upd_meta);
+  testing::PutU64At(&bumped, 64, kNextId + 1);
+  testing::ResealFileHeader(&bumped);
+  const core::Status bumped_status = open(bumped);
+  EXPECT_EQ(bumped_status.code(), core::StatusCode::kCorruption)
+      << bumped_status.message();
+
+  // (b) The last live row's id moved past the next id, into room no shard
+  // owns. The ids payload is a u64 count, then the ids.
+  std::vector<std::uint8_t> moved = clean;
+  bool edited = false;
+  for (std::size_t s = 0; s < options.num_shards && !edited; ++s) {
+    const io::SectionInfo ids = section("live.s" + std::to_string(s) + ".ids");
+    std::uint64_t count = 0;
+    std::memcpy(&count, clean.data() + ids.payload_offset, sizeof(count));
+    const std::size_t last = ids.payload_offset + count * sizeof(std::uint64_t);
+    std::uint64_t gid = 0;
+    std::memcpy(&gid, clean.data() + last, sizeof(gid));
+    if (count == 0 || gid < kBaseN) continue;  // No live row here.
+    testing::PutU64At(&moved, last, kNextId + 2);
+    testing::ResealSectionPayload(&moved, ids);
+    edited = true;
+  }
+  ASSERT_TRUE(edited) << "no shard took a live row";
+  const core::Status moved_status = open(moved);
+  EXPECT_EQ(moved_status.code(), core::StatusCode::kCorruption)
+      << moved_status.message();
 }
 
 // A checkpoint of the retired single-HNSW live layout cannot be replayed
