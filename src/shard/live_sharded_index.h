@@ -2,10 +2,10 @@
 // the repo's one live (updatable) index.
 //
 // The shards live in its shard::ShardSet base (shard/shard_set.h), the
-// core shared with ShardedIndex: the base dataset is partitioned once at build
-// time, each shard gets a fixed-capacity row block (its base rows plus
-// `reserve_per_shard` rows of room) and HnswIndex replicas built over its
-// base rows. What this index adds is its own: live inserts route to the
+// core shared with ShardedIndex: the base dataset is partitioned once at
+// build time, each shard gets a fixed-capacity row block (its base rows
+// plus `reserve_per_shard` rows of room) and HnswIndex replicas built over
+// its base rows. What this index adds is its own: live inserts route to the
 // nearest-centroid shard with room — each shard is one WAL stream, so an
 // id's insert (and its later delete, via RouteDelete = owning shard) is
 // logged in that shard's log and per-stream replay order is sufficient for

@@ -60,8 +60,10 @@ class ShardSet : public methods::GraphIndex {
   std::size_t EffectiveNprobe() const;
   /// Hedged fan-out trigger (see ShardedIndexOptions::hedge_fraction).
   void SetHedgeFraction(double fraction) { hedge_fraction_ = fraction; }
-  /// Attaches (or detaches, with null) a shard-level fault injector (not
-  /// owned; see serve/fault_injector.h).
+  /// Attaches (or detaches, with null) a fault injector (not owned) whose
+  /// ShardFaultPlan entries drive deterministic shard-level faults: slow
+  /// and failing sub-searches (thrown inside the fan-out worker, the path
+  /// a real failure takes) and, in ShardedIndex, corrupt reloads.
   void SetFaultInjector(serve::FaultInjector* faults) { faults_ = faults; }
 
   // State, valid after build or load.
