@@ -6,11 +6,10 @@
 
 #include "shard/live_sharded_index.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -47,9 +46,11 @@ constexpr std::size_t kDim = 8;
 constexpr std::size_t kShards = 3;
 
 std::string TempDirFor(const char* name) {
-  // Process-unique: the forced-scalar ctest variant runs concurrently.
+  // One directory per SIMD level: the forced-scalar ctest variant runs
+  // concurrently with the native one.
+  const char* level = std::getenv("GASS_SIMD_LEVEL");
   const std::string dir = std::string(::testing::TempDir()) + "/" + name +
-                          "_" + std::to_string(::getpid());
+                          "_" + (level != nullptr ? level : "native");
   EXPECT_TRUE(io::CreateDirectory(dir).ok());
   return dir;
 }
