@@ -54,17 +54,8 @@ class ShardSet : public methods::GraphIndex {
   /// Centroids, owner table, id tables and every replica.
   std::size_t IndexBytes() const override;
 
-  /// Shards probed per query, best centroid first (0 = every shard).
-  void SetNprobe(std::size_t nprobe) { nprobe_ = nprobe; }
   /// The nprobe a search will actually use: clamped to [1, K].
   std::size_t EffectiveNprobe() const;
-  /// Hedged fan-out trigger (see ShardedIndexOptions::hedge_fraction).
-  void SetHedgeFraction(double fraction) { hedge_fraction_ = fraction; }
-  /// Attaches (or detaches, with null) a fault injector (not owned) whose
-  /// ShardFaultPlan entries drive deterministic shard-level faults: slow
-  /// and failing sub-searches (thrown inside the fan-out worker, the path
-  /// a real failure takes) and, in ShardedIndex, corrupt reloads.
-  void SetFaultInjector(serve::FaultInjector* faults) { faults_ = faults; }
 
   // State, valid after build or load.
   std::size_t num_shards() const { return replicas_.size(); }
@@ -88,6 +79,17 @@ class ShardSet : public methods::GraphIndex {
  protected:
   /// `seed` seeds the partitioner and the serial Search's RNG.
   explicit ShardSet(std::uint64_t seed);
+
+  // Query-time knobs: ShardedIndex makes them public, the live index not.
+  /// Shards probed per query, best centroid first (0 = every shard).
+  void SetNprobe(std::size_t nprobe) { nprobe_ = nprobe; }
+  /// Hedged fan-out trigger (see ShardedIndexOptions::hedge_fraction).
+  void SetHedgeFraction(double fraction) { hedge_fraction_ = fraction; }
+  /// Attaches (or detaches, with null) a fault injector (not owned) whose
+  /// ShardFaultPlan entries drive deterministic shard-level faults: slow
+  /// and failing sub-searches (thrown inside the fan-out worker, the path
+  /// a real failure takes) and, in ShardedIndex, corrupt reloads.
+  void SetFaultInjector(serve::FaultInjector* faults) { faults_ = faults; }
 
   /// A fresh, unbuilt sub-index for shard `s`.
   virtual std::unique_ptr<methods::GraphIndex> MakeShard(

@@ -516,8 +516,7 @@ core::Status ShardedIndex::LoadSnapshotImpl(const std::string& path,
   partitioning.assignment = std::move(assignment);
   partitioning.shard_ids = std::move(shard_ids);
   partitioning.centroids = std::move(centroids);
-  Place(data, std::move(partitioning), /*reserve=*/0,
-                options_.replicas);
+  Place(data, std::move(partitioning), /*reserve=*/0, options_.replicas);
   for (std::size_t s = 0; s < k; ++s) {
     const std::string shard_path = ShardPath(path, s);
     std::vector<std::uint8_t> bytes;

@@ -126,6 +126,10 @@ class ShardedIndex : public ShardSet {
   /// The options the index was constructed with; SetFanoutThreads and
   /// SetBreakerOptions write theirs back.
   const ShardedIndexOptions& options() const { return options_; }
+  /// Query-time knobs (see ShardSet).
+  using ShardSet::SetFaultInjector;
+  using ShardSet::SetHedgeFraction;
+  using ShardSet::SetNprobe;
   /// Re-sizes the per-query fan-out pool after build/load (0 = fan out on
   /// the caller thread). Not thread-safe against concurrent searches.
   void SetFanoutThreads(std::size_t threads);
