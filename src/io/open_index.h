@@ -1,8 +1,8 @@
 // One-call snapshot opening for any on-disk index layout.
 //
-// A snapshot at `path` is either a plain per-method snapshot (load with
-// methods::LoadAnyIndex) or a sharded manifest plus per-shard files (load
-// with shard::LoadShardedIndex) — and every CLI/bench used to sniff the
+// A snapshot at `path` is one file holding either a plain per-method index
+// (load with methods::LoadAnyIndex) or a sharded one (load with
+// shard::LoadShardedIndex) — and every CLI/bench used to sniff the
 // difference itself. OpenIndex centralizes the dispatch: it reads the
 // snapshot header once, checks the method name with
 // shard::IsShardedSnapshotMethod, and hands back a ready-to-search
@@ -28,14 +28,14 @@ struct OpenIndexOptions {
   /// snapshot's params fingerprint is verified by the underlying loader).
   std::uint64_t seed = 42;
   /// Sharded snapshots only: post-load nprobe override (0 = keep the
-  /// manifest default of probing every shard).
+  /// default of probing every shard).
   std::size_t nprobe = 0;
   /// Sharded snapshots only: per-query fan-out threads (0 = fan out on
   /// the caller thread — the right choice under an outer frontend).
   std::size_t fanout_threads = 0;
   /// Sharded snapshots only: replicas attached per shard (0 or 1 = none).
-  /// A serving knob, not a snapshot property — every replica loads from
-  /// the same per-shard file.
+  /// A serving knob, not a snapshot property — every replica of a shard
+  /// loads from the same sections of the one file.
   std::size_t replicas = 1;
 };
 

@@ -123,31 +123,22 @@ core::Status SingleGraphIndex::LoadAux(const io::SnapshotReader& reader,
                                      " does not restore seed structures");
 }
 
-core::Status GraphIndex::SaveSnapshot(const std::string& path) const {
-  if (data_ == nullptr) {
-    return core::Status::InvalidArgument("cannot save an unbuilt " + Name() +
-                                         " index");
-  }
-  io::SnapshotWriter writer(Name(), ParamsFingerprint(), data_->size(),
-                            data_->dim());
-  GASS_RETURN_IF_ERROR(SaveSections(&writer, ""));
-  return writer.WriteTo(path);
-}
-
-core::Status GraphIndex::LoadSnapshot(const std::string& path,
-                                      const core::Dataset& data) {
-  io::SnapshotReader reader;
-  GASS_RETURN_IF_ERROR(io::SnapshotReader::Open(path, &reader));
-  return LoadIndexFrom(this, data, reader);
-}
-
 core::Status SaveIndex(const GraphIndex& index, const std::string& path) {
-  return index.SaveSnapshot(path);
+  if (index.data() == nullptr) {
+    return core::Status::InvalidArgument("cannot save an unbuilt " +
+                                         index.Name() + " index");
+  }
+  io::SnapshotWriter writer(index.Name(), index.ParamsFingerprint(),
+                            index.data()->size(), index.data()->dim());
+  GASS_RETURN_IF_ERROR(index.SaveSections(&writer, ""));
+  return writer.WriteTo(path);
 }
 
 core::Status LoadIndex(GraphIndex* index, const core::Dataset& data,
                        const std::string& path) {
-  return index->LoadSnapshot(path, data);
+  io::SnapshotReader reader;
+  GASS_RETURN_IF_ERROR(io::SnapshotReader::Open(path, &reader));
+  return LoadIndexFrom(index, data, reader);
 }
 
 core::Status SerializeIndex(const GraphIndex& index,
@@ -170,18 +161,19 @@ core::Status SnapshotImage(const GraphIndex& index, io::SnapshotReader* out) {
       "in-memory " + index.Name() + " image", out);
 }
 
-core::Status LoadIndexFrom(GraphIndex* index, const core::Dataset& data,
-                           const io::SnapshotReader& reader) {
+core::Status CheckSnapshotHeader(const GraphIndex& index,
+                                 const core::Dataset& data,
+                                 const io::SnapshotReader& reader) {
   const std::string& path = reader.path();
-  if (reader.method() != index->Name()) {
+  if (reader.method() != index.Name()) {
     return core::Status::InvalidArgument(path + ": snapshot holds a " +
                                          reader.method() +
                                          " index, cannot load into " +
-                                         index->Name());
+                                         index.Name());
   }
-  if (reader.params_fingerprint() != index->ParamsFingerprint()) {
+  if (reader.params_fingerprint() != index.ParamsFingerprint()) {
     return core::Status::InvalidArgument(
-        path + ": snapshot was built with different " + index->Name() +
+        path + ": snapshot was built with different " + index.Name() +
         " parameters (fingerprint mismatch)");
   }
   if (reader.data_n() != data.size() || reader.data_dim() != data.dim()) {
@@ -191,6 +183,12 @@ core::Status LoadIndexFrom(GraphIndex* index, const core::Dataset& data,
         std::to_string(reader.data_dim()) + " dataset, got " +
         std::to_string(data.size()) + "x" + std::to_string(data.dim()));
   }
+  return core::Status::Ok();
+}
+
+core::Status LoadIndexFrom(GraphIndex* index, const core::Dataset& data,
+                           const io::SnapshotReader& reader) {
+  GASS_RETURN_IF_ERROR(CheckSnapshotHeader(*index, data, reader));
   return index->LoadSections(reader, "", data);
 }
 

@@ -222,49 +222,42 @@ class GraphIndex {
                                     const std::string& prefix,
                                     const core::Dataset& data);
 
-  /// Writes this built index to `path`. The default writes one crash-safe
-  /// snapshot file (header + SaveSections); indexes whose on-disk form is a
-  /// *set* of files override it (shard::ShardedIndex writes a manifest at
-  /// `path` plus one snapshot per shard next to it). SaveIndex() delegates
-  /// here, so callers never need to know which layout they are saving.
-  virtual core::Status SaveSnapshot(const std::string& path) const;
-
-  /// Inverse of SaveSnapshot: validates the snapshot's method name, params
-  /// fingerprint, and dataset shape against this index / `data`, then
-  /// restores state. LoadIndex() delegates here.
-  virtual core::Status LoadSnapshot(const std::string& path,
-                                    const core::Dataset& data);
-
  protected:
   const core::Dataset* data_ = nullptr;
 };
 
-/// Saves a built index to `path` as a crash-safe snapshot (written to
-/// "<path>.tmp", fsynced, atomically renamed). Thin wrapper over
-/// GraphIndex::SaveSnapshot — composite indexes may write extra files.
+/// Saves a built index to `path` as one crash-safe snapshot file (header +
+/// SaveSections, written to "<path>.tmp", fsynced, atomically renamed).
+/// Every index, sharded ones included, saves to this one file.
 core::Status SaveIndex(const GraphIndex& index, const std::string& path);
 
 /// Loads a snapshot into an unbuilt (or rebuilt) index. Fails with a
 /// descriptive error when the snapshot's method name, params fingerprint,
-/// or dataset shape (n, dim) does not match `index`/`data`. Thin wrapper
-/// over GraphIndex::LoadSnapshot.
+/// or dataset shape (n, dim) does not match `index`/`data`.
 core::Status LoadIndex(GraphIndex* index, const core::Dataset& data,
                        const std::string& path);
 
 /// The single-file snapshot image of a built index (header +
 /// SaveSections), in memory. With io::SnapshotReader::OpenBytes and
-/// LoadIndexFrom this is how indexes are copied and digested: nothing
-/// touches the filesystem, and every copy passes the checks a load does.
+/// LoadSections this is how indexes are copied and digested: nothing
+/// touches the filesystem, and every copy passes the checksum and bounds
+/// checks a load does.
 core::Status SerializeIndex(const GraphIndex& index,
                             std::vector<std::uint8_t>* out);
 
 /// SerializeIndex's image, opened in memory (io::SnapshotReader::OpenBytes):
-/// the source LoadIndexFrom attaches copies of `index` from.
+/// the source copies of `index` are restored from.
 core::Status SnapshotImage(const GraphIndex& index, io::SnapshotReader* out);
 
-/// LoadIndex's checks (method name, params fingerprint, dataset shape) and
-/// restore, from an already opened snapshot — a file or an in-memory
-/// image. One reader can attach any number of indexes.
+/// Fails unless the snapshot `reader` opened holds an index of `index`'s
+/// method name and params fingerprint, built over a dataset of `data`'s
+/// shape.
+core::Status CheckSnapshotHeader(const GraphIndex& index,
+                                 const core::Dataset& data,
+                                 const io::SnapshotReader& reader);
+
+/// LoadIndex's checks (CheckSnapshotHeader) and restore, from an already
+/// opened snapshot — a file or an in-memory image.
 core::Status LoadIndexFrom(GraphIndex* index, const core::Dataset& data,
                            const io::SnapshotReader& reader);
 

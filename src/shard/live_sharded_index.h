@@ -9,7 +9,8 @@
 // nearest-centroid shard with room — each shard is one WAL stream, so an
 // id's insert (and its later delete, via RouteDelete = owning shard) is
 // logged in that shard's log and per-stream replay order is sufficient for
-// recovery — plus the checkpoint sections and Extend.
+// recovery — plus Extend. Its checkpoint sections are the ShardSet's
+// shard-set layout (SaveShards / LoadShards).
 //
 // A plain live HNSW is num_shards = 1: one shard holding every base row
 // (Partition assigns them without clustering), one row block, one WAL
@@ -107,7 +108,7 @@ class LiveShardedIndex : public ShardSet, public serve::LiveIndex {
   std::size_t id_capacity() const override {
     return partitioning().assignment.size();
   }
-  std::size_t next_id() const override { return next_id_; }
+  std::size_t next_id() const override { return ShardSet::next_id(); }
   std::uint32_t num_streams() const override {
     return static_cast<std::uint32_t>(num_shards());
   }
@@ -141,9 +142,10 @@ class LiveShardedIndex : public ShardSet, public serve::LiveIndex {
   methods::BuildStats BuildShard(methods::GraphIndex& index,
                                  const core::Dataset& rows,
                                  std::size_t base_rows) const override;
-  void ReadyShard(methods::GraphIndex& index) const override;
-  /// LoadSections body; the wrapper resets the shards when it fails.
-  core::Status LoadShards(const io::SnapshotReader& reader);
+  /// Rejects a replica whose node count is not its shard's row count, then
+  /// unseals it.
+  core::Status ReadyShard(std::size_t s,
+                          methods::GraphIndex& index) const override;
   /// (Re)starts the fan-out engine over the current shards.
   void StartFanOut();
 
@@ -151,7 +153,6 @@ class LiveShardedIndex : public ShardSet, public serve::LiveIndex {
   const core::Dataset* base_ = nullptr;  ///< Shell-load source.
   std::size_t dim_ = 0;
   std::size_t base_n_ = 0;
-  std::size_t next_id_ = 0;
 };
 
 }  // namespace gass::shard

@@ -89,7 +89,7 @@ Partitioning Partition(const core::Dataset& data,
                        const PartitionerParams& params, std::uint64_t seed);
 
 /// Recomputes the member-mean centroids for a given assignment — used by
-/// the snapshot loader to cross-validate a manifest's stored centroids.
+/// the snapshot loader to cross-validate a snapshot's stored centroids.
 core::Dataset ComputeCentroids(const core::Dataset& data,
                                const std::vector<std::vector<core::VectorId>>&
                                    shard_ids);

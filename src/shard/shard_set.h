@@ -7,8 +7,10 @@
 // inserts), one row block per shard shared by its R replicas (base rows,
 // then `reserve` rows of room), one ReplicaSet per shard, the pooled build
 // (per shard: copy the rows, build replica 0, copy it to the others
-// through an in-memory snapshot image), and the FanOut, which reads the
-// set directly. On those it implements the GraphIndex search face.
+// through an in-memory snapshot image), the one snapshot layout both
+// indexes save and load (SaveShards / LoadShards), and the FanOut, which
+// reads the set directly. On those it implements the GraphIndex search
+// face.
 //
 // Thread-safety: the three-argument Search may run concurrently from many
 // threads; nothing else may run beside it.
@@ -18,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/dataset.h"
@@ -67,6 +70,8 @@ class ShardSet : public methods::GraphIndex {
     return partitioning_.shard_ids[s];
   }
   const ReplicaSet& replicas(std::size_t s) const { return replicas_[s]; }
+  /// Section-name prefix of shard `s` in the shard-set layout: "live.s<s>.".
+  static std::string ShardPrefix(std::size_t s);
   /// Largest row block (>= 1): the id range any sub-search spans.
   std::size_t MaxRows() const;
   /// Build-time breakdown (empty after a load). partition_seconds() +
@@ -98,8 +103,12 @@ class ShardSet : public methods::GraphIndex {
   virtual methods::BuildStats BuildShard(methods::GraphIndex& index,
                                          const core::Dataset& rows,
                                          std::size_t base_rows) const = 0;
-  /// Readies a sub-index just restored from a snapshot image.
-  virtual void ReadyShard(methods::GraphIndex& /*index*/) const {}
+  /// Readies shard `s`'s sub-index just restored from snapshot sections;
+  /// an error rejects it.
+  virtual core::Status ReadyShard(std::size_t /*s*/,
+                                  methods::GraphIndex& /*index*/) const {
+    return core::Status::Ok();
+  }
 
   /// Partitions `data` and builds every shard on `threads` pool threads
   /// (0 = one per shard, up to the hardware concurrency); `replicas` 0
@@ -109,18 +118,34 @@ class ShardSet : public methods::GraphIndex {
                                   const PartitionerParams& partitioner,
                                   std::size_t reserve, std::size_t replicas,
                                   std::size_t threads);
-  /// Installs a partitioning restored from a snapshot and allocates every
-  /// row block, copying each shard's base rows (its leading ids below
-  /// data.size()) from `data`. The caller fills the replica slots, then
-  /// calls Serve.
-  void Place(const core::Dataset& data, Partitioning partitioning,
-             std::size_t reserve, std::size_t replicas);
-  /// A fresh sub-index for shard `s` restored from `image` with every
-  /// check methods::LoadIndexFrom makes, then readied.
-  core::Status Attach(std::size_t s, const io::SnapshotReader& image,
+  /// Writes the shard-set layout (docs/PERSISTENCE.md "Sharded
+  /// snapshots"): "live.meta" (K, dim, base rows, next id, reserve),
+  /// "live.centroids", then per shard its meta (row capacity, base rows,
+  /// rows held), its global ids, the rows past its base, and replica 0's
+  /// sections under ShardPrefix(s) + "index." (replicas are bit-identical,
+  /// so the layout is replica-oblivious).
+  core::Status SaveShards(io::SnapshotWriter* writer) const;
+  /// Restores what SaveShards wrote, over `data` (the base rows), into
+  /// `num_shards` shards with `reserve` rows of room and `replicas` copies
+  /// each, checking everything before the set can be served: counts and
+  /// shapes against the arguments and `data`, id tables that cover every id
+  /// below the next one exactly once in ascending order, centroids bitwise
+  /// equal to the base members' means, and every replica's sections. Back
+  /// to the unbuilt state on failure. The caller then calls Serve.
+  core::Status LoadShards(const io::SnapshotReader& reader,
+                          const core::Dataset& data, std::size_t num_shards,
+                          std::size_t reserve, std::size_t replicas);
+  /// Fails unless `reader`'s shard-`s` id table is the one being served.
+  core::Status CheckShardIds(const io::SnapshotReader& reader,
+                             std::size_t s) const;
+  /// A fresh sub-index for shard `s` restored from `reader`'s sections
+  /// under `prefix` over the shard's rows, then readied.
+  core::Status Attach(std::size_t s, const io::SnapshotReader& reader,
+                      const std::string& prefix,
                       std::unique_ptr<methods::GraphIndex>* out) const;
-  /// Copies `vec` into shard `s`'s next free row as global id `id` and
-  /// records it in the id and owner tables; returns its shard-local id.
+  /// Copies `vec` into shard `s`'s next free row as global id `id`, which
+  /// must be next_id(), and records it in the id and owner tables; returns
+  /// its shard-local id.
   std::size_t Append(std::size_t s, core::VectorId id, const float* vec);
   /// (Re)starts the fan-out engine and resets the serial RNG.
   void Serve(const ShardBreakerOptions& breaker, std::size_t threads,
@@ -132,11 +157,9 @@ class ShardSet : public methods::GraphIndex {
     return id < partitioning_.assignment.size() ? partitioning_.assignment[id]
                                                 : kNoOwner;
   }
-  const core::Dataset& rows(std::size_t s) const { return rows_[s]; }
-  core::Dataset& mutable_rows(std::size_t s) { return rows_[s]; }
-  std::size_t base_rows(std::size_t s) const {
-    return rows_[s].size() - reserve_;
-  }
+  /// One past the largest global id the shards hold: ids are dense, so
+  /// the shards hold every id below it, each once.
+  std::size_t next_id() const { return next_id_; }
   bool HasRoom(std::size_t s) const { return ids(s).size() < rows_[s].size(); }
   ReplicaSet& replicas(std::size_t s) { return replicas_[s]; }
   serve::FaultInjector* faults() const { return faults_; }
@@ -146,9 +169,14 @@ class ShardSet : public methods::GraphIndex {
 
  private:
   /// Takes `partitioning` and sizes the owner table for `data`'s rows plus
-  /// every shard's reserve; row blocks stay empty and replica slots unset.
+  /// every shard's reserve; the next id is data.size(), row blocks stay
+  /// empty and replica slots unset.
   void Reset(const core::Dataset& data, Partitioning partitioning,
              std::size_t reserve, std::size_t replicas);
+  /// LoadShards' body; the wrapper resets the set when it fails.
+  core::Status ReadShards(const io::SnapshotReader& reader,
+                          const core::Dataset& data, std::size_t num_shards,
+                          std::size_t reserve, std::size_t replicas);
   /// Allocates shard `s`'s row block and copies its first `base` rows.
   void CopyRows(const core::Dataset& data, std::size_t s, std::size_t base);
   methods::SearchResult SearchWith(const float* query,
@@ -161,6 +189,7 @@ class ShardSet : public methods::GraphIndex {
   std::vector<ReplicaSet> replicas_;
   std::size_t num_replicas_ = 1;
   std::size_t reserve_ = 0;
+  std::size_t next_id_ = 0;
   std::size_t nprobe_ = 0;
   double hedge_fraction_ = 0.0;
   serve::FaultInjector* faults_ = nullptr;

@@ -1,14 +1,9 @@
 #include "shard/sharded_index.h"
 
-#include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "core/macros.h"
-#include "io/hash.h"
 #include "io/serialize.h"
 #include "io/snapshot.h"
 #include "methods/factory.h"
@@ -21,39 +16,14 @@ namespace {
 
 /// Golden-ratio odd multiplier (same mix constant as core::Rng).
 constexpr std::uint64_t kSeedMix = 0x9E3779B97F4A7C15ULL;
-/// Seed for the per-shard whole-file hashes stored in the manifest.
-constexpr std::uint64_t kShardFileHashSeed = 0x53484152ULL;  // "SHAR"
 /// Decode-time sanity cap on shard counts (far above anything sensible).
 constexpr std::uint64_t kMaxShards = 1ULL << 20;
 
+/// The method and partitioner, beside the shard-set layout.
+constexpr char kConstructionSection[] = "sharded.construction";
+/// The first section of the retired manifest-plus-shard-files layout.
 constexpr char kManifestSection[] = "sharded.manifest";
-constexpr char kAssignmentSection[] = "sharded.assignment";
-constexpr char kCentroidsSection[] = "sharded.centroids";
 constexpr char kMethodPrefix[] = "SHARDED:";
-
-core::Status ReadFileBytes(const std::string& path,
-                           std::vector<std::uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return core::Status::IoError("cannot open " + path);
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return core::Status::IoError("cannot stat " + path);
-  out->resize(static_cast<std::size_t>(size));
-  in.seekg(0, std::ios::beg);
-  if (size > 0) {
-    in.read(reinterpret_cast<char*>(out->data()), size);
-  }
-  if (!in) return core::Status::IoError("cannot read " + path);
-  return core::Status::Ok();
-}
-
-/// Opens `bytes` as an in-memory snapshot image labelled `label`.
-core::Status OpenImage(std::vector<std::uint8_t> bytes, std::string label,
-                       io::SnapshotReader* out) {
-  return io::SnapshotReader::OpenBytes(
-      std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes)),
-      std::move(label), out);
-}
 
 bool IsKnownMethod(const std::string& name) {
   for (const std::string& known : methods::AllMethodNames()) {
@@ -62,14 +32,41 @@ bool IsKnownMethod(const std::string& name) {
   return false;
 }
 
-/// Decodes the manifest's construction fields (method and partitioner).
-void DecodeManifestHead(io::Decoder* dec, ShardedIndexOptions* options) {
-  dec->Str(&options->method, io::kMaxMethodName);
-  options->partitioner.kind = static_cast<PartitionerKind>(dec->U8());
-  options->partitioner.num_shards = dec->U64();
-  options->partitioner.kmeans_sample = dec->U64();
-  options->partitioner.kmeans_iters = dec->U64();
-  options->partitioner.balance_slack = dec->F64();
+/// The construction fields (method and partitioner) a sharded snapshot
+/// stores beside its shard set.
+io::Encoder EncodeConstruction(const ShardedIndexOptions& options) {
+  io::Encoder enc;
+  enc.Str(options.method);
+  enc.U8(static_cast<std::uint8_t>(options.partitioner.kind));
+  enc.U64(options.partitioner.num_shards);
+  enc.U64(options.partitioner.kmeans_sample);
+  enc.U64(options.partitioner.kmeans_iters);
+  enc.F64(options.partitioner.balance_slack);
+  return enc;
+}
+
+/// Reads the construction fields (method and partitioner) of the sharded
+/// snapshot `reader` holds. A file in the retired manifest layout is
+/// refused: its shards live in other files, which nothing reads any more.
+core::Status ReadConstruction(const io::SnapshotReader& reader,
+                              ShardedIndexOptions* options) {
+  if (reader.HasSection(kManifestSection)) {
+    return core::Status::InvalidArgument(
+        reader.path() + ": sharded manifests with per-shard files are no "
+        "longer readable; rebuild the index and save it again");
+  }
+  io::AlignedBytes buffer;
+  io::Decoder dec(nullptr, 0, "");
+  GASS_RETURN_IF_ERROR(
+      reader.OpenSection(kConstructionSection, &buffer, &dec));
+  dec.Str(&options->method, io::kMaxMethodName);
+  options->partitioner.kind = static_cast<PartitionerKind>(dec.U8());
+  options->partitioner.num_shards = dec.U64();
+  options->partitioner.kmeans_sample = dec.U64();
+  options->partitioner.kmeans_iters = dec.U64();
+  options->partitioner.balance_slack = dec.F64();
+  dec.ExpectEnd();
+  return dec.status();
 }
 
 }  // namespace
@@ -111,19 +108,11 @@ std::uint64_t ShardedIndex::SubIndexSeed(std::uint64_t seed, std::size_t s) {
   return seed ^ (kSeedMix * static_cast<std::uint64_t>(s));
 }
 
-std::string ShardedIndex::ShardPath(const std::string& path, std::size_t s) {
-  return path + ".shard" + std::to_string(s);
-}
-
 std::uint64_t ShardedIndex::ParamsFingerprint() const {
   io::Encoder enc;
   enc.Str("sharded");
-  enc.Str(options_.method);
-  enc.U8(static_cast<std::uint8_t>(options_.partitioner.kind));
-  enc.U64(options_.partitioner.num_shards);
-  enc.U64(options_.partitioner.kmeans_sample);
-  enc.U64(options_.partitioner.kmeans_iters);
-  enc.F64(options_.partitioner.balance_slack);
+  const io::Encoder construction = EncodeConstruction(options_);
+  enc.Bytes(construction.bytes().data(), construction.size());
   enc.U64(options_.seed);
   // Fold in the sub-method's own parameter fingerprint (a prototype is
   // enough: every shard uses the same construction knobs, only the seed
@@ -186,12 +175,19 @@ std::uint64_t ShardedIndex::probe_count(std::size_t s) const {
   return fan_out().probe_count(s);
 }
 
+core::Status ShardedIndex::OpenRecovery(std::size_t s,
+                                        io::SnapshotReader* reader) const {
+  GASS_RETURN_IF_ERROR(io::SnapshotReader::Open(snapshot_path_, reader));
+  GASS_RETURN_IF_ERROR(methods::CheckSnapshotHeader(*this, *data_, *reader));
+  return CheckShardIds(*reader, s);
+}
+
 core::Status ShardedIndex::ReloadShard(std::size_t s) {
   GASS_CHECK(s < num_shards());
   if (snapshot_path_.empty()) {
     return core::Status::InvalidArgument(
         "no recovery snapshot recorded for " + Name() +
-        " (LoadSnapshot records one; after Build + SaveSnapshot call "
+        " (loading one records it; after Build + SaveIndex call "
         "SetRecoverySnapshot)");
   }
   if (faults() != nullptr &&
@@ -199,21 +195,17 @@ core::Status ShardedIndex::ReloadShard(std::size_t s) {
     return core::Status::Corruption("injected reload corruption for shard " +
                                     std::to_string(s));
   }
-  const std::string shard_path = ShardPath(snapshot_path_, s);
-  // The shard file is read and opened once (replicas are bit-identical,
-  // and the snapshot stores one copy per shard); every replica attaches
-  // from those bytes and is swapped in under its own writer lock, so
-  // searches keep flowing on the replicas not currently swapping. The
-  // open and each attach re-validate the snapshot's checksums, method
-  // name, params fingerprint, and dataset binding, so a corrupted shard
-  // file fails here and the old (quarantined) sub-indexes keep serving.
-  std::vector<std::uint8_t> bytes;
-  GASS_RETURN_IF_ERROR(ReadFileBytes(shard_path, &bytes));
-  io::SnapshotReader image;
-  GASS_RETURN_IF_ERROR(OpenImage(std::move(bytes), shard_path, &image));
+  // The snapshot stores one copy per shard (replicas are bit-identical);
+  // every replica attaches from those sections and is swapped in under its
+  // own writer lock, so searches keep flowing on the replicas not
+  // currently swapping. The header, the shard's id table and each section
+  // read are checked, so a corrupted or foreign file fails here and the
+  // old (quarantined) sub-indexes keep serving.
+  io::SnapshotReader reader;
+  GASS_RETURN_IF_ERROR(OpenRecovery(s, &reader));
   for (std::size_t r = 0; r < num_replicas(); ++r) {
     std::unique_ptr<methods::GraphIndex> fresh;
-    GASS_RETURN_IF_ERROR(Attach(s, image, &fresh));
+    GASS_RETURN_IF_ERROR(Attach(s, reader, ShardPrefix(s) + "index.", &fresh));
     replicas(s).SwapIn(r, std::move(fresh));
     // Re-enter rotation through the half-open path: the next routing
     // decision probes this replica, and only a passing probe closes the
@@ -232,11 +224,12 @@ core::Status ShardedIndex::RebuildReplica(std::size_t s, std::size_t r) {
     return core::Status::Corruption("injected rebuild corruption for shard " +
                                     std::to_string(s));
   }
-  io::SnapshotReader image;
+  io::SnapshotReader source;
+  std::string prefix;
   if (!snapshot_path_.empty()) {
-    // Snapshot-backed: the shard file is the canonical copy.
-    GASS_RETURN_IF_ERROR(
-        io::SnapshotReader::Open(ShardPath(snapshot_path_, s), &image));
+    // Snapshot-backed: the recovery file is the canonical copy.
+    GASS_RETURN_IF_ERROR(OpenRecovery(s, &source));
+    prefix = ShardPrefix(s) + "index.";
   } else {
     if (reps < 2) {
       return core::Status::InvalidArgument(
@@ -257,10 +250,10 @@ core::Status ShardedIndex::RebuildReplica(std::size_t s, std::size_t r) {
         break;
       }
     }
-    GASS_RETURN_IF_ERROR(replicas(s).Image(peer, &image));
+    GASS_RETURN_IF_ERROR(replicas(s).Image(peer, &source));
   }
   std::unique_ptr<methods::GraphIndex> fresh;
-  GASS_RETURN_IF_ERROR(Attach(s, image, &fresh));
+  GASS_RETURN_IF_ERROR(Attach(s, source, prefix, &fresh));
   replicas(s).SwapIn(r, std::move(fresh));
   // Rebuilt but not yet trusted: generation bump + forced half-open probe;
   // only a passing probe re-closes the breaker.
@@ -340,212 +333,42 @@ void ShardedIndex::HoldReloadsForTest() {
   reloads_held_ = true;
 }
 
-core::Status ShardedIndex::SaveSnapshot(const std::string& path) const {
-  if (num_shards() == 0 || data_ == nullptr) {
-    return core::Status::InvalidArgument("cannot save an unbuilt " + Name() +
-                                         " index");
-  }
-  const std::size_t k = num_shards();
-  // Shard files first, manifest last: a crash mid-save can orphan shard
-  // files but never publish a manifest whose shards are missing, because
-  // the manifest itself is written crash-safely after all of them exist.
-  std::vector<std::uint64_t> shard_sizes(k);
-  std::vector<std::uint64_t> shard_hashes(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    const std::string shard_path = ShardPath(path, s);
-    // Replicas are bit-identical, so the snapshot stores exactly one copy
-    // per shard (replica 0) — the on-disk format is replica-oblivious and
-    // unchanged from the unreplicated layout.
-    GASS_RETURN_IF_ERROR(
-        methods::SaveIndex(shard(s), shard_path));
-    std::vector<std::uint8_t> bytes;
-    GASS_RETURN_IF_ERROR(ReadFileBytes(shard_path, &bytes));
-    shard_sizes[s] = shard_size(s);
-    shard_hashes[s] = io::Hash64(bytes.data(), bytes.size(),
-                                 kShardFileHashSeed);
-  }
-
-  io::SnapshotWriter writer(Name(), ParamsFingerprint(), data_->size(),
-                            data_->dim());
-  io::Encoder manifest;
-  manifest.Str(options_.method);
-  manifest.U8(static_cast<std::uint8_t>(options_.partitioner.kind));
-  manifest.U64(k);
-  manifest.U64(options_.partitioner.kmeans_sample);
-  manifest.U64(options_.partitioner.kmeans_iters);
-  manifest.F64(options_.partitioner.balance_slack);
-  manifest.VecU64(shard_sizes);
-  manifest.VecU64(shard_hashes);
-  GASS_RETURN_IF_ERROR(
-      writer.AddSection(kManifestSection, std::move(manifest)));
-
-  io::Encoder assignment;
-  assignment.VecU32(partitioning().assignment);
-  GASS_RETURN_IF_ERROR(
-      writer.AddSection(kAssignmentSection, std::move(assignment)));
-
-  io::Encoder centroids;
-  io::EncodeDataset(partitioning().centroids, &centroids);
-  GASS_RETURN_IF_ERROR(
-      writer.AddSection(kCentroidsSection, std::move(centroids)));
-  return writer.WriteTo(path);
+core::Status ShardedIndex::SaveSections(io::SnapshotWriter* writer,
+                                        const std::string& prefix) const {
+  GASS_CHECK_MSG(prefix.empty(), "%s does not nest under a section prefix",
+                 Name().c_str());
+  GASS_RETURN_IF_ERROR(writer->AddSection(kConstructionSection,
+                                          EncodeConstruction(options_)));
+  return SaveShards(writer);
 }
 
-core::Status ShardedIndex::LoadSnapshot(const std::string& path,
+core::Status ShardedIndex::LoadSections(const io::SnapshotReader& reader,
+                                        const std::string& prefix,
                                         const core::Dataset& data) {
+  GASS_CHECK_MSG(prefix.empty(), "%s does not nest under a section prefix",
+                 Name().c_str());
+  // A rejected snapshot leaves the index unbuilt, never half-loaded.
   WaitForReloads();
-  const core::Status status = LoadSnapshotImpl(path, data);
-  if (!status.ok()) {
-    Clear();
-    snapshot_path_.clear();
-  }
-  return status;
-}
-
-core::Status ShardedIndex::LoadSnapshotImpl(const std::string& path,
-                                            const core::Dataset& data) {
-  io::SnapshotReader reader;
-  GASS_RETURN_IF_ERROR(io::SnapshotReader::Open(path, &reader));
-  if (reader.method() != Name()) {
-    return core::Status::InvalidArgument(path + ": snapshot holds a " +
-                                         reader.method() +
-                                         " index, cannot load into " + Name());
-  }
-  if (reader.params_fingerprint() != ParamsFingerprint()) {
-    return core::Status::InvalidArgument(
-        path + ": snapshot was built with different " + Name() +
-        " parameters (fingerprint mismatch)");
-  }
-  if (reader.data_n() != data.size() || reader.data_dim() != data.dim()) {
-    return core::Status::InvalidArgument(
-        path + ": snapshot was built over a " +
-        std::to_string(reader.data_n()) + "x" +
-        std::to_string(reader.data_dim()) + " dataset, got " +
-        std::to_string(data.size()) + "x" + std::to_string(data.dim()));
-  }
-
-  io::AlignedBytes buffer;
-  io::Decoder dec(nullptr, 0, "");
-  GASS_RETURN_IF_ERROR(reader.OpenSection(kManifestSection, &buffer, &dec));
+  Clear();
+  snapshot_path_.clear();
   ShardedIndexOptions stored;
-  DecodeManifestHead(&dec, &stored);
-  const PartitionerParams& part = stored.partitioner;
-  const std::size_t k = part.num_shards;
-  std::vector<std::uint64_t> shard_sizes;
-  std::vector<std::uint64_t> shard_hashes;
-  dec.VecU64(&shard_sizes, kMaxShards);
-  dec.VecU64(&shard_hashes, kMaxShards);
-  if (!dec.ExpectEnd()) return dec.status();
-  // Semantic cross-checks. Every field below is also covered by the header
-  // fingerprint (already verified), so a disagreement means the manifest
-  // payload was altered behind a resealed checksum — reject loudly.
-  if (stored.method != options_.method ||
-      part.kind != options_.partitioner.kind ||
-      k != options_.partitioner.num_shards ||
-      part.kmeans_sample != options_.partitioner.kmeans_sample ||
-      part.kmeans_iters != options_.partitioner.kmeans_iters ||
-      part.balance_slack != options_.partitioner.balance_slack) {
+  GASS_RETURN_IF_ERROR(ReadConstruction(reader, &stored));
+  // Every field is also covered by the header fingerprint (already
+  // verified), so a disagreement means the section was altered behind a
+  // resealed checksum: reject loudly.
+  if (EncodeConstruction(stored).bytes() !=
+      EncodeConstruction(options_).bytes()) {
     return core::Status::Corruption(
-        path + ": manifest partitioner state contradicts the fingerprinted "
-               "construction parameters");
+        reader.path() + ": stored method and partitioner contradict the "
+                        "fingerprinted construction parameters");
   }
-  if (shard_sizes.size() != k || shard_hashes.size() != k) {
-    return core::Status::Corruption(
-        path + ": manifest shard table length does not match shard count");
-  }
-  std::uint64_t total = 0;
-  for (const std::uint64_t size : shard_sizes) total += size;
-  if (total != data.size()) {
-    return core::Status::Corruption(
-        path + ": manifest shard sizes do not cover the dataset (" +
-        std::to_string(total) + " of " + std::to_string(data.size()) +
-        " rows)");
-  }
-
-  GASS_RETURN_IF_ERROR(reader.OpenSection(kAssignmentSection, &buffer, &dec));
-  std::vector<std::uint32_t> assignment;
-  dec.VecU32(&assignment, data.size());
-  if (!dec.ExpectEnd()) return dec.status();
-  if (assignment.size() != data.size()) {
-    return core::Status::Corruption(
-        path + ": assignment covers " + std::to_string(assignment.size()) +
-        " rows, dataset has " + std::to_string(data.size()));
-  }
-  std::vector<std::vector<core::VectorId>> shard_ids(k);
-  for (std::size_t i = 0; i < assignment.size(); ++i) {
-    if (assignment[i] >= k) {
-      return core::Status::Corruption(
-          path + ": assignment references shard " +
-          std::to_string(assignment[i]) + " of " + std::to_string(k));
-    }
-    shard_ids[assignment[i]].push_back(static_cast<core::VectorId>(i));
-  }
-  for (std::size_t s = 0; s < k; ++s) {
-    if (shard_ids[s].size() != shard_sizes[s]) {
-      return core::Status::Corruption(
-          path + ": shard " + std::to_string(s) + " has " +
-          std::to_string(shard_ids[s].size()) +
-          " assigned rows but the manifest declares " +
-          std::to_string(shard_sizes[s]));
-    }
-  }
-
-  GASS_RETURN_IF_ERROR(reader.OpenSection(kCentroidsSection, &buffer, &dec));
-  core::Dataset centroids;
-  GASS_RETURN_IF_ERROR(io::DecodeDataset(&dec, &centroids));
-  if (!dec.ExpectEnd()) return dec.status();
-  if (centroids.size() != k || centroids.dim() != data.dim()) {
-    return core::Status::Corruption(
-        path + ": centroid section holds " +
-        std::to_string(centroids.size()) + "x" +
-        std::to_string(centroids.dim()) + ", expected " + std::to_string(k) +
-        "x" + std::to_string(data.dim()));
-  }
-  // Centroids are a pure function of (data, assignment); recomputing and
-  // comparing bitwise catches value tampering that a resealed checksum
-  // would otherwise let through.
-  const core::Dataset recomputed = ComputeCentroids(data, shard_ids);
-  if (centroids.size() > 0 &&
-      std::memcmp(centroids.data(), recomputed.data(),
-                  centroids.SizeBytes()) != 0) {
-    return core::Status::Corruption(
-        path + ": stored centroids do not match the shard member means");
-  }
-
-  Partitioning partitioning;
-  partitioning.assignment = std::move(assignment);
-  partitioning.shard_ids = std::move(shard_ids);
-  partitioning.centroids = std::move(centroids);
-  Place(data, std::move(partitioning), /*reserve=*/0, options_.replicas);
-  for (std::size_t s = 0; s < k; ++s) {
-    const std::string shard_path = ShardPath(path, s);
-    std::vector<std::uint8_t> bytes;
-    core::Status read = ReadFileBytes(shard_path, &bytes);
-    if (!read.ok()) {
-      return core::Status::Corruption(path + ": shard file " + shard_path +
-                                      " is missing or unreadable (" +
-                                      read.message() + ")");
-    }
-    if (io::Hash64(bytes.data(), bytes.size(), kShardFileHashSeed) !=
-        shard_hashes[s]) {
-      return core::Status::Corruption(
-          path + ": shard file " + shard_path +
-          " does not match the hash recorded in the manifest");
-    }
-    // The snapshot stores one copy per shard; every replica attaches from
-    // the bytes just read and hash-checked, so the file is read once.
-    io::SnapshotReader image;
-    GASS_RETURN_IF_ERROR(OpenImage(std::move(bytes), shard_path, &image));
-    for (std::size_t r = 0; r < num_replicas(); ++r) {
-      std::unique_ptr<methods::GraphIndex> sub;
-      GASS_RETURN_IF_ERROR(Attach(s, image, &sub));
-      replicas(s).SwapIn(r, std::move(sub));
-    }
-  }
+  GASS_RETURN_IF_ERROR(LoadShards(reader, data,
+                                  options_.partitioner.num_shards,
+                                  /*reserve=*/0, options_.replicas));
   FinishInit();
   // Record where the shards live so ReloadShard can recover any one of
   // them online later.
-  snapshot_path_ = path;
+  snapshot_path_ = reader.path();
   return core::Status::Ok();
 }
 
@@ -559,31 +382,27 @@ core::Status LoadShardedIndex(const std::string& path,
     return core::Status::InvalidArgument(
         path + ": not a sharded snapshot (method " + reader.method() + ")");
   }
-  io::AlignedBytes buffer;
-  io::Decoder dec(nullptr, 0, "");
-  GASS_RETURN_IF_ERROR(reader.OpenSection(kManifestSection, &buffer, &dec));
   ShardedIndexOptions options;
   options.seed = seed;
   options.replicas = replicas == 0 ? 1 : replicas;
-  DecodeManifestHead(&dec, &options);
-  if (!dec.ok()) return dec.status();
+  GASS_RETURN_IF_ERROR(ReadConstruction(reader, &options));
   const std::size_t num_shards = options.partitioner.num_shards;
   if (!IsKnownMethod(options.method)) {
-    return core::Status::Corruption(path + ": manifest names unknown method '" +
+    return core::Status::Corruption(path + ": snapshot names unknown method '" +
                                     options.method + "'");
   }
   if (options.partitioner.kind > PartitionerKind::kKMeans) {
     return core::Status::Corruption(path +
-                                    ": manifest names an unknown partitioner");
+                                    ": snapshot names an unknown partitioner");
   }
   if (num_shards == 0 || num_shards > kMaxShards) {
-    return core::Status::Corruption(path + ": manifest shard count " +
+    return core::Status::Corruption(path + ": snapshot shard count " +
                                     std::to_string(num_shards) +
                                     " is out of range");
   }
 
   auto index = std::make_unique<ShardedIndex>(options);
-  GASS_RETURN_IF_ERROR(index->LoadSnapshot(path, data));
+  GASS_RETURN_IF_ERROR(methods::LoadIndexFrom(index.get(), data, reader));
   *out = std::move(index);
   return core::Status::Ok();
 }

@@ -9,9 +9,8 @@
 // out to those shards (parallel on an internal pool, or on the caller
 // thread), and merges the per-shard top-k into one global result carrying
 // correct global VectorIds; shard::FanOut (shard/fan_out.h) runs all three
-// steps. What this index adds is its own: the manifest snapshot format,
-// reload, scrub/rebuild, hedging, faults, and abandoning stragglers at the
-// deadline.
+// steps. What this index adds is its own: reload, scrub/rebuild, hedging,
+// faults, and abandoning stragglers at the deadline.
 //
 // Why shard: graph builds are superlinear in n, so K builds of n/K rows
 // each — run concurrently — cut build wall-clock by far more than K-way
@@ -26,12 +25,12 @@
 // (SupportsConcurrentSearch() is true); per-query scratch for sub-searches
 // is the fan-out engine's per-thread context, sized to the largest shard.
 //
-// Persistence: SaveSnapshot writes a checksummed manifest snapshot at
-// `path` (partitioner state, assignment, centroids, per-shard file
-// hashes) plus one ordinary index snapshot per shard at
-// ShardPath(path, s). LoadSnapshot validates everything — including
+// Persistence: methods::SaveIndex writes one crash-safe snapshot file in
+// the ShardSet's shard-set layout (reserve 0, no live rows) plus one
+// section holding the method and partitioner, which LoadShardedIndex reads
+// to reconstruct the index. Loading validates everything — including
 // semantic cross-checks that survive a resealed checksum — before any
-// shard is searched.
+// shard is searched. See docs/PERSISTENCE.md "Sharded snapshots".
 
 #ifndef GASS_SHARD_SHARDED_INDEX_H_
 #define GASS_SHARD_SHARDED_INDEX_H_
@@ -119,8 +118,17 @@ class ShardedIndex : public ShardSet {
   /// and thread counts are query/run-time knobs and excluded.
   std::uint64_t ParamsFingerprint() const override;
 
-  core::Status SaveSnapshot(const std::string& path) const override;
-  core::Status LoadSnapshot(const std::string& path,
+  /// The shard-set layout (ShardSet::SaveShards) after a section holding
+  /// the method and partitioner. Top level only: `prefix` must be empty.
+  core::Status SaveSections(io::SnapshotWriter* writer,
+                            const std::string& prefix) const override;
+  /// Inverse of SaveSections. Refuses a file in the retired manifest layout
+  /// (InvalidArgument: rebuild the index) and a stored method or
+  /// partitioner that contradicts this index's; leaves the index unbuilt
+  /// on any failure, and on success records reader.path() as the recovery
+  /// snapshot.
+  core::Status LoadSections(const io::SnapshotReader& reader,
+                            const std::string& prefix,
                             const core::Dataset& data) override;
 
   /// The options the index was constructed with; SetFanoutThreads and
@@ -137,22 +145,23 @@ class ShardedIndex : public ShardSet {
   /// thread-safe against concurrent searches.
   void SetBreakerOptions(const ShardBreakerOptions& breaker);
 
-  /// Per-shard breaker state + transition counters (valid after
-  /// Build/LoadSnapshot).
+  /// Per-shard breaker state + transition counters (valid after build or
+  /// load).
   const ShardHealthTable& health() const { return fan_out().health(); }
 
   // --- Online shard recovery (see docs/SHARDING.md "Failure semantics") ---
 
-  /// Synchronously re-loads shard `s` from its snapshot file
-  /// (ShardPath(recovery_snapshot(), s)), swapping the fresh sub-index in
-  /// under that shard's lock while concurrent searches continue on every
-  /// other shard. On success the breaker's failure count resets and the
-  /// next routing decision probes the shard (half-open), so it re-enters
+  /// Synchronously re-loads shard `s` from the recovery snapshot's
+  /// sections, after checking the file's header and that its shard-`s` id
+  /// table is the one being served, swapping the fresh sub-index in under
+  /// that shard's lock while concurrent searches continue on every other
+  /// shard. On success the breaker's failure count resets and the next
+  /// routing decision probes the shard (half-open), so it re-enters
   /// rotation only by passing that probe. On failure (missing/corrupt
-  /// file, injected corruption) the shard keeps serving its old state —
-  /// quarantined if the breaker was open. Requires a recovery snapshot
-  /// path: recorded automatically by LoadSnapshot, or set explicitly after
-  /// Build + SaveSnapshot via SetRecoverySnapshot.
+  /// file, other ids, injected corruption) the shard keeps serving its old
+  /// state — quarantined if the breaker was open. Requires a recovery
+  /// snapshot path: recorded automatically by a load, or set explicitly
+  /// after Build + methods::SaveIndex via SetRecoverySnapshot.
   core::Status ReloadShard(std::size_t s);
 
   /// Rebuilds one replica of shard `s` online: a fresh sub-index is
@@ -192,7 +201,7 @@ class ShardedIndex : public ShardSet {
   /// being in flight when it asks for a second one.
   void HoldReloadsForTest();
 
-  /// Manifest path used for per-shard reloads; LoadSnapshot records it.
+  /// Snapshot file used for per-shard reloads; a load records it.
   void SetRecoverySnapshot(const std::string& path) { snapshot_path_ = path; }
   const std::string& recovery_snapshot() const { return snapshot_path_; }
 
@@ -208,26 +217,21 @@ class ShardedIndex : public ShardSet {
   /// Seed shard `s`'s sub-index is constructed with (s = 0 yields `seed`).
   static std::uint64_t SubIndexSeed(std::uint64_t seed, std::size_t s);
 
-  /// Path of shard s's snapshot file: "<path>.shard<s>".
-  static std::string ShardPath(const std::string& path, std::size_t s);
-
  private:
   std::unique_ptr<methods::GraphIndex> MakeShard(std::size_t s) const override;
   methods::BuildStats BuildShard(methods::GraphIndex& index,
                                  const core::Dataset& rows,
                                  std::size_t base_rows) const override;
 
-  /// LoadSnapshot body; the wrapper resets this index to the unbuilt state
-  /// when any step fails, so a rejected snapshot never leaves a
-  /// half-loaded, searchable index behind.
-  core::Status LoadSnapshotImpl(const std::string& path,
-                                const core::Dataset& data);
+  /// Opens the recovery snapshot for shard `s` and checks its header and
+  /// the shard's id table against what is being served.
+  core::Status OpenRecovery(std::size_t s, io::SnapshotReader* reader) const;
   /// Common post-build/load setup: the fan-out engine and reload
   /// bookkeeping.
   void FinishInit();
 
   ShardedIndexOptions options_;
-  /// Manifest path for per-shard recovery reloads ("" = none recorded).
+  /// Snapshot file for per-shard recovery reloads ("" = none recorded).
   std::string snapshot_path_;
 
   std::mutex reload_mutex_;
@@ -237,20 +241,20 @@ class ShardedIndex : public ShardSet {
   std::condition_variable reloads_released_;
 };
 
-/// Opens the sharded manifest at `path`, reconstructs a ShardedIndex with
+/// Opens the sharded snapshot at `path`, reconstructs a ShardedIndex with
 /// the method and partitioner recorded in it (plus the given base `seed`,
 /// verified against the stored params fingerprint), and loads every shard.
 /// The counterpart of methods::LoadAnyIndex for sharded snapshots.
 /// `replicas` copies of each shard are attached (replication is a serving
 /// knob, not a snapshot property: every replica attaches from the same
-/// per-shard file, read and hash-checked once); `replicas == 0` means 1.
+/// shard sections); `replicas == 0` means 1.
 core::Status LoadShardedIndex(const std::string& path,
                               const core::Dataset& data, std::uint64_t seed,
                               std::size_t replicas,
                               std::unique_ptr<ShardedIndex>* out);
 
-/// True when the snapshot at `path` is a sharded manifest (method name
-/// "SHARDED:..."), letting CLIs pick the right loader without parsing.
+/// True when a snapshot's method name marks it sharded ("SHARDED:..."),
+/// letting CLIs pick the right loader without parsing.
 bool IsShardedSnapshotMethod(const std::string& method);
 
 }  // namespace gass::shard

@@ -20,13 +20,6 @@ std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-void RemoveSnapshotFiles(const std::string& path, std::size_t num_shards) {
-  std::remove(path.c_str());
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    std::remove(shard::ShardedIndex::ShardPath(path, s).c_str());
-  }
-}
-
 TEST(OpenIndexTest, OpensPlainSnapshots) {
   const core::Dataset data = MakeData();
   auto built = methods::CreateIndex("hnsw", 42);
@@ -47,7 +40,7 @@ TEST(OpenIndexTest, OpensPlainSnapshots) {
   for (std::size_t i = 0; i < expected.neighbors.size(); ++i) {
     EXPECT_EQ(actual.neighbors[i].id, expected.neighbors[i].id);
   }
-  RemoveSnapshotFiles(path, 0);
+  std::remove(path.c_str());
 }
 
 TEST(OpenIndexTest, OpensShardedSnapshotsWithPostLoadKnobs) {
@@ -59,7 +52,7 @@ TEST(OpenIndexTest, OpensShardedSnapshotsWithPostLoadKnobs) {
   shard::ShardedIndex built(options);
   built.Build(data);
   const std::string path = TempPath("open_index_sharded.gass");
-  ASSERT_TRUE(built.SaveSnapshot(path).ok());
+  ASSERT_TRUE(methods::SaveIndex(built, path).ok());
 
   OpenIndexOptions open;
   open.seed = 42;
@@ -73,7 +66,7 @@ TEST(OpenIndexTest, OpensShardedSnapshotsWithPostLoadKnobs) {
   ASSERT_NE(sharded, nullptr);
   EXPECT_EQ(sharded->num_shards(), 3u);
   EXPECT_EQ(sharded->EffectiveNprobe(), 2u);  // The post-load override.
-  RemoveSnapshotFiles(path, 3);
+  std::remove(path.c_str());
 }
 
 TEST(OpenIndexTest, DefaultOptionsKeepSnapshotNprobe) {
@@ -85,14 +78,14 @@ TEST(OpenIndexTest, DefaultOptionsKeepSnapshotNprobe) {
   shard::ShardedIndex built(options);
   built.Build(data);
   const std::string path = TempPath("open_index_sharded_default.gass");
-  ASSERT_TRUE(built.SaveSnapshot(path).ok());
+  ASSERT_TRUE(methods::SaveIndex(built, path).ok());
 
   std::unique_ptr<methods::GraphIndex> loaded;
   ASSERT_TRUE(OpenIndex(path, data, 42, &loaded).ok());
   auto* sharded = dynamic_cast<shard::ShardedIndex*>(loaded.get());
   ASSERT_NE(sharded, nullptr);
   EXPECT_EQ(sharded->EffectiveNprobe(), built.EffectiveNprobe());
-  RemoveSnapshotFiles(path, 2);
+  std::remove(path.c_str());
 }
 
 TEST(OpenIndexTest, MissingFileFails) {
@@ -113,7 +106,7 @@ TEST(OpenIndexTest, WrongSeedIsRejected) {
 
   std::unique_ptr<methods::GraphIndex> loaded;
   EXPECT_FALSE(OpenIndex(path, data, 43, &loaded).ok());
-  RemoveSnapshotFiles(path, 0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -549,7 +549,7 @@ TEST(ReplicaScrubTest, RebuildRestoresFromTheRecoverySnapshot) {
   index.Build(data);
   const std::string path = std::string(::testing::TempDir()) +
                            "/replica_rebuild_" + std::to_string(::getpid());
-  ASSERT_TRUE(index.SaveSnapshot(path).ok());
+  ASSERT_TRUE(methods::SaveIndex(index, path).ok());
   index.SetRecoverySnapshot(path);
 
   const std::uint64_t majority = ReplicaDigest(index.replica(1, 0));
@@ -578,7 +578,7 @@ TEST(ReplicaScrubTest, SingleReplicaScrubHasNoMajorityToCompare) {
 
 // Replication is a serving knob, not a snapshot property: a snapshot
 // written by an unreplicated index loads under R = 2, every replica loads
-// from the same per-shard file, and answers match the R = 1 load exactly.
+// from the same shard sections, and answers match the R = 1 load exactly.
 TEST(ReplicaSnapshotTest, SnapshotLoadsUnderAnyReplicationFactor) {
   const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
   const Dataset queries =
@@ -587,7 +587,7 @@ TEST(ReplicaSnapshotTest, SnapshotLoadsUnderAnyReplicationFactor) {
   built.Build(data);
   const std::string path = std::string(::testing::TempDir()) +
                            "/replica_snapshot_" + std::to_string(::getpid());
-  ASSERT_TRUE(built.SaveSnapshot(path).ok());
+  ASSERT_TRUE(methods::SaveIndex(built, path).ok());
 
   std::unique_ptr<ShardedIndex> single;
   ASSERT_TRUE(LoadShardedIndex(path, data, kSeed, 1, &single).ok());

@@ -22,16 +22,21 @@
 
 #include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "../serve_test_util.h"
+#include "../snapshot_edit.h"
 #include "../test_util.h"
 #include "core/deadline.h"
 #include "eval/ground_truth.h"
 #include "eval/recall.h"
+#include "io/snapshot.h"
 #include "obs/trace.h"
 #include "serve/fault_injector.h"
 #include "serve/frontend.h"
@@ -174,7 +179,7 @@ TEST(ShardFaultTest, BreakerTripQuarantineAndRecoveryAfterReload) {
   const std::string path = std::string(::testing::TempDir()) +
                            "/shard_fault_recovery_" +
                            std::to_string(::getpid());
-  ASSERT_TRUE(sharded.SaveSnapshot(path).ok());
+  ASSERT_TRUE(methods::SaveIndex(sharded, path).ok());
   sharded.SetRecoverySnapshot(path);
 
   serve::FaultInjector faults(FailShardPlan(2));
@@ -222,7 +227,7 @@ TEST(ShardFaultTest, BackgroundReloadRecoversThroughHalfOpenProbe) {
   const std::string path = std::string(::testing::TempDir()) +
                            "/shard_fault_bg_reload_" +
                            std::to_string(::getpid());
-  ASSERT_TRUE(sharded.SaveSnapshot(path).ok());
+  ASSERT_TRUE(methods::SaveIndex(sharded, path).ok());
   sharded.SetRecoverySnapshot(path);
 
   serve::FaultInjector faults(FailShardPlan(1));
@@ -252,7 +257,7 @@ TEST(ShardFaultTest, CorruptReloadKeepsTheShardQuarantined) {
   const std::string path = std::string(::testing::TempDir()) +
                            "/shard_fault_corrupt_reload_" +
                            std::to_string(::getpid());
-  ASSERT_TRUE(sharded.SaveSnapshot(path).ok());
+  ASSERT_TRUE(methods::SaveIndex(sharded, path).ok());
   sharded.SetRecoverySnapshot(path);
 
   // The shard-3 crash hits admission id 0 only (the fault that tripped the
@@ -286,6 +291,97 @@ TEST(ShardFaultTest, CorruptReloadKeepsTheShardQuarantined) {
   params.admission_id = 2;
   EXPECT_FALSE(SearchOnce(sharded, data.Row(2), params).partial);
   EXPECT_EQ(sharded.health().state(3), BreakerState::kClosed);
+}
+
+// A recovery file whose shard-1 id table no longer matches the one being
+// served (edited, checksums resealed: a file of another build, or a tool
+// that rewrote it) must not be attached: the reload fails and the old
+// replicas keep answering exactly as before.
+TEST(ShardFaultTest, ReloadRefusesARecoveryFileWithOtherShardIds) {
+  const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
+  const Dataset queries =
+      gass::testing::UniformQueries(8, kDim, 0.0f, 28.0f, 6);
+  ShardedIndexOptions options = MakeOptions(4);
+  options.replicas = 2;
+  ShardedIndex sharded(options);
+  sharded.Build(data);
+  const std::string path = std::string(::testing::TempDir()) +
+                           "/shard_fault_other_ids_" +
+                           std::to_string(::getpid());
+  ASSERT_TRUE(methods::SaveIndex(sharded, path).ok());
+
+  // Swap shard 1's first two ids (the payload is a u64 count, then the
+  // ids as u64) and reseal the section.
+  std::vector<std::uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  io::SnapshotReader layout;
+  ASSERT_TRUE(io::SnapshotReader::Open(path, &layout).ok());
+  io::SectionInfo ids;
+  for (const io::SectionInfo& info : layout.sections()) {
+    if (info.name == ShardSet::ShardPrefix(1) + "ids") ids = info;
+  }
+  ASSERT_GE(sharded.shard_size(1), 2u);
+  testing::PutU64At(&bytes, ids.payload_offset + 8, sharded.ids(1)[1]);
+  testing::PutU64At(&bytes, ids.payload_offset + 16, sharded.ids(1)[0]);
+  testing::ResealSectionPayload(&bytes, ids);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+  sharded.SetRecoverySnapshot(path);
+
+  const methods::SearchParams params = MakeParams();
+  std::vector<methods::SearchResult> before;
+  for (VectorId q = 0; q < queries.size(); ++q) {
+    before.push_back(SearchOnce(sharded, queries.Row(q), params));
+  }
+  const core::Status status = sharded.ReloadShard(1);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("ids differ"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(sharded.health().generation(1, 0), 0u);
+  EXPECT_EQ(sharded.health().generation(1, 1), 0u);
+  for (VectorId q = 0; q < queries.size(); ++q) {
+    const auto after = SearchOnce(sharded, queries.Row(q), params);
+    EXPECT_FALSE(after.partial);
+    ASSERT_EQ(after.neighbors.size(), before[q].neighbors.size());
+    for (std::size_t i = 0; i < after.neighbors.size(); ++i) {
+      EXPECT_EQ(after.neighbors[i].id, before[q].neighbors[i].id);
+      EXPECT_EQ(after.neighbors[i].distance, before[q].neighbors[i].distance);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A recovery file of another build (here: another seed, so the same
+// contiguous id tables but other graphs) fails the header's fingerprint
+// check before any of its sections is attached.
+TEST(ShardFaultTest, ReloadRefusesARecoveryFileOfOtherParameters) {
+  const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
+  ShardedIndexOptions other_options = MakeOptions(4);
+  other_options.seed = kSeed + 1;
+  ShardedIndex other(other_options);
+  other.Build(data);
+  const std::string path = std::string(::testing::TempDir()) +
+                           "/shard_fault_other_params_" +
+                           std::to_string(::getpid());
+  ASSERT_TRUE(methods::SaveIndex(other, path).ok());
+
+  ShardedIndex sharded(MakeOptions(4));
+  sharded.Build(data);
+  sharded.SetRecoverySnapshot(path);
+  const core::Status status = sharded.ReloadShard(2);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("fingerprint"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(sharded.health().generation(2), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(ShardFaultTest, HedgedBackupResolvesASlowShardInsideTheDeadline) {

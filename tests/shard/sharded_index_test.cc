@@ -366,13 +366,13 @@ TEST(ShardedIndexTest, BuildStatsAccountForShardsAndRouting) {
   EXPECT_LE(sharded.partition_seconds() + slowest, stats.elapsed_seconds);
 }
 
-// Pinned outputs of one K=3, R=2 k-means build: the XXH64 of the manifest
-// and of every shard file SaveSnapshot writes, the footprint, and the build
-// distances (partitioning included). A change that alters how shards are
-// partitioned, built, copied to replicas or saved moves one of them.
-// Distances are bit-identical across SIMD levels, so the pins hold under
-// forced-scalar kernels too.
-constexpr std::uint64_t kPinnedManifestHash = 0xc1027fbbafff0c0aULL;
+// Pinned outputs of one K=3, R=2 k-means build: the XXH64 of the snapshot
+// file SaveIndex writes and of every shard's own serialized image, the
+// footprint, and the build distances (partitioning included). A change that
+// alters how shards are partitioned, built, copied to replicas or saved
+// moves one of them. Distances are bit-identical across SIMD levels, so the
+// pins hold under forced-scalar kernels too.
+constexpr std::uint64_t kPinnedSnapshotHash = 0x2d5cd79e2968c02fULL;
 constexpr std::uint64_t kPinnedShardHashes[] = {
     0x5765f8a2d379be9dULL, 0x76d7c13699a1e83cULL, 0x4fc5314b37cd44cdULL};
 constexpr std::size_t kPinnedIndexBytes = 34936;
@@ -400,13 +400,14 @@ TEST(ShardedIndexTest, SnapshotMatchesPinnedHashes) {
   const std::string path = std::string(::testing::TempDir()) +
                            "/sharded_pin_" + std::to_string(::getpid()) +
                            ".gass";
-  ASSERT_TRUE(sharded.SaveSnapshot(path).ok());
-  EXPECT_EQ(FileHash(path), kPinnedManifestHash);
+  ASSERT_TRUE(methods::SaveIndex(sharded, path).ok());
+  EXPECT_EQ(FileHash(path), kPinnedSnapshotHash);
   std::remove(path.c_str());
   for (std::size_t s = 0; s < 3; ++s) {
-    const std::string shard_path = ShardedIndex::ShardPath(path, s);
-    EXPECT_EQ(FileHash(shard_path), kPinnedShardHashes[s]) << "shard " << s;
-    std::remove(shard_path.c_str());
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(methods::SerializeIndex(sharded.shard(s), &bytes).ok());
+    EXPECT_EQ(io::Hash64(bytes.data(), bytes.size()), kPinnedShardHashes[s])
+        << "shard " << s;
   }
 }
 

@@ -1,27 +1,32 @@
 // Sharded-snapshot persistence tests: save→load round-trips are
-// bit-identical per shard file and search-identical, LoadShardedIndex
-// reconstructs an index from the manifest alone, and every corruption the
-// manifest format can express is rejected with a descriptive error —
-// including the semantic cases a *valid* checksum cannot catch (sections
-// rewritten and resealed by an attacker or a buggy tool): a centroid table
-// with the wrong row count, manifest parameters that contradict the header
-// fingerprint, and an assignment whose centroids no longer match the shard
-// member means.
+// bit-identical and search-identical, LoadShardedIndex reconstructs an
+// index from the snapshot alone, a save leaves exactly one file, and every
+// corruption the shard-set layout can express is rejected with a
+// descriptive error — including the semantic cases a *valid* checksum
+// cannot catch (sections edited and resealed by an attacker or a buggy
+// tool): a centroid table of the wrong shape, a stored method and
+// partitioner that contradict the header fingerprint, and id tables whose
+// centroids no longer match the shard member means. A file in the retired
+// manifest layout is refused with a message that says to rebuild.
 
 #include "shard/sharded_index.h"
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../snapshot_edit.h"
 #include "../test_util.h"
 #include "core/dataset.h"
+#include "io/fs.h"
 #include "io/serialize.h"
 #include "io/snapshot.h"
 #include "methods/factory.h"
@@ -67,19 +72,15 @@ class ShardedSnapshotTest : public ::testing::Test {
             std::to_string(::getpid()) + ".gass";
     mutated_path_ = path_ + ".mutated";
 
-    ShardedIndexOptions options = MakeOptions();
-    index_ = std::make_unique<ShardedIndex>(options);
+    index_ = std::make_unique<ShardedIndex>(MakeOptions());
     index_->Build(data_);
-    ASSERT_TRUE(index_->SaveSnapshot(path_).ok());
+    ASSERT_TRUE(methods::SaveIndex(*index_, path_).ok());
+    clean_ = ReadFileBytes(path_);
   }
 
   void TearDown() override {
-    for (const std::string& base : {path_, mutated_path_}) {
-      std::remove(base.c_str());
-      for (std::size_t s = 0; s < kShards; ++s) {
-        std::remove(ShardedIndex::ShardPath(base, s).c_str());
-      }
-    }
+    std::remove(path_.c_str());
+    std::remove(mutated_path_.c_str());
   }
 
   static ShardedIndexOptions MakeOptions() {
@@ -93,47 +94,53 @@ class ShardedSnapshotTest : public ::testing::Test {
     return options;
   }
 
-  /// Rewrites the manifest snapshot at path_ into mutated_path_, replacing
-  /// the payload of section `replace_name` with `replacement` and copying
-  /// every other section verbatim. SnapshotWriter recomputes all checksums,
-  /// so the result is a structurally VALID snapshot — the loader's semantic
-  /// cross-checks, not the checksum layer, must reject it. Shard files are
-  /// copied alongside so failures past the manifest stage stay reachable.
-  void RewriteResealed(const std::string& replace_name,
-                       io::Encoder replacement) {
+  /// Where section `name` sits in the clean snapshot.
+  io::SectionInfo Section(const std::string& name) const {
+    io::SnapshotReader reader;
+    EXPECT_TRUE(io::SnapshotReader::Open(path_, &reader).ok());
+    for (const io::SectionInfo& info : reader.sections()) {
+      if (info.name == name) return info;
+    }
+    ADD_FAILURE() << "no section " << name;
+    return io::SectionInfo{};
+  }
+
+  /// Copies the clean snapshot into mutated_path_ without the sections
+  /// whose names start with `prefix`, every checksum valid.
+  void CopyWithout(const std::string& prefix) {
     io::SnapshotReader reader;
     ASSERT_TRUE(io::SnapshotReader::Open(path_, &reader).ok());
     io::SnapshotWriter writer(reader.method(), reader.params_fingerprint(),
                               reader.data_n(), reader.data_dim());
     for (const io::SectionInfo& section : reader.sections()) {
-      if (section.name == replace_name) {
-        ASSERT_TRUE(
-            writer.AddSection(section.name, std::move(replacement)).ok());
-      } else {
-        io::AlignedBytes payload;
-        ASSERT_TRUE(reader.ReadSection(section.name, &payload).ok());
-        io::Encoder copy;
-        copy.Bytes(payload.data(), payload.size());
-        ASSERT_TRUE(writer.AddSection(section.name, std::move(copy)).ok());
-      }
+      if (section.name.rfind(prefix, 0) == 0) continue;
+      io::AlignedBytes payload;
+      ASSERT_TRUE(reader.ReadSection(section.name, &payload).ok());
+      io::Encoder copy;
+      copy.Bytes(payload.data(), payload.size());
+      ASSERT_TRUE(writer.AddSection(section.name, std::move(copy)).ok());
     }
     ASSERT_TRUE(writer.WriteTo(mutated_path_).ok());
-    for (std::size_t s = 0; s < kShards; ++s) {
-      WriteFileBytes(ShardedIndex::ShardPath(mutated_path_, s),
-                     ReadFileBytes(ShardedIndex::ShardPath(path_, s)));
-    }
   }
 
-  /// The mutated manifest must be rejected with a message containing
-  /// `needle`, and the rejected index must be left unbuilt (not searchable
-  /// with half-loaded state).
+  /// The snapshot at mutated_path_ must be rejected with a message
+  /// containing `needle`, and the rejected index must be left unbuilt (not
+  /// searchable with half-loaded state).
   void ExpectLoadRejected(const std::string& needle, const std::string& what) {
     ShardedIndex fresh(MakeOptions());
-    const core::Status status = fresh.LoadSnapshot(mutated_path_, data_);
+    const core::Status status =
+        methods::LoadIndex(&fresh, data_, mutated_path_);
     EXPECT_FALSE(status.ok()) << what;
     EXPECT_NE(status.message().find(needle), std::string::npos)
         << what << ": got '" << status.message() << "'";
     EXPECT_EQ(fresh.num_shards(), 0u) << what;
+  }
+
+  /// Writes `bytes` to mutated_path_, then ExpectLoadRejected.
+  void ExpectRejected(const std::vector<std::uint8_t>& bytes,
+                      const std::string& needle, const std::string& what) {
+    WriteFileBytes(mutated_path_, bytes);
+    ExpectLoadRejected(needle, what);
   }
 
   methods::SearchResult SearchConst(const ShardedIndex& index,
@@ -149,11 +156,12 @@ class ShardedSnapshotTest : public ::testing::Test {
   std::string path_;
   std::string mutated_path_;
   std::unique_ptr<ShardedIndex> index_;
+  std::vector<std::uint8_t> clean_;
 };
 
-TEST_F(ShardedSnapshotTest, RoundTripIsBitIdenticalPerShard) {
+TEST_F(ShardedSnapshotTest, RoundTripIsBitIdentical) {
   ShardedIndex loaded(MakeOptions());
-  ASSERT_TRUE(loaded.LoadSnapshot(path_, data_).ok());
+  ASSERT_TRUE(methods::LoadIndex(&loaded, data_, path_).ok());
   ASSERT_EQ(loaded.num_shards(), kShards);
   for (std::size_t s = 0; s < kShards; ++s) {
     EXPECT_EQ(loaded.shard_size(s), index_->shard_size(s));
@@ -172,26 +180,21 @@ TEST_F(ShardedSnapshotTest, RoundTripIsBitIdenticalPerShard) {
     }
   }
 
-  // Re-saving the loaded index reproduces every file bit-for-bit: manifest
-  // and all shard snapshots.
-  ASSERT_TRUE(loaded.SaveSnapshot(mutated_path_).ok());
-  EXPECT_EQ(ReadFileBytes(path_), ReadFileBytes(mutated_path_));
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(ReadFileBytes(ShardedIndex::ShardPath(path_, s)),
-              ReadFileBytes(ShardedIndex::ShardPath(mutated_path_, s)))
-        << "shard " << s;
-  }
+  // Re-saving the loaded index reproduces the file bit for bit.
+  ASSERT_TRUE(methods::SaveIndex(loaded, mutated_path_).ok());
+  EXPECT_EQ(clean_, ReadFileBytes(mutated_path_));
 }
 
-TEST_F(ShardedSnapshotTest, LoadShardedIndexReconstructsFromManifest) {
-  // The free loader learns method + partitioner from the manifest itself;
-  // only the seed comes from the caller (verified via the fingerprint).
+TEST_F(ShardedSnapshotTest, LoadShardedIndexReconstructsFromTheSnapshot) {
+  // The free loader learns method + partitioner from the file itself; only
+  // the seed comes from the caller (verified via the fingerprint).
   std::unique_ptr<ShardedIndex> loaded;
   ASSERT_TRUE(LoadShardedIndex(path_, data_, kSeed, 1, &loaded).ok());
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->num_shards(), kShards);
   EXPECT_EQ(loaded->options().method, "hnsw");
   EXPECT_EQ(loaded->options().partitioner.kind, PartitionerKind::kKMeans);
+  EXPECT_EQ(loaded->recovery_snapshot(), path_);
 
   const auto a = SearchConst(*index_, data_.Row(3));
   const auto b = SearchConst(*loaded, data_.Row(3));
@@ -202,7 +205,8 @@ TEST_F(ShardedSnapshotTest, LoadShardedIndexReconstructsFromManifest) {
 
   // A wrong caller seed changes the fingerprint and must be rejected.
   std::unique_ptr<ShardedIndex> wrong;
-  const core::Status status = LoadShardedIndex(path_, data_, kSeed + 1, 1, &wrong);
+  const core::Status status =
+      LoadShardedIndex(path_, data_, kSeed + 1, 1, &wrong);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("fingerprint"), std::string::npos);
 }
@@ -219,99 +223,164 @@ TEST_F(ShardedSnapshotTest, MismatchedOptionsRejected) {
   ShardedIndexOptions other = MakeOptions();
   other.partitioner.num_shards = kShards + 1;
   ShardedIndex fresh(other);
-  const core::Status status = fresh.LoadSnapshot(path_, data_);
+  const core::Status status = methods::LoadIndex(&fresh, data_, path_);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("fingerprint"), std::string::npos);
 }
 
-TEST_F(ShardedSnapshotTest, MissingShardFileRejected) {
-  // Valid manifest, one shard snapshot gone — the classic partial-copy
-  // deployment accident.
-  WriteFileBytes(mutated_path_, ReadFileBytes(path_));
-  for (std::size_t s = 0; s < kShards; ++s) {
-    if (s == 2) continue;
-    WriteFileBytes(ShardedIndex::ShardPath(mutated_path_, s),
-                   ReadFileBytes(ShardedIndex::ShardPath(path_, s)));
+TEST_F(ShardedSnapshotTest, SaveIndexWritesExactlyOneFile) {
+  const std::string dir = std::string(::testing::TempDir()) +
+                          "/sharded_one_file_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(io::CreateDirectory(dir).ok());
+  ShardedIndexOptions options = MakeOptions();
+  options.partitioner.num_shards = 3;
+  ShardedIndex three(options);
+  three.Build(data_);
+  ASSERT_TRUE(methods::SaveIndex(three, dir + "/index.gass").ok());
+
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
   }
-  ExpectLoadRejected("missing or unreadable", "missing shard file");
+  ASSERT_EQ(names.size(), 1u);  // No ".shard<s>" files, no ".tmp" left.
+  EXPECT_EQ(names[0], "index.gass");
+  std::filesystem::remove_all(dir);
 }
 
-TEST_F(ShardedSnapshotTest, TamperedShardFileRejected) {
-  WriteFileBytes(mutated_path_, ReadFileBytes(path_));
-  for (std::size_t s = 0; s < kShards; ++s) {
-    std::vector<std::uint8_t> bytes =
-        ReadFileBytes(ShardedIndex::ShardPath(path_, s));
-    if (s == 1) bytes[bytes.size() / 2] ^= 0x01;
-    WriteFileBytes(ShardedIndex::ShardPath(mutated_path_, s), bytes);
-  }
-  ExpectLoadRejected("does not match the hash", "bit-flipped shard file");
+TEST_F(ShardedSnapshotTest, MissingShardSectionsRejected) {
+  // Valid checksums throughout, shard 2's sub-index gone: a tool that
+  // dropped sections, or a copy cut short and resealed.
+  CopyWithout(ShardSet::ShardPrefix(2) + "index.");
+  ExpectLoadRejected("missing section '" + ShardSet::ShardPrefix(2) + "index.",
+                     "missing shard sections");
 }
 
-TEST_F(ShardedSnapshotTest, CentroidCountMismatchBehindValidChecksumRejected) {
-  // Rewrite the centroid section to hold K-1 rows. SnapshotWriter reseals
-  // every checksum, so only the loader's shape check can catch it.
-  Dataset truncated(kShards - 1, kDim);
-  for (VectorId s = 0; s < kShards - 1; ++s) {
-    std::memcpy(truncated.MutableRow(s), index_->partitioning().centroids.Row(s),
-                kDim * sizeof(float));
+TEST_F(ShardedSnapshotTest, FlippedShardPayloadCaughtByItsChecksum) {
+  const std::string prefix = ShardSet::ShardPrefix(1) + "index.";
+  io::SnapshotReader reader;
+  ASSERT_TRUE(io::SnapshotReader::Open(path_, &reader).ok());
+  io::SectionInfo largest;
+  for (const io::SectionInfo& info : reader.sections()) {
+    if (info.name.rfind(prefix, 0) == 0 &&
+        info.payload_bytes > largest.payload_bytes) {
+      largest = info;
+    }
   }
-  io::Encoder enc;
-  io::EncodeDataset(truncated, &enc);
-  RewriteResealed("sharded.centroids", std::move(enc));
-  ExpectLoadRejected("centroid section holds",
-                     "centroid-count mismatch behind a valid checksum");
+  ASSERT_GT(largest.payload_bytes, 0u);
+  std::vector<std::uint8_t> flipped = clean_;
+  flipped[largest.payload_offset + largest.payload_bytes / 2] ^= 0x01;
+  ExpectRejected(flipped,
+                 "section '" + largest.name + "': payload checksum mismatch",
+                 "bit-flipped shard payload");
 }
 
-TEST_F(ShardedSnapshotTest, ManifestContradictingFingerprintRejected) {
-  // Re-encode the manifest with one partitioner knob changed but the
-  // original header fingerprint kept: the semantic cross-check must notice
-  // the contradiction that the (resealed) checksums cannot.
-  io::Encoder enc;
+TEST_F(ShardedSnapshotTest, CentroidShapeMismatchBehindValidChecksumRejected) {
+  // Re-label the K x dim centroid table as 2K x dim/2: the payload still
+  // decodes, and the resealed checksum holds, so only the loader's shape
+  // check can catch it. The payload is a u64 row count, a u64 dimension,
+  // then the rows.
+  const io::SectionInfo centroids = Section("live.centroids");
+  std::vector<std::uint8_t> relabelled = clean_;
+  testing::PutU64At(&relabelled, centroids.payload_offset, 2 * kShards);
+  testing::PutU64At(&relabelled, centroids.payload_offset + 8, kDim / 2);
+  testing::ResealSectionPayload(&relabelled, centroids);
+  ExpectRejected(relabelled, "centroid section holds 8x8, expected 4x16",
+                 "centroid shape mismatch behind a valid checksum");
+}
+
+TEST_F(ShardedSnapshotTest, ConstructionContradictingFingerprintRejected) {
+  // Re-encode the method-and-partitioner section with one knob changed but
+  // the original header fingerprint kept: the semantic cross-check must
+  // notice the contradiction that the resealed checksums cannot.
   const ShardedIndexOptions options = MakeOptions();
+  io::Encoder enc;
   enc.Str(options.method);
   enc.U8(static_cast<std::uint8_t>(options.partitioner.kind));
   enc.U64(options.partitioner.num_shards);
   enc.U64(options.partitioner.kmeans_sample);
   enc.U64(options.partitioner.kmeans_iters + 1);  // Tampered.
   enc.F64(options.partitioner.balance_slack);
-  std::vector<std::uint64_t> sizes(kShards);
-  std::vector<std::uint64_t> hashes(kShards);
-  for (std::size_t s = 0; s < kShards; ++s) {
-    sizes[s] = index_->shard_size(s);
-    hashes[s] = 0;
-  }
-  enc.VecU64(sizes);
-  enc.VecU64(hashes);
-  RewriteResealed("sharded.manifest", std::move(enc));
-  ExpectLoadRejected("contradicts the fingerprinted",
-                     "manifest tamper behind a valid checksum");
+  const io::SectionInfo construction = Section("sharded.construction");
+  ASSERT_EQ(enc.size(), construction.payload_bytes);
+  std::vector<std::uint8_t> tampered = clean_;
+  std::memcpy(tampered.data() + construction.payload_offset,
+              enc.bytes().data(), enc.size());
+  testing::ResealSectionPayload(&tampered, construction);
+  ExpectRejected(tampered, "contradict the fingerprinted",
+                 "construction tamper behind a valid checksum");
 }
 
-TEST_F(ShardedSnapshotTest, AssignmentTamperCaughtByCentroidCrossCheck) {
-  // Swap two rows between shards: sizes still match the manifest and every
-  // checksum is resealed, but the stored centroids are no longer the
+TEST_F(ShardedSnapshotTest, SwappedMembersCaughtByCentroidCrossCheck) {
+  // Swap ids i and i + 1 between the two shards that own them: both id
+  // tables still ascend, cover every row once and match their sizes, and
+  // every checksum is resealed, but the stored centroids are no longer the
   // member means of the altered shards.
-  std::vector<std::uint32_t> assignment = index_->partitioning().assignment;
-  std::size_t a = 0;
-  std::size_t b = 0;
-  for (std::size_t i = 1; i < assignment.size(); ++i) {
-    if (assignment[i] != assignment[0]) {
-      b = i;
-      break;
-    }
-  }
-  ASSERT_NE(a, b) << "need two shards to swap between";
-  std::swap(assignment[a], assignment[b]);
-  io::Encoder enc;
-  enc.VecU32(assignment);
-  RewriteResealed("sharded.assignment", std::move(enc));
-  ExpectLoadRejected("do not match the shard member means",
-                     "assignment tamper behind a valid checksum");
+  const std::vector<std::uint32_t>& owner = index_->partitioning().assignment;
+  std::size_t i = 0;
+  while (i + 1 < owner.size() && owner[i] == owner[i + 1]) ++i;
+  ASSERT_LT(i + 1, owner.size()) << "need two shards to swap between";
+  std::vector<std::uint8_t> swapped = clean_;
+  const auto replace = [&](std::size_t s, VectorId from, VectorId to) {
+    const std::vector<VectorId>& table = index_->ids(s);
+    const auto at = std::find(table.begin(), table.end(), from);
+    ASSERT_NE(at, table.end());
+    // The ids payload is a u64 count, then the ids as u64.
+    const io::SectionInfo ids = Section(ShardSet::ShardPrefix(s) + "ids");
+    testing::PutU64At(&swapped,
+                      ids.payload_offset + 8 + 8 * (at - table.begin()), to);
+    testing::ResealSectionPayload(&swapped, ids);
+  };
+  replace(owner[i], static_cast<VectorId>(i), static_cast<VectorId>(i + 1));
+  replace(owner[i + 1], static_cast<VectorId>(i + 1), static_cast<VectorId>(i));
+  ExpectRejected(swapped, "do not match the shard member means",
+                 "swapped members behind a valid checksum");
 }
 
-TEST_F(ShardedSnapshotTest, UnshardedLoaderRejectsShardedManifest) {
-  // A plain hnsw index must refuse the manifest by method name — the
-  // sharded format never silently loads as a single graph.
+TEST_F(ShardedSnapshotTest, UnorderedIdsRejected) {
+  // Swap shard 0's first two ids: the same members, so the centroids still
+  // match, but rows 0 and 1 of its block would hold each other's vectors,
+  // not the ones its graph was built on.
+  const std::vector<VectorId>& table = index_->ids(0);
+  ASSERT_GE(table.size(), 2u);
+  const io::SectionInfo ids = Section(ShardSet::ShardPrefix(0) + "ids");
+  std::vector<std::uint8_t> unordered = clean_;
+  testing::PutU64At(&unordered, ids.payload_offset + 8, table[1]);
+  testing::PutU64At(&unordered, ids.payload_offset + 16, table[0]);
+  testing::ResealSectionPayload(&unordered, ids);
+  ExpectRejected(unordered, "shard ids not ascending",
+                 "unordered ids behind a valid checksum");
+}
+
+TEST_F(ShardedSnapshotTest, ManifestLayoutRefusedWithRebuildMessage) {
+  // A file of the retired layout: a manifest whose shards live in other
+  // files. Header and checksums are valid; both loaders refuse it by its
+  // manifest section and say to rebuild.
+  io::SnapshotWriter writer(index_->Name(), index_->ParamsFingerprint(), kN,
+                            kDim);
+  io::Encoder manifest;
+  manifest.Str("hnsw");
+  ASSERT_TRUE(writer.AddSection("sharded.manifest", std::move(manifest)).ok());
+  ASSERT_TRUE(writer.WriteTo(mutated_path_).ok());
+
+  std::unique_ptr<ShardedIndex> loaded;
+  const core::Status status =
+      LoadShardedIndex(mutated_path_, data_, kSeed, 1, &loaded);
+  EXPECT_EQ(status.code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("rebuild"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(loaded, nullptr);
+
+  ShardedIndex fresh(MakeOptions());
+  const core::Status direct = methods::LoadIndex(&fresh, data_, mutated_path_);
+  EXPECT_EQ(direct.code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(direct.message().find("rebuild"), std::string::npos)
+      << direct.message();
+}
+
+TEST_F(ShardedSnapshotTest, UnshardedLoaderRejectsShardedSnapshot) {
+  // A plain hnsw index must refuse the file by method name — the sharded
+  // layout never silently loads as a single graph.
   auto plain = methods::CreateIndex("hnsw", kSeed);
   const core::Status status = methods::LoadIndex(plain.get(), data_, path_);
   EXPECT_FALSE(status.ok());
@@ -320,7 +389,7 @@ TEST_F(ShardedSnapshotTest, UnshardedLoaderRejectsShardedManifest) {
 
 TEST_F(ShardedSnapshotTest, SaveUnbuiltIndexRejected) {
   ShardedIndex unbuilt(MakeOptions());
-  const core::Status status = unbuilt.SaveSnapshot(mutated_path_);
+  const core::Status status = methods::SaveIndex(unbuilt, mutated_path_);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("unbuilt"), std::string::npos);
 }

@@ -92,8 +92,8 @@
 //
 // --save writes a crash-safe checksummed snapshot of the built index (see
 // docs/PERSISTENCE.md); --load warm-starts eval/serve-bench from such a
-// snapshot through io::OpenIndex, which sniffs the manifest and picks the
-// plain or sharded loader itself — the --method and --shards flags are not
+// snapshot through io::OpenIndex, which reads the header's method name and
+// picks the plain or sharded loader itself — the --method and --shards flags are not
 // needed (and ignored) when loading, but --base and --seed must match the
 // saved build. --nprobe and --fanout-threads still apply post-load.
 //
@@ -209,7 +209,7 @@ std::unique_ptr<gass::methods::GraphIndex> MakeIndexFromFlags(
   return std::make_unique<gass::shard::ShardedIndex>(options);
 }
 
-// --load path: io::OpenIndex sniffs the snapshot manifest and dispatches to
+// --load path: io::OpenIndex reads the snapshot header and dispatches to
 // the plain or sharded loader itself; only the post-load query knobs come
 // from flags.
 Status LoadIndexFromFlags(const Flags& flags, const Dataset& base,
