@@ -1,6 +1,9 @@
 // Figure 17: implementation impact — the same graphs searched through the
-// original adjacency-list layout versus the optimized contiguous flat
-// layout (the hnswlib/ParlayANN style), for Vamana, HNSW and HCNNG.
+// original adjacency-list layout (core::Graph) versus the optimized
+// contiguous, bit-packed flat layout (core::FlatGraph, the hnswlib/ParlayANN
+// style every index now searches), for Vamana, HNSW and HCNNG. Both sides
+// run core::BeamSearch from the same KS seeds, so they find the same
+// answers and only the layout differs.
 //
 // Expected shape (paper): the optimized layouts are faster below ~0.97
 // recall; the gap narrows at high recall where distance computations
@@ -8,8 +11,9 @@
 
 #include "common/bench_util.h"
 #include "eval/recall.h"
+#include "core/beam_search.h"
 #include "methods/factory.h"
-#include "methods/flat_searcher.h"
+#include "seeds/seed_selector.h"
 
 namespace gass::bench {
 namespace {
@@ -26,26 +30,35 @@ void Run() {
   for (const char* name : {"vamana", "hnsw", "hcnng"}) {
     auto index = methods::CreateIndex(name, 42);
     index->Build(workload.base);
-    methods::FlatGraphSearcher flat(
-        workload.base, index->graph(),
-        std::make_unique<seeds::KsRandomSeeds>(workload.base.size(), 7));
+    const core::Graph graph = index->graph();
+    const core::FlatGraph flat = core::FlatGraph::FromGraph(graph);
+    core::VisitedTable visited(workload.base.size());
 
     for (const std::size_t beam : {20, 80, 320}) {
-      methods::SearchParams params;
-      params.k = workload.k;
-      params.beam_width = beam;
-      params.num_seeds = 48;
-
-      double orig_time = 0.0, flat_time = 0.0;
-      std::vector<std::vector<core::Neighbor>> results;
+      // The same KS seeds for both layouts, drawn before either is timed.
+      seeds::KsRandomSeeds ks(workload.base.size(), 7);
+      core::DistanceComputer dc(workload.base);
+      std::vector<std::vector<core::VectorId>> seeds;
       for (core::VectorId q = 0; q < workload.queries.size(); ++q) {
-        auto orig = index->Search(workload.queries.Row(q), params);
-        orig_time += orig.stats.elapsed_seconds;
-        results.push_back(std::move(orig.neighbors));
-        flat_time +=
-            flat.Search(workload.queries.Row(q), params).stats
-                .elapsed_seconds;
+        seeds.push_back(ks.Select(dc, workload.queries.Row(q), 48));
       }
+      // One layout over every query, then the other.
+      const auto time_all = [&](const auto& layout,
+                                std::vector<std::vector<core::Neighbor>>* out) {
+        core::Timer timer;
+        for (core::VectorId q = 0; q < workload.queries.size(); ++q) {
+          out->push_back(core::BeamSearch(layout, dc, workload.queries.Row(q),
+                                          seeds[q], workload.k, beam,
+                                          &visited));
+        }
+        return timer.Seconds();
+      };
+      // An untimed pass first, so neither timed pass pays for warming
+      // the rows both read.
+      std::vector<std::vector<core::Neighbor>> warm, results, flat_results;
+      time_all(flat, &warm);
+      const double orig_time = time_all(graph, &results);
+      const double flat_time = time_all(flat, &flat_results);
       const double queries = static_cast<double>(workload.queries.size());
       const double recall =
           eval::MeanRecall(results, workload.truth, workload.k);

@@ -1,7 +1,6 @@
 #include "core/graph.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <queue>
 #include <utility>
 
@@ -98,49 +97,6 @@ Status Graph::Validate() const {
       }
     }
   }
-  return Status::Ok();
-}
-
-Status Graph::Save(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot create " + path);
-  const std::uint64_t n = adjacency_.size();
-  bool ok = std::fwrite(&n, sizeof(n), 1, f) == 1;
-  for (const auto& list : adjacency_) {
-    if (!ok) break;
-    const std::uint32_t degree = static_cast<std::uint32_t>(list.size());
-    ok = std::fwrite(&degree, sizeof(degree), 1, f) == 1 &&
-         (list.empty() ||
-          std::fwrite(list.data(), sizeof(VectorId), list.size(), f) ==
-              list.size());
-  }
-  std::fclose(f);
-  return ok ? Status::Ok() : Status::IoError("short write to " + path);
-}
-
-Status Graph::Load(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  std::uint64_t n = 0;
-  if (std::fread(&n, sizeof(n), 1, f) != 1) {
-    std::fclose(f);
-    return Status::Corruption("truncated graph file " + path);
-  }
-  adjacency_.assign(n, {});
-  for (std::uint64_t v = 0; v < n; ++v) {
-    std::uint32_t degree = 0;
-    if (std::fread(&degree, sizeof(degree), 1, f) != 1) {
-      std::fclose(f);
-      return Status::Corruption("truncated graph file " + path);
-    }
-    adjacency_[v].resize(degree);
-    if (degree > 0 && std::fread(adjacency_[v].data(), sizeof(VectorId),
-                                 degree, f) != degree) {
-      std::fclose(f);
-      return Status::Corruption("truncated graph file " + path);
-    }
-  }
-  std::fclose(f);
   return Status::Ok();
 }
 

@@ -1,11 +1,13 @@
 // Proximity-graph representations.
 //
 // Graph is the mutable adjacency-list structure used during construction.
-// FlatGraph is the read-only contiguous (CSR-style) layout used by the
-// "optimized implementation" experiments (paper Fig. 17) and by HNSW's
-// sealed base layer (methods/hnsw_graph.h): one bit-packed block holds all
-// neighbor lists, removing per-node pointer chasing during search and
-// storing each id in only as many bits as the vertex count needs.
+// FlatGraph is the read-only contiguous (CSR-style) layout every built
+// index searches: each single-graph method's sealed graph
+// (methods/graph_index.h) and HNSW's sealed base layer
+// (methods/hnsw_graph.h). One bit-packed block holds all neighbor lists,
+// removing per-node pointer chasing during search (the "optimized
+// implementation" of paper Fig. 17) and storing each id in only as many
+// bits as the vertex count needs.
 // PackedSlots is the mutable form of the same packing: fixed-stride slots,
 // each a packed degree then room for a fixed number of packed ids,
 // rewritten in place (HNSW's lists while it inserts).
@@ -17,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "core/align.h"
@@ -78,13 +79,10 @@ class Graph {
   std::size_t MemoryBytes() const;
 
   /// Structural integrity check: every neighbor id is a valid vertex and no
-  /// vertex lists itself. Used by the snapshot loader (never trust on-disk
-  /// adjacency) and as a post-build assertion in construction tests.
-  /// Returns kCorruption naming the first offending vertex.
+  /// vertex lists itself (the checks io::DecodeGraph applies to on-disk
+  /// lists as it reads them). A post-build assertion in construction
+  /// tests. Returns kCorruption naming the first offending vertex.
   Status Validate() const;
-
-  Status Save(const std::string& path) const;
-  Status Load(const std::string& path);
 
  private:
   std::vector<std::vector<VectorId>> adjacency_;

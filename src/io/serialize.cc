@@ -1,5 +1,6 @@
 #include "io/serialize.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace gass::io {
@@ -85,46 +86,52 @@ bool Decoder::Str(std::string* out, std::uint64_t max_len) {
   return ReadRaw(out->data(), count, "string");
 }
 
-void EncodeGraph(const core::Graph& graph, Encoder* enc) {
-  const std::size_t n = graph.size();
-  enc->U64(n);
-  for (core::VectorId v = 0; v < n; ++v) {
-    const auto& list = graph.Neighbors(v);
-    enc->U32(static_cast<std::uint32_t>(list.size()));
-    enc->Bytes(list.data(), list.size() * sizeof(core::VectorId));
-  }
-}
-
 core::Status DecodeGraph(Decoder* dec, std::uint64_t expected_n,
-                         core::Graph* out) {
+                         core::FlatGraph* out, std::uint32_t max_degree) {
   const std::uint64_t n = dec->U64();
-  if (!dec->Check(n == expected_n,
-                  "graph vertex count " + std::to_string(n) +
-                      " does not match dataset size " +
-                      std::to_string(expected_n))) {
+  if (!dec->ok()) return dec->status();
+  if (n != expected_n) {
+    dec->Fail("graph vertex count " + std::to_string(n) +
+              " does not match dataset size " + std::to_string(expected_n));
     return dec->status();
   }
-  core::Graph graph(n);
-  for (std::uint64_t v = 0; v < n; ++v) {
+  // Each vertex costs one degree word, so a well-formed payload holds
+  // exactly remaining / 4 - n ids: the packed block is sized for that
+  // once, and a list that would overflow it is rejected.
+  const std::uint64_t words = dec->remaining() / sizeof(std::uint32_t);
+  core::FlatGraph::Packer packer(
+      n, std::min<std::uint64_t>(words > n ? words - n : 0,
+                                 core::FlatGraph::kMaxEdges));
+  std::vector<core::VectorId> list;
+  const auto fail = [dec](core::VectorId v, const std::string& what) {
+    dec->Fail("vertex " + std::to_string(v) + " " + what);
+    return dec->status();
+  };
+  for (core::VectorId v = 0; v < n; ++v) {
     const std::uint32_t degree = dec->U32();
-    if (!dec->Check(degree <= dec->remaining() / sizeof(core::VectorId),
-                    "vertex " + std::to_string(v) + " degree " +
-                        std::to_string(degree) +
-                        " exceeds remaining payload")) {
-      return dec->status();
+    if (!dec->ok()) return dec->status();
+    if (degree > max_degree) {
+      return fail(v, "lists " + std::to_string(degree) +
+                         " ids, more than its " + std::to_string(max_degree) +
+                         "-id slot");
     }
-    std::vector<core::VectorId> list(degree);
-    if (!dec->Bytes(list.data(), degree * sizeof(core::VectorId))) {
-      return dec->status();
+    if (degree > dec->remaining() / sizeof(core::VectorId)) {
+      return fail(v, "degree " + std::to_string(degree) +
+                         " exceeds remaining payload");
     }
-    graph.SetNeighbors(static_cast<core::VectorId>(v), std::move(list));
+    list.resize(degree);
+    dec->Bytes(list.data(), degree * sizeof(core::VectorId));
+    for (const core::VectorId u : list) {
+      if (u >= n || u == v) {
+        return fail(v, "has neighbor id " + std::to_string(u) +
+                           (u == v ? " (a self-loop)" : " out of range"));
+      }
+    }
+    if (!packer.Append(v, list)) {
+      return fail(v, "overflows the graph's edge block");
+    }
   }
-  GASS_RETURN_IF_ERROR(dec->status());
-  core::Status valid = graph.Validate();
-  if (!valid.ok()) {
-    return core::Status::Corruption(dec->context() + ": " + valid.message());
-  }
-  *out = std::move(graph);
+  *out = std::move(packer).Finish();
   return core::Status::Ok();
 }
 

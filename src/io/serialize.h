@@ -153,11 +153,29 @@ class Decoder {
   std::string context_;
 };
 
-/// Adjacency-list graph codec. Decode validates the vertex count against
-/// `expected_n` and every neighbor id via Graph::Validate().
-void EncodeGraph(const core::Graph& graph, Encoder* enc);
+/// The v1 graph encoding: a u64 vertex count, then per vertex a u32
+/// degree and that many u32 ids. Writes any graph whose Neighbors(v) has
+/// size() and operator[] (core::Graph, core::FlatGraph).
+template <typename GraphT>
+void EncodeGraph(const GraphT& graph, Encoder* enc) {
+  enc->U64(graph.size());
+  std::vector<core::VectorId> list;
+  for (core::VectorId v = 0; v < graph.size(); ++v) {
+    const auto& ids = graph.Neighbors(v);
+    list.resize(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) list[i] = ids[i];
+    enc->U32(static_cast<std::uint32_t>(list.size()));
+    enc->Bytes(list.data(), list.size() * sizeof(core::VectorId));
+  }
+}
+
+/// Inverse of EncodeGraph straight into the sealed form, each list packed
+/// as soon as it validates. Rejects with kCorruption a vertex count other
+/// than `expected_n`, a list longer than `max_degree`, an out-of-range id
+/// and a self-loop; messages are built only for the failure.
 core::Status DecodeGraph(Decoder* dec, std::uint64_t expected_n,
-                         core::Graph* out);
+                         core::FlatGraph* out,
+                         std::uint32_t max_degree = 0xFFFFFFFFu);
 
 /// Dense row-major float matrix codec. Decode caps the total payload via
 /// the declared n × dim against the bytes remaining.

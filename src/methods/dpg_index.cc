@@ -13,11 +13,9 @@ using core::Graph;
 using core::Neighbor;
 using core::VectorId;
 
-BuildStats DpgIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  core::DistanceComputer dc(data);
+Graph DpgIndex::BuildGraph(core::DistanceComputer& dc,
+                           std::size_t* transient_bytes) {
+  const core::Dataset& data = *data_;
 
   Graph base = knngraph::NnDescent(dc, params_.nndescent, params_.seed);
 
@@ -27,7 +25,7 @@ BuildStats DpgIndex::Build(const core::Dataset& data) {
   prune.theta_degrees = params_.theta_degrees;
   prune.max_degree = params_.max_degree;
 
-  graph_ = Graph(data.size());
+  Graph graph(data.size());
   for (VectorId v = 0; v < data.size(); ++v) {
     std::vector<Neighbor> candidates;
     const auto& base_list = base.Neighbors(v);
@@ -36,23 +34,17 @@ BuildStats DpgIndex::Build(const core::Dataset& data) {
     std::sort(candidates.begin(), candidates.end());
     const std::vector<Neighbor> kept =
         diversify::Diversify(dc, v, candidates, prune);
-    auto& list = graph_.MutableNeighbors(v);
+    auto& list = graph.MutableNeighbors(v);
     for (const Neighbor& nb : kept) list.push_back(nb.id);
   }
 
   // Undirect for connectivity (DPG's final step).
-  graph_.MakeUndirected();
+  graph.MakeUndirected();
 
-  visited_ = std::make_unique<core::VisitedTable>(data.size());
   seed_selector_ = std::make_unique<seeds::KsRandomSeeds>(
       data.size(), params_.seed ^ 0x5EEDULL);
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes + base.MemoryBytes() * 2;
-  return stats;
+  *transient_bytes = base.MemoryBytes() * 2;
+  return graph;
 }
 
 std::uint64_t DpgIndex::ParamsFingerprint() const {

@@ -24,10 +24,11 @@ class DpgIndex : public SingleGraphIndex {
   explicit DpgIndex(const DpgParams& params) : params_(params) {}
 
   std::string Name() const override { return "DPG"; }
-  BuildStats Build(const core::Dataset& data) override;
   std::uint64_t ParamsFingerprint() const override;
 
  private:
+  core::Graph BuildGraph(core::DistanceComputer& dc,
+                         std::size_t* transient_bytes) override;
   core::Status LoadAux(const io::SnapshotReader& reader,
                        const std::string& prefix) override;
 

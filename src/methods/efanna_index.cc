@@ -8,11 +8,9 @@ namespace gass::methods {
 using core::Graph;
 using core::VectorId;
 
-BuildStats EfannaIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  core::DistanceComputer dc(data);
+Graph EfannaIndex::BuildGraph(core::DistanceComputer& dc,
+                              std::size_t* transient_bytes) {
+  const core::Dataset& data = *data_;
 
   // Randomized K-D forest: both the NNDescent initializer and the query
   // seed structure.
@@ -32,18 +30,13 @@ BuildStats EfannaIndex::Build(const core::Dataset& data) {
     }
   }
 
-  graph_ = knngraph::NnDescent(dc, params_.nndescent, params_.seed ^ 0x1ULL,
-                               &init);
-  visited_ = std::make_unique<core::VisitedTable>(data.size());
+  Graph graph = knngraph::NnDescent(dc, params_.nndescent,
+                                    params_.seed ^ 0x1ULL, &init);
   seed_selector_ = std::make_unique<seeds::KdSeeds>(forest, data_);
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
-  // Trees + initial graph + NNDescent pools coexist during build.
-  stats.peak_bytes = stats.index_bytes * 2 + init.MemoryBytes();
-  return stats;
+  // Trees + initial graph + NNDescent pools (about the final lists'
+  // size) coexist during build.
+  *transient_bytes = init.MemoryBytes() + graph.MemoryBytes();
+  return graph;
 }
 
 std::uint64_t EfannaIndex::ParamsFingerprint() const {

@@ -26,10 +26,11 @@ class EfannaIndex : public SingleGraphIndex {
   explicit EfannaIndex(const EfannaParams& params) : params_(params) {}
 
   std::string Name() const override { return "EFANNA"; }
-  BuildStats Build(const core::Dataset& data) override;
   std::uint64_t ParamsFingerprint() const override;
 
  private:
+  core::Graph BuildGraph(core::DistanceComputer& dc,
+                         std::size_t* transient_bytes) override;
   core::Status SaveAux(io::SnapshotWriter* writer,
                        const std::string& prefix) const override;
   core::Status LoadAux(const io::SnapshotReader& reader,

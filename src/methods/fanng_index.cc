@@ -15,11 +15,9 @@ using core::Neighbor;
 using core::Rng;
 using core::VectorId;
 
-BuildStats FanngIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  core::DistanceComputer dc(data);
+Graph FanngIndex::BuildGraph(core::DistanceComputer& dc,
+                             std::size_t* transient_bytes) {
+  const core::Dataset& data = *data_;
   Rng rng(params_.seed);
 
   // Rich candidate lists, occlusion-pruned (RND geometry).
@@ -28,7 +26,7 @@ BuildStats FanngIndex::Build(const core::Dataset& data) {
   prune.strategy = diversify::Strategy::kRnd;
   prune.max_degree = params_.max_degree;
 
-  graph_ = Graph(data.size());
+  Graph graph(data.size());
   for (VectorId v = 0; v < data.size(); ++v) {
     std::vector<Neighbor> candidates;
     const auto& base_list = base.Neighbors(v);
@@ -37,7 +35,7 @@ BuildStats FanngIndex::Build(const core::Dataset& data) {
     std::sort(candidates.begin(), candidates.end());
     const std::vector<Neighbor> kept =
         diversify::Diversify(dc, v, candidates, prune);
-    auto& list = graph_.MutableNeighbors(v);
+    auto& list = graph.MutableNeighbors(v);
     for (const Neighbor& nb : kept) list.push_back(nb.id);
   }
 
@@ -57,7 +55,7 @@ BuildStats FanngIndex::Build(const core::Dataset& data) {
     while (hops < params_.max_walk_hops) {
       VectorId best = current;
       float best_dist = current_dist;
-      for (VectorId u : graph_.Neighbors(current)) {
+      for (VectorId u : graph.Neighbors(current)) {
         const float d = u == target ? 0.0f : dc.Between(target, u);
         if (d < best_dist) {
           best_dist = d;
@@ -72,9 +70,9 @@ BuildStats FanngIndex::Build(const core::Dataset& data) {
     }
     if (current != target) {
       // Escape edge; re-prune the stuck node's enlarged list.
-      if (graph_.AddEdgeUnique(current, target)) {
+      if (graph.AddEdgeUnique(current, target)) {
         ++escape_edges_;
-        auto& list = graph_.MutableNeighbors(current);
+        auto& list = graph.MutableNeighbors(current);
         if (list.size() > params_.max_degree) {
           std::vector<Neighbor> candidates;
           candidates.reserve(list.size());
@@ -89,16 +87,10 @@ BuildStats FanngIndex::Build(const core::Dataset& data) {
     }
   }
 
-  visited_ = std::make_unique<core::VisitedTable>(data.size());
   seed_selector_ = std::make_unique<seeds::KsRandomSeeds>(
       data.size(), params_.seed ^ 0x5EEDULL);
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes + base.MemoryBytes() * 2;
-  return stats;
+  *transient_bytes = base.MemoryBytes() * 2;
+  return graph;
 }
 
 std::uint64_t FanngIndex::ParamsFingerprint() const {

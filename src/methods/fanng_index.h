@@ -33,7 +33,6 @@ class FanngIndex : public SingleGraphIndex {
   explicit FanngIndex(const FanngParams& params) : params_(params) {}
 
   std::string Name() const override { return "FANNG"; }
-  BuildStats Build(const core::Dataset& data) override;
 
   /// Escape edges added by traverse-and-add in the last Build.
   std::size_t escape_edges() const { return escape_edges_; }
@@ -41,6 +40,8 @@ class FanngIndex : public SingleGraphIndex {
   std::uint64_t ParamsFingerprint() const override;
 
  private:
+  core::Graph BuildGraph(core::DistanceComputer& dc,
+                         std::size_t* transient_bytes) override;
   core::Status LoadAux(const io::SnapshotReader& reader,
                        const std::string& prefix) override;
 

@@ -30,6 +30,26 @@ SearchContext GraphIndex::MakeSearchContext(std::uint64_t seed) const {
   return SearchContext(data_->size(), seed);
 }
 
+BuildStats SingleGraphIndex::Build(const core::Dataset& data) {
+  GASS_CHECK(!data.empty());
+  data_ = &data;
+  visited_ = std::make_unique<core::VisitedTable>(data.size());
+  core::Timer timer;
+  core::DistanceComputer dc(data);
+  std::size_t transient_bytes = 0;
+  const core::Graph graph = BuildGraph(dc, &transient_bytes);
+  graph_ = core::FlatGraph::FromGraph(graph);
+
+  BuildStats stats;
+  stats.elapsed_seconds = timer.Seconds();
+  stats.distance_computations = dc.count();
+  stats.index_bytes = IndexBytes();
+  // The peak: the build's transient structures and its mutable graph
+  // beside the sealed copy made from it and the seed structures.
+  stats.peak_bytes = transient_bytes + graph.MemoryBytes() + stats.index_bytes;
+  return stats;
+}
+
 SearchResult SingleGraphIndex::Search(const float* query,
                                       const SearchParams& params) {
   // Serial path: the index-owned visited table plus the selector's internal
@@ -63,6 +83,15 @@ SearchResult SingleGraphIndex::SearchWith(const float* query,
   result.stats.elapsed_seconds = timer.Seconds();
   result.degrade_step = params.degrade_step;
   return result;
+}
+
+core::Graph SingleGraphIndex::graph() const {
+  core::Graph graph(graph_.size());
+  for (core::VectorId v = 0; v < graph_.size(); ++v) {
+    const core::PackedIds ids = graph_.Neighbors(v);
+    for (std::size_t i = 0; i < ids.size(); ++i) graph.AddEdge(v, ids[i]);
+  }
+  return graph;
 }
 
 std::size_t SingleGraphIndex::IndexBytes() const {

@@ -1,4 +1,4 @@
-// The public index interface shared by all twelve methods.
+// The public index interface shared by every method.
 
 #ifndef GASS_METHODS_GRAPH_INDEX_H_
 #define GASS_METHODS_GRAPH_INDEX_H_
@@ -262,27 +262,27 @@ core::Status LoadIndexFrom(GraphIndex* index, const core::Dataset& data,
                            const io::SnapshotReader& reader);
 
 /// Common implementation: a single base graph searched with Algorithm 1,
-/// seeded by a pluggable SS strategy. Subclasses implement BuildGraph() and
-/// install a seed selector.
+/// seeded by a pluggable SS strategy. Subclasses implement BuildGraph(),
+/// which installs their seed selector; Build seals the graph it returns
+/// into a bit-packed core::FlatGraph, the only form kept and searched.
 class SingleGraphIndex : public GraphIndex {
  public:
+  /// Binds `data`, runs BuildGraph, then seals its graph and frees it.
+  BuildStats Build(const core::Dataset& data) final;
   SearchResult Search(const float* query, const SearchParams& params) override;
   SearchResult Search(const float* query, const SearchParams& params,
                       SearchContext* ctx) const override;
   bool SupportsConcurrentSearch() const override { return true; }
 
-  core::Graph graph() const override { return graph_; }
+  /// The sealed graph, expanded into adjacency lists.
+  core::Graph graph() const override;
+  /// The sealed graph plus the seed selector's structures.
   std::size_t IndexBytes() const override;
 
-  /// Replaces the query-time seed selector (used by the SS experiments).
-  void SetSeedSelector(std::unique_ptr<seeds::SeedSelector> selector) {
-    seed_selector_ = std::move(selector);
-  }
-  seeds::SeedSelector* seed_selector() { return seed_selector_.get(); }
-
   /// Saves the base graph under "<prefix>graph" plus any method sections
-  /// (SaveAux); the inverse decodes and Validate()s the graph, rebinds
-  /// `data`, and delegates seed-structure restoration to LoadAux.
+  /// (SaveAux); the inverse decodes and validates the graph straight into
+  /// its sealed form, rebinds `data`, and delegates seed-structure
+  /// restoration to LoadAux.
   core::Status SaveSections(io::SnapshotWriter* writer,
                             const std::string& prefix) const override;
   core::Status LoadSections(const io::SnapshotReader& reader,
@@ -290,6 +290,14 @@ class SingleGraphIndex : public GraphIndex {
                             const core::Dataset& data) override;
 
  protected:
+  /// The method's construction over data_: returns its base graph
+  /// (build-time scratch, which Build seals and frees) and installs
+  /// seed_selector_, charging every distance to `dc`. `*transient_bytes`
+  /// starts at 0; a method that held more at its peak than that graph and
+  /// the selector (base graphs, candidate pools) sets it to the excess.
+  virtual core::Graph BuildGraph(core::DistanceComputer& dc,
+                                 std::size_t* transient_bytes) = 0;
+
   /// Method-specific auxiliary sections (seed trees, hash tables). The
   /// defaults save nothing / fail with kUnimplemented — every method that
   /// snapshots must override LoadAux to reinstall its seed selector.
@@ -304,7 +312,7 @@ class SingleGraphIndex : public GraphIndex {
   SearchResult SearchWith(const float* query, const SearchParams& params,
                           core::VisitedTable* visited, core::Rng* rng) const;
 
-  core::Graph graph_;
+  core::FlatGraph graph_;
   std::unique_ptr<seeds::SeedSelector> seed_selector_;
   std::unique_ptr<core::VisitedTable> visited_;
 };

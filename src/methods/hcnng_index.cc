@@ -81,19 +81,17 @@ void AddLeafMst(core::DistanceComputer& dc,
 
 }  // namespace
 
-BuildStats HcnngIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  core::DistanceComputer dc(data);
+Graph HcnngIndex::BuildGraph(core::DistanceComputer& dc,
+                             std::size_t* transient_bytes) {
+  const core::Dataset& data = *data_;
   Rng rng(params_.seed);
 
-  graph_ = Graph(data.size());
+  Graph graph(data.size());
   for (std::size_t c = 0; c < params_.num_clusterings; ++c) {
     const auto leaves =
         trees::RandomBisectionLeaves(data, params_.leaf_size, rng.Next());
     for (const auto& leaf : leaves) {
-      AddLeafMst(dc, leaf, params_.mst_degree_cap, &graph_);
+      AddLeafMst(dc, leaf, params_.mst_degree_cap, &graph);
     }
   }
 
@@ -101,18 +99,10 @@ BuildStats HcnngIndex::Build(const core::Dataset& data) {
   auto forest = std::make_shared<trees::KdForest>(trees::KdForest::Build(
       data, params_.kd_num_trees, tree_params, rng.Next()));
   seed_selector_ = std::make_unique<seeds::KdSeeds>(forest, data_);
-  visited_ = std::make_unique<core::VisitedTable>(data.size());
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
   // The per-leaf edge lists (all pairs) dominate transient memory — the
   // HCNNG footprint spike the paper reports in Fig. 8.
-  stats.peak_bytes =
-      stats.index_bytes +
-      params_.leaf_size * params_.leaf_size * sizeof(float) * 2;
-  return stats;
+  *transient_bytes = params_.leaf_size * params_.leaf_size * sizeof(float) * 2;
+  return graph;
 }
 
 std::uint64_t HcnngIndex::ParamsFingerprint() const {

@@ -1,7 +1,6 @@
 #include "methods/hnsw_graph.h"
 
 #include <algorithm>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -96,27 +95,21 @@ void HnswGraph::EncodeLayer(std::size_t layer, io::Encoder* enc) const {
 }
 
 core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
-  GASS_CHECK(layer > 0 || sealed_);
+  if (layer == 0) {
+    GASS_CHECK(sealed_);
+    return io::DecodeGraph(dec, size(), &sealed_base_,
+                           static_cast<std::uint32_t>(MaxDegree(0)));
+  }
   const std::uint64_t n = dec->U64();
   if (!dec->Check(n == size(), "graph vertex count " + std::to_string(n) +
                                    " does not match dataset size " +
                                    std::to_string(size()))) {
     return dec->status();
   }
-  // Each list is read into a one-slot buffer and stored as soon as it
-  // validates: into its slot on an upper layer, through a packer on layer
-  // 0. Each vertex costs one degree word, so a well-formed layer-0 payload
-  // holds exactly remaining / 4 - n ids, and the packed block is sized for
-  // that once (capped by what n full slots, or u32 offsets, can hold). A
-  // list that would overflow it is rejected.
+  // Each list is read into a one-slot buffer and stored in its slot as
+  // soon as it validates.
   const std::string where = "HNSW layer " + std::to_string(layer) + " vertex ";
   const std::size_t capacity = MaxDegree(layer);
-  std::optional<core::FlatGraph::Packer> packer;
-  if (layer == 0) {
-    const std::size_t words = dec->remaining() / sizeof(std::uint32_t);
-    packer.emplace(n, std::min({words > n ? words - n : 0, n * capacity,
-                                std::size_t{core::FlatGraph::kMaxEdges}}));
-  }
   std::vector<VectorId> list(capacity);
   for (VectorId v = 0; v < n; ++v) {
     const std::uint32_t degree = dec->U32();
@@ -146,18 +139,8 @@ core::Status HnswGraph::DecodeLayer(io::Decoder* dec, std::size_t layer) {
       }
     }
     if (!dec->ok()) break;
-    const std::span<const VectorId> ids(list.data(), degree);
-    if (layer == 0) {
-      if (!packer->Append(v, ids)) {
-        dec->Check(false, where + std::to_string(v) +
-                              " overflows the layer's edge block");
-        break;
-      }
-    } else {
-      SetList(layer, v, ids);
-    }
+    SetList(layer, v, std::span<const VectorId>(list.data(), degree));
   }
-  if (layer == 0 && dec->ok()) sealed_base_ = std::move(*packer).Finish();
   return dec->status();
 }
 

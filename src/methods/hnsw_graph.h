@@ -153,13 +153,13 @@ class HnswGraph {
   void EncodeLayer(std::size_t layer, io::Encoder* enc) const;
 
   /// Inverse of EncodeLayer into this graph, whose levels must already be
-  /// set (Reset + AddLevels). Layer 0 must be sealed; its lists are
-  /// decoded, validated, then packed into the sealed form. Upper layers
-  /// fill their slots. Rejects with
-  /// kCorruption a vertex count other than size(), a list on a vertex
-  /// below `layer`, a list longer than MaxDegree(layer), an out-of-range
-  /// id or self-loop, and on upper layers an id whose vertex is below
-  /// `layer`.
+  /// set (Reset + AddLevels). Layer 0 must be sealed: io::DecodeGraph,
+  /// the single-graph indexes' decoder, packs it straight into the sealed
+  /// form, each list at most MaxDegree(0) ids. Upper layers fill their
+  /// slots. Rejects with kCorruption a vertex count other than size(), a
+  /// list longer than MaxDegree(layer), an out-of-range id or self-loop,
+  /// and on upper layers a list on a vertex below `layer` and an id whose
+  /// vertex is below `layer`.
   core::Status DecodeLayer(io::Decoder* dec, std::size_t layer);
 
   /// Allocated bytes of layer 0 (in its current form), the upper-layer

@@ -251,15 +251,6 @@ SearchResult HnswIndex::SearchWith(const float* query,
   return result;
 }
 
-core::Status HnswIndex::Save(const std::string& path) const {
-  return SaveIndex(*this, path);
-}
-
-core::Status HnswIndex::Load(const std::string& path,
-                             const core::Dataset& data) {
-  return LoadIndex(this, data, path);
-}
-
 std::uint64_t HnswIndex::ParamsFingerprint() const {
   io::Encoder enc;
   EncodeParams(&enc, params_);

@@ -79,13 +79,6 @@ class HnswIndex : public GraphIndex {
   core::VectorId entry_point() const { return entry_; }
   std::size_t inserted_count() const { return inserted_; }
 
-  /// Persists the full index (levels, entry point, base graph and layer
-  /// graphs) as a single snapshot file. The raw vectors are not included;
-  /// Load() must be given the same dataset. Thin wrappers over
-  /// methods::SaveIndex / methods::LoadIndex.
-  core::Status Save(const std::string& path) const;
-  core::Status Load(const std::string& path, const core::Dataset& data);
-
   std::uint64_t ParamsFingerprint() const override;
   core::Status SaveSections(io::SnapshotWriter* writer,
                             const std::string& prefix) const override;

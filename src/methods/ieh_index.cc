@@ -8,11 +8,9 @@ namespace gass::methods {
 using core::Graph;
 using core::VectorId;
 
-BuildStats IehIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  core::DistanceComputer dc(data);
+Graph IehIndex::BuildGraph(core::DistanceComputer& dc,
+                           std::size_t* transient_bytes) {
+  const core::Dataset& data = *data_;
 
   auto lsh = std::make_shared<hash::LshIndex>(
       hash::LshIndex::Build(data, params_.lsh, params_.seed));
@@ -24,18 +22,13 @@ BuildStats IehIndex::Build(const core::Dataset& data) {
       if (u != v) init.MutableNeighbors(v).push_back(u);
     }
   }
-  graph_ = knngraph::NnDescent(dc, params_.nndescent, params_.seed ^ 0x1ULL,
-                               &init);
-  visited_ = std::make_unique<core::VisitedTable>(data.size());
+  Graph graph = knngraph::NnDescent(dc, params_.nndescent,
+                                    params_.seed ^ 0x1ULL, &init);
   seed_selector_ = std::make_unique<seeds::LshSeeds>(lsh, data.size(),
                                                      params_.seed ^ 0x5EEDULL);
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes * 2 + init.MemoryBytes();
-  return stats;
+  // The initial graph and NNDescent's pools (about the final lists' size).
+  *transient_bytes = init.MemoryBytes() + graph.MemoryBytes();
+  return graph;
 }
 
 std::uint64_t IehIndex::ParamsFingerprint() const {

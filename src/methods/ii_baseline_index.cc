@@ -29,16 +29,13 @@ std::string IiBaselineIndex::Name() const {
          seeds::StrategyName(params_.query_ss) + ")";
 }
 
-BuildStats IiBaselineIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  DistanceComputer dc(data);
+Graph IiBaselineIndex::BuildGraph(core::DistanceComputer& dc,
+                                  std::size_t* /*transient_bytes*/) {
+  const core::Dataset& data = *data_;
   Rng rng(params_.seed);
 
   const std::size_t n = data.size();
-  graph_ = Graph(n);
-  visited_ = std::make_unique<core::VisitedTable>(n);
+  Graph graph(n);
   prune_stats_ = {};
 
   // Optional incrementally-maintained stacked layers for SN build seeding:
@@ -104,7 +101,7 @@ BuildStats IiBaselineIndex::Build(const core::Dataset& data) {
                        candidates.end());
       const std::vector<Neighbor> kept = diversify::Diversify(
           dc, v, candidates, params_.diversify, &prune_stats_);
-      InstallBidirectional(dc, &graph_, v, kept, params_.diversify);
+      InstallBidirectional(dc, &graph, v, kept, params_.diversify);
       continue;
     }
 
@@ -139,13 +136,13 @@ BuildStats IiBaselineIndex::Build(const core::Dataset& data) {
 
     // Candidates via beam search on the partial graph.
     std::vector<Neighbor> candidates = core::BeamSearch(
-        graph_, dc, data.Row(v), search_seeds, params_.build_beam_width,
+        graph, dc, data.Row(v), search_seeds, params_.build_beam_width,
         params_.build_beam_width, visited_.get());
 
     const std::vector<Neighbor> kept =
         diversify::Diversify(dc, v, candidates, params_.diversify,
                              &prune_stats_);
-    InstallBidirectional(dc, &graph_, v, kept, params_.diversify);
+    InstallBidirectional(dc, &graph, v, kept, params_.diversify);
 
     // Grow the stacked layers for nodes with level >= 1.
     if (sn_build && level[v] > 0) {
@@ -170,18 +167,18 @@ BuildStats IiBaselineIndex::Build(const core::Dataset& data) {
   }
 
   // Attach the query-time seed selector.
-  AttachQuerySeeds(params_.query_ss);
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes;
-  return stats;
+  AttachQuerySeeds(params_.query_ss, graph);
+  return graph;
 }
 
 void IiBaselineIndex::AttachQuerySeeds(seeds::Strategy strategy) {
   GASS_CHECK_MSG(data_ != nullptr, "AttachQuerySeeds before Build");
+  AttachQuerySeeds(strategy, graph_);
+}
+
+template <typename GraphT>
+void IiBaselineIndex::AttachQuerySeeds(seeds::Strategy strategy,
+                                       const GraphT& graph) {
   params_.query_ss = strategy;
   const std::size_t n = data_->size();
   Rng rng(params_.seed ^ 0xA5A5A5A5ULL);
@@ -190,12 +187,12 @@ void IiBaselineIndex::AttachQuerySeeds(seeds::Strategy strategy) {
       seed_selector_ = std::make_unique<seeds::KsRandomSeeds>(n, rng.Next());
       break;
     case seeds::Strategy::kSf:
-      seed_selector_ = std::make_unique<seeds::SfFixedSeed>(
-          static_cast<VectorId>(rng.UniformInt(n)), &graph_);
+      seed_selector_ = std::make_unique<seeds::FixedNodeSeeds>(
+          static_cast<VectorId>(rng.UniformInt(n)), graph);
       break;
     case seeds::Strategy::kMd:
-      seed_selector_ = std::make_unique<seeds::MedoidSeeds>(
-          seeds::ComputeMedoid(*data_), &graph_);
+      seed_selector_ = std::make_unique<seeds::FixedNodeSeeds>(
+          seeds::ComputeMedoid(*data_), graph);
       break;
     case seeds::Strategy::kKd: {
       trees::KdTreeParams params;

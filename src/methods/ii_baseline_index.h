@@ -63,7 +63,6 @@ class IiBaselineIndex : public SingleGraphIndex {
   explicit IiBaselineIndex(const IiBaselineParams& params);
 
   std::string Name() const override;
-  BuildStats Build(const core::Dataset& data) override;
 
   /// ND pruning statistics accumulated during Build (Table 1).
   const diversify::PruneStats& prune_stats() const { return prune_stats_; }
@@ -76,8 +75,15 @@ class IiBaselineIndex : public SingleGraphIndex {
   std::uint64_t ParamsFingerprint() const override;
 
  private:
+  core::Graph BuildGraph(core::DistanceComputer& dc,
+                         std::size_t* transient_bytes) override;
   core::Status LoadAux(const io::SnapshotReader& reader,
                        const std::string& prefix) override;
+
+  /// AttachQuerySeeds reading SF's and MD's lists from `graph`: the
+  /// mutable graph during Build, the sealed one after.
+  template <typename GraphT>
+  void AttachQuerySeeds(seeds::Strategy strategy, const GraphT& graph);
 
   IiBaselineParams params_;
   diversify::PruneStats prune_stats_;

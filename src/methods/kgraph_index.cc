@@ -5,26 +5,18 @@
 
 namespace gass::methods {
 
-BuildStats KgraphIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  core::DistanceComputer dc(data);
+core::Graph KgraphIndex::BuildGraph(core::DistanceComputer& dc,
+                                    std::size_t* transient_bytes) {
+  const core::Dataset& data = *data_;
 
-  graph_ = knngraph::NnDescent(dc, params_.nndescent, params_.seed);
-  visited_ = std::make_unique<core::VisitedTable>(data.size());
+  core::Graph graph = knngraph::NnDescent(dc, params_.nndescent, params_.seed);
   seed_selector_ = std::make_unique<seeds::KsRandomSeeds>(
       data.size(), params_.seed ^ 0x5EEDULL);
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
   // NNDescent keeps per-node candidate pools with flags alongside the final
   // lists; its transient footprint is roughly twice the final graph (the
   // paper observes KGraph/EFANNA footprints far above their index sizes).
-  stats.peak_bytes = stats.index_bytes * 2;
-  return stats;
+  *transient_bytes = graph.MemoryBytes();
+  return graph;
 }
 
 std::uint64_t KgraphIndex::ParamsFingerprint() const {

@@ -20,10 +20,11 @@ class KgraphIndex : public SingleGraphIndex {
   explicit KgraphIndex(const KgraphParams& params) : params_(params) {}
 
   std::string Name() const override { return "KGraph"; }
-  BuildStats Build(const core::Dataset& data) override;
   std::uint64_t ParamsFingerprint() const override;
 
  private:
+  core::Graph BuildGraph(core::DistanceComputer& dc,
+                         std::size_t* transient_bytes) override;
   core::Status LoadAux(const io::SnapshotReader& reader,
                        const std::string& prefix) override;
 

@@ -12,35 +12,23 @@ namespace gass::methods {
 using core::Neighbor;
 using core::VectorId;
 
-BuildStats LshApgIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-
+core::Graph LshApgIndex::BuildGraph(core::DistanceComputer& dc,
+                                    std::size_t* transient_bytes) {
   // Reuse HNSW's incremental construction for the base-layer graph; only
   // layer 0 is kept (the hierarchy is replaced by LSH seeding).
   HnswParams hnsw_params = params_.hnsw;
   hnsw_params.seed = params_.seed;
   HnswIndex hnsw(hnsw_params);
-  const BuildStats hnsw_stats = hnsw.Build(data);
-  graph_ = hnsw.graph();
+  const BuildStats hnsw_stats = hnsw.Build(*data_);
+  dc.AddCount(hnsw_stats.distance_computations);
 
   lsh_ = std::make_shared<const hash::LshIndex>(
-      hash::LshIndex::Build(data, params_.lsh, params_.seed ^ 0x15A4ULL));
+      hash::LshIndex::Build(*data_, params_.lsh, params_.seed ^ 0x15A4ULL));
   seed_selector_ = std::make_unique<seeds::LshSeeds>(
-      lsh_, data.size(), params_.seed ^ 0x5EEDULL);
-  visited_ = std::make_unique<core::VisitedTable>(data.size());
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = hnsw_stats.distance_computations;
-  stats.index_bytes = IndexBytes();
-  // The larger of the HNSW build's own peak (its slots beside the sealed
-  // copy) and the moment the sealed HNSW, the copied graph and the hash
-  // tables all exist.
-  stats.peak_bytes = std::max(hnsw_stats.peak_bytes,
-                              stats.index_bytes + hnsw_stats.index_bytes);
-  return stats;
+      lsh_, data_->size(), params_.seed ^ 0x5EEDULL);
+  // The sealed HNSW index, alive beside the graph copied out of it.
+  *transient_bytes = hnsw_stats.index_bytes;
+  return hnsw.graph();
 }
 
 SearchResult LshApgIndex::Search(const float* query,
@@ -89,7 +77,9 @@ SearchResult LshApgIndex::SearchRouted(const float* query,
     const VectorId v = pool.ExploreNext();
     ++hops;
     ++result.stats.hops;
-    for (VectorId u : graph_.Neighbors(v)) {
+    const core::PackedIds neighbors = graph_.Neighbors(v);
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      const VectorId u = neighbors[i];
       if (!visited->TryVisit(u)) continue;
       const float worst = pool.WorstDistance();
       if (pool.full()) {
@@ -104,16 +94,13 @@ SearchResult LshApgIndex::SearchRouted(const float* query,
       pool.Insert(u, d);
     }
   }
-  result.neighbors = pool.TopK(params.k);
+  result.neighbors = core::internal::EmitTopK(pool, params.k,
+                                             params.tombstones,
+                                             params.global_ids);
   result.stats.distance_computations = dc.count();
   result.stats.elapsed_seconds = timer.Seconds();
+  result.degrade_step = params.degrade_step;
   return result;
-}
-
-std::size_t LshApgIndex::IndexBytes() const {
-  std::size_t total = graph_.MemoryBytes();
-  if (lsh_ != nullptr) total += lsh_->MemoryBytes();
-  return total;
 }
 
 std::uint64_t LshApgIndex::ParamsFingerprint() const {

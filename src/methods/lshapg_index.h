@@ -31,14 +31,14 @@ class LshApgIndex : public SingleGraphIndex {
   explicit LshApgIndex(const LshApgParams& params) : params_(params) {}
 
   std::string Name() const override { return "LSHAPG"; }
-  BuildStats Build(const core::Dataset& data) override;
   SearchResult Search(const float* query, const SearchParams& params) override;
   SearchResult Search(const float* query, const SearchParams& params,
                       SearchContext* ctx) const override;
-  std::size_t IndexBytes() const override;
   std::uint64_t ParamsFingerprint() const override;
 
  private:
+  core::Graph BuildGraph(core::DistanceComputer& dc,
+                         std::size_t* transient_bytes) override;
   core::Status SaveAux(io::SnapshotWriter* writer,
                        const std::string& prefix) const override;
   core::Status LoadAux(const io::SnapshotReader& reader,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/beam_search.h"
 #include "core/macros.h"
 #include "diversify/diversify.h"
 #include "methods/build_util.h"
@@ -14,22 +13,18 @@ using core::Graph;
 using core::Neighbor;
 using core::VectorId;
 
-BuildStats NgtIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  core::DistanceComputer dc(data);
-
+Graph NgtIndex::BuildGraph(core::DistanceComputer& dc,
+                           std::size_t* transient_bytes) {
   // Bi-directed k-NN graph.
-  graph_ = knngraph::NnDescent(dc, params_.nndescent, params_.seed);
-  graph_.MakeUndirected();
+  Graph graph = knngraph::NnDescent(dc, params_.nndescent, params_.seed);
+  graph.MakeUndirected();
 
   // RND prune every (now enlarged) neighbor list.
   diversify::Params prune;
   prune.strategy = diversify::Strategy::kRnd;
   prune.max_degree = params_.max_degree;
-  for (VectorId v = 0; v < data.size(); ++v) {
-    auto& list = graph_.MutableNeighbors(v);
+  for (VectorId v = 0; v < data_->size(); ++v) {
+    auto& list = graph.MutableNeighbors(v);
     std::vector<Neighbor> candidates;
     candidates.reserve(list.size());
     AppendScored(dc, v, list.data(), list.size(), &candidates);
@@ -40,60 +35,13 @@ BuildStats NgtIndex::Build(const core::Dataset& data) {
     for (const Neighbor& nb : kept) list.push_back(nb.id);
   }
 
-  vp_tree_ = std::make_unique<trees::VpTree>(
-      trees::VpTree::Build(data, params_.seed ^ 0x7EEULL));
-  visited_ = std::make_unique<core::VisitedTable>(data.size());
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes * 2;
-  return stats;
-}
-
-SearchResult NgtIndex::Search(const float* query, const SearchParams& params) {
-  return SearchOver(query, params, visited_.get());
-}
-
-SearchResult NgtIndex::Search(const float* query, const SearchParams& params,
-                              SearchContext* ctx) const {
-  return SearchOver(query, params, &ctx->visited);
-}
-
-SearchResult NgtIndex::SearchOver(const float* query,
-                                  const SearchParams& params,
-                                  core::VisitedTable* visited) const {
-  GASS_CHECK_MSG(data_ != nullptr, "Search before Build");
-  SearchResult result;
-  core::Timer timer;
-  core::DistanceComputer dc(*data_);
-
-  // VP-tree seed retrieval (distances inside the tree are charged manually:
-  // every visit evaluates one vantage point).
-  const std::vector<Neighbor> found = vp_tree_->Search(
-      *data_, query, std::max<std::size_t>(1, params.num_seeds),
-      params_.vp_seed_visits);
-  dc.AddCount(std::min<std::uint64_t>(params_.vp_seed_visits,
-                                      data_->size()));
-  std::vector<VectorId> seeds;
-  seeds.reserve(found.size());
-  for (const Neighbor& nb : found) seeds.push_back(nb.id);
-  if (seeds.empty()) seeds.push_back(0);
-
-  result.neighbors =
-      core::BeamSearch(graph_, dc, query, seeds, params.k, EffectiveBeamWidth(params),
-                       visited, &result.stats, params.prune_bound,
-                       params.deadline);
-  result.stats.distance_computations = dc.count();
-  result.stats.elapsed_seconds = timer.Seconds();
-  return result;
-}
-
-std::size_t NgtIndex::IndexBytes() const {
-  std::size_t total = graph_.MemoryBytes();
-  if (vp_tree_ != nullptr) total += vp_tree_->MemoryBytes();
-  return total;
+  seed_selector_ = std::make_unique<seeds::VpSeeds>(
+      std::make_shared<const trees::VpTree>(
+          trees::VpTree::Build(*data_, params_.seed ^ 0x7EEULL)),
+      data_, params_.vp_seed_visits);
+  // NNDescent's candidate pools, about the size of the final lists.
+  *transient_bytes = graph.MemoryBytes();
+  return graph;
 }
 
 std::uint64_t NgtIndex::ParamsFingerprint() const {
@@ -106,11 +54,12 @@ std::uint64_t NgtIndex::ParamsFingerprint() const {
 
 core::Status NgtIndex::SaveAux(io::SnapshotWriter* writer,
                                const std::string& prefix) const {
-  if (vp_tree_ == nullptr) {
+  const auto* vp = dynamic_cast<const seeds::VpSeeds*>(seed_selector_.get());
+  if (vp == nullptr) {
     return core::Status::Unimplemented("NGT snapshot requires a VP tree");
   }
   io::Encoder enc;
-  vp_tree_->EncodeTo(&enc);
+  vp->tree()->EncodeTo(&enc);
   return writer->AddSection(prefix + "vptree", std::move(enc));
 }
 
@@ -122,7 +71,9 @@ core::Status NgtIndex::LoadAux(const io::SnapshotReader& reader,
   trees::VpTree tree;
   GASS_RETURN_IF_ERROR(trees::VpTree::DecodeFrom(&dec, data_->size(), &tree));
   if (!dec.ExpectEnd()) return dec.status();
-  vp_tree_ = std::make_unique<trees::VpTree>(std::move(tree));
+  seed_selector_ = std::make_unique<seeds::VpSeeds>(
+      std::make_shared<const trees::VpTree>(std::move(tree)), data_,
+      params_.vp_seed_visits);
   return core::Status::Ok();
 }
 

@@ -6,11 +6,8 @@
 #ifndef GASS_METHODS_NGT_INDEX_H_
 #define GASS_METHODS_NGT_INDEX_H_
 
-#include <memory>
-
 #include "knngraph/nndescent.h"
 #include "methods/graph_index.h"
-#include "trees/vp_tree.h"
 
 namespace gass::methods {
 
@@ -26,25 +23,17 @@ class NgtIndex : public SingleGraphIndex {
   explicit NgtIndex(const NgtParams& params) : params_(params) {}
 
   std::string Name() const override { return "NGT"; }
-  BuildStats Build(const core::Dataset& data) override;
-  SearchResult Search(const float* query, const SearchParams& params) override;
-  SearchResult Search(const float* query, const SearchParams& params,
-                      SearchContext* ctx) const override;
-  std::size_t IndexBytes() const override;
   std::uint64_t ParamsFingerprint() const override;
 
  private:
+  core::Graph BuildGraph(core::DistanceComputer& dc,
+                         std::size_t* transient_bytes) override;
   core::Status SaveAux(io::SnapshotWriter* writer,
                        const std::string& prefix) const override;
   core::Status LoadAux(const io::SnapshotReader& reader,
                        const std::string& prefix) override;
 
-  /// VP-tree seeding (deterministic) + Algorithm 1 over `visited`.
-  SearchResult SearchOver(const float* query, const SearchParams& params,
-                          core::VisitedTable* visited) const;
-
   NgtParams params_;
-  std::unique_ptr<trees::VpTree> vp_tree_;
 };
 
 }  // namespace gass::methods

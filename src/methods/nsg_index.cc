@@ -15,24 +15,20 @@ using core::Graph;
 using core::Neighbor;
 using core::VectorId;
 
-BuildStats NsgIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  core::DistanceComputer dc(data);
-
+Graph NsgIndex::BuildGraph(core::DistanceComputer& dc,
+                           std::size_t* transient_bytes) {
+  const core::Dataset& data = *data_;
   Graph base = BuildEfannaBaseGraph(
       dc, params_.nndescent, params_.num_trees, params_.tree_leaf_size,
       params_.init_candidates, params_.seed);
 
   medoid_ = seeds::ComputeMedoid(data);
-  visited_ = std::make_unique<core::VisitedTable>(data.size());
 
   diversify::Params prune;
   prune.strategy = diversify::Strategy::kRnd;
   prune.max_degree = params_.max_degree;
 
-  graph_ = Graph(data.size());
+  Graph graph(data.size());
   std::vector<Neighbor> evaluated;
   for (VectorId v = 0; v < data.size(); ++v) {
     core::BeamSearchCollect(base, dc, data.Row(v), {medoid_},
@@ -47,55 +43,18 @@ BuildStats NsgIndex::Build(const core::Dataset& data) {
                     evaluated.end());
     const std::vector<Neighbor> kept =
         diversify::Diversify(dc, v, evaluated, prune);
-    InstallBidirectional(dc, &graph_, v, kept, prune);
+    InstallBidirectional(dc, &graph, v, kept, prune);
   }
 
-  EnsureConnectedFrom(dc, &graph_, medoid_, params_.build_beam_width,
+  EnsureConnectedFrom(dc, &graph, medoid_, params_.build_beam_width,
                       visited_.get());
 
-  query_rng_ = std::make_unique<core::Rng>(params_.seed ^ 0x5EEDULL);
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
+  seed_selector_ = std::make_unique<seeds::MedoidRandomSeeds>(
+      medoid_, data.size(), params_.seed ^ 0x5EEDULL);
   // The EFANNA base graph (plus its build pools) dominates the transient
   // footprint — the effect the paper highlights for NSG/SSG.
-  stats.peak_bytes = stats.index_bytes + base.MemoryBytes() * 3;
-  return stats;
-}
-
-SearchResult NsgIndex::Search(const float* query, const SearchParams& params) {
-  return SearchFrom(query, params, visited_.get(), query_rng_.get());
-}
-
-SearchResult NsgIndex::Search(const float* query, const SearchParams& params,
-                              SearchContext* ctx) const {
-  return SearchFrom(query, params, &ctx->visited, &ctx->rng);
-}
-
-SearchResult NsgIndex::SearchFrom(const float* query,
-                                  const SearchParams& params,
-                                  core::VisitedTable* visited,
-                                  core::Rng* rng) const {
-  GASS_CHECK_MSG(data_ != nullptr, "Search before Build");
-  SearchResult result;
-  core::Timer timer;
-  core::DistanceComputer dc(*data_);
-
-  // MD + KS: the medoid as entry plus random warm-up seeds.
-  std::vector<VectorId> seeds{medoid_};
-  for (std::size_t s = 1; s < std::max<std::size_t>(1, params.num_seeds);
-       ++s) {
-    seeds.push_back(static_cast<VectorId>(rng->UniformInt(data_->size())));
-  }
-  result.neighbors =
-      core::BeamSearch(graph_, dc, query, seeds, params.k, EffectiveBeamWidth(params),
-                       visited, &result.stats, params.prune_bound,
-                       params.deadline);
-  result.stats.distance_computations = dc.count();
-  result.stats.elapsed_seconds = timer.Seconds();
-  return result;
+  *transient_bytes = base.MemoryBytes() * 3;
+  return graph;
 }
 
 std::uint64_t NsgIndex::ParamsFingerprint() const {
@@ -128,7 +87,8 @@ core::Status NsgIndex::LoadAux(const io::SnapshotReader& reader,
     return dec.status();
   }
   medoid_ = medoid;
-  query_rng_ = std::make_unique<core::Rng>(params_.seed ^ 0x5EEDULL);
+  seed_selector_ = std::make_unique<seeds::MedoidRandomSeeds>(
+      medoid_, data_->size(), params_.seed ^ 0x5EEDULL);
   return core::Status::Ok();
 }
 

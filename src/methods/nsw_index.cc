@@ -16,16 +16,13 @@ using core::Neighbor;
 using core::Rng;
 using core::VectorId;
 
-BuildStats NswIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  DistanceComputer dc(data);
+Graph NswIndex::BuildGraph(core::DistanceComputer& dc,
+                           std::size_t* /*transient_bytes*/) {
+  const core::Dataset& data = *data_;
   Rng rng(params_.seed);
 
   const std::size_t n = data.size();
-  graph_ = Graph(n);
-  visited_ = std::make_unique<core::VisitedTable>(n);
+  Graph graph(n);
 
   for (VectorId v = 1; v < n; ++v) {
     std::vector<VectorId> seeds{0};
@@ -33,17 +30,17 @@ BuildStats NswIndex::Build(const core::Dataset& data) {
       seeds.push_back(static_cast<VectorId>(rng.UniformInt(v)));
     }
     std::vector<Neighbor> candidates = core::BeamSearch(
-        graph_, dc, data.Row(v), seeds, params_.max_degree,
+        graph, dc, data.Row(v), seeds, params_.max_degree,
         params_.build_beam_width, visited_.get());
     if (candidates.size() > params_.max_degree) {
       candidates.resize(params_.max_degree);
     }
     // Bidirectional links without diversification; in-degrees are only
     // capped (nearest-first) when they exceed the hard limit.
-    auto& forward = graph_.MutableNeighbors(v);
+    auto& forward = graph.MutableNeighbors(v);
     for (const Neighbor& nb : candidates) {
       forward.push_back(nb.id);
-      auto& back = graph_.MutableNeighbors(nb.id);
+      auto& back = graph.MutableNeighbors(nb.id);
       if (std::find(back.begin(), back.end(), v) == back.end()) {
         back.push_back(v);
         if (back.size() > params_.degree_cap) {
@@ -62,13 +59,7 @@ BuildStats NswIndex::Build(const core::Dataset& data) {
 
   seed_selector_ =
       std::make_unique<seeds::KsRandomSeeds>(n, params_.seed ^ 0x5EEDULL);
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes;
-  return stats;
+  return graph;
 }
 
 std::uint64_t NswIndex::ParamsFingerprint() const {

@@ -16,21 +16,19 @@ using core::Neighbor;
 using core::Rng;
 using core::VectorId;
 
-BuildStats SptagIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  core::DistanceComputer dc(data);
+Graph SptagIndex::BuildGraph(core::DistanceComputer& dc,
+                             std::size_t* transient_bytes) {
+  const core::Dataset& data = *data_;
   Rng rng(params_.seed);
 
   // Merge exact per-leaf k-NN graphs across several TP-tree partitions.
-  graph_ = Graph(data.size());
+  Graph graph(data.size());
   for (std::size_t p = 0; p < params_.num_partitions; ++p) {
     const auto leaves =
         trees::TpTreePartition(data, params_.tp_tree, rng.Next());
     for (const auto& leaf : leaves) {
       knngraph::AddExactKnnEdgesOnSubset(dc, leaf, params_.leaf_knn,
-                                         &graph_);
+                                         &graph);
     }
   }
 
@@ -39,7 +37,7 @@ BuildStats SptagIndex::Build(const core::Dataset& data) {
   prune.strategy = diversify::Strategy::kRnd;
   prune.max_degree = params_.max_degree;
   for (VectorId v = 0; v < data.size(); ++v) {
-    auto& list = graph_.MutableNeighbors(v);
+    auto& list = graph.MutableNeighbors(v);
     std::vector<Neighbor> candidates;
     candidates.reserve(list.size());
     AppendScored(dc, v, list.data(), list.size(), &candidates);
@@ -63,17 +61,10 @@ BuildStats SptagIndex::Build(const core::Dataset& data) {
         data, params_.kd_num_trees, tree_params, rng.Next()));
     seed_selector_ = std::make_unique<seeds::KdSeeds>(forest, data_);
   }
-  visited_ = std::make_unique<core::VisitedTable>(data.size());
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
   // Pre-refinement merged lists are num_partitions times larger than the
   // final pruned graph.
-  stats.peak_bytes =
-      stats.index_bytes + graph_.MemoryBytes() * params_.num_partitions;
-  return stats;
+  *transient_bytes = graph.MemoryBytes() * params_.num_partitions;
+  return graph;
 }
 
 std::uint64_t SptagIndex::ParamsFingerprint() const {

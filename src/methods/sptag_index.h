@@ -38,10 +38,11 @@ class SptagIndex : public SingleGraphIndex {
     return params_.seed_tree == SptagSeedTree::kBkt ? "SPTAG-BKT"
                                                     : "SPTAG-KDT";
   }
-  BuildStats Build(const core::Dataset& data) override;
   std::uint64_t ParamsFingerprint() const override;
 
  private:
+  core::Graph BuildGraph(core::DistanceComputer& dc,
+                         std::size_t* transient_bytes) override;
   core::Status SaveAux(io::SnapshotWriter* writer,
                        const std::string& prefix) const override;
   core::Status LoadAux(const io::SnapshotReader& reader,

@@ -16,24 +16,21 @@ using core::Neighbor;
 using core::Rng;
 using core::VectorId;
 
-BuildStats SsgIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  core::DistanceComputer dc(data);
+Graph SsgIndex::BuildGraph(core::DistanceComputer& dc,
+                           std::size_t* transient_bytes) {
+  const core::Dataset& data = *data_;
 
   Graph base = BuildEfannaBaseGraph(
       dc, params_.nndescent, params_.num_trees, params_.tree_leaf_size,
       params_.init_candidates, params_.seed);
 
-  visited_ = std::make_unique<core::VisitedTable>(data.size());
 
   diversify::Params prune;
   prune.strategy = diversify::Strategy::kMond;
   prune.theta_degrees = params_.theta_degrees;
   prune.max_degree = params_.max_degree;
 
-  graph_ = Graph(data.size());
+  Graph graph(data.size());
   for (VectorId v = 0; v < data.size(); ++v) {
     // Local expansion: 1-hop plus 2-hop base-graph neighbors, capped.
     visited_->NewEpoch();
@@ -61,7 +58,7 @@ BuildStats SsgIndex::Build(const core::Dataset& data) {
     std::sort(candidates.begin(), candidates.end());
     const std::vector<Neighbor> kept =
         diversify::Diversify(dc, v, candidates, prune);
-    InstallBidirectional(dc, &graph_, v, kept, prune);
+    InstallBidirectional(dc, &graph, v, kept, prune);
   }
 
   // Multiple DFS-tree connectivity repairs from random roots.
@@ -69,19 +66,14 @@ BuildStats SsgIndex::Build(const core::Dataset& data) {
   for (std::size_t t = 0; t < params_.num_dfs_roots; ++t) {
     const VectorId root =
         static_cast<VectorId>(rng.UniformInt(data.size()));
-    EnsureConnectedFrom(dc, &graph_, root, params_.max_degree * 4,
+    EnsureConnectedFrom(dc, &graph, root, params_.max_degree * 4,
                         visited_.get());
   }
 
   seed_selector_ = std::make_unique<seeds::KsRandomSeeds>(
       data.size(), params_.seed ^ 0x5EEDULL);
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes + base.MemoryBytes() * 3;
-  return stats;
+  *transient_bytes = base.MemoryBytes() * 3;
+  return graph;
 }
 
 std::uint64_t SsgIndex::ParamsFingerprint() const {

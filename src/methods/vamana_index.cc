@@ -18,7 +18,8 @@ using core::Rng;
 using core::VectorId;
 
 void VamanaIndex::RefinePass(core::DistanceComputer& dc, float alpha,
-                             const std::vector<VectorId>& order) {
+                             const std::vector<VectorId>& order,
+                             Graph* graph) {
   diversify::Params prune;
   prune.strategy = alpha <= 1.0f ? diversify::Strategy::kRnd
                                  : diversify::Strategy::kRrnd;
@@ -27,37 +28,32 @@ void VamanaIndex::RefinePass(core::DistanceComputer& dc, float alpha,
 
   std::vector<Neighbor> evaluated;
   for (VectorId v : order) {
-    core::BeamSearchCollect(graph_, dc, data_->Row(v), {medoid_},
+    core::BeamSearchCollect(*graph, dc, data_->Row(v), {medoid_},
                             params_.build_beam_width,
                             params_.build_beam_width, visited_.get(),
                             &evaluated);
-    const auto& current = graph_.Neighbors(v);
+    const auto& current = graph->Neighbors(v);
     AppendScored(dc, v, current.data(), current.size(), &evaluated);
     std::sort(evaluated.begin(), evaluated.end());
     evaluated.erase(std::unique(evaluated.begin(), evaluated.end()),
                     evaluated.end());
     const std::vector<Neighbor> kept =
         diversify::Diversify(dc, v, evaluated, prune);
-    InstallBidirectional(dc, &graph_, v, kept, prune);
+    InstallBidirectional(dc, graph, v, kept, prune);
   }
 }
 
-BuildStats VamanaIndex::Build(const core::Dataset& data) {
-  GASS_CHECK(!data.empty());
-  data_ = &data;
-  core::Timer timer;
-  core::DistanceComputer dc(data);
-
-  const std::size_t n = data.size();
+Graph VamanaIndex::BuildGraph(core::DistanceComputer& dc,
+                              std::size_t* /*transient_bytes*/) {
+  const std::size_t n = data_->size();
   // Initial degree ≥ log2(n), capped by R.
   const std::size_t init_degree = std::min(
       params_.max_degree,
       std::max<std::size_t>(4, static_cast<std::size_t>(
                                    std::ceil(std::log2(std::max<std::size_t>(
                                        2, n))))));
-  graph_ = RandomRegularGraph(n, init_degree, params_.seed);
-  visited_ = std::make_unique<core::VisitedTable>(n);
-  medoid_ = seeds::ComputeMedoid(data);
+  Graph graph = RandomRegularGraph(n, init_degree, params_.seed);
+  medoid_ = seeds::ComputeMedoid(*data_);
 
   // Random insertion order, reshuffled between passes.
   Rng rng(params_.seed ^ 0xABCDULL);
@@ -66,54 +62,15 @@ BuildStats VamanaIndex::Build(const core::Dataset& data) {
   for (std::size_t i = n; i-- > 1;) {
     std::swap(order[i], order[rng.UniformInt(i + 1)]);
   }
-  RefinePass(dc, 1.0f, order);
+  RefinePass(dc, 1.0f, order, &graph);
   for (std::size_t i = n; i-- > 1;) {
     std::swap(order[i], order[rng.UniformInt(i + 1)]);
   }
-  RefinePass(dc, params_.alpha, order);
+  RefinePass(dc, params_.alpha, order, &graph);
 
-  query_rng_ = std::make_unique<Rng>(params_.seed ^ 0x5EEDULL);
-
-  BuildStats stats;
-  stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
-  stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes;
-  return stats;
-}
-
-SearchResult VamanaIndex::Search(const float* query,
-                                 const SearchParams& params) {
-  return SearchFrom(query, params, visited_.get(), query_rng_.get());
-}
-
-SearchResult VamanaIndex::Search(const float* query,
-                                 const SearchParams& params,
-                                 SearchContext* ctx) const {
-  return SearchFrom(query, params, &ctx->visited, &ctx->rng);
-}
-
-SearchResult VamanaIndex::SearchFrom(const float* query,
-                                     const SearchParams& params,
-                                     core::VisitedTable* visited,
-                                     core::Rng* rng) const {
-  GASS_CHECK_MSG(data_ != nullptr, "Search before Build");
-  SearchResult result;
-  core::Timer timer;
-  core::DistanceComputer dc(*data_);
-
-  std::vector<VectorId> seeds{medoid_};
-  for (std::size_t s = 1; s < std::max<std::size_t>(1, params.num_seeds);
-       ++s) {
-    seeds.push_back(static_cast<VectorId>(rng->UniformInt(data_->size())));
-  }
-  result.neighbors =
-      core::BeamSearch(graph_, dc, query, seeds, params.k, EffectiveBeamWidth(params),
-                       visited, &result.stats, params.prune_bound,
-                       params.deadline);
-  result.stats.distance_computations = dc.count();
-  result.stats.elapsed_seconds = timer.Seconds();
-  return result;
+  seed_selector_ = std::make_unique<seeds::MedoidRandomSeeds>(
+      medoid_, n, params_.seed ^ 0x5EEDULL);
+  return graph;
 }
 
 std::uint64_t VamanaIndex::ParamsFingerprint() const {
@@ -143,7 +100,8 @@ core::Status VamanaIndex::LoadAux(const io::SnapshotReader& reader,
     return dec.status();
   }
   medoid_ = medoid;
-  query_rng_ = std::make_unique<core::Rng>(params_.seed ^ 0x5EEDULL);
+  seed_selector_ = std::make_unique<seeds::MedoidRandomSeeds>(
+      medoid_, data_->size(), params_.seed ^ 0x5EEDULL);
   return core::Status::Ok();
 }
 

@@ -26,31 +26,25 @@ class VamanaIndex : public SingleGraphIndex {
   explicit VamanaIndex(const VamanaParams& params) : params_(params) {}
 
   std::string Name() const override { return "Vamana"; }
-  BuildStats Build(const core::Dataset& data) override;
-  SearchResult Search(const float* query, const SearchParams& params) override;
-  SearchResult Search(const float* query, const SearchParams& params,
-                      SearchContext* ctx) const override;
 
   core::VectorId medoid() const { return medoid_; }
 
   std::uint64_t ParamsFingerprint() const override;
 
  private:
+  core::Graph BuildGraph(core::DistanceComputer& dc,
+                         std::size_t* transient_bytes) override;
   core::Status SaveAux(io::SnapshotWriter* writer,
                        const std::string& prefix) const override;
   core::Status LoadAux(const io::SnapshotReader& reader,
                        const std::string& prefix) override;
 
-  /// MD + KS seeding with the given RNG, then Algorithm 1 over `visited`.
-  SearchResult SearchFrom(const float* query, const SearchParams& params,
-                          core::VisitedTable* visited, core::Rng* rng) const;
-
   void RefinePass(core::DistanceComputer& dc, float alpha,
-                  const std::vector<core::VectorId>& order);
+                  const std::vector<core::VectorId>& order,
+                  core::Graph* graph);
 
   VamanaParams params_;
   core::VectorId medoid_ = 0;
-  std::unique_ptr<core::Rng> query_rng_;
 };
 
 }  // namespace gass::methods

@@ -55,38 +55,28 @@ std::vector<VectorId> KsRandomSeeds::Select(DistanceComputer& dc,
   return seeds;
 }
 
-namespace {
+std::vector<VectorId> FixedNodeSeeds::Select(DistanceComputer& dc,
+                                             const float* query,
+                                             std::size_t count,
+                                             Rng* rng) const {
+  (void)dc;
+  (void)query;
+  (void)rng;
+  count = std::min(std::max<std::size_t>(1, count), seeds_.size());
+  return std::vector<VectorId>(seeds_.begin(), seeds_.begin() + count);
+}
 
-std::vector<VectorId> NodePlusNeighbors(VectorId node, const Graph* graph,
-                                        std::size_t count) {
-  std::vector<VectorId> seeds{node};
-  if (graph != nullptr && node < graph->size()) {
-    for (VectorId u : graph->Neighbors(node)) {
-      if (seeds.size() >= count) break;
-      seeds.push_back(u);
-    }
+std::vector<VectorId> MedoidRandomSeeds::Select(DistanceComputer& dc,
+                                                const float* query,
+                                                std::size_t count,
+                                                Rng* rng) const {
+  (void)dc;
+  (void)query;
+  std::vector<VectorId> seeds{medoid_};
+  for (std::size_t s = 1; s < count; ++s) {
+    seeds.push_back(static_cast<VectorId>(rng->UniformInt(n_)));
   }
   return seeds;
-}
-
-}  // namespace
-
-std::vector<VectorId> SfFixedSeed::Select(DistanceComputer& dc,
-                                          const float* query,
-                                          std::size_t count, Rng* rng) const {
-  (void)dc;
-  (void)query;
-  (void)rng;
-  return NodePlusNeighbors(fixed_, graph_, std::max<std::size_t>(1, count));
-}
-
-std::vector<VectorId> MedoidSeeds::Select(DistanceComputer& dc,
-                                          const float* query,
-                                          std::size_t count, Rng* rng) const {
-  (void)dc;
-  (void)query;
-  (void)rng;
-  return NodePlusNeighbors(medoid_, graph_, std::max<std::size_t>(1, count));
 }
 
 std::vector<VectorId> KdSeeds::Select(DistanceComputer& dc, const float* query,
@@ -121,6 +111,20 @@ std::vector<VectorId> LshSeeds::Select(DistanceComputer& dc,
   while (seeds.size() < count && n_ > 0) {
     seeds.push_back(static_cast<VectorId>(rng->UniformInt(n_)));
   }
+  return seeds;
+}
+
+std::vector<VectorId> VpSeeds::Select(DistanceComputer& dc, const float* query,
+                                      std::size_t count, Rng* rng) const {
+  (void)rng;
+  const std::vector<Neighbor> found =
+      tree_->Search(*data_, query, std::max<std::size_t>(1, count), visits_);
+  // The tree computes its own distances; charge them here.
+  dc.AddCount(std::min<std::uint64_t>(visits_, data_->size()));
+  std::vector<VectorId> seeds;
+  seeds.reserve(found.size());
+  for (const Neighbor& nb : found) seeds.push_back(nb.id);
+  if (seeds.empty()) seeds.push_back(0);
   return seeds;
 }
 

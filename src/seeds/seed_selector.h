@@ -7,11 +7,14 @@
 //         (HNSW, ELPIS).
 //   KD  — DFS over randomized K-D trees (EFANNA, SPTAG-KDT, HCNNG).
 //   LSH — bucket mates from an LSH index (IEH, LSHAPG).
-//   MD  — the dataset medoid and its graph neighbors (NSG, Vamana).
+//   MD  — the dataset medoid and its graph neighbors.
 //   SF  — one fixed random node and its graph neighbors (baseline; not used
 //         by any published method).
-//   KS  — k fresh random nodes per query (KGraph, DPG, NSG, Vamana).
+//   KS  — k fresh random nodes per query (KGraph, DPG).
 //   KM  — DFS over a balanced k-means tree (SPTAG-BKT).
+//
+// NSG and Vamana combine MD and KS (the medoid plus fresh random nodes),
+// and NGT seeds from a vantage-point tree (VP).
 
 #ifndef GASS_SEEDS_SEED_SELECTOR_H_
 #define GASS_SEEDS_SEED_SELECTOR_H_
@@ -29,6 +32,7 @@
 #include "hash/lsh.h"
 #include "trees/bk_means_tree.h"
 #include "trees/kd_tree.h"
+#include "trees/vp_tree.h"
 
 namespace gass::seeds {
 
@@ -67,7 +71,6 @@ class SeedSelector {
     return Select(dc, query, count, &serial_rng_);
   }
 
-  virtual Strategy strategy() const = 0;
   virtual std::size_t MemoryBytes() const { return 0; }
 
  private:
@@ -83,43 +86,49 @@ class KsRandomSeeds : public SeedSelector {
   std::vector<core::VectorId> Select(core::DistanceComputer& dc,
                                      const float* query, std::size_t count,
                                      core::Rng* rng) const override;
-  Strategy strategy() const override { return Strategy::kKs; }
 
  private:
   std::size_t n_;
 };
 
-/// SF: one fixed node (chosen once at random) plus its graph neighbors.
-class SfFixedSeed : public SeedSelector {
+/// SF and MD: one fixed node plus its graph neighbors. SF's node is
+/// chosen once at random, MD's is the dataset medoid. The node's list is
+/// copied at construction, so the selector holds no graph.
+class FixedNodeSeeds : public SeedSelector {
  public:
   using SeedSelector::Select;
-  SfFixedSeed(core::VectorId fixed, const core::Graph* graph)
-      : fixed_(fixed), graph_(graph) {}
+  /// `graph` is any graph whose Neighbors(node) has size() and
+  /// operator[] (core::Graph, core::FlatGraph).
+  template <typename GraphT>
+  FixedNodeSeeds(core::VectorId node, const GraphT& graph) : seeds_{node} {
+    const auto& ids = graph.Neighbors(node);
+    for (std::size_t i = 0; i < ids.size(); ++i) seeds_.push_back(ids[i]);
+  }
   std::vector<core::VectorId> Select(core::DistanceComputer& dc,
                                      const float* query, std::size_t count,
                                      core::Rng* rng) const override;
-  Strategy strategy() const override { return Strategy::kSf; }
+  std::size_t MemoryBytes() const override {
+    return seeds_.capacity() * sizeof(core::VectorId);
+  }
 
  private:
-  core::VectorId fixed_;
-  const core::Graph* graph_;
+  std::vector<core::VectorId> seeds_;  // The node, then its neighbors.
 };
 
-/// MD: the dataset medoid plus its graph neighbors.
-class MedoidSeeds : public SeedSelector {
+/// MD + KS (NSG, Vamana): the medoid, then `count - 1` uniform random ids
+/// (repeats allowed) drawn fresh per query.
+class MedoidRandomSeeds : public SeedSelector {
  public:
   using SeedSelector::Select;
-  MedoidSeeds(core::VectorId medoid, const core::Graph* graph)
-      : medoid_(medoid), graph_(graph) {}
+  MedoidRandomSeeds(core::VectorId medoid, std::size_t n, std::uint64_t seed)
+      : SeedSelector(seed), medoid_(medoid), n_(n) {}
   std::vector<core::VectorId> Select(core::DistanceComputer& dc,
                                      const float* query, std::size_t count,
                                      core::Rng* rng) const override;
-  Strategy strategy() const override { return Strategy::kMd; }
-  core::VectorId medoid() const { return medoid_; }
 
  private:
   core::VectorId medoid_;
-  const core::Graph* graph_;
+  std::size_t n_;
 };
 
 /// KD: candidates from a randomized K-D forest.
@@ -132,7 +141,6 @@ class KdSeeds : public SeedSelector {
   std::vector<core::VectorId> Select(core::DistanceComputer& dc,
                                      const float* query, std::size_t count,
                                      core::Rng* rng) const override;
-  Strategy strategy() const override { return Strategy::kKd; }
   std::size_t MemoryBytes() const override { return forest_->MemoryBytes(); }
   const std::shared_ptr<const trees::KdForest>& forest() const {
     return forest_;
@@ -153,7 +161,6 @@ class KmSeeds : public SeedSelector {
   std::vector<core::VectorId> Select(core::DistanceComputer& dc,
                                      const float* query, std::size_t count,
                                      core::Rng* rng) const override;
-  Strategy strategy() const override { return Strategy::kKm; }
   std::size_t MemoryBytes() const override { return tree_->MemoryBytes(); }
   const std::shared_ptr<const trees::BkMeansTree>& tree() const {
     return tree_;
@@ -176,7 +183,6 @@ class LshSeeds : public SeedSelector {
   std::vector<core::VectorId> Select(core::DistanceComputer& dc,
                                      const float* query, std::size_t count,
                                      core::Rng* rng) const override;
-  Strategy strategy() const override { return Strategy::kLsh; }
   std::size_t MemoryBytes() const override { return index_->MemoryBytes(); }
   const std::shared_ptr<const hash::LshIndex>& index() const {
     return index_;
@@ -185,6 +191,27 @@ class LshSeeds : public SeedSelector {
  private:
   std::shared_ptr<const hash::LshIndex> index_;
   std::size_t n_;
+};
+
+/// VP: the nearest points a vantage-point tree finds within a budget of
+/// node visits (NGT). Each visit evaluates one vantage point, so a query
+/// is charged min(visits, n) distances.
+class VpSeeds : public SeedSelector {
+ public:
+  using SeedSelector::Select;
+  VpSeeds(std::shared_ptr<const trees::VpTree> tree, const core::Dataset* data,
+          std::size_t visits)
+      : tree_(std::move(tree)), data_(data), visits_(visits) {}
+  std::vector<core::VectorId> Select(core::DistanceComputer& dc,
+                                     const float* query, std::size_t count,
+                                     core::Rng* rng) const override;
+  std::size_t MemoryBytes() const override { return tree_->MemoryBytes(); }
+  const std::shared_ptr<const trees::VpTree>& tree() const { return tree_; }
+
+ private:
+  std::shared_ptr<const trees::VpTree> tree_;
+  const core::Dataset* data_;
+  std::size_t visits_;
 };
 
 /// The hierarchical NSW layer stack of HNSW (layers 1..top; layer 0 is the
@@ -231,7 +258,6 @@ class SnSeeds : public SeedSelector {
   std::vector<core::VectorId> Select(core::DistanceComputer& dc,
                                      const float* query, std::size_t count,
                                      core::Rng* rng) const override;
-  Strategy strategy() const override { return Strategy::kSn; }
   std::size_t MemoryBytes() const override { return layers_->MemoryBytes(); }
 
  private:

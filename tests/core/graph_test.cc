@@ -74,26 +74,6 @@ TEST(GraphTest, ReachableFromCountsComponent) {
   EXPECT_EQ(two.ReachableFrom(0), 2u);
 }
 
-TEST(GraphTest, SaveLoadRoundTrip) {
-  Graph graph = MakeChain(6);
-  graph.AddEdge(5, 0);
-  const std::string path =
-      std::string(::testing::TempDir()) + "/graph_roundtrip.bin";
-  ASSERT_TRUE(graph.Save(path).ok());
-  Graph loaded;
-  ASSERT_TRUE(loaded.Load(path).ok());
-  ASSERT_EQ(loaded.size(), graph.size());
-  for (VectorId v = 0; v < graph.size(); ++v) {
-    EXPECT_EQ(loaded.Neighbors(v), graph.Neighbors(v));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(GraphTest, LoadMissingFileFails) {
-  Graph graph;
-  EXPECT_FALSE(graph.Load("/nonexistent/graph.bin").ok());
-}
-
 std::vector<VectorId> ListOf(const FlatGraph& flat, VectorId v) {
   const PackedIds list = flat.Neighbors(v);
   std::vector<VectorId> ids(list.size());

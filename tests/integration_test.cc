@@ -12,7 +12,6 @@
 #include "eval/recall.h"
 #include "eval/serial_scan.h"
 #include "methods/factory.h"
-#include "methods/flat_searcher.h"
 #include "synth/generators.h"
 #include "synth/workloads.h"
 
@@ -61,39 +60,13 @@ TEST(IntegrationTest, ComplexityRanksProxiesLikeFig4) {
   EXPECT_GT(easy_c.mean_lrc, hard_c.mean_lrc);
 }
 
-TEST(IntegrationTest, GraphPersistenceRoundTripPreservesSearch) {
-  const Dataset data = synth::MakeDatasetProxy("deep", 400, 5);
-  auto index = methods::CreateIndex("hnsw", 9);
-  index->Build(data);
-
-  // Process-unique: the forced-scalar ctest variant runs concurrently.
-  const std::string path = std::string(::testing::TempDir()) +
-                           "/hnsw_base_graph_" + std::to_string(::getpid()) +
-                           ".bin";
-  ASSERT_TRUE(index->graph().Save(path).ok());
-  core::Graph loaded;
-  ASSERT_TRUE(loaded.Load(path).ok());
-  ASSERT_EQ(loaded.size(), data.size());
-
-  // A flat searcher over the reloaded graph answers like the original.
-  methods::FlatGraphSearcher searcher(
-      data, loaded,
-      std::make_unique<seeds::SfFixedSeed>(0, &loaded));
-  methods::SearchParams params;
-  params.k = 5;
-  params.beam_width = 64;
-  const auto result = searcher.Search(data.Row(7), params);
-  ASSERT_FALSE(result.neighbors.empty());
-  EXPECT_EQ(result.neighbors[0].id, 7u);
-  std::remove(path.c_str());
-}
-
 TEST(IntegrationTest, IndexSnapshotRoundTripBitIdentical) {
   // Full-index persistence (docs/PERSISTENCE.md): build, save, reload via
   // the method registry, and require bit-identical SearchResults — ids and
-  // float distances — for a single-graph and a composite method.
+  // float distances — for HNSW, a sealed single-graph method and a
+  // composite method.
   const Dataset data = synth::MakeDatasetProxy("deep", 500, 5);
-  for (const char* name : {"hnsw", "elpis"}) {
+  for (const char* name : {"hnsw", "vamana", "elpis"}) {
     auto original = methods::CreateIndex(name, 9);
     original->Build(data);
     // Process-unique: the forced-scalar ctest variant runs concurrently.

@@ -13,6 +13,7 @@
 namespace gass::io {
 namespace {
 
+using core::FlatGraph;
 using core::Graph;
 
 TEST(SerializeTest, ScalarRoundTrip) {
@@ -132,12 +133,21 @@ TEST(SerializeTest, GraphRoundTrip) {
   Encoder enc;
   EncodeGraph(graph, &enc);
   Decoder dec(enc.bytes().data(), enc.size(), "graph");
-  Graph restored;
+  FlatGraph restored;
   ASSERT_TRUE(DecodeGraph(&dec, 5, &restored).ok());
+  EXPECT_TRUE(dec.ExpectEnd());
   ASSERT_EQ(restored.size(), graph.size());
   for (core::VectorId v = 0; v < graph.size(); ++v) {
-    EXPECT_EQ(restored.Neighbors(v), graph.Neighbors(v));
+    const core::PackedIds ids = restored.Neighbors(v);
+    ASSERT_EQ(ids.size(), graph.Neighbors(v).size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(ids[i], graph.Neighbors(v)[i]);
+    }
   }
+  // The sealed form encodes to the same bytes.
+  Encoder again;
+  EncodeGraph(restored, &again);
+  EXPECT_EQ(again.bytes(), enc.bytes());
 }
 
 TEST(SerializeTest, GraphDecodeRejectsWrongVertexCount) {
@@ -145,7 +155,7 @@ TEST(SerializeTest, GraphDecodeRejectsWrongVertexCount) {
   Encoder enc;
   EncodeGraph(graph, &enc);
   Decoder dec(enc.bytes().data(), enc.size(), "graph");
-  Graph restored;
+  FlatGraph restored;
   EXPECT_FALSE(DecodeGraph(&dec, 5, &restored).ok());
 }
 
@@ -155,9 +165,12 @@ TEST(SerializeTest, GraphDecodeRejectsOutOfRangeNeighbor) {
   Encoder enc;
   EncodeGraph(graph, &enc);
   Decoder dec(enc.bytes().data(), enc.size(), "graph");
-  Graph restored;
+  FlatGraph restored;
   const core::Status status = DecodeGraph(&dec, 3, &restored);
   EXPECT_EQ(status.code(), core::StatusCode::kCorruption);
+  EXPECT_NE(status.message().find("vertex 0 has neighbor id 7 out of range"),
+            std::string::npos)
+      << status.message();
 }
 
 TEST(SerializeTest, GraphDecodeRejectsSelfLoop) {
@@ -166,8 +179,39 @@ TEST(SerializeTest, GraphDecodeRejectsSelfLoop) {
   Encoder enc;
   EncodeGraph(graph, &enc);
   Decoder dec(enc.bytes().data(), enc.size(), "graph");
-  Graph restored;
+  FlatGraph restored;
   EXPECT_FALSE(DecodeGraph(&dec, 3, &restored).ok());
+}
+
+TEST(SerializeTest, GraphDecodeRejectsListAboveMaxDegree) {
+  Graph graph(4);
+  graph.MutableNeighbors(2) = {0, 1, 3};
+  Encoder enc;
+  EncodeGraph(graph, &enc);
+  Decoder ok(enc.bytes().data(), enc.size(), "graph");
+  FlatGraph restored;
+  EXPECT_TRUE(DecodeGraph(&ok, 4, &restored, 3).ok());
+  Decoder dec(enc.bytes().data(), enc.size(), "graph");
+  const core::Status status = DecodeGraph(&dec, 4, &restored, 2);
+  EXPECT_EQ(status.code(), core::StatusCode::kCorruption);
+  EXPECT_NE(status.message().find("more than its 2-id slot"),
+            std::string::npos)
+      << status.message();
+}
+
+TEST(SerializeTest, GraphDecodeRejectsDegreePastThePayload) {
+  // A degree the payload cannot hold is rejected before anything is
+  // allocated for it.
+  Encoder enc;
+  enc.U64(2);
+  enc.U32(0xFFFFFFF0u);
+  Decoder dec(enc.bytes().data(), enc.size(), "graph");
+  FlatGraph restored;
+  const core::Status status = DecodeGraph(&dec, 2, &restored);
+  EXPECT_EQ(status.code(), core::StatusCode::kCorruption);
+  EXPECT_NE(status.message().find("exceeds remaining payload"),
+            std::string::npos)
+      << status.message();
 }
 
 TEST(SerializeTest, DatasetRoundTrip) {

@@ -269,10 +269,10 @@ TEST(HnswTest, SaveLoadRoundTripPreservesSearchExactly) {
   original.Build(data);
 
   const std::string path = TempPath("hnsw_full_index.bin");
-  ASSERT_TRUE(original.Save(path).ok());
+  ASSERT_TRUE(SaveIndex(original, path).ok());
 
   HnswIndex restored(params);
-  ASSERT_TRUE(restored.Load(path, data).ok());
+  ASSERT_TRUE(LoadIndex(&restored, data, path).ok());
   EXPECT_EQ(restored.num_layers(), original.num_layers());
   EXPECT_EQ(restored.entry_point(), original.entry_point());
   EXPECT_EQ(restored.inserted_count(), original.inserted_count());
@@ -289,10 +289,6 @@ TEST(HnswTest, SaveLoadRoundTripPreservesSearchExactly) {
     }
   }
   std::remove(path.c_str());
-  std::remove((path + ".base").c_str());
-  for (std::size_t l = 0; l < original.num_layers(); ++l) {
-    std::remove((path + ".layer" + std::to_string(l)).c_str());
-  }
 }
 
 TEST(HnswTest, LoadRejectsMismatchedData) {
@@ -300,16 +296,12 @@ TEST(HnswTest, LoadRejectsMismatchedData) {
   HnswIndex index(HnswParams{});
   index.Build(data);
   const std::string path = TempPath("hnsw_mismatch.bin");
-  ASSERT_TRUE(index.Save(path).ok());
+  ASSERT_TRUE(SaveIndex(index, path).ok());
 
   const Dataset other = synth::UniformHypercube(100, 8, 29);
   HnswIndex restored(HnswParams{});
-  EXPECT_FALSE(restored.Load(path, other).ok());
+  EXPECT_FALSE(LoadIndex(&restored, other, path).ok());
   std::remove(path.c_str());
-  std::remove((path + ".base").c_str());
-  for (std::size_t l = 0; l < index.num_layers(); ++l) {
-    std::remove((path + ".layer" + std::to_string(l)).c_str());
-  }
 }
 
 TEST(HnswTest, ExtendMatchesFullBuildBehaviour) {

@@ -1,7 +1,9 @@
 #include "seeds/seed_selector.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -46,31 +48,76 @@ TEST(KsRandomSeedsTest, VariesAcrossQueries) {
   EXPECT_NE(a, b);  // Fresh randomness per query.
 }
 
-TEST(SfFixedSeedTest, AlwaysSameEntry) {
+TEST(FixedNodeSeedsTest, AlwaysSameEntry) {
   const Dataset data = synth::UniformHypercube(50, 4, 1);
   Graph graph(50);
   graph.AddEdge(7, 3);
   graph.AddEdge(7, 9);
   DistanceComputer dc(data);
-  SfFixedSeed selector(7, &graph);
+  FixedNodeSeeds selector(7, graph);
   const auto seeds = selector.Select(dc, data.Row(0), 10);
   ASSERT_GE(seeds.size(), 3u);
   EXPECT_EQ(seeds[0], 7u);
   EXPECT_EQ(seeds[1], 3u);
   EXPECT_EQ(seeds[2], 9u);
   EXPECT_EQ(selector.Select(dc, data.Row(20), 10), seeds);
+  EXPECT_EQ(selector.Select(dc, data.Row(20), 2),
+            (std::vector<VectorId>{7, 3}));
+  EXPECT_EQ(selector.Select(dc, data.Row(20), 0), std::vector<VectorId>{7});
 }
 
-TEST(MedoidSeedsTest, UsesMedoidAndNeighbors) {
+TEST(FixedNodeSeedsTest, CopiesTheListSoTheGraphMayGo) {
   const Dataset data = synth::UniformHypercube(50, 4, 1);
-  Graph graph(50);
-  graph.AddEdge(4, 1);
   DistanceComputer dc(data);
-  MedoidSeeds selector(4, &graph);
-  const auto seeds = selector.Select(dc, data.Row(0), 10);
-  ASSERT_GE(seeds.size(), 2u);
-  EXPECT_EQ(seeds[0], 4u);
-  EXPECT_EQ(selector.medoid(), 4u);
+  std::unique_ptr<FixedNodeSeeds> selector;
+  {
+    Graph graph(50);
+    graph.AddEdge(4, 1);
+    const core::FlatGraph sealed = core::FlatGraph::FromGraph(graph);
+    selector = std::make_unique<FixedNodeSeeds>(4, sealed);
+  }
+  EXPECT_EQ(selector->Select(dc, data.Row(0), 10),
+            (std::vector<VectorId>{4, 1}));
+  EXPECT_EQ(dc.count(), 0u);
+}
+
+TEST(MedoidRandomSeedsTest, MedoidThenFreshRandomIds) {
+  const Dataset data = synth::UniformHypercube(1000, 4, 1);
+  DistanceComputer dc(data);
+  MedoidRandomSeeds selector(17, 1000, 5);
+  const auto a = selector.Select(dc, data.Row(0), 8);
+  const auto b = selector.Select(dc, data.Row(0), 8);
+  ASSERT_EQ(a.size(), 8u);
+  EXPECT_EQ(a[0], 17u);
+  EXPECT_EQ(b[0], 17u);
+  EXPECT_NE(a, b);  // Fresh randomness per query.
+  for (VectorId id : a) EXPECT_LT(id, 1000u);
+  EXPECT_EQ(selector.Select(dc, data.Row(0), 0), std::vector<VectorId>{17});
+
+  // The serial stream is the one a caller's RNG with the same seed gives.
+  MedoidRandomSeeds fresh(17, 1000, 5);
+  core::Rng rng(5);
+  EXPECT_EQ(fresh.Select(dc, data.Row(0), 8, &rng), a);
+  EXPECT_EQ(dc.count(), 0u);
+}
+
+TEST(VpSeedsTest, NearPointsChargedByTheVisitBudget) {
+  const Dataset data = synth::UniformHypercube(300, 4, 1);
+  auto tree = std::make_shared<const trees::VpTree>(
+      trees::VpTree::Build(data, 3));
+  DistanceComputer dc(data);
+  VpSeeds selector(tree, &data, 64);
+  const auto seeds = selector.Select(dc, data.Row(5), 4);
+  ASSERT_FALSE(seeds.empty());
+  EXPECT_LE(seeds.size(), 4u);
+  EXPECT_EQ(dc.count(), 64u);
+  EXPECT_EQ(selector.MemoryBytes(), tree->MemoryBytes());
+
+  // The charge is capped by the dataset size.
+  VpSeeds wide(tree, &data, 1000);
+  DistanceComputer wide_dc(data);
+  wide.Select(wide_dc, data.Row(5), 4);
+  EXPECT_EQ(wide_dc.count(), 300u);
 }
 
 TEST(ComputeMedoidTest, FindsCentralPoint) {

@@ -4,8 +4,8 @@
 //                       [--queries 100 --queries-out q.fvecs] [--seed 42]
 //   gass_cli gt         --base base.fvecs --queries q.fvecs --k 10
 //                       --out gt.ivecs
-//   gass_cli build      --method hnsw --base base.fvecs [--graph graph.bin]
-//                       [--save index.gass] [sharding flags]
+//   gass_cli build      --method hnsw --base base.fvecs [--save index.gass]
+//                       [sharding flags]
 //   gass_cli eval       --method hnsw --base base.fvecs --queries q.fvecs
 //                       [--truth gt.ivecs] [--k 10] [--beams 10,40,160]
 //                       [--search-params k=10,seeds=48] [--load index.gass]
@@ -475,11 +475,6 @@ int CmdBuild(const Flags& flags) {
   const std::string shard_summary = ShardSummary(*index);
   if (!shard_summary.empty()) std::printf("%s\n", shard_summary.c_str());
 
-  if (flags.Has("graph") && index->HasBaseGraph()) {
-    const Status save = index->graph().Save(flags.Get("graph", ""));
-    if (!save.ok()) return Fail(save);
-    std::printf("base graph saved to %s\n", flags.Get("graph", "").c_str());
-  }
   if (flags.Has("save")) {
     const Status save = gass::methods::SaveIndex(*index, flags.Get("save", ""));
     if (!save.ok()) return Fail(save);
@@ -1248,9 +1243,8 @@ std::vector<ArgSpec> CommandSpecs(const std::string& command) {
             {"out", ArgKind::kString}};
   }
   if (command == "build") {
-    return WithSharding({{"base", ArgKind::kString},
-                         {"graph", ArgKind::kString},
-                         {"save", ArgKind::kString}});
+    return WithSharding(
+        {{"base", ArgKind::kString}, {"save", ArgKind::kString}});
   }
   if (command == "eval") {
     return WithSharding({{"base", ArgKind::kString},
